@@ -5,23 +5,48 @@ limiting distributions for Wilcoxon and one-sided KS, and the exact negative
 hypergeometric null for the tail run.  Rank statistics are distribution-free
 under H0 for continuous data, so their null tables are simulated from
 Uniform(0,1) pooled samples.
+
+STATISTICS is the one table of the five tests: how each is computed and
+how its p-value is found.  Every simulated replicate, in a null table here
+or in the power harness, goes through replicate().
 """
 
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import statistics as st
-from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_sample
+from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_sample, mixture_sample
+from .theory import quad_pieces
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 _TINY_P = 1e-300
+
+MONTE_CARLO = "monte-carlo"
+NORMAL_APPROX = "normal-approx"
+SMIRNOV_LIMIT = "smirnov-limit"
+EXACT = "exact"
+
+# purpose tags of the seed streams: replicate k of a stream draws from
+# SeedSequence([master_seed, tag, *index, k]), so calibration draws never
+# overlap power draws
+TAG_CALIB_RANK = 101
+TAG_CALIB_LRT = 102
+TAG_POWER = 201
+TAG_NULL = 202
+
+# what one replicate samples
+RANK_NULL = "rank-null"  # m + n pooled Uniform(0,1) values
+LRT_NULL = "lrt-null"  # the Y-sample from F only (the LRT ignores X)
+DATA = "data"  # X from F and Y from G, or from F when alt is None
 
 
 @dataclass(frozen=True)
@@ -34,9 +59,21 @@ class NullTable:
     draws: np.ndarray
     seed: int
 
+    def __post_init__(self):
+        d = self.draws
+        if d.ndim != 1 or not np.all(np.isfinite(d)):
+            raise ValueError("null-table draws must be a finite 1-D array")
+        if np.any(d[1:] < d[:-1]):
+            raise ValueError("null-table draws must be sorted")
+
     @property
     def reps(self) -> int:
         return int(self.draws.size)
+
+    @property
+    def key(self) -> tuple:
+        """(statistic, m, n, reps, seed): what the table was simulated for."""
+        return (self.statistic, self.m, self.n, self.reps, self.seed)
 
 
 @dataclass(frozen=True)
@@ -49,27 +86,81 @@ class PValue:
             raise ValueError(f"p-value must lie in (0, 1], got {self.p}")
 
 
-def _rank_stat_from_uniform(statistic: str, m: int, n: int, rng) -> float:
-    # retry on the (astronomically rare) float collision so long simulation
-    # runs never abort on a tie
-    for _ in range(100):
-        pooled = rng.random(m + n)
+@dataclass(frozen=True)
+class Statistic:
+    """One test: its statistic and its p-value.
+
+    kernel names the rank kernel in `statistics`, f(xi, m, n) on the pooled
+    X-origin indicator; it is looked up at call time, so a wrapper put on
+    that module sees every call.  The LRT has no kernel: it reads the
+    Y-sample and the model.  pvalues(values, m, n, table) maps an array of
+    statistic values to p-values; a Monte-Carlo test needs its null table.
+    extra(value, m, n) gives further fields for a test report.
+    """
+
+    name: str
+    kernel: str | None
+    pvalues: Callable
+    method: str
+    extra: Callable | None = None
+
+    @property
+    def rank(self) -> bool:
+        return self.kernel is not None
+
+    @property
+    def monte_carlo(self) -> bool:
+        return self.method == MONTE_CARLO
+
+    def value(self, xi, y, m: int, n: int, model=None, alt=None) -> float:
+        if self.kernel is None:
+            return st.lrt_stat(y, model, alt).value
+        return float(getattr(st, self.kernel)(xi, m, n))
+
+    def pvalue(self, value: float, m: int, n: int, table=None) -> PValue:
+        p = self.pvalues(np.asarray(value, dtype=float), m, n, table)
+        return PValue(p=float(p), method=self.method)
+
+
+def _derived_rng(parts, retry: int = 0) -> np.random.Generator:
+    entropy = list(parts) + ([retry] if retry else [])
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _draw_pooled(kind, model, alt, m, n, parts):
+    """The Y-sample and pooled X-origin indicator of one replicate.
+
+    A float tie is redrawn: the rank null continues its stream, simulated
+    data restarts from the stream (parts, retry).
+    """
+    rng = _derived_rng(parts)
+    for retry in range(100):
+        if kind == RANK_NULL:
+            pooled = rng.random(m + n)
+            x, y = pooled[:m], pooled[m:]
+        else:
+            if retry:
+                rng = _derived_rng(parts, retry)
+            x = gg_sample(m, model, rng)
+            y = gg_sample(n, model, rng) if alt is None else mixture_sample(n, model, alt, rng)
         try:
-            xi = st.pooled_indicator(pooled[:m], pooled[m:])
+            return y, st.pooled_indicator(x, y)
         except st.TiesError:
             continue
-        break
-    else:  # pragma: no cover
-        raise st.TiesError("persistent ties in uniform draws")
-    if statistic == st.HC:
-        return st.hc_from_indicator(xi, m, n)
-    if statistic == st.WILCOXON:
-        return float(st.wilcoxon_from_indicator(xi, m, n))
-    if statistic == st.KS:
-        return st.ks_from_indicator(xi, m, n)
-    if statistic == st.TAILRUN:
-        return float(st.tailrun_from_indicator(xi, m, n))
-    raise ValueError(f"unknown rank statistic {statistic!r}")
+    raise st.TiesError("persistent ties in simulated continuous data")
+
+
+def replicate(kind, stats, model, alt, lrt_alt, m, n, parts) -> list[float]:
+    """Values of stats on one replicate drawn from the stream `parts`.
+
+    kind is RANK_NULL, LRT_NULL or DATA; alt is the alternative the Y-sample
+    is drawn from (DATA only), lrt_alt the one the LRT is evaluated at.
+    """
+    if kind == LRT_NULL:
+        y, xi = gg_sample(n, model, _derived_rng(parts)), None
+    else:
+        y, xi = _draw_pooled(kind, model, alt, m, n, parts)
+    return [s.value(xi, y, m, n, model, lrt_alt) for s in stats]
 
 
 def mc_null_table(
@@ -82,47 +173,52 @@ def mc_null_table(
 ) -> NullTable:
     """Simulate the null distribution of a statistic.
 
-    Replicate k draws from a stream derived from (master_seed, k), so the
-    table is identical regardless of evaluation order.
+    A rank statistic is simulated on Uniform(0,1) pooled samples, replicate
+    k from the stream (master_seed, TAG_CALIB_RANK, k).  The LRT needs the
+    model and draws its Y-sample from F, replicate k from (master_seed,
+    TAG_CALIB_LRT, k).  The table does not depend on evaluation order.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
-    if statistic == st.LRT and model is None:
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    stat = STATISTICS[statistic]
+    if not stat.rank and model is None:
         raise ValueError("LRT calibration requires the model (GGParams, MixtureAlt)")
-    draws = np.empty(reps)
-    for k in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, k]))
-        if statistic == st.LRT:
-            p, alt = model
-            y = gg_sample(n, p, rng)
-            draws[k] = st.lrt_stat(y, p, alt).value
-        else:
-            draws[k] = _rank_stat_from_uniform(statistic, m, n, rng)
-    draws.sort()
-    return NullTable(statistic=statistic, m=m, n=n, draws=draws, seed=master_seed)
+    kind, tag = (RANK_NULL, TAG_CALIB_RANK) if stat.rank else (LRT_NULL, TAG_CALIB_LRT)
+    p, alt = model or (None, None)
+    draws = [
+        replicate(kind, [stat], p, None, alt, m, n, [master_seed, tag, k])[0]
+        for k in range(reps)
+    ]
+    return NullTable(statistic=statistic, m=m, n=n, draws=np.sort(draws), seed=master_seed)
 
 
-def mc_pvalue(value: float, table: NullTable) -> PValue:
-    """Add-one Monte Carlo p-value: (1 + #{draws >= value}) / (R + 1)."""
-    r = table.reps
-    n_ge = r - int(np.searchsorted(table.draws, value, side="left"))
-    return PValue(p=(1 + n_ge) / (r + 1), method="monte-carlo")
-
-
-def mc_pvalues(values: np.ndarray, table: NullTable) -> np.ndarray:
-    """Vectorized add-one Monte Carlo p-values."""
+def mc_pvalues(values, table: NullTable) -> np.ndarray:
+    """Add-one Monte Carlo p-values: (1 + #{draws >= value}) / (R + 1)."""
     r = table.reps
     n_ge = r - np.searchsorted(table.draws, values, side="left")
     return (1 + n_ge) / (r + 1)
 
 
-def wilcoxon_pvalue(u, m: int, n: int) -> PValue:
+def mc_pvalue(value: float, table: NullTable) -> PValue:
+    """Scalar form of mc_pvalues."""
+    return PValue(p=float(mc_pvalues(value, table)), method=MONTE_CARLO)
+
+
+def wilcoxon_pvalues(u, m: int, n: int) -> np.ndarray:
     """Upper-tail normal approximation with continuity correction."""
-    if not 0 <= u <= m * n:
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0) & (u <= m * n)):
         raise ValueError(f"U must lie in [0, mn], got {u}")
     sd = math.sqrt(m * n * (m + n + 1) / 12.0)
     z = (u - 0.5 - m * n / 2.0) / sd
-    return PValue(p=max(float(special.ndtr(-z)), _TINY_P), method="normal-approx")
+    return np.maximum(special.ndtr(-z), _TINY_P)
+
+
+def wilcoxon_pvalue(u, m: int, n: int) -> PValue:
+    """Scalar form of wilcoxon_pvalues."""
+    return PValue(p=float(wilcoxon_pvalues(u, m, n)), method=NORMAL_APPROX)
 
 
 def wilcoxon_exact_null(m: int, n: int) -> np.ndarray:
@@ -151,18 +247,6 @@ def _mixture_pdf(x, p: GGParams, alt: MixtureAlt):
     return (1 - alt.epsilon) * gg_pdf(x, p) + alt.epsilon * gg_pdf(x - alt.mu, p)
 
 
-def _quad_full_line(fn, p: GGParams, alt: MixtureAlt) -> float:
-    # split around both mixture components so quad never misses a bump
-    s = p.scale
-    pts = sorted({-alt.mu - 10 * s, -10 * s, 0.0, alt.mu / 2, alt.mu, alt.mu + 10 * s})
-    segments = [-np.inf, *pts, np.inf]
-    total = 0.0
-    for a, b in zip(segments[:-1], segments[1:]):
-        val, _ = integrate.quad(fn, a, b, epsabs=1e-10, epsrel=1e-8, limit=200)
-        total += val
-    return total
-
-
 def wilcoxon_alt_moments(
     p: GGParams, alt: MixtureAlt, m: int, n: int
 ) -> tuple[float, float]:
@@ -171,14 +255,13 @@ def wilcoxon_alt_moments(
     The three cross-moments of (F, G) are evaluated by adaptive quadrature
     and assembled with the classical large-sample variance identity.
     """
-    f_dg = _quad_full_line(
-        lambda x: gg_cdf(x, p) * _mixture_pdf(x, p, alt), p, alt
-    )
-    f2_dg = _quad_full_line(
-        lambda x: gg_cdf(x, p) ** 2 * _mixture_pdf(x, p, alt), p, alt
-    )
-    bar_g2_df = _quad_full_line(
-        lambda x: (1.0 - _mixture_cdf(x, p, alt)) ** 2 * gg_pdf(x, p), p, alt
+    # split around both mixture components so quad never misses a bump
+    s, mu = p.scale, alt.mu
+    cuts = (-mu - 10 * s, -10 * s, 0.0, mu / 2, mu, mu + 10 * s)
+    f_dg = quad_pieces(lambda x: gg_cdf(x, p) * _mixture_pdf(x, p, alt), cuts)
+    f2_dg = quad_pieces(lambda x: gg_cdf(x, p) ** 2 * _mixture_pdf(x, p, alt), cuts)
+    bar_g2_df = quad_pieces(
+        lambda x: (1.0 - _mixture_cdf(x, p, alt)) ** 2 * gg_pdf(x, p), cuts
     )
     lam = 0.5 - f_dg
     eps1 = 1.0 / 3.0 - f2_dg
@@ -192,16 +275,25 @@ def wilcoxon_alt_moments(
     return f_dg, var
 
 
-def ks_pvalue(lam: float) -> PValue:
+def ks_lambda(d, m: int, n: int):
+    """lambda = sqrt(mn/(m+n)) * D, the scale on which the limit law lives."""
+    return np.sqrt(m * n / (m + n)) * d
+
+
+def ks_pvalues(lam) -> np.ndarray:
     """One-sided Smirnov limit: p = exp(-2 * lambda**2) for lambda > 0."""
-    if not math.isfinite(lam):
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam)):
         raise ValueError("lambda must be finite")
-    if lam <= 0:
-        return PValue(p=1.0, method="smirnov-limit")
-    return PValue(p=max(math.exp(-2.0 * lam * lam), _TINY_P), method="smirnov-limit")
+    return np.where(lam <= 0, 1.0, np.maximum(np.exp(-2.0 * lam * lam), _TINY_P))
 
 
-def _tailrun_log_sf(l: int, m: int, n: int) -> float:
+def ks_pvalue(lam: float) -> PValue:
+    """Scalar form of ks_pvalues."""
+    return PValue(p=float(ks_pvalues(lam)), method=SMIRNOV_LIMIT)
+
+
+def _tailrun_log_sf(l, m: int, n: int):
     # log P0(L* >= l) = log prod_{j=0}^{l-1} (n-j)/(m+n-j)
     return (
         special.gammaln(n + 1)
@@ -211,38 +303,54 @@ def _tailrun_log_sf(l: int, m: int, n: int) -> float:
     )
 
 
-def tailrun_pvalue(l: int, m: int, n: int) -> PValue:
+def tailrun_pvalues(ls, m: int, n: int) -> np.ndarray:
     """Exact P0(L* >= l) from the negative hypergeometric null."""
-    if not 0 <= l <= n:
-        raise ValueError(f"l must lie in [0, {n}], got {l}")
-    if l == 0:
-        return PValue(p=1.0, method="exact")
-    return PValue(p=max(math.exp(_tailrun_log_sf(l, m, n)), _TINY_P), method="exact")
-
-
-def tailrun_pvalues(ls: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Vectorized exact tail-run p-values."""
     ls = np.asarray(ls, dtype=int)
-    log_sf = (
-        special.gammaln(n + 1)
-        - special.gammaln(n - ls + 1)
-        + special.gammaln(m + n - ls + 1)
-        - special.gammaln(m + n + 1)
-    )
-    return np.where(ls == 0, 1.0, np.maximum(np.exp(log_sf), _TINY_P))
+    if not np.all((ls >= 0) & (ls <= n)):
+        raise ValueError(f"l must lie in [0, {n}], got {ls}")
+    sf = np.exp(_tailrun_log_sf(ls, m, n))
+    return np.where(ls == 0, 1.0, np.maximum(sf, _TINY_P))
+
+
+def tailrun_pvalue(l: int, m: int, n: int) -> PValue:
+    """Scalar form of tailrun_pvalues."""
+    return PValue(p=float(tailrun_pvalues(l, m, n)), method=EXACT)
 
 
 def tailrun_null_pmf(m: int, n: int) -> np.ndarray:
     """Exact null pmf of the tail run over {0, ..., n}."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
-    sf = np.array([math.exp(_tailrun_log_sf(l, m, n)) for l in range(n + 1)] + [0.0])
+    sf = np.append(np.exp(_tailrun_log_sf(np.arange(n + 1), m, n)), 0.0)
     return sf[:-1] - sf[1:]
 
 
-def save_null_table(table: NullTable, path, force: bool = False) -> None:
-    """Write a null-table cache file (bit-exact round trip, versioned)."""
+# the five tests, in the order of statistics.ALL_STATISTICS; like the
+# kernels, the p-value functions are looked up at call time
+STATISTICS = {
+    s.name: s
+    for s in (
+        Statistic(st.LRT, None, lambda v, m, n, t: mc_pvalues(v, t), MONTE_CARLO),
+        Statistic(st.HC, "hc_from_indicator", lambda v, m, n, t: mc_pvalues(v, t), MONTE_CARLO),
+        Statistic(st.WILCOXON, "wilcoxon_from_indicator",
+                  lambda v, m, n, t: wilcoxon_pvalues(v, m, n), NORMAL_APPROX),
+        Statistic(st.KS, "ks_from_indicator",
+                  lambda v, m, n, t: ks_pvalues(ks_lambda(v, m, n)), SMIRNOV_LIMIT,
+                  extra=lambda d, m, n: {"lambda": float(ks_lambda(d, m, n))}),
+        Statistic(st.TAILRUN, "tailrun_from_indicator",
+                  lambda v, m, n, t: tailrun_pvalues(v, m, n), EXACT),
+    )
+}
+
+
+def save_null_table(table: NullTable, path, force: bool = False) -> Path:
+    """Write a null-table cache file (bit-exact round trip, versioned).
+
+    Returns the path written, which ends in .npz.
+    """
     path = Path(path)
+    if not path.name.endswith(".npz"):  # numpy would append it
+        path = path.with_name(path.name + ".npz")
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force=True to overwrite")
     np.savez(
@@ -255,20 +363,29 @@ def save_null_table(table: NullTable, path, force: bool = False) -> None:
         seed=np.int64(table.seed),
         draws=table.draws,
     )
+    return path
 
 
 def load_null_table(path) -> NullTable:
-    with np.load(Path(path)) as data:
-        version = int(data["version"])
-        if version != CACHE_FORMAT_VERSION:
-            raise ValueError(f"unsupported cache format version {version}")
-        return NullTable(
-            statistic=str(data["statistic"]),
-            m=int(data["m"]),
-            n=int(data["n"]),
-            draws=data["draws"].copy(),
-            seed=int(data["seed"]),
-        )
+    """Read a cache file; ValueError unless it is intact and of this version."""
+    try:
+        with np.load(Path(path)) as data:
+            version = int(data["version"])
+            if version != CACHE_FORMAT_VERSION:
+                raise ValueError(f"unsupported cache format version {version}")
+            table = NullTable(
+                statistic=str(data["statistic"]),
+                m=int(data["m"]),
+                n=int(data["n"]),
+                draws=data["draws"].copy(),
+                seed=int(data["seed"]),
+            )
+            reps = int(data["reps"])
+    except (KeyError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{path} is not a null-table file: {e}") from None
+    if table.reps != reps:
+        raise ValueError(f"{table.reps} draws but reps = {reps}")
+    return table
 
 
 def cache_key(statistic: str, m: int, n: int, reps: int, seed: int) -> str:

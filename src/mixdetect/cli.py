@@ -11,6 +11,7 @@ randomized command takes an explicit --seed (default 0).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -61,6 +62,21 @@ def _alt_from_args(args) -> MixtureAlt:
     return MixtureAlt(epsilon=args.epsilon, mu=args.mu)
 
 
+def _null_table(args, stat, m: int, n: int, model, alt) -> cal.NullTable:
+    """The Monte Carlo null table of stat: --table for a rank statistic, or simulated."""
+    if stat.rank and args.table:
+        table = cal.load_null_table(args.table)
+        if (table.statistic, table.m, table.n) != (stat.name, m, n):
+            raise CliError(
+                f"table {args.table} is for "
+                f"({table.statistic}, m={table.m}, n={table.n})"
+            )
+        return table
+    return cal.mc_null_table(
+        stat.name, m, n, args.reps, args.seed, model=None if stat.rank else (model, alt)
+    )
+
+
 def cmd_test(args) -> int:
     x = read_sample_file(args.x)
     y = read_sample_file(args.y)
@@ -71,55 +87,20 @@ def cmd_test(args) -> int:
         xi = st.pooled_indicator(ts.x, ts.y)
     except st.TiesError as e:
         raise CliError(str(e))
-    tests = _parse_tests(args.tests)
+    stats = [cal.STATISTICS[t] for t in _parse_tests(args.tests)]
     m, n = ts.m, ts.n
+    model = alt = None
+    if not all(s.rank for s in stats):
+        model, alt = _model_from_args(args), _alt_from_args(args)
     report = {"m": m, "n": n, "tests": {}}
-    for test in tests:
-        if test == st.LRT:
-            model = _model_from_args(args)
-            alt = _alt_from_args(args)
-            sv = st.lrt_stat(ts.y, model, alt)
-            table = cal.mc_null_table(
-                st.LRT, m, n, args.reps, args.seed, model=(model, alt)
-            )
-            pv = cal.mc_pvalue(sv.value, table)
-        elif test == st.HC:
-            sv = st.StatValue(st.HC, st.hc_from_indicator(xi, m, n))
-            if args.table:
-                table = cal.load_null_table(args.table)
-                if (table.statistic, table.m, table.n) != (st.HC, m, n):
-                    raise CliError(
-                        f"table {args.table} is for "
-                        f"({table.statistic}, m={table.m}, n={table.n})"
-                    )
-            else:
-                table = cal.mc_null_table(st.HC, m, n, args.reps, args.seed)
-            pv = cal.mc_pvalue(sv.value, table)
-        elif test == st.WILCOXON:
-            u = st.wilcoxon_from_indicator(xi, m, n)
-            sv = st.StatValue(st.WILCOXON, float(u))
-            pv = cal.wilcoxon_pvalue(u, m, n)
-        elif test == st.KS:
-            d = st.ks_from_indicator(xi, m, n)
-            sv = st.StatValue(st.KS, d)
-            lam = float(np.sqrt(m * n / (m + n)) * d)
-            pv = cal.ks_pvalue(lam)
-            report["tests"][test] = {
-                "statistic": sv.value,
-                "lambda": lam,
-                "pvalue": pv.p,
-                "method": pv.method,
-            }
-            continue
-        elif test == st.TAILRUN:
-            l = st.tailrun_from_indicator(xi, m, n)
-            sv = st.StatValue(st.TAILRUN, float(l))
-            pv = cal.tailrun_pvalue(l, m, n)
-        report["tests"][test] = {
-            "statistic": sv.value,
-            "pvalue": pv.p,
-            "method": pv.method,
-        }
+    for stat in stats:
+        value = stat.value(xi, ts.y, m, n, model, alt)
+        table = _null_table(args, stat, m, n, model, alt) if stat.monte_carlo else None
+        pv = stat.pvalue(value, m, n, table)
+        row = {"statistic": value, "pvalue": pv.p, "method": pv.method}
+        if stat.extra is not None:
+            row.update(stat.extra(value, m, n))
+        report["tests"][stat.name] = row
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -152,23 +133,15 @@ def cmd_power(args) -> int:
             config = exp.ScenarioConfig.from_dict(raw)
         except (TypeError, ValueError, KeyError) as e:
             raise CliError(f"invalid config: {e!r}")
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.reps is not None:
-        config.power_reps = args.reps
-    if args.level is not None:
-        config.level = args.level
+    overrides = {"master_seed": args.seed, "power_reps": args.reps, "level": args.level}
+    # replace() validates the overridden config again
+    config = dataclasses.replace(
+        config, **{k: v for k, v in overrides.items() if v is not None}
+    )
     curve = exp.run_power_grid(config, threads=args.threads, cache_dir=args.cache_dir)
     if args.preset:
-        notes = dict(curve.notes)
-        notes["figure"] = args.preset
-        notes["scale"] = args.scale
-        curve = exp.PowerCurve(
-            config=curve.config,
-            points=curve.points,
-            boundary_marker=curve.boundary_marker,
-            notes=notes,
-        )
+        notes = {**curve.notes, **exp.figure_notes(args.preset, args.scale)}
+        curve = dataclasses.replace(curve, notes=notes)
     stem = args.stem or (args.preset or Path(args.config).stem)
     csv_path, json_path = curve.write(args.out, stem)
     print(f"wrote {csv_path} and {json_path}")
@@ -261,7 +234,7 @@ def cmd_calibrate(args) -> int:
         statistic, args.m, args.n, args.reps, args.seed
     ))
     try:
-        cal.save_null_table(table, out, force=args.force)
+        out = cal.save_null_table(table, out, force=args.force)
     except FileExistsError as e:
         raise CliError(str(e))
     q = {lev: float(np.quantile(table.draws, lev)) for lev in (0.90, 0.95, 0.99)}

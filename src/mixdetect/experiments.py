@@ -2,13 +2,16 @@
 
 Calibrates null tables, simulates alternatives over a sparse (r) or dense
 (s) parameter grid, and reports empirical power with binomial confidence
-half-widths.  Every replicate draws from an rng-stream derived from
-(master seed, purpose tag, grid index, replicate index), so results are
-byte-identical regardless of worker count.
+half-widths.  Every replicate is one calibration.replicate call on an
+rng-stream derived from (master seed, purpose tag, grid index, replicate
+index), or (master seed, purpose tag, replicate index) for the run-wide HC
+table, so results are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -28,17 +31,8 @@ from .distributions import (
     MixtureAlt,
     SparseParam,
     dense_calibration,
-    gg_sample,
-    mixture_sample,
     sparse_calibration,
 )
-
-# purpose tags for stream derivation; disjoint so calibration draws never
-# overlap power draws
-_TAG_CALIB_RANK = 101
-_TAG_CALIB_LRT = 102
-_TAG_POWER = 201
-_TAG_NULL = 202
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -186,60 +180,19 @@ class PowerCurve:
         return csv_path, json_path
 
 
-def _derived_rng(parts, retry: int = 0) -> np.random.Generator:
-    entropy = list(parts) + ([retry] if retry else [])
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _draw_indicator(sampler, parts):
-    """Sample both arrays and their pooled indicator, retrying float ties."""
-    for retry in range(100):
-        rng = _derived_rng(parts, retry)
-        x, y = sampler(rng)
-        try:
-            return x, y, st.pooled_indicator(x, y)
-        except st.TiesError:
-            continue
-    raise st.TiesError("persistent ties in simulated continuous data")
-
-
 def _stat_batch(task):
-    """Compute statistics for a contiguous range of replicates.
+    """Statistic values of replicates k0..k1-1, one row per replicate.
 
-    task = (kind, model, alt, lrt_alt, m, n, tests, seed_parts, k0, k1)
-    where kind is 'data' (X~F, Y~G or F), or 'lrt-null' (Y~F only).
+    task = (kind, model, alt, lrt_alt, m, n, tests, seed_parts, k0, k1); see
+    calibration.replicate for kind, alt and lrt_alt.
     """
     kind, model, alt, lrt_alt, m, n, tests, seed_parts, k0, k1 = task
-    out = {t: np.empty(k1 - k0) for t in tests}
-    for k in range(k0, k1):
-        parts = seed_parts + [k]
-        if kind == "lrt-null":
-            rng = _derived_rng(parts)
-            y = gg_sample(n, model, rng)
-            out[st.LRT][k - k0] = st.lrt_stat(y, model, lrt_alt).value
-            continue
-
-        def sampler(rng):
-            x = gg_sample(m, model, rng)
-            if alt is None:
-                y = gg_sample(n, model, rng)
-            else:
-                y = mixture_sample(n, model, alt, rng)
-            return x, y
-
-        x, y, xi = _draw_indicator(sampler, parts)
-        for t in tests:
-            if t == st.HC:
-                out[t][k - k0] = st.hc_from_indicator(xi, m, n)
-            elif t == st.WILCOXON:
-                out[t][k - k0] = st.wilcoxon_from_indicator(xi, m, n)
-            elif t == st.KS:
-                out[t][k - k0] = st.ks_from_indicator(xi, m, n)
-            elif t == st.TAILRUN:
-                out[t][k - k0] = st.tailrun_from_indicator(xi, m, n)
-            elif t == st.LRT:
-                out[t][k - k0] = st.lrt_stat(y, model, lrt_alt).value
-    return out
+    stats = [cal.STATISTICS[t] for t in tests]
+    rows = [
+        cal.replicate(kind, stats, model, alt, lrt_alt, m, n, [*seed_parts, k])
+        for k in range(k0, k1)
+    ]
+    return np.array(rows, dtype=float)
 
 
 def _run_batches(tasks, threads: int):
@@ -261,93 +214,64 @@ def _collect(kind, model, alt, lrt_alt, m, n, tests, seed_parts, reps, threads):
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-    results = _run_batches(tasks, threads)
-    return {
-        t: np.concatenate([r[t] for r in results]) for t in tests
-    }
+    values = np.concatenate(_run_batches(tasks, threads))
+    return {t: values[:, i] for i, t in enumerate(tests)}
 
 
-def _hc_null_table(config: ScenarioConfig, threads: int, cache_dir) -> cal.NullTable:
-    key = cal.cache_key(st.HC, config.m, config.n, config.calib_reps, config.master_seed)
-    if cache_dir is not None:
-        path = Path(cache_dir) / key
-        if path.exists():
-            return cal.load_null_table(path)
-    # distribution-free: calibrate on uniform pooled samples
-    draws = np.empty(config.calib_reps)
-    for k in range(config.calib_reps):
-        rng = _derived_rng([config.master_seed, _TAG_CALIB_RANK, k])
-        draws[k] = cal._rank_stat_from_uniform(st.HC, config.m, config.n, rng)
-    draws.sort()
-    table = cal.NullTable(
-        statistic=st.HC, m=config.m, n=config.n, draws=draws, seed=config.master_seed
-    )
-    if cache_dir is not None:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        cal.save_null_table(table, Path(cache_dir) / key, force=True)
+def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir) -> cal.NullTable:
+    """The run's null table of a rank statistic with a Monte-Carlo null (HC).
+
+    A file in cache_dir is used only if it loads cleanly and was simulated
+    for this (statistic, m, n, reps, seed); any other file is recomputed
+    and overwritten.
+    """
+    key = (statistic, config.m, config.n, config.calib_reps, config.master_seed)
+    path = None if cache_dir is None else Path(cache_dir) / cal.cache_key(*key)
+    if path is not None and path.exists():
+        with contextlib.suppress(ValueError):
+            table = cal.load_null_table(path)
+            if table.key == key:
+                return table
+    table = cal.mc_null_table(*key)
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        cal.save_null_table(table, path, force=True)
     return table
 
 
 def _lrt_null_table(
-    config: ScenarioConfig, grid_idx: int, alt: MixtureAlt, threads: int
+    config: ScenarioConfig, statistic: str, grid_idx: int, alt: MixtureAlt, threads: int
 ) -> cal.NullTable:
-    stats = _collect(
-        "lrt-null",
-        config.model,
-        None,
-        alt,
-        config.m,
-        config.n,
-        [st.LRT],
-        [config.master_seed, _TAG_CALIB_LRT, grid_idx],
-        config.calib_reps,
-        threads,
-    )
-    draws = np.sort(stats[st.LRT])
-    return cal.NullTable(
-        statistic=st.LRT, m=config.m, n=config.n, draws=draws, seed=config.master_seed
-    )
+    """Null table of a model-based statistic (the LRT) at one grid point."""
+    seed_parts = [config.master_seed, cal.TAG_CALIB_LRT, grid_idx]
+    draws = _collect(
+        cal.LRT_NULL, config.model, None, alt, config.m, config.n, [statistic],
+        seed_parts, config.calib_reps, threads,
+    )[statistic]
+    return cal.NullTable(statistic, config.m, config.n, np.sort(draws), config.master_seed)
 
 
-def _pvalues_for(test, values, m, n, hc_table, lrt_table):
-    if test == st.HC:
-        return cal.mc_pvalues(values, hc_table)
-    if test == st.LRT:
-        return cal.mc_pvalues(values, lrt_table)
-    if test == st.WILCOXON:
-        return np.array([cal.wilcoxon_pvalue(u, m, n).p for u in values])
-    if test == st.KS:
-        lam = np.sqrt(m * n / (m + n)) * values
-        return np.array([cal.ks_pvalue(v).p for v in lam])
-    if test == st.TAILRUN:
-        return cal.tailrun_pvalues(values, m, n)
-    raise ValueError(f"unknown test {test!r}")
+def _pvalues_for(test, values, m, n, table):
+    """P-values of one test's replicate values (the harness's p-value stage)."""
+    return cal.STATISTICS[test].pvalues(values, m, n, table)
 
 
-def _power_point(config, grid_idx, grid_value, alt, tag, hc_table, threads):
-    lrt_alt = config.alt_for(grid_value)
-    lrt_table = (
-        _lrt_null_table(config, grid_idx, lrt_alt, threads)
-        if st.LRT in config.tests
-        else None
-    )
-    stats = _collect(
-        "data",
-        config.model,
-        alt,
-        lrt_alt,
-        config.m,
-        config.n,
-        config.tests,
-        [config.master_seed, tag, grid_idx],
-        config.power_reps,
-        threads,
+def _power_point(config, grid_idx, null, run_tables, threads):
+    """Rejection rates of every test at one grid point; under H0 if null."""
+    stats = [cal.STATISTICS[t] for t in config.tests]
+    alt = config.alt_for(config.grid[grid_idx])
+    tables = dict(run_tables)
+    for s in stats:
+        if s.monte_carlo and not s.rank:
+            tables[s.name] = _lrt_null_table(config, s.name, grid_idx, alt, threads)
+    seed_parts = [config.master_seed, cal.TAG_NULL if null else cal.TAG_POWER, grid_idx]
+    values = _collect(
+        cal.DATA, config.model, None if null else alt, alt, config.m, config.n,
+        config.tests, seed_parts, config.power_reps, threads,
     )
     per_test = {}
     for test in config.tests:
-        pvals = _pvalues_for(
-            test, stats[test], config.m, config.n, hc_table, lrt_table
-        )
+        pvals = _pvalues_for(test, values[test], config.m, config.n, tables.get(test))
         rejects = int(np.sum(pvals < config.level))
         power = rejects / config.power_reps
         ci = 1.96 * math.sqrt(power * (1.0 - power) / config.power_reps)
@@ -356,27 +280,32 @@ def _power_point(config, grid_idx, grid_value, alt, tag, hc_table, threads):
             "ci_half_width": ci,
             "reject_count": rejects,
         }
-    return PowerPoint(grid_value=grid_value, per_test=per_test)
+    return PowerPoint(grid_value=config.grid[grid_idx], per_test=per_test)
+
+
+def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> PowerCurve:
+    run_tables = {
+        s.name: _hc_null_table(config, s.name, cache_dir)
+        for s in (cal.STATISTICS[t] for t in config.tests)
+        if s.monte_carlo and s.rank
+    }
+    points = [
+        _power_point(config, gi, null, run_tables, threads)
+        for gi in range(len(config.grid))
+    ]
+    return PowerCurve(
+        config=config.to_dict(),
+        points=points,
+        boundary_marker=config.boundary_marker(),
+        notes={"null_embedded": True} if null else {},
+    )
 
 
 def run_power_grid(
     config: ScenarioConfig, threads: int = 1, cache_dir=None
 ) -> PowerCurve:
     """Empirical power of the selected tests over the scenario grid."""
-    hc_table = (
-        _hc_null_table(config, threads, cache_dir) if st.HC in config.tests else None
-    )
-    points = []
-    for gi, gv in enumerate(config.grid):
-        alt = config.alt_for(gv)
-        points.append(
-            _power_point(config, gi, gv, alt, _TAG_POWER, hc_table, threads)
-        )
-    return PowerCurve(
-        config=config.to_dict(),
-        points=points,
-        boundary_marker=config.boundary_marker(),
-    )
+    return _run_grid(config, threads, cache_dir, null=False)
 
 
 def run_null_level(
@@ -387,20 +316,7 @@ def run_null_level(
     The LRT statistic is still evaluated at each grid point's (eps, mu),
     since its definition needs an alternative.
     """
-    hc_table = (
-        _hc_null_table(config, threads, cache_dir) if st.HC in config.tests else None
-    )
-    points = []
-    for gi, gv in enumerate(config.grid):
-        points.append(
-            _power_point(config, gi, gv, None, _TAG_NULL, hc_table, threads)
-        )
-    return PowerCurve(
-        config=config.to_dict(),
-        points=points,
-        boundary_marker=config.boundary_marker(),
-        notes={"null_embedded": True},
-    )
+    return _run_grid(config, threads, cache_dir, null=True)
 
 
 def figure_config(figure: str, scale: float = 1.0) -> ScenarioConfig:
@@ -433,22 +349,20 @@ def figure_config(figure: str, scale: float = 1.0) -> ScenarioConfig:
     )
 
 
-def reproduce_figure(
-    figure: str, scale: float = 1.0, threads: int = 1, cache_dir=None
-) -> PowerCurve:
-    config = figure_config(figure, scale)
-    curve = run_power_grid(config, threads=threads, cache_dir=cache_dir)
-    notes = dict(curve.notes)
-    notes["figure"] = figure
-    notes["scale"] = scale
+def figure_notes(figure: str, scale: float) -> dict:
+    """The notes of a figure preset's curve: its name, scale and assumptions."""
+    notes = {"figure": figure, "scale": scale}
     if figure.startswith("dexp"):
         notes["grid_assumption"] = (
             "double-exponential grids not stated beyond beta; normal-model "
             "grids reused for the matching regimes"
         )
-    return PowerCurve(
-        config=curve.config,
-        points=curve.points,
-        boundary_marker=curve.boundary_marker,
-        notes=notes,
-    )
+    return notes
+
+
+def reproduce_figure(
+    figure: str, scale: float = 1.0, threads: int = 1, cache_dir=None
+) -> PowerCurve:
+    config = figure_config(figure, scale)
+    curve = run_power_grid(config, threads=threads, cache_dir=cache_dir)
+    return dataclasses.replace(curve, notes={**curve.notes, **figure_notes(figure, scale)})

@@ -22,7 +22,6 @@ TAILRUN = "TAILRUN"
 LRT = "LRT"
 
 ALL_STATISTICS = (LRT, HC, WILCOXON, KS, TAILRUN)
-RANK_STATISTICS = (HC, WILCOXON, KS, TAILRUN)
 
 
 class TiesError(ValueError):
@@ -205,19 +204,3 @@ def lrt_stat(y, p: GGParams, alt: MixtureAlt) -> StatValue:
         raise FloatingPointError("non-finite likelihood ratio term")
     return StatValue(LRT, total)
 
-
-def compute_statistic(name: str, ts: TwoSample, p=None, alt=None) -> StatValue:
-    """Dispatch a statistic by identifier; LRT needs the model (p, alt)."""
-    if name == HC:
-        return hc_stat(ts)
-    if name == WILCOXON:
-        return wilcoxon_u(ts)
-    if name == KS:
-        return ks_one_sided(ts)
-    if name == TAILRUN:
-        return tail_run(ts)
-    if name == LRT:
-        if p is None or alt is None:
-            raise ValueError("LRT requires the model (GGParams, MixtureAlt)")
-        return lrt_stat(ts.y, p, alt)
-    raise ValueError(f"unknown statistic {name!r}")

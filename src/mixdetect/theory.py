@@ -44,6 +44,20 @@ class ConditionReport:
     where: float | None = None  # maximizer location, when one exists
 
 
+def quad_pieces(fn, cuts, upper: float = np.inf) -> float:
+    """Integral of fn over (-inf, upper), by adaptive quadrature on each piece.
+
+    The line is cut at every point of cuts below upper; cutting at each bump
+    of the integrand keeps quad from stepping over it.
+    """
+    edges = [-np.inf, *sorted({c for c in cuts if c < upper}), upper]
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, _ = integrate.quad(fn, a, b, epsabs=1e-10, epsrel=1e-8, limit=200)
+        total += val
+    return total
+
+
 def _report(lhs: float, scale: float, where: float | None = None) -> ConditionReport:
     ratio = lhs / scale
     if ratio >= _YES_RATIO:
@@ -81,13 +95,6 @@ def detection_boundary_dense(beta: float, gamma: float) -> float:
     return 0.5 - (1.0 - 2.0 * beta) / (1.0 + 2.0 * gamma)
 
 
-def sparse_tail_exponent_constant(gamma: float) -> float:
-    """(1 - 2**(-1/(gamma-1)))**gamma, the sparse-regime threshold constant."""
-    if gamma <= 1.0:
-        raise ValueError("defined for gamma > 1 only")
-    return (1.0 - 2.0 ** (-1.0 / (gamma - 1.0))) ** gamma
-
-
 def hc_conditions(
     t: float,
     n: int,
@@ -122,19 +129,10 @@ def hc_conditions(
 def wilcoxon_condition(n: int, p: GGParams, alt: MixtureAlt) -> ConditionReport:
     """sqrt(n)*eps*(1/2 - integral of F(x - mu) dF(x)) against log n."""
     mu = alt.mu
-    pts = sorted({-mu - 10 * p.scale, 0.0, mu / 2, mu, mu + 10 * p.scale})
-    segs = [-np.inf, *pts, np.inf]
-    total = 0.0
-    for a, b in zip(segs[:-1], segs[1:]):
-        val, _ = integrate.quad(
-            lambda x: gg_cdf(x - mu, p) * gg_pdf(x, p),
-            a,
-            b,
-            epsabs=1e-10,
-            epsrel=1e-8,
-            limit=200,
-        )
-        total += val
+    total = quad_pieces(
+        lambda x: gg_cdf(x - mu, p) * gg_pdf(x, p),
+        (-mu - 10 * p.scale, 0.0, mu / 2, mu, mu + 10 * p.scale),
+    )
     lhs = math.sqrt(n) * alt.epsilon * (0.5 - total)
     return _report(lhs, math.log(n))
 
@@ -199,6 +197,8 @@ def lower_bound_integral(x_upper: float, p: GGParams, mu: float) -> float:
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
+    if math.isnan(x_upper):
+        raise ValueError("x_upper must not be NaN")
     g, s = p.gamma, p.scale
 
     def integrand(x):
@@ -208,11 +208,6 @@ def lower_bound_integral(x_upper: float, p: GGParams, mu: float) -> float:
         # reapply the normalization c/scale once (ratio of squared to single)
         return gg_pdf(0.0, p) * np.exp(np.minimum(log_val, 700.0))
 
-    pts = sorted({-mu - 10 * s, -10 * s, 0.0, mu, 2 * mu, 2 * mu + 10 * s})
-    pts = [x for x in pts if x < x_upper]
-    segs = [-np.inf, *pts, x_upper if math.isfinite(x_upper) else np.inf]
-    total = 0.0
-    for a, b in zip(segs[:-1], segs[1:]):
-        val, _ = integrate.quad(integrand, a, b, epsabs=1e-10, epsrel=1e-8, limit=200)
-        total += val
+    cuts = (-mu - 10 * s, -10 * s, 0.0, mu, 2 * mu, 2 * mu + 10 * s)
+    total = quad_pieces(integrand, cuts, x_upper)
     return max(total - 1.0, 0.0)

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the heavy power-curve runs are shared between criteria through
-module-scoped fixtures.
+module-scoped fixtures, and the criteria that use them are marked slow.
 """
 
 import itertools
@@ -180,6 +180,7 @@ def test_criterion_6_boundary_formulas():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_dense_figure(dense_runs):
     curve, _ = dense_runs
     points = {pt.grid_value: pt.per_test for pt in curve.points}
@@ -201,6 +202,7 @@ def test_criterion_7_dense_figure(dense_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_verysparse_figure(verysparse_run):
     points = {pt.grid_value: pt.per_test for pt in verysparse_run.points}
     top = points[0.9]
@@ -217,6 +219,7 @@ def test_criterion_8_verysparse_figure(verysparse_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(dense_runs):
     first, second = dense_runs
     a = first.to_csv().encode()

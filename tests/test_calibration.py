@@ -22,6 +22,7 @@ from mixdetect import (
     wilcoxon_exact_null,
     wilcoxon_pvalue,
 )
+from mixdetect import calibration as cal
 from mixdetect import statistics as st
 from mixdetect.calibration import mc_pvalues
 
@@ -55,6 +56,27 @@ class TestMcNullTable:
     def test_reps_floor(self):
         with pytest.raises(ValueError):
             mc_null_table(st.HC, 50, 50, 10, master_seed=0)
+
+    def test_rank_stream(self):
+        # replicate k: m + n uniforms from the stream (seed, 101, k)
+        m, n = 12, 9
+        expected = []
+        for k in range(100):
+            rng = np.random.default_rng(np.random.SeedSequence([4, 101, k]))
+            pooled = rng.random(m + n)
+            expected.append(st.ks_from_indicator(st.pooled_indicator(pooled[:m], pooled[m:]), m, n))
+        table = mc_null_table(st.KS, m, n, 100, master_seed=4)
+        np.testing.assert_array_equal(table.draws, np.sort(expected))
+
+    def test_lrt_stream(self):
+        # replicate k: the Y-sample from F, drawn from the stream (seed, 102, k)
+        alt = MixtureAlt(epsilon=0.1, mu=2.0)
+        expected = []
+        for k in range(100):
+            rng = np.random.default_rng(np.random.SeedSequence([4, 102, k]))
+            expected.append(st.lrt_stat(gg_sample(30, NORMAL, rng), NORMAL, alt).value)
+        table = mc_null_table(st.LRT, 30, 30, 100, master_seed=4, model=(NORMAL, alt))
+        np.testing.assert_array_equal(table.draws, np.sort(expected))
 
     def test_distribution_freeness(self):
         # same (m, n): uniform-data table vs gaussian-data table agree in law
@@ -129,6 +151,40 @@ class TestWilcoxonPvalue:
     def test_monotone(self):
         ps = [wilcoxon_pvalue(u, 10, 10).p for u in range(101)]
         assert all(b <= a for a, b in zip(ps[:-1], ps[1:]))
+
+
+class TestStatisticTable:
+    def test_order_and_methods(self):
+        assert tuple(cal.STATISTICS) == st.ALL_STATISTICS
+        assert [s.method for s in cal.STATISTICS.values()] == [
+            "monte-carlo", "monte-carlo", "normal-approx", "smirnov-limit", "exact",
+        ]
+        assert [s.name for s in cal.STATISTICS.values() if not s.rank] == [st.LRT]
+
+    def test_scalar_forms_match_vector_forms(self):
+        table = NullTable(statistic=st.HC, m=9, n=7, draws=np.linspace(0, 3, 200), seed=0)
+        values = np.array([0.0, 2.0, 5.0, 7.0])
+        for name in (st.HC, st.WILCOXON, st.KS, st.TAILRUN):
+            stat = cal.STATISTICS[name]
+            vector = stat.pvalues(values, 9, 7, table)
+            scalar = [stat.pvalue(v, 9, 7, table).p for v in values]
+            np.testing.assert_array_equal(vector, scalar)
+        np.testing.assert_array_equal(
+            [wilcoxon_pvalue(v, 9, 7).p for v in values], cal.wilcoxon_pvalues(values, 9, 7)
+        )
+        np.testing.assert_array_equal(
+            [tailrun_pvalue(int(v), 9, 7).p for v in values], cal.tailrun_pvalues(values, 9, 7)
+        )
+        np.testing.assert_array_equal([ks_pvalue(v).p for v in values], cal.ks_pvalues(values))
+        np.testing.assert_array_equal([mc_pvalue(v, table).p for v in values], mc_pvalues(values, table))
+
+    def test_vector_forms_validate(self):
+        with pytest.raises(ValueError):
+            cal.wilcoxon_pvalues(np.array([3.0, 64.0]), 9, 7)
+        with pytest.raises(ValueError):
+            cal.tailrun_pvalues(np.array([1, 8]), 9, 7)
+        with pytest.raises(ValueError):
+            cal.ks_pvalues(np.array([0.5, np.inf]))
 
 
 class TestWilcoxonExactNull:
@@ -275,3 +331,51 @@ class TestCacheRoundTrip:
         with pytest.raises(FileExistsError):
             save_null_table(table, path)
         save_null_table(table, path, force=True)
+
+    def test_path_without_suffix(self, tmp_path):
+        table = mc_null_table(st.HC, 20, 20, 150, master_seed=1)
+        written = save_null_table(table, tmp_path / "tbl")
+        assert written == tmp_path / "tbl.npz" and written.exists()
+        with pytest.raises(FileExistsError):
+            save_null_table(table, tmp_path / "tbl")
+        assert save_null_table(table, tmp_path / "tbl", force=True) == written
+
+
+class TestLoadChecks:
+    def write(self, path, draws, reps=None, version=cal.CACHE_FORMAT_VERSION):
+        draws = np.asarray(draws, dtype=float)
+        np.savez(
+            path, version=np.int64(version), statistic=np.str_(st.HC), m=np.int64(5),
+            n=np.int64(5), reps=np.int64(draws.size if reps is None else reps),
+            seed=np.int64(0), draws=draws,
+        )
+        return path
+
+    def test_accepts_an_intact_file(self, tmp_path):
+        table = load_null_table(self.write(tmp_path / "ok.npz", [0.5, 1.0, 2.0]))
+        assert table.key == (st.HC, 5, 5, 3, 0)
+
+    @pytest.mark.parametrize(
+        "draws,reps,message",
+        [
+            ([2.0, 1.0, 3.0], None, "sorted"),
+            ([1.0, np.nan, 3.0], None, "finite"),
+            ([1.0, 2.0, np.inf], None, "finite"),
+            ([1.0, 2.0, 3.0], 4, "reps"),
+        ],
+    )
+    def test_rejects_a_bad_file(self, tmp_path, draws, reps, message):
+        path = self.write(tmp_path / "bad.npz", draws, reps)
+        with pytest.raises(ValueError, match=message):
+            load_null_table(path)
+
+    def test_rejects_another_version(self, tmp_path):
+        path = self.write(tmp_path / "v1.npz", [1.0, 2.0], version=1)
+        with pytest.raises(ValueError, match="version"):
+            load_null_table(path)
+
+    def test_rejects_a_file_missing_a_field(self, tmp_path):
+        path = tmp_path / "partial.npz"
+        np.savez(path, version=np.int64(cal.CACHE_FORMAT_VERSION), draws=np.arange(3.0))
+        with pytest.raises(ValueError, match="not a null-table file"):
+            load_null_table(path)

@@ -192,6 +192,36 @@ class TestCmdCalibrate:
         assert main(args) == 1
         assert main(args + ["--force"]) == 0
 
+    def test_path_without_suffix(self, tmp_path, capsys):
+        args = [
+            "calibrate", "--statistic", "HC", "--m", "20", "--n", "20",
+            "--reps", "150", "--out", str(tmp_path / "tbl"),
+        ]
+        assert main(args) == 0
+        written = tmp_path / "tbl.npz"
+        assert json.loads(capsys.readouterr().out)["path"] == str(written)
+        assert written.exists() and not (tmp_path / "tbl").exists()
+        assert main(args) == 1  # the existing tbl.npz is not clobbered
+        assert "exists" in capsys.readouterr().err
+
+    def test_matches_the_harness_cache(self, tmp_path, capsys):
+        from mixdetect import GGParams, ScenarioConfig, load_null_table, run_power_grid
+        from mixdetect.calibration import cache_key
+
+        m, n, reps, seed = 60, 50, 150, 7
+        out = tmp_path / "calibrated.npz"
+        assert main([
+            "calibrate", "--statistic", "HC", "--m", str(m), "--n", str(n),
+            "--reps", str(reps), "--seed", str(seed), "--out", str(out),
+        ]) == 0
+        cfg = ScenarioConfig(
+            model=GGParams(2.0), m=m, n=n, regime="sparse", beta=0.6, grid=[0.5],
+            tests=["HC"], power_reps=1, calib_reps=reps, master_seed=seed,
+        )
+        run_power_grid(cfg, cache_dir=tmp_path / "cache")
+        cached = load_null_table(tmp_path / "cache" / cache_key("HC", m, n, reps, seed))
+        np.testing.assert_array_equal(load_null_table(out).draws, cached.draws)
+
     def test_wilcoxon_quantile_matches_enumeration(self, tmp_path, capsys):
         out = tmp_path / "w.npz"
         assert (
@@ -238,6 +268,27 @@ class TestCmdPower:
         assert (out1 / "normal-moderate.csv").read_bytes() == (
             out2 / "normal-moderate.csv"
         ).read_bytes()
+
+    def test_dexp_preset_notes_grid_assumption(self, tmp_path, capsys):
+        args = [
+            "power", "--preset", "dexp-dense", "--scale", "0.0005",
+            "--reps", "2", "--out", str(tmp_path),
+        ]
+        assert main(args) == 0
+        notes = json.loads((tmp_path / "dexp-dense.json").read_text())["notes"]
+        assert notes["figure"] == "dexp-dense" and "grid_assumption" in notes
+
+    def test_level_override_validated(self, tmp_path, capsys):
+        args = ["power", "--preset", "normal-dense", "--scale", "0.001", "--out", str(tmp_path)]
+        assert main(args + ["--level", "1.5"]) == 1
+        assert "level must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "normal-dense.csv").exists()
+
+    def test_reps_override_validated(self, tmp_path, capsys):
+        args = ["power", "--preset", "normal-dense", "--scale", "0.001", "--out", str(tmp_path)]
+        assert main(args + ["--reps", "0"]) == 1
+        assert "power_reps must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "normal-dense.csv").exists()
 
     def test_config_and_preset_conflict(self, capsys):
         assert main(["power", "--preset", "normal-dense", "--config", "x.json"]) == 1

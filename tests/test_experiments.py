@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from mixdetect import GGParams, ScenarioConfig, figure_config, run_null_level, run_power_grid
+from mixdetect import calibration as cal
 from mixdetect import statistics as st
 from mixdetect.experiments import DENSE, SPARSE
 
@@ -162,3 +165,76 @@ class TestFigurePresets:
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
             figure_config("bogus")
+
+
+def pinned_config():
+    base = figure_config("normal-dense", scale=0.002)
+    return dataclasses.replace(base, grid=base.grid[:3], calib_reps=200, power_reps=20)
+
+
+class TestPinnedOutput:
+    """CSV digests of a small all-test curve, recorded with numpy 2.4.6.
+
+    A change that alters the random streams on purpose updates them.
+    """
+
+    @staticmethod
+    def digest(curve):
+        return hashlib.sha256(curve.to_csv().encode()).hexdigest()
+
+    def test_power_grid(self):
+        assert self.digest(run_power_grid(pinned_config())) == (
+            "9250adb2cbd873fd0ef9018876429a51222d04f7192c8368f0c4a237a7bc0e76"
+        )
+
+    def test_null_level(self):
+        assert self.digest(run_null_level(pinned_config())) == (
+            "2eb63abe5a48a1ce185660de5b3871f88cecdf7c631138b547926aee30a9c6b0"
+        )
+
+
+class TestHcCache:
+    def config(self):
+        return small_config(tests=[st.HC], calib_reps=120)
+
+    def cache_file(self, cfg, tmp_path):
+        return tmp_path / cal.cache_key(st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
+
+    def test_hit_reuses_the_file(self, tmp_path):
+        cfg = self.config()
+        first = run_power_grid(cfg, cache_dir=tmp_path).to_csv()
+        stamp = self.cache_file(cfg, tmp_path).stat().st_mtime_ns
+        assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == first
+        assert self.cache_file(cfg, tmp_path).stat().st_mtime_ns == stamp
+
+    def test_mismatched_file_is_recomputed(self, tmp_path):
+        cfg = self.config()
+        expected = run_power_grid(cfg).to_csv()
+        path = self.cache_file(cfg, tmp_path)
+        other_seed = cal.mc_null_table(st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed + 1)
+        cal.save_null_table(other_seed, path)
+        assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == expected
+        assert cal.load_null_table(path).seed == cfg.master_seed
+
+    def test_old_version_is_recomputed(self, tmp_path):
+        cfg = self.config()
+        expected = run_power_grid(cfg).to_csv()
+        path = self.cache_file(cfg, tmp_path)
+        table = cal.mc_null_table(st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
+        np.savez(
+            path, version=np.int64(1), statistic=np.str_(st.HC), m=np.int64(cfg.m),
+            n=np.int64(cfg.n), reps=np.int64(cfg.calib_reps),
+            seed=np.int64(cfg.master_seed), draws=table.draws[::-1],
+        )
+        assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == expected
+        np.testing.assert_array_equal(cal.load_null_table(path).draws, table.draws)
+
+    def test_truncated_file_is_recomputed(self, tmp_path):
+        cfg = self.config()
+        expected = run_power_grid(cfg, cache_dir=tmp_path).to_csv()
+        path = self.cache_file(cfg, tmp_path)
+        path.write_bytes(path.read_bytes()[:100])
+        assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == expected
+        assert cal.load_null_table(path).key == (
+            st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed
+        )
