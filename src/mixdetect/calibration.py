@@ -28,6 +28,10 @@ from .theory import quad_pieces
 
 CACHE_FORMAT_VERSION = 2
 
+# version of the harness's seed streams, recorded in its JSON output;
+# scheme 2 draws the LRT null from one stream shared by every grid point
+RNG_SCHEME = 2
+
 _TINY_P = 1e-300
 
 MONTE_CARLO = "monte-carlo"
@@ -150,17 +154,22 @@ def _draw_pooled(kind, model, alt, m, n, parts):
     raise st.TiesError("persistent ties in simulated continuous data")
 
 
-def replicate(kind, stats, model, alt, lrt_alt, m, n, parts) -> list[float]:
+def replicate(kind, stats, model, alt, lrt_alts, m, n, parts) -> list[float]:
     """Values of stats on one replicate drawn from the stream `parts`.
 
     kind is RANK_NULL, LRT_NULL or DATA; alt is the alternative the Y-sample
-    is drawn from (DATA only), lrt_alt the one the LRT is evaluated at.
+    is drawn from (DATA only).  A rank statistic gives one value, the LRT
+    one value per alternative in lrt_alts, all on the same sample.
     """
     if kind == LRT_NULL:
         y, xi = gg_sample(n, model, _derived_rng(parts)), None
     else:
         y, xi = _draw_pooled(kind, model, alt, m, n, parts)
-    return [s.value(xi, y, m, n, model, lrt_alt) for s in stats]
+    return [
+        s.value(xi, y, m, n, model, a)
+        for s in stats
+        for a in ((None,) if s.rank else lrt_alts)
+    ]
 
 
 def mc_null_table(
@@ -176,7 +185,8 @@ def mc_null_table(
     A rank statistic is simulated on Uniform(0,1) pooled samples, replicate
     k from the stream (master_seed, TAG_CALIB_RANK, k).  The LRT needs the
     model and draws its Y-sample from F, replicate k from (master_seed,
-    TAG_CALIB_LRT, k).  The table does not depend on evaluation order.
+    TAG_CALIB_LRT, k), the stream the power harness evaluates at every grid
+    point.  The table does not depend on evaluation order.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
@@ -188,7 +198,7 @@ def mc_null_table(
     kind, tag = (RANK_NULL, TAG_CALIB_RANK) if stat.rank else (LRT_NULL, TAG_CALIB_LRT)
     p, alt = model or (None, None)
     draws = [
-        replicate(kind, [stat], p, None, alt, m, n, [master_seed, tag, k])[0]
+        replicate(kind, [stat], p, None, [alt], m, n, [master_seed, tag, k])[0]
         for k in range(reps)
     ]
     return NullTable(statistic=statistic, m=m, n=n, draws=np.sort(draws), seed=master_seed)
@@ -343,14 +353,18 @@ STATISTICS = {
 }
 
 
+def _npz_path(path) -> Path:
+    """path with the .npz suffix that numpy appends on save."""
+    path = Path(path)
+    return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
+
+
 def save_null_table(table: NullTable, path, force: bool = False) -> Path:
     """Write a null-table cache file (bit-exact round trip, versioned).
 
     Returns the path written, which ends in .npz.
     """
-    path = Path(path)
-    if not path.name.endswith(".npz"):  # numpy would append it
-        path = path.with_name(path.name + ".npz")
+    path = _npz_path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force=True to overwrite")
     np.savez(
@@ -367,9 +381,13 @@ def save_null_table(table: NullTable, path, force: bool = False) -> Path:
 
 
 def load_null_table(path) -> NullTable:
-    """Read a cache file; ValueError unless it is intact and of this version."""
+    """Read a cache file; ValueError unless it is intact and of this version.
+
+    Like save_null_table, it adds a missing .npz suffix to path.
+    """
+    path = _npz_path(path)
     try:
-        with np.load(Path(path)) as data:
+        with np.load(path) as data:
             version = int(data["version"])
             if version != CACHE_FORMAT_VERSION:
                 raise ValueError(f"unsupported cache format version {version}")

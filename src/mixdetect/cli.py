@@ -65,7 +65,10 @@ def _alt_from_args(args) -> MixtureAlt:
 def _null_table(args, stat, m: int, n: int, model, alt) -> cal.NullTable:
     """The Monte Carlo null table of stat: --table for a rank statistic, or simulated."""
     if stat.rank and args.table:
-        table = cal.load_null_table(args.table)
+        try:
+            table = cal.load_null_table(args.table)
+        except OSError as e:
+            raise CliError(f"cannot read table {args.table}: {e}")
         if (table.statistic, table.m, table.n) != (stat.name, m, n):
             raise CliError(
                 f"table {args.table} is for "

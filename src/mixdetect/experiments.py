@@ -4,8 +4,11 @@ Calibrates null tables, simulates alternatives over a sparse (r) or dense
 (s) parameter grid, and reports empirical power with binomial confidence
 half-widths.  Every replicate is one calibration.replicate call on an
 rng-stream derived from (master seed, purpose tag, grid index, replicate
-index), or (master seed, purpose tag, replicate index) for the run-wide HC
-table, so results are byte-identical regardless of worker count.
+index) for the power replicates, or (master seed, purpose tag, replicate
+index) for the null tables, so results are byte-identical regardless of
+worker count.  The null tables are calibration.mc_null_table's: one HC
+table per run, and one LRT pass per run whose replicate k draws a single
+Y-sample and evaluates the LRT at every grid point's alternative.
 """
 
 from __future__ import annotations
@@ -162,6 +165,7 @@ class PowerCurve:
     def to_json_dict(self) -> dict:
         return {
             "config": self.config,
+            "rng_scheme": cal.RNG_SCHEME,
             "boundary_marker": self.boundary_marker,
             "notes": self.notes,
             "points": [
@@ -183,13 +187,13 @@ class PowerCurve:
 def _stat_batch(task):
     """Statistic values of replicates k0..k1-1, one row per replicate.
 
-    task = (kind, model, alt, lrt_alt, m, n, tests, seed_parts, k0, k1); see
-    calibration.replicate for kind, alt and lrt_alt.
+    task = (kind, model, alt, lrt_alts, m, n, tests, seed_parts, k0, k1); see
+    calibration.replicate for kind, alt, lrt_alts and the columns of a row.
     """
-    kind, model, alt, lrt_alt, m, n, tests, seed_parts, k0, k1 = task
+    kind, model, alt, lrt_alts, m, n, tests, seed_parts, k0, k1 = task
     stats = [cal.STATISTICS[t] for t in tests]
     rows = [
-        cal.replicate(kind, stats, model, alt, lrt_alt, m, n, [*seed_parts, k])
+        cal.replicate(kind, stats, model, alt, lrt_alts, m, n, [*seed_parts, k])
         for k in range(k0, k1)
     ]
     return np.array(rows, dtype=float)
@@ -204,18 +208,22 @@ def _run_batches(tasks, threads: int):
         return list(pool.map(_stat_batch, tasks))
 
 
-def _collect(kind, model, alt, lrt_alt, m, n, tests, seed_parts, reps, threads):
-    """Run reps replicates, split into ordered batches; returns test -> array."""
+def _collect(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps, threads):
+    """Run reps replicates, split into ordered batches.
+
+    Returns a 2-D array whose row i holds value i of every replicate (see
+    calibration.replicate for the values of a replicate), in replicate order.
+    """
     workers = threads if threads > 0 else (os.cpu_count() or 1)
     n_batches = max(1, min(reps, 4 * workers))
     bounds = np.linspace(0, reps, n_batches + 1).astype(int)
     tasks = [
-        (kind, model, alt, lrt_alt, m, n, tuple(tests), list(seed_parts), int(a), int(b))
+        (kind, model, alt, tuple(lrt_alts), m, n, tuple(tests), list(seed_parts),
+         int(a), int(b))
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-    values = np.concatenate(_run_batches(tasks, threads))
-    return {t: values[:, i] for i, t in enumerate(tests)}
+    return np.concatenate(_run_batches(tasks, threads)).T
 
 
 def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir) -> cal.NullTable:
@@ -239,16 +247,22 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir) -> cal.Nul
     return table
 
 
-def _lrt_null_table(
-    config: ScenarioConfig, statistic: str, grid_idx: int, alt: MixtureAlt, threads: int
-) -> cal.NullTable:
-    """Null table of a model-based statistic (the LRT) at one grid point."""
-    seed_parts = [config.master_seed, cal.TAG_CALIB_LRT, grid_idx]
-    draws = _collect(
-        cal.LRT_NULL, config.model, None, alt, config.m, config.n, [statistic],
-        seed_parts, config.calib_reps, threads,
-    )[statistic]
-    return cal.NullTable(statistic, config.m, config.n, np.sort(draws), config.master_seed)
+def _lrt_null_table(config: ScenarioConfig, statistic: str, threads: int) -> list:
+    """Null tables of a model-based statistic (the LRT), one per grid point.
+
+    Replicate k draws one Y-sample from the stream (seed, TAG_CALIB_LRT, k)
+    and evaluates the statistic at every grid point's alternative, so table
+    g equals mc_null_table(statistic, ..., model=(model, alt_g)).
+    """
+    alts = [config.alt_for(g) for g in config.grid]
+    columns = _collect(
+        cal.LRT_NULL, config.model, None, alts, config.m, config.n, [statistic],
+        [config.master_seed, cal.TAG_CALIB_LRT], config.calib_reps, threads,
+    )
+    return [
+        cal.NullTable(statistic, config.m, config.n, np.sort(draws), config.master_seed)
+        for draws in columns
+    ]
 
 
 def _pvalues_for(test, values, m, n, table):
@@ -256,22 +270,20 @@ def _pvalues_for(test, values, m, n, table):
     return cal.STATISTICS[test].pvalues(values, m, n, table)
 
 
-def _power_point(config, grid_idx, null, run_tables, threads):
-    """Rejection rates of every test at one grid point; under H0 if null."""
-    stats = [cal.STATISTICS[t] for t in config.tests]
+def _power_point(config, grid_idx, null, tables, threads):
+    """Rejection rates of every test at one grid point; under H0 if null.
+
+    tables maps each Monte-Carlo test to its null table at this grid point.
+    """
     alt = config.alt_for(config.grid[grid_idx])
-    tables = dict(run_tables)
-    for s in stats:
-        if s.monte_carlo and not s.rank:
-            tables[s.name] = _lrt_null_table(config, s.name, grid_idx, alt, threads)
     seed_parts = [config.master_seed, cal.TAG_NULL if null else cal.TAG_POWER, grid_idx]
-    values = _collect(
-        cal.DATA, config.model, None if null else alt, alt, config.m, config.n,
+    columns = _collect(
+        cal.DATA, config.model, None if null else alt, [alt], config.m, config.n,
         config.tests, seed_parts, config.power_reps, threads,
     )
     per_test = {}
-    for test in config.tests:
-        pvals = _pvalues_for(test, values[test], config.m, config.n, tables.get(test))
+    for test, values in zip(config.tests, columns):
+        pvals = _pvalues_for(test, values, config.m, config.n, tables.get(test))
         rejects = int(np.sum(pvals < config.level))
         power = rejects / config.power_reps
         ci = 1.96 * math.sqrt(power * (1.0 - power) / config.power_reps)
@@ -284,13 +296,18 @@ def _power_point(config, grid_idx, null, run_tables, threads):
 
 
 def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> PowerCurve:
-    run_tables = {
-        s.name: _hc_null_table(config, s.name, cache_dir)
-        for s in (cal.STATISTICS[t] for t in config.tests)
-        if s.monte_carlo and s.rank
-    }
+    tables = [{} for _ in config.grid]  # per grid point: test -> null table
+    for s in (cal.STATISTICS[t] for t in config.tests):
+        if not s.monte_carlo:
+            continue
+        if s.rank:
+            per_point = [_hc_null_table(config, s.name, cache_dir)] * len(config.grid)
+        else:
+            per_point = _lrt_null_table(config, s.name, threads)
+        for point, table in zip(tables, per_point):
+            point[s.name] = table
     points = [
-        _power_point(config, gi, null, run_tables, threads)
+        _power_point(config, gi, null, tables[gi], threads)
         for gi in range(len(config.grid))
     ]
     return PowerCurve(

@@ -340,6 +340,13 @@ class TestCacheRoundTrip:
             save_null_table(table, tmp_path / "tbl")
         assert save_null_table(table, tmp_path / "tbl", force=True) == written
 
+    def test_load_without_suffix(self, tmp_path):
+        table = mc_null_table(st.HC, 20, 20, 150, master_seed=1)
+        save_null_table(table, tmp_path / "tbl")
+        loaded = load_null_table(tmp_path / "tbl")
+        assert loaded.key == table.key
+        np.testing.assert_array_equal(loaded.draws, table.draws)
+
 
 class TestLoadChecks:
     def write(self, path, draws, reps=None, version=cal.CACHE_FORMAT_VERSION):

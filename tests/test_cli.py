@@ -70,6 +70,13 @@ class TestCmdTest:
         assert row["method"] == "monte-carlo"
         assert 0 < row["pvalue"] <= 1
 
+    def test_missing_table_file(self, tmp_path, capsys):
+        xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
+        missing = str(tmp_path / "nope.npz")
+        assert main(["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.npz" in err
+
     def test_json_roundtrip(self, tmp_path, capsys):
         xf, yf = write_samples(tmp_path, [1, 2], [3, 4])
         main(["test", "--x", xf, "--y", yf, "--tests", "ks,tailrun"])
@@ -221,6 +228,26 @@ class TestCmdCalibrate:
         run_power_grid(cfg, cache_dir=tmp_path / "cache")
         cached = load_null_table(tmp_path / "cache" / cache_key("HC", m, n, reps, seed))
         np.testing.assert_array_equal(load_null_table(out).draws, cached.draws)
+
+    def test_lrt_matches_the_harness(self, tmp_path, capsys):
+        from mixdetect import GGParams, ScenarioConfig, load_null_table
+        from mixdetect.experiments import _lrt_null_table
+
+        cfg = ScenarioConfig(
+            model=GGParams(2.0), m=50, n=40, regime="dense", beta=0.2,
+            grid=[0.1, 0.3, 0.5], tests=["LRT"], power_reps=1, calib_reps=150,
+            master_seed=3,
+        )
+        harness = _lrt_null_table(cfg, "LRT", 1)
+        for g, table in zip(cfg.grid, harness):
+            alt = cfg.alt_for(g)
+            out = tmp_path / f"lrt_{g}.npz"
+            assert main([
+                "calibrate", "--statistic", "LRT", "--m", "50", "--n", "40",
+                "--reps", "150", "--seed", "3", "--epsilon", repr(alt.epsilon),
+                "--mu", repr(alt.mu), "--out", str(out),
+            ]) == 0
+            np.testing.assert_array_equal(load_null_table(out).draws, table.draws)
 
     def test_wilcoxon_quantile_matches_enumeration(self, tmp_path, capsys):
         out = tmp_path / "w.npz"

@@ -7,6 +7,7 @@ import pytest
 
 from mixdetect import GGParams, ScenarioConfig, figure_config, run_null_level, run_power_grid
 from mixdetect import calibration as cal
+from mixdetect import experiments as exp
 from mixdetect import statistics as st
 from mixdetect.experiments import DENSE, SPARSE
 
@@ -191,6 +192,47 @@ class TestPinnedOutput:
         assert self.digest(run_null_level(pinned_config())) == (
             "2eb63abe5a48a1ce185660de5b3871f88cecdf7c631138b547926aee30a9c6b0"
         )
+
+
+class TestLrtNullTables:
+    """The harness's LRT null table at each grid point is mc_null_table's."""
+
+    def config(self, tests=(st.LRT, st.HC)):
+        return small_config(
+            m=50, n=40, regime=DENSE, beta=0.2, grid=[0.1, 0.3, 0.5],
+            tests=list(tests), power_reps=5, calib_reps=150,
+        )
+
+    def harness_tables(self, monkeypatch, run, cfg, threads):
+        seen = {}
+        power_point = exp._power_point
+
+        def spy(config, grid_idx, null, tables, threads):
+            seen[grid_idx] = tables
+            return power_point(config, grid_idx, null, tables, threads)
+
+        monkeypatch.setattr(exp, "_power_point", spy)
+        run(cfg, threads=threads)
+        return [seen[g][st.LRT] for g in range(len(cfg.grid))]
+
+    @pytest.mark.parametrize("run", [run_power_grid, run_null_level])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_mc_null_table(self, monkeypatch, run, threads):
+        cfg = self.config()
+        tables = self.harness_tables(monkeypatch, run, cfg, threads)
+        for g, table in zip(cfg.grid, tables):
+            expected = cal.mc_null_table(
+                st.LRT, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed,
+                model=(cfg.model, cfg.alt_for(g)),
+            )
+            assert table.key == expected.key
+            np.testing.assert_array_equal(table.draws, expected.draws)
+
+    def test_rng_scheme_recorded(self):
+        sidecar = run_power_grid(self.config(tests=[st.KS])).to_json_dict()
+        assert sidecar["rng_scheme"] == cal.RNG_SCHEME == 2
+        assert "rng_scheme" not in sidecar["config"]
+        assert ScenarioConfig.from_dict(sidecar["config"]).tests == [st.KS]
 
 
 class TestHcCache:
