@@ -2,9 +2,10 @@
 
 Monte Carlo tables for the higher criticism and likelihood-ratio statistics,
 limiting distributions for Wilcoxon and one-sided KS, and the exact negative
-hypergeometric null for the tail run.  Rank statistics are distribution-free
-under H0 for continuous data, so their null tables are simulated from
-Uniform(0,1) pooled samples.
+hypergeometric null for the tail run.  A rank statistic depends on the data
+only through the pooled ordering, which under H0 (continuous data) is a
+uniformly random arrangement of m X-labels and n Y-labels, so its null
+table is simulated by shuffling those labels.
 
 STATISTICS is the one table of the five tests: how each is computed and
 how its p-value is found.  Every simulated replicate, in a null table here
@@ -26,11 +27,12 @@ from . import statistics as st
 from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_sample, mixture_sample
 from .theory import quad_pieces
 
-CACHE_FORMAT_VERSION = 2
+# files of another version are refused (3: rank tables of RNG_SCHEME 3)
+CACHE_FORMAT_VERSION = 3
 
 # version of the harness's seed streams, recorded in its JSON output;
-# scheme 2 draws the LRT null from one stream shared by every grid point
-RNG_SCHEME = 2
+# scheme 3 draws each rank-null replicate as one random arrangement
+RNG_SCHEME = 3
 
 _TINY_P = 1e-300
 
@@ -48,7 +50,7 @@ TAG_POWER = 201
 TAG_NULL = 202
 
 # what one replicate samples
-RANK_NULL = "rank-null"  # m + n pooled Uniform(0,1) values
+RANK_NULL = "rank-null"  # the indicator only: a shuffle of m ones and n zeros
 LRT_NULL = "lrt-null"  # the Y-sample from F only (the LRT ignores X)
 DATA = "data"  # X from F and Y from G, or from F when alt is None
 
@@ -131,22 +133,15 @@ def _derived_rng(parts, retry: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _draw_pooled(kind, model, alt, m, n, parts):
-    """The Y-sample and pooled X-origin indicator of one replicate.
+def _draw_pooled(model, alt, m, n, parts):
+    """The Y-sample and pooled X-origin indicator of simulated data.
 
-    A float tie is redrawn: the rank null continues its stream, simulated
-    data restarts from the stream (parts, retry).
+    A float tie is redrawn from the stream (parts, retry).
     """
-    rng = _derived_rng(parts)
     for retry in range(100):
-        if kind == RANK_NULL:
-            pooled = rng.random(m + n)
-            x, y = pooled[:m], pooled[m:]
-        else:
-            if retry:
-                rng = _derived_rng(parts, retry)
-            x = gg_sample(m, model, rng)
-            y = gg_sample(n, model, rng) if alt is None else mixture_sample(n, model, alt, rng)
+        rng = _derived_rng(parts, retry)
+        x = gg_sample(m, model, rng)
+        y = gg_sample(n, model, rng) if alt is None else mixture_sample(n, model, alt, rng)
         try:
             return y, st.pooled_indicator(x, y)
         except st.TiesError:
@@ -161,10 +156,13 @@ def replicate(kind, stats, model, alt, lrt_alts, m, n, parts) -> list[float]:
     is drawn from (DATA only).  A rank statistic gives one value, the LRT
     one value per alternative in lrt_alts, all on the same sample.
     """
-    if kind == LRT_NULL:
+    if kind == RANK_NULL:
+        labels = np.repeat(np.array([1, 0], dtype=np.int64), [m, n])
+        y, xi = None, _derived_rng(parts).permutation(labels)
+    elif kind == LRT_NULL:
         y, xi = gg_sample(n, model, _derived_rng(parts)), None
     else:
-        y, xi = _draw_pooled(kind, model, alt, m, n, parts)
+        y, xi = _draw_pooled(model, alt, m, n, parts)
     return [
         s.value(xi, y, m, n, model, a)
         for s in stats
@@ -182,14 +180,16 @@ def mc_null_table(
 ) -> NullTable:
     """Simulate the null distribution of a statistic.
 
-    A rank statistic is simulated on Uniform(0,1) pooled samples, replicate
-    k from the stream (master_seed, TAG_CALIB_RANK, k).  The LRT needs the
-    model and draws its Y-sample from F, replicate k from (master_seed,
-    TAG_CALIB_LRT, k), the stream the power harness evaluates at every grid
-    point.  The table does not depend on evaluation order.
+    A rank statistic is simulated on random arrangements of m X-labels and
+    n Y-labels, replicate k from the stream (master_seed, TAG_CALIB_RANK, k).
+    The LRT needs the model and draws its Y-sample from F, replicate k from
+    (master_seed, TAG_CALIB_LRT, k), the stream the power harness evaluates
+    at every grid point.  The table does not depend on evaluation order.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
+    if m < 1 or n < 1:
+        raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     stat = STATISTICS[statistic]

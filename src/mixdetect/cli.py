@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_args(p, need_alt=False):
+    def add_model_args(p):
         p.add_argument("--gamma", type=float, default=2.0, help="shape exponent")
         p.add_argument(
             "--gg-scale", type=float, default=1.0, help="scale of the base density"

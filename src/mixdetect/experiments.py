@@ -87,18 +87,9 @@ class ScenarioConfig:
             raise ValueError("grid must be nonempty")
         if any(b >= a for a, b in zip(self.grid[1:], self.grid[:-1])):
             raise ValueError("grid values must be strictly increasing")
-        if self.regime == SPARSE:
-            if any(not 0.0 < g < 1.0 for g in self.grid):
-                raise ValueError("sparse grid values (r) must lie in (0, 1)")
-        elif any(not 0.0 < g <= 0.5 for g in self.grid):
-            raise ValueError("dense grid values (s) must lie in (0, 1/2]")
-        # validate the derived parameterization early
+        # SparseParam / DenseParam check the range of every grid value
         for g in self.grid:
             self.alt_for(g)
-
-    @property
-    def eta(self) -> float:
-        return self.n / (self.m + self.n)
 
     def alt_for(self, grid_value: float) -> MixtureAlt:
         if self.regime == SPARSE:
@@ -200,8 +191,6 @@ def _stat_batch(task):
 
 
 def _run_batches(tasks, threads: int):
-    if threads == 0:
-        threads = os.cpu_count() or 1
     if threads <= 1 or len(tasks) <= 1:
         return [_stat_batch(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -214,8 +203,7 @@ def _collect(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps, threads)
     Returns a 2-D array whose row i holds value i of every replicate (see
     calibration.replicate for the values of a replicate), in replicate order.
     """
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    n_batches = max(1, min(reps, 4 * workers))
+    n_batches = max(1, min(reps, 4 * threads))
     bounds = np.linspace(0, reps, n_batches + 1).astype(int)
     tasks = [
         (kind, model, alt, tuple(lrt_alts), m, n, tuple(tests), list(seed_parts),
@@ -296,6 +284,9 @@ def _power_point(config, grid_idx, null, tables, threads):
 
 
 def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> PowerCurve:
+    if threads < 0:
+        raise ValueError(f"threads must be at least 0 (0 = one per core), got {threads}")
+    threads = threads or os.cpu_count() or 1
     tables = [{} for _ in config.grid]  # per grid point: test -> null table
     for s in (cal.STATISTICS[t] for t in config.tests):
         if not s.monte_carlo:

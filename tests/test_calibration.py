@@ -58,15 +58,33 @@ class TestMcNullTable:
             mc_null_table(st.HC, 50, 50, 10, master_seed=0)
 
     def test_rank_stream(self):
-        # replicate k: m + n uniforms from the stream (seed, 101, k)
+        # replicate k: a shuffle of m ones and n zeros from the stream (seed, 101, k)
         m, n = 12, 9
         expected = []
         for k in range(100):
             rng = np.random.default_rng(np.random.SeedSequence([4, 101, k]))
-            pooled = rng.random(m + n)
-            expected.append(st.ks_from_indicator(st.pooled_indicator(pooled[:m], pooled[m:]), m, n))
+            xi = rng.permutation(np.repeat(np.array([1, 0], dtype=np.int64), [m, n]))
+            expected.append(st.ks_from_indicator(xi, m, n))
         table = mc_null_table(st.KS, m, n, 100, master_seed=4)
         np.testing.assert_array_equal(table.draws, np.sort(expected))
+
+    @pytest.mark.parametrize(
+        "statistic, pmf",
+        [(st.WILCOXON, wilcoxon_exact_null), (st.TAILRUN, tailrun_null_pmf)],
+    )
+    def test_rank_null_law(self, statistic, pmf):
+        # m != n, so swapped X/Y labels would change the tail-run law
+        m, n, reps = 5, 3, 20000
+        table = mc_null_table(statistic, m, n, reps, master_seed=21)
+        expected = pmf(m, n)
+        observed = np.bincount(table.draws.astype(int), minlength=expected.size)
+        assert observed.size == expected.size
+        assert stats.chisquare(observed, reps * expected).pvalue > 0.001
+
+    @pytest.mark.parametrize("m, n", [(0, 5), (3, 0)])
+    def test_empty_sample_refused(self, m, n):
+        with pytest.raises(ValueError, match=f"m={m}, n={n}"):
+            mc_null_table(st.KS, m, n, 200, master_seed=0)
 
     def test_lrt_stream(self):
         # replicate k: the Y-sample from F, drawn from the stream (seed, 102, k)
@@ -90,6 +108,47 @@ class TestMcNullTable:
             draws[k] = st.hc_from_indicator(xi, m, n)
         res = stats.ks_2samp(uniform_table.draws, draws)
         assert res.pvalue > 0.001
+
+
+class TestDataRetry:
+    """A tied data replicate is redrawn from the stream (*parts, retry)."""
+
+    parts = [9, cal.TAG_POWER, 0, 3]
+    alt = MixtureAlt(epsilon=0.2, mu=1.5)
+
+    def draw(self):
+        stats_ = [cal.STATISTICS[st.HC], cal.STATISTICS[st.LRT]]
+        return cal.replicate(cal.DATA, stats_, NORMAL, self.alt, [self.alt], 40, 30, self.parts)
+
+    def test_tie_restarts_from_the_retry_stream(self, monkeypatch):
+        pooled_indicator = st.pooled_indicator
+        calls = []
+
+        def tie_once(x, y):
+            calls.append(1)
+            if len(calls) == 1:
+                raise st.TiesError(0.0)
+            return pooled_indicator(x, y)
+
+        monkeypatch.setattr(st, "pooled_indicator", tie_once)
+        got = self.draw()
+        rng = np.random.default_rng(np.random.SeedSequence([*self.parts, 1]))
+        x, y = gg_sample(40, NORMAL, rng), mixture_sample(30, NORMAL, self.alt, rng)
+        xi = pooled_indicator(x, y)
+        assert got == [st.hc_from_indicator(xi, 40, 30), st.lrt_stat(y, NORMAL, self.alt).value]
+        assert len(calls) == 2
+
+    def test_persistent_ties_raise(self, monkeypatch):
+        calls = []
+
+        def always_tied(x, y):
+            calls.append(1)
+            raise st.TiesError(0.0)
+
+        monkeypatch.setattr(st, "pooled_indicator", always_tied)
+        with pytest.raises(st.TiesError, match="persistent"):
+            self.draw()
+        assert len(calls) == 100
 
 
 class TestMcPvalue:

@@ -249,6 +249,14 @@ class TestCmdCalibrate:
             ]) == 0
             np.testing.assert_array_equal(load_null_table(out).draws, table.draws)
 
+    def test_empty_sample_refused(self, tmp_path, capsys):
+        out = tmp_path / "t.npz"
+        args = ["calibrate", "--statistic", "KS", "--m", "3", "--n", "0", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n=0" in err
+        assert not out.exists()
+
     def test_wilcoxon_quantile_matches_enumeration(self, tmp_path, capsys):
         out = tmp_path / "w.npz"
         assert (
@@ -315,6 +323,13 @@ class TestCmdPower:
         args = ["power", "--preset", "normal-dense", "--scale", "0.001", "--out", str(tmp_path)]
         assert main(args + ["--reps", "0"]) == 1
         assert "power_reps must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "normal-dense.csv").exists()
+
+    def test_negative_threads_refused(self, tmp_path, capsys):
+        args = ["power", "--preset", "normal-dense", "--scale", "0.001", "--out", str(tmp_path)]
+        assert main(args + ["--threads", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "threads" in err
         assert not (tmp_path / "normal-dense.csv").exists()
 
     def test_config_and_preset_conflict(self, capsys):

@@ -86,6 +86,10 @@ class TestRunPowerGrid:
         b = run_power_grid(cfg, threads=3)
         assert a.to_csv() == b.to_csv()
 
+    def test_negative_threads_refused(self):
+        with pytest.raises(ValueError, match="threads"):
+            run_power_grid(small_config(), threads=-1)
+
     def test_boundary_marker(self):
         cfg = small_config()
         curve = run_power_grid(cfg, threads=1)
@@ -185,13 +189,35 @@ class TestPinnedOutput:
 
     def test_power_grid(self):
         assert self.digest(run_power_grid(pinned_config())) == (
-            "9250adb2cbd873fd0ef9018876429a51222d04f7192c8368f0c4a237a7bc0e76"
+            "7e98c456b41e8caf35bdf6877d82c200736ea5916c55d0c8f77cb850e64d8571"
         )
 
     def test_null_level(self):
         assert self.digest(run_null_level(pinned_config())) == (
-            "2eb63abe5a48a1ce185660de5b3871f88cecdf7c631138b547926aee30a9c6b0"
+            "fd0c7875d4ebf62c4f6018e680268fa2c86e1e2966255f89707020b345b9180e"
         )
+
+    @pytest.mark.parametrize("run", [run_power_grid, run_null_level])
+    def test_null_tables(self, monkeypatch, run):
+        # the reject counts of 20 power replicates can hide a changed null
+        # stream, so the tables' draws are pinned too
+        seen = {}
+        power_point = exp._power_point
+
+        def spy(config, grid_idx, null, tables, threads):
+            seen[grid_idx] = tables
+            return power_point(config, grid_idx, null, tables, threads)
+
+        monkeypatch.setattr(exp, "_power_point", spy)
+        run(pinned_config())
+        tables = [seen[0][st.HC]] + [seen[g][st.LRT] for g in sorted(seen)]
+        digests = [hashlib.sha256(t.draws.tobytes()).hexdigest() for t in tables]
+        assert digests == [
+            "5bf33d146fe05c181ccdc056097e066e9c075ecd4e6b5cc4698c24dae8b8da4d",
+            "b1d77de14417fe20bc9b7492abdc2ea6d369e7a745e5872a60066873b3e47a0d",
+            "8fa1449bba2643be4ae501f46ce3dde61bbb612863a00c6b9e6bbdcc2c483016",
+            "cbae5965f251170271b94d199de19c03ac41daf0c52449acbf0249c6afc5e4a0",
+        ]
 
 
 class TestLrtNullTables:
@@ -230,7 +256,7 @@ class TestLrtNullTables:
 
     def test_rng_scheme_recorded(self):
         sidecar = run_power_grid(self.config(tests=[st.KS])).to_json_dict()
-        assert sidecar["rng_scheme"] == cal.RNG_SCHEME == 2
+        assert sidecar["rng_scheme"] == cal.RNG_SCHEME == 3
         assert "rng_scheme" not in sidecar["config"]
         assert ScenarioConfig.from_dict(sidecar["config"]).tests == [st.KS]
 
@@ -270,6 +296,21 @@ class TestHcCache:
         )
         assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == expected
         np.testing.assert_array_equal(cal.load_null_table(path).draws, table.draws)
+
+    def test_format_2_file_is_recomputed(self, tmp_path):
+        # a format-2 file under this key, holding draws that differ from scheme 3's
+        cfg = self.config()
+        expected = run_power_grid(cfg).to_csv()
+        path = self.cache_file(cfg, tmp_path)
+        stale = cal.mc_null_table(st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed + 1)
+        np.savez(
+            path, version=np.int64(2), statistic=np.str_(st.HC), m=np.int64(cfg.m),
+            n=np.int64(cfg.n), reps=np.int64(cfg.calib_reps),
+            seed=np.int64(cfg.master_seed), draws=stale.draws,
+        )
+        assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == expected
+        fresh = cal.mc_null_table(st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
+        np.testing.assert_array_equal(cal.load_null_table(path).draws, fresh.draws)
 
     def test_truncated_file_is_recomputed(self, tmp_path):
         cfg = self.config()
