@@ -9,7 +9,7 @@ table is simulated by shuffling those labels.
 
 STATISTICS is the one table of the five tests: how each is computed and
 how its p-value is found.  Every simulated replicate, in a null table here
-or in the power harness, goes through replicate().
+or in the power harness, is a replicate() call in replicate_rows()'s loop.
 """
 
 from __future__ import annotations
@@ -170,6 +170,14 @@ def replicate(kind, stats, model, alt, lrt_alts, m, n, parts) -> list[float]:
     ]
 
 
+def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np.ndarray:
+    """Rows of replicate() on (*parts, k), k0 <= k < k1; tests are names, so they pickle."""
+    stats = [STATISTICS[t] for t in tests]
+    rows = [replicate(kind, stats, model, alt, lrt_alts, m, n, [*parts, k])
+            for k in range(k0, k1)]
+    return np.array(rows, dtype=float)
+
+
 def mc_null_table(
     statistic: str,
     m: int,
@@ -184,7 +192,7 @@ def mc_null_table(
     n Y-labels, replicate k from the stream (master_seed, TAG_CALIB_RANK, k).
     The LRT needs the model and draws its Y-sample from F, replicate k from
     (master_seed, TAG_CALIB_LRT, k), the stream the power harness evaluates
-    at every grid point.  The table does not depend on evaluation order.
+    at every grid point.  Its draws are one replicate_rows call (the harness's loop).
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
@@ -197,11 +205,8 @@ def mc_null_table(
         raise ValueError("LRT calibration requires the model (GGParams, MixtureAlt)")
     kind, tag = (RANK_NULL, TAG_CALIB_RANK) if stat.rank else (LRT_NULL, TAG_CALIB_LRT)
     p, alt = model or (None, None)
-    draws = [
-        replicate(kind, [stat], p, None, [alt], m, n, [master_seed, tag, k])[0]
-        for k in range(reps)
-    ]
-    return NullTable(statistic=statistic, m=m, n=n, draws=np.sort(draws), seed=master_seed)
+    draws = replicate_rows(kind, [statistic], p, None, [alt], m, n, [master_seed, tag], 0, reps)
+    return NullTable(statistic, m, n, np.sort(draws[:, 0]), master_seed)
 
 
 def mc_pvalues(values, table: NullTable) -> np.ndarray:

@@ -141,6 +141,11 @@ def cmd_power(args) -> int:
     config = dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if v is not None}
     )
+    try:  # a bad --out or --cache-dir fails now, not after simulating the curve
+        for directory in [d for d in (args.out, args.cache_dir) if d is not None]:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise CliError(f"cannot create directory: {e}")
     curve = exp.run_power_grid(config, threads=args.threads, cache_dir=args.cache_dir)
     if args.preset:
         notes = {**curve.notes, **exp.figure_notes(args.preset, args.scale)}
@@ -238,7 +243,7 @@ def cmd_calibrate(args) -> int:
     ))
     try:
         out = cal.save_null_table(table, out, force=args.force)
-    except FileExistsError as e:
+    except OSError as e:
         raise CliError(str(e))
     q = {lev: float(np.quantile(table.draws, lev)) for lev in (0.90, 0.95, 0.99)}
     print(

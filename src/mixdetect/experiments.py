@@ -5,10 +5,11 @@ Calibrates null tables, simulates alternatives over a sparse (r) or dense
 half-widths.  Every replicate is one calibration.replicate call on an
 rng-stream derived from (master seed, purpose tag, grid index, replicate
 index) for the power replicates, or (master seed, purpose tag, replicate
-index) for the null tables, so results are byte-identical regardless of
-worker count.  The null tables are calibration.mc_null_table's: one HC
-table per run, and one LRT pass per run whose replicate k draws a single
-Y-sample and evaluates the LRT at every grid point's alternative.
+index) for the null tables; _collect maps calibration.replicate_rows over
+batches of them, in the run's one process pool if threads > 1, so results
+are byte-identical at any worker count.  The null tables are mc_null_table's:
+one HC table and one LRT pass per run, whose replicate k draws one Y-sample
+for the LRT at every grid point's alternative.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import io
 import json
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -175,51 +177,49 @@ class PowerCurve:
         return csv_path, json_path
 
 
-def _stat_batch(task):
-    """Statistic values of replicates k0..k1-1, one row per replicate.
-
-    task = (kind, model, alt, lrt_alts, m, n, tests, seed_parts, k0, k1); see
-    calibration.replicate for kind, alt, lrt_alts and the columns of a row.
-    """
-    kind, model, alt, lrt_alts, m, n, tests, seed_parts, k0, k1 = task
-    stats = [cal.STATISTICS[t] for t in tests]
-    rows = [
-        cal.replicate(kind, stats, model, alt, lrt_alts, m, n, [*seed_parts, k])
-        for k in range(k0, k1)
-    ]
-    return np.array(rows, dtype=float)
+# the run's one process pool and its size; None in its place runs serially
+_Pool = namedtuple("_Pool", "executor workers")
 
 
-def _run_batches(tasks, threads: int):
-    if threads <= 1 or len(tasks) <= 1:
-        return [_stat_batch(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_stat_batch, tasks))
+def _run_batches(tasks, pool):
+    mapper = map if pool is None else pool.executor.map
+    return list(mapper(cal.replicate_rows, *zip(*tasks)))
 
 
-def _collect(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps, threads):
-    """Run reps replicates, split into ordered batches.
+def _collect(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps, pool):
+    """Run reps replicates: one batch when serial, 4 per worker in the run's pool.
 
-    Returns a 2-D array whose row i holds value i of every replicate (see
+    Every null-table and power replicate of a run goes through here.  Returns
+    a 2-D array whose row i holds value i of every replicate (see
     calibration.replicate for the values of a replicate), in replicate order.
     """
-    n_batches = max(1, min(reps, 4 * threads))
+    n_batches = 1 if pool is None else min(reps, 4 * pool.workers)
     bounds = np.linspace(0, reps, n_batches + 1).astype(int)
     tasks = [
-        (kind, model, alt, tuple(lrt_alts), m, n, tuple(tests), list(seed_parts),
-         int(a), int(b))
+        (kind, tests, model, alt, lrt_alts, m, n, seed_parts, int(a), int(b))
         for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
     ]
-    return np.concatenate(_run_batches(tasks, threads)).T
+    return np.concatenate(_run_batches(tasks, pool)).T
 
 
-def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir) -> cal.NullTable:
+def _null_tables(config: ScenarioConfig, statistic: str, kind, tag, alts, pool) -> list:
+    """Sorted tables of statistic, one per value of replicate k of (seed, tag, k)."""
+    columns = _collect(
+        kind, config.model, None, alts, config.m, config.n, [statistic],
+        [config.master_seed, tag], config.calib_reps, pool,
+    )
+    return [
+        cal.NullTable(statistic, config.m, config.n, np.sort(draws), config.master_seed)
+        for draws in columns
+    ]
+
+
+def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> cal.NullTable:
     """The run's null table of a rank statistic with a Monte-Carlo null (HC).
 
     A file in cache_dir is used only if it loads cleanly and was simulated
     for this (statistic, m, n, reps, seed); any other file is recomputed
-    and overwritten.
+    in the run's pool and overwritten.
     """
     key = (statistic, config.m, config.n, config.calib_reps, config.master_seed)
     path = None if cache_dir is None else Path(cache_dir) / cal.cache_key(*key)
@@ -228,14 +228,14 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir) -> cal.Nul
             table = cal.load_null_table(path)
             if table.key == key:
                 return table
-    table = cal.mc_null_table(*key)
+    (table,) = _null_tables(config, statistic, cal.RANK_NULL, cal.TAG_CALIB_RANK, [], pool)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         cal.save_null_table(table, path, force=True)
     return table
 
 
-def _lrt_null_table(config: ScenarioConfig, statistic: str, threads: int) -> list:
+def _lrt_null_table(config: ScenarioConfig, statistic: str, pool) -> list:
     """Null tables of a model-based statistic (the LRT), one per grid point.
 
     Replicate k draws one Y-sample from the stream (seed, TAG_CALIB_LRT, k)
@@ -243,14 +243,7 @@ def _lrt_null_table(config: ScenarioConfig, statistic: str, threads: int) -> lis
     g equals mc_null_table(statistic, ..., model=(model, alt_g)).
     """
     alts = [config.alt_for(g) for g in config.grid]
-    columns = _collect(
-        cal.LRT_NULL, config.model, None, alts, config.m, config.n, [statistic],
-        [config.master_seed, cal.TAG_CALIB_LRT], config.calib_reps, threads,
-    )
-    return [
-        cal.NullTable(statistic, config.m, config.n, np.sort(draws), config.master_seed)
-        for draws in columns
-    ]
+    return _null_tables(config, statistic, cal.LRT_NULL, cal.TAG_CALIB_LRT, alts, pool)
 
 
 def _pvalues_for(test, values, m, n, table):
@@ -258,7 +251,7 @@ def _pvalues_for(test, values, m, n, table):
     return cal.STATISTICS[test].pvalues(values, m, n, table)
 
 
-def _power_point(config, grid_idx, null, tables, threads):
+def _power_point(config, grid_idx, null, tables, pool):
     """Rejection rates of every test at one grid point; under H0 if null.
 
     tables maps each Monte-Carlo test to its null table at this grid point.
@@ -267,7 +260,7 @@ def _power_point(config, grid_idx, null, tables, threads):
     seed_parts = [config.master_seed, cal.TAG_NULL if null else cal.TAG_POWER, grid_idx]
     columns = _collect(
         cal.DATA, config.model, None if null else alt, [alt], config.m, config.n,
-        config.tests, seed_parts, config.power_reps, threads,
+        config.tests, seed_parts, config.power_reps, pool,
     )
     per_test = {}
     for test, values in zip(config.tests, columns):
@@ -287,20 +280,23 @@ def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> Po
     if threads < 0:
         raise ValueError(f"threads must be at least 0 (0 = one per core), got {threads}")
     threads = threads or os.cpu_count() or 1
-    tables = [{} for _ in config.grid]  # per grid point: test -> null table
-    for s in (cal.STATISTICS[t] for t in config.tests):
-        if not s.monte_carlo:
-            continue
-        if s.rank:
-            per_point = [_hc_null_table(config, s.name, cache_dir)] * len(config.grid)
-        else:
-            per_point = _lrt_null_table(config, s.name, threads)
-        for point, table in zip(tables, per_point):
-            point[s.name] = table
-    points = [
-        _power_point(config, gi, null, tables[gi], threads)
-        for gi in range(len(config.grid))
-    ]
+    # the run's only pool, if any; leaving the block joins its workers
+    with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as executor:
+        pool = None if executor is None else _Pool(executor, threads)
+        tables = [{} for _ in config.grid]  # per grid point: test -> null table
+        for s in (cal.STATISTICS[t] for t in config.tests):
+            if not s.monte_carlo:
+                continue
+            if s.rank:
+                per_point = [_hc_null_table(config, s.name, cache_dir, pool)] * len(config.grid)
+            else:
+                per_point = _lrt_null_table(config, s.name, pool)
+            for point, table in zip(tables, per_point):
+                point[s.name] = table
+        points = [
+            _power_point(config, gi, null, tables[gi], pool)
+            for gi in range(len(config.grid))
+        ]
     return PowerCurve(
         config=config.to_dict(),
         points=points,

@@ -39,7 +39,6 @@ class TiesError(ValueError):
 class StatValue:
     name: str
     value: float
-    rejects_for_large: bool = True
 
 
 @dataclass(frozen=True)
@@ -173,12 +172,6 @@ def wilcoxon_u(ts: TwoSample) -> StatValue:
 def ks_one_sided(ts: TwoSample) -> StatValue:
     xi = pooled_indicator(ts.x, ts.y)
     return StatValue(KS, ks_from_indicator(xi, ts.m, ts.n))
-
-
-def ks_scaled(ts: TwoSample) -> float:
-    """lambda = sqrt(mn/(m+n)) * D, the scale on which the limit law lives."""
-    d = ks_one_sided(ts).value
-    return float(np.sqrt(ts.m * ts.n / (ts.m + ts.n)) * d)
 
 
 def tail_run(ts: TwoSample) -> StatValue:

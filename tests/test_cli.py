@@ -238,7 +238,7 @@ class TestCmdCalibrate:
             grid=[0.1, 0.3, 0.5], tests=["LRT"], power_reps=1, calib_reps=150,
             master_seed=3,
         )
-        harness = _lrt_null_table(cfg, "LRT", 1)
+        harness = _lrt_null_table(cfg, "LRT", None)
         for g, table in zip(cfg.grid, harness):
             alt = cfg.alt_for(g)
             out = tmp_path / f"lrt_{g}.npz"
@@ -248,6 +248,14 @@ class TestCmdCalibrate:
                 "--mu", repr(alt.mu), "--out", str(out),
             ]) == 0
             np.testing.assert_array_equal(load_null_table(out).draws, table.draws)
+
+    def test_missing_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.npz"
+        args = ["calibrate", "--statistic", "HC", "--m", "5", "--n", "5", "--reps", "100"]
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nodir" in err
+        assert not out.parent.exists()
 
     def test_empty_sample_refused(self, tmp_path, capsys):
         out = tmp_path / "t.npz"
@@ -331,6 +339,22 @@ class TestCmdPower:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "threads" in err
         assert not (tmp_path / "normal-dense.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--cache-dir"])
+    def test_directory_that_is_a_file(self, tmp_path, capsys, monkeypatch, flag):
+        from mixdetect import experiments as exp
+
+        def fail(*args, **kwargs):
+            pytest.fail("the curve was simulated before the directory was checked")
+
+        monkeypatch.setattr(exp, "run_power_grid", fail)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        args = ["power", "--preset", "normal-dense", "--scale", "0.0005", "--reps", "2",
+                "--out", str(tmp_path), flag, str(blocker)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "a-file" in err
 
     def test_config_and_preset_conflict(self, capsys):
         assert main(["power", "--preset", "normal-dense", "--config", "x.json"]) == 1

@@ -239,20 +239,38 @@ class TestLrtNullTables:
 
         monkeypatch.setattr(exp, "_power_point", spy)
         run(cfg, threads=threads)
-        return [seen[g][st.LRT] for g in range(len(cfg.grid))]
+        return [seen[g] for g in range(len(cfg.grid))]
 
     @pytest.mark.parametrize("run", [run_power_grid, run_null_level])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_equals_mc_null_table(self, monkeypatch, run, threads):
         cfg = self.config()
         tables = self.harness_tables(monkeypatch, run, cfg, threads)
-        for g, table in zip(cfg.grid, tables):
-            expected = cal.mc_null_table(
-                st.LRT, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed,
-                model=(cfg.model, cfg.alt_for(g)),
-            )
-            assert table.key == expected.key
-            np.testing.assert_array_equal(table.draws, expected.draws)
+        key = (cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
+        hc = cal.mc_null_table(st.HC, *key)
+        for g, point in zip(cfg.grid, tables):
+            lrt = cal.mc_null_table(st.LRT, *key, model=(cfg.model, cfg.alt_for(g)))
+            for expected in (lrt, hc):
+                table = point[expected.statistic]
+                assert table.key == expected.key
+                np.testing.assert_array_equal(table.draws, expected.draws)
+
+    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_run(self, monkeypatch, threads, pools):
+        opened, joined = [], []
+
+        class CountedPool(exp.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+            def shutdown(self, wait=True, **kwargs):
+                joined.append(wait)
+                super().shutdown(wait, **kwargs)
+
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", CountedPool)
+        run_power_grid(self.config(), threads=threads)
+        assert len(opened) == pools and joined == [True] * pools
 
     def test_rng_scheme_recorded(self):
         sidecar = run_power_grid(self.config(tests=[st.KS])).to_json_dict()

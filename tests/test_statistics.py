@@ -17,7 +17,8 @@ from mixdetect import (
     tail_run,
     wilcoxon_u,
 )
-from mixdetect.statistics import ks_scaled, pooled_indicator
+from mixdetect.calibration import ks_lambda
+from mixdetect.statistics import pooled_indicator
 
 
 def random_two_sample(rng, max_size=200):
@@ -159,7 +160,7 @@ class TestKolmogorovSmirnov:
 
     def test_scaled_value(self):
         ts = TwoSample(x=[1, 2], y=[3, 4])
-        assert ks_scaled(ts) == pytest.approx(1.0, abs=1e-12)
+        assert ks_lambda(ks_one_sided(ts).value, ts.m, ts.n) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTailRun:
