@@ -9,6 +9,7 @@ ignores the X-sample, since F is supplied exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,8 @@ def pooled_indicator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Raises TiesError naming the duplicated value if any pooled value repeats.
     """
-    pooled = np.concatenate([x, y])
+    # sorted runs first: the stable argsort (timsort) then only merges the two
+    pooled = np.concatenate([np.sort(x), np.sort(y)])
     order = np.argsort(pooled, kind="stable")
     svals = pooled[order]
     dup = svals[1:] == svals[:-1]
@@ -108,14 +110,33 @@ def rank_profile(ts: TwoSample) -> RankProfile:
     return RankProfile(v=np.cumsum(xi)[:-1], m=ts.m, n=ts.n)
 
 
+# The per-(m, n) constants of the rank kernels, shared by every replicate of
+# a table or a power point; read-only so no caller can alter a later one.
+@functools.lru_cache(maxsize=8)
+def _rank_grid(N: int) -> np.ndarray:
+    """The ranks 1, ..., N as floats."""
+    s = np.arange(1, N + 1, dtype=float)
+    s.setflags(write=False)
+    return s
+
+
+@functools.lru_cache(maxsize=8)
+def _hc_null_moments(m: int, n: int):
+    """Mean and sd of v[s-1] under H0, s = 1..N-1, and sqrt(N/(N-1))."""
+    N = m + n
+    s = _rank_grid(N)[:-1]
+    e0 = m * s / N
+    sd0 = np.sqrt(m * n * s * (N - s) / (N * N * (N - 1.0)))
+    e0.setflags(write=False)
+    sd0.setflags(write=False)
+    return e0, sd0, np.sqrt(N / (N - 1.0))
+
+
 def hc_from_indicator(xi: np.ndarray, m: int, n: int) -> float:
     """Rank-form higher criticism from the sorted X-origin indicator."""
-    N = m + n
-    s = np.arange(1, N, dtype=float)
+    e0, sd0, c = _hc_null_moments(m, n)
     v = np.cumsum(xi)[:-1]
-    e0 = m * s / N
-    var0 = m * n * s * (N - s) / (N * N * (N - 1.0))
-    return float(np.sqrt(N / (N - 1.0)) * np.max((v - e0) / np.sqrt(var0)))
+    return float(c * np.max((v - e0) / sd0))
 
 
 def hc_sup_form_from_indicator(xi: np.ndarray, m: int, n: int) -> float:
@@ -135,15 +156,18 @@ def hc_sup_form_from_indicator(xi: np.ndarray, m: int, n: int) -> float:
 
 
 def wilcoxon_from_indicator(xi: np.ndarray, m: int, n: int) -> int:
-    """U = #{(i, j): X_i < Y_j} via a single cumulative pass."""
-    cx = np.cumsum(xi)
-    return int(cx[xi == 0].sum())
+    """U = #{(i, j): X_i < Y_j} via a single cumulative pass.
+
+    The running X-count summed over Y positions is U; over X positions it
+    is 1 + ... + m, since the k-th X in pooled order sees k.
+    """
+    return int(np.cumsum(xi).sum() - m * (m + 1) // 2)
 
 
 def ks_from_indicator(xi: np.ndarray, m: int, n: int) -> float:
     """Signed one-sided sup of F_m - G_n; never below 0 (sup over all t)."""
     cx = np.cumsum(xi)
-    s = np.arange(1, m + n + 1, dtype=float)
+    s = _rank_grid(m + n)
     d = cx / m - (s - cx) / n
     return float(max(0.0, np.max(d)))
 

@@ -58,6 +58,11 @@ def quad_pieces(fn, cuts, upper: float = np.inf) -> float:
     return total
 
 
+def _check_size(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def _report(lhs: float, scale: float, where: float | None = None) -> ConditionReport:
     ratio = lhs / scale
     if ratio >= _YES_RATIO:
@@ -109,6 +114,7 @@ def hc_conditions(
     separation against log n (always evaluated at the median of F,
     regardless of t).
     """
+    _check_size("n", n, 2)  # log n is the comparison scale
     if not (0.0 < eta <= 0.5):
         raise ValueError(f"eta must lie in (0, 1/2], got {eta}")
     eps, mu = alt.epsilon, alt.mu
@@ -128,6 +134,7 @@ def hc_conditions(
 
 def wilcoxon_condition(n: int, p: GGParams, alt: MixtureAlt) -> ConditionReport:
     """sqrt(n)*eps*(1/2 - integral of F(x - mu) dF(x)) against log n."""
+    _check_size("n", n, 2)
     mu = alt.mu
     total = quad_pieces(
         lambda x: gg_cdf(x - mu, p) * gg_pdf(x, p),
@@ -143,6 +150,7 @@ def ks_condition(n: int, p: GGParams, alt: MixtureAlt) -> ConditionReport:
     The objective is unimodal for the symmetric unimodal base density; a
     bracketing grid locates the mode, then Brent refinement pins it to 1e-8.
     """
+    _check_size("n", n, 2)
     mu = alt.mu
 
     def objective(t):
@@ -183,6 +191,9 @@ class TailRunCheck:
 def tailrun_condition(
     t: float, m: int, n: int, p: GGParams, alt: MixtureAlt, l: int
 ) -> TailRunCheck:
+    _check_size("m", m, 1)
+    _check_size("n", n, 1)
+    _check_size("l", l, 0)
     return TailRunCheck(
         tail_mass_x=m * gg_survival(t, p),
         run_margin=n * alt.epsilon * gg_survival(t - alt.mu, p) - 2.0 * l,

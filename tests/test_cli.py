@@ -153,6 +153,26 @@ class TestCmdDiagnose:
         with pytest.raises(SystemExit):
             main(["diagnose", "--condition", "bogus"])
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["--condition", "wilcoxon", "--n", "1"], "n"),
+            (["--condition", "hc", "--t", "1", "--n", "1"], "n"),
+            (["--condition", "ks", "--n", "0"], "n"),
+            (["--condition", "wilcoxon", "--n", "0"], "n"),
+            (["--condition", "hc", "--t", "1", "--n", "-4"], "n"),
+            (["--condition", "tailrun", "--t", "1", "--m", "-3", "--l", "-2"], "m"),
+            (["--condition", "tailrun", "--t", "1", "--n", "0"], "n"),
+            (["--condition", "tailrun", "--t", "1", "--l", "-2"], "l"),
+        ],
+    )
+    def test_bad_size_exit(self, capsys, args, name):
+        argv = ["diagnose", *args, "--epsilon", "0.1", "--mu", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be at least")
+        assert "Traceback" not in err
+
 
 class TestCmdCalibrate:
     def test_deterministic_files(self, tmp_path, capsys):

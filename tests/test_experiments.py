@@ -197,6 +197,17 @@ class TestPinnedOutput:
             "fd0c7875d4ebf62c4f6018e680268fa2c86e1e2966255f89707020b345b9180e"
         )
 
+    def test_sparse_rank_power_grid(self):
+        # dexp-moderate: gamma = 1, sparse regime, the four rank tests
+        base = figure_config("dexp-moderate", scale=0.002)
+        cfg = dataclasses.replace(
+            base, grid=base.grid[:3], calib_reps=200, power_reps=20,
+            tests=[st.HC, st.WILCOXON, st.KS, st.TAILRUN],
+        )
+        assert self.digest(run_power_grid(cfg)) == (
+            "f813e5cee14033a23c7717299873cb8e001633fb0ae31296a1e5c22ddaf50f43"
+        )
+
     @pytest.mark.parametrize("run", [run_power_grid, run_null_level])
     def test_null_tables(self, monkeypatch, run):
         # the reject counts of 20 power replicates can hide a changed null

@@ -17,8 +17,14 @@ from mixdetect import (
     tail_run,
     wilcoxon_u,
 )
+from mixdetect import statistics as st
 from mixdetect.calibration import ks_lambda
-from mixdetect.statistics import pooled_indicator
+from mixdetect.statistics import (
+    hc_from_indicator,
+    ks_from_indicator,
+    pooled_indicator,
+    wilcoxon_from_indicator,
+)
 
 
 def random_two_sample(rng, max_size=200):
@@ -75,6 +81,106 @@ class TestTies:
         np.testing.assert_array_equal(y, y2)
 
 
+def reference_indicator(x, y):
+    """The pooled ordering as one stable sort of the concatenated samples."""
+    order = np.argsort(np.concatenate([x, y]), kind="stable")
+    return (order < x.size).astype(np.int64)
+
+
+def reference_hc(xi, m, n):
+    N = m + n
+    s = np.arange(1, N, dtype=float)
+    v = np.cumsum(xi)[:-1]
+    e0 = m * s / N
+    var0 = m * n * s * (N - s) / (N * N * (N - 1.0))
+    return float(np.sqrt(N / (N - 1.0)) * np.max((v - e0) / np.sqrt(var0)))
+
+
+def reference_ks(xi, m, n):
+    cx = np.cumsum(xi)
+    s = np.arange(1, m + n + 1, dtype=float)
+    return float(max(0.0, np.max(cx / m - (s - cx) / n)))
+
+
+def arrangement(rng, m, n):
+    return rng.permutation(np.r_[np.ones(m, np.int64), np.zeros(n, np.int64)])
+
+
+class TestPooledIndicator:
+    @pytest.mark.parametrize(
+        "m, n", [(1, 1), (1, 40), (40, 1), (7, 300), (300, 7), (150, 150)]
+    )
+    def test_matches_one_stable_sort(self, m, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        for _ in range(20):
+            x = rng.normal(size=m)
+            y = rng.standard_cauchy(size=n)
+            xi = pooled_indicator(x, y)
+            assert xi.dtype == np.int64
+            np.testing.assert_array_equal(xi, reference_indicator(x, y))
+
+    @pytest.mark.parametrize("shift", [-100.0, 100.0])
+    def test_separated_samples(self, shift):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=30) + shift
+        y = rng.normal(size=20)
+        xi = pooled_indicator(x, y)
+        np.testing.assert_array_equal(xi, reference_indicator(x, y))
+        expected = [1] * 30 + [0] * 20 if shift < 0 else [0] * 20 + [1] * 30
+        np.testing.assert_array_equal(xi, expected)
+
+    @pytest.mark.parametrize(
+        "x, y, value",
+        [
+            ([9.0, 0.5], [-2.0, 9.0], 9.0),  # across the samples
+            ([4.0, 0.5, 4.0], [1.0, 7.0], 4.0),  # within x
+            ([0.0, 9.0], [5.0, -1.0, 5.0], 5.0),  # within y
+            ([3.0, 3.0, 1.0], [1.0, 5.0], 1.0),  # several: the smallest
+            ([8.0, 2.0, 6.0], [6.0, 8.0, 2.0], 2.0),
+        ],
+    )
+    def test_ties_name_smallest_value(self, x, y, value):
+        x, y = np.array(x), np.array(y)
+        with pytest.raises(TiesError) as exc:
+            pooled_indicator(x, y)
+        assert exc.value.value == value
+        with pytest.raises(TiesError) as exc:
+            pooled_indicator(y, x)
+        assert exc.value.value == value
+
+
+class TestCachedKernels:
+    # more (m, n) pairs than the caches hold, visited twice, so entries are
+    # evicted and rebuilt between calls
+    SIZES = [(1, 1), (1, 9), (9, 1), (5, 5), (13, 7), (7, 13), (40, 40),
+             (100, 3), (3, 100), (64, 65), (2, 2)]
+
+    def test_bitwise_equal_to_uncached(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2):
+            for m, n in self.SIZES:
+                for _ in range(5):
+                    xi = arrangement(rng, m, n)
+                    assert hc_from_indicator(xi, m, n) == reference_hc(xi, m, n)
+                    assert ks_from_indicator(xi, m, n) == reference_ks(xi, m, n)
+
+    def test_integer_sizes_share_entries(self):
+        rng = np.random.default_rng(13)
+        xi = arrangement(rng, 6, 4)
+        hc = hc_from_indicator(xi, np.int64(6), np.int64(4))
+        assert hc == hc_from_indicator(xi, 6, 4) == reference_hc(xi, 6, 4)
+
+    def test_constants_read_only(self):
+        e0, sd0, _ = st._hc_null_moments(5, 3)
+        grid = st._rank_grid(8)
+        for arr in (e0, sd0, grid):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+        with pytest.raises(ValueError):
+            grid += 1.0
+        np.testing.assert_array_equal(st._rank_grid(8), np.arange(1.0, 9.0))
+
+
 class TestHigherCriticism:
     def test_singletons(self):
         assert hc_stat(TwoSample(x=[0.3], y=[0.7])).value == pytest.approx(
@@ -128,6 +234,23 @@ class TestWilcoxon:
             ts = random_two_sample(rng, max_size=25)
             brute = sum(1 for xi in ts.x for yj in ts.y if xi < yj)
             assert wilcoxon_u(ts).value == brute
+
+    def test_arrangement_pair_count(self):
+        rng = np.random.default_rng(14)
+        for m, n in [(1, 1), (1, 6), (6, 1), (5, 8), (12, 4), (30, 30)]:
+            for _ in range(10):
+                xi = arrangement(rng, m, n)
+                x_at = np.flatnonzero(xi == 1)
+                y_at = np.flatnonzero(xi == 0)
+                brute = sum(1 for i in x_at for j in y_at if i < j)
+                u = wilcoxon_from_indicator(xi, m, n)
+                assert type(u) is int and u == brute
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (4, 9), (9, 4)])
+    def test_extreme_arrangements(self, m, n):
+        below = np.r_[np.ones(m, np.int64), np.zeros(n, np.int64)]
+        assert wilcoxon_from_indicator(below, m, n) == m * n
+        assert wilcoxon_from_indicator(below[::-1].copy(), m, n) == 0
 
     def test_complement_identity(self):
         rng = np.random.default_rng(3)

@@ -199,3 +199,33 @@ class TestLowerBoundIntegral:
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
             lower_bound_integral(np.inf, NORMAL, -1.0)
+
+
+class TestConditionSizes:
+    ALT = MixtureAlt(0.1, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_n_below_two_refused(self, n):
+        calls = [
+            lambda: hc_conditions(1.0, n, NORMAL, self.ALT, eta=0.5),
+            lambda: wilcoxon_condition(n, NORMAL, self.ALT),
+            lambda: ks_condition(n, NORMAL, self.ALT),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"n must be at least 2, got {n}"):
+                call()
+
+    @pytest.mark.parametrize(
+        "m, n, l, name",
+        [(0, 10, 1, "m"), (-3, 10, 1, "m"), (10, 0, 1, "n"), (10, 10, -2, "l")],
+    )
+    def test_tailrun_sizes_refused(self, m, n, l, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least"):
+            tailrun_condition(1.0, m, n, NORMAL, self.ALT, l=l)
+
+    def test_smallest_sizes_accepted(self):
+        hc_conditions(1.0, 2, NORMAL, self.ALT, eta=0.5)
+        wilcoxon_condition(2, NORMAL, self.ALT)
+        ks_condition(2, NORMAL, self.ALT)
+        chk = tailrun_condition(1.0, 1, 1, NORMAL, self.ALT, l=0)
+        assert chk.tail_mass_x >= 0.0
