@@ -10,6 +10,7 @@ ignores the X-sample, since F is supplied exactly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ TAILRUN = "TAILRUN"
 LRT = "LRT"
 
 ALL_STATISTICS = (LRT, HC, WILCOXON, KS, TAILRUN)
+
+# largest log density ratio whose exp the LRT takes directly; exp overflows
+# past log(DBL_MAX) ~ 709.78
+_EXP_SAFE = 700.0
 
 
 class TiesError(ValueError):
@@ -206,8 +211,12 @@ def tail_run(ts: TwoSample) -> StatValue:
 def lrt_stat(y, p: GGParams, alt: MixtureAlt) -> StatValue:
     """Oracle log-likelihood ratio of the Y-sample under the true model.
 
-    Each term log((1-eps) + eps * f(y-mu)/f(y)) is assembled in log space,
-    so tiny eps and huge density ratios are both handled stably.
+    Each term log((1-eps) + eps * f(y-mu)/f(y)) is written
+    log1p(-eps) + log1p(eps/(1-eps) * exp(lr)), lr = log(f(y-mu)/f(y)), and
+    the constant n * log1p(-eps) is added once.  Where exp(lr) would
+    overflow the term is logaddexp(0, log(eps/(1-eps)) + lr), the same value
+    in log space, so tiny eps and huge density ratios are both handled
+    stably.
     """
     y = np.asarray(y, dtype=float)
     if y.size == 0:
@@ -215,9 +224,12 @@ def lrt_stat(y, p: GGParams, alt: MixtureAlt) -> StatValue:
     z = y / p.scale
     zs = (y - alt.mu) / p.scale
     log_ratio = (np.abs(z) ** p.gamma - np.abs(zs) ** p.gamma) / p.gamma
-    terms = np.logaddexp(np.log1p(-alt.epsilon), np.log(alt.epsilon) + log_ratio)
-    total = float(np.sum(terms))
+    odds = alt.epsilon / (1.0 - alt.epsilon)
+    terms = np.log1p(odds * np.exp(np.minimum(log_ratio, _EXP_SAFE)))
+    big = log_ratio > _EXP_SAFE
+    if big.any():
+        terms[big] = np.logaddexp(0.0, math.log(odds) + log_ratio[big])
+    total = float(np.sum(terms) + y.size * math.log1p(-alt.epsilon))
     if not np.isfinite(total):
         raise FloatingPointError("non-finite likelihood ratio term")
     return StatValue(LRT, total)
-

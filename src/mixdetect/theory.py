@@ -112,7 +112,10 @@ def hc_conditions(
     (i) tail mass n*(sf(t) v eps*sf(t-mu)) against log^2 n; (ii) the
     normalized mean separation at t against log n; (iii) the median-threshold
     separation against log n (always evaluated at the median of F,
-    regardless of t).
+    regardless of t).  Where t lies so far in the tail that sf(t) and
+    eps*eta*sf(t-mu) both underflow to 0, (ii) reads 0 (verdict no): its
+    true value, at most sqrt(n * eps * sf(t-mu) / eta), is lost below the
+    float range.
     """
     _check_size("n", n, 2)  # log n is the comparison scale
     if not (0.0 < eta <= 0.5):
@@ -122,7 +125,8 @@ def hc_conditions(
     sf_t = gg_survival(t, p)
     sf_tm = gg_survival(t - mu, p)
     lhs1 = n * max(sf_t, eps * sf_tm)
-    lhs2 = math.sqrt(n) * eps * (sf_tm - sf_t) / math.sqrt(sf_t + eps * eta * sf_tm)
+    den = sf_t + eps * eta * sf_tm
+    lhs2 = math.sqrt(n) * eps * (sf_tm - sf_t) / math.sqrt(den) if den > 0 else 0.0
     sf_med_m = gg_survival(-mu, p)  # median of symmetric F is 0
     lhs3 = math.sqrt(n) * eps * (sf_med_m - 0.5)
     return (

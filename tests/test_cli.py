@@ -153,6 +153,19 @@ class TestCmdDiagnose:
         with pytest.raises(SystemExit):
             main(["diagnose", "--condition", "bogus"])
 
+    def test_hc_far_tail_threshold(self, capsys):
+        # both survival terms underflow at t = 100, where the separation's
+        # formula is 0/0 in floats
+        argv = ["diagnose", "--condition", "hc", "--t", "100", "--n", "1000",
+                "--epsilon", "0.1", "--mu", "1"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        out = json.loads(captured.out)
+        assert out["separation"]["lhs"] == 0.0
+        assert out["separation"]["verdict"] == "no"
+        assert out["tail_mass"]["verdict"] == "no"
+
     @pytest.mark.parametrize(
         "args, name",
         [

@@ -167,6 +167,40 @@ class TestSampling:
         assert p.variance == pytest.approx(1.0, abs=1e-12)
 
 
+def gamma_route(count, p, rng):
+    """|X/scale|**gamma / gamma ~ Gamma(1/gamma), with a uniform sign."""
+    w = rng.gamma(1.0 / p.gamma, size=count)
+    sign = rng.integers(0, 2, size=count) * 2 - 1
+    return sign * p.scale * (p.gamma * w) ** (1.0 / p.gamma)
+
+
+class TestSamplerRoutes:
+    """gamma = 2 and gamma = 1 are drawn directly; other gamma by gamma variates."""
+
+    def test_normal_route(self):
+        p = GGParams(gamma=2.0, scale=1.7)
+        got = gg_sample(1000, p, np.random.default_rng(21))
+        np.testing.assert_array_equal(got, 1.7 * np.random.default_rng(21).standard_normal(1000))
+
+    def test_laplace_route(self):
+        p = GGParams(gamma=1.0, scale=0.6)
+        got = gg_sample(1000, p, np.random.default_rng(22))
+        np.testing.assert_array_equal(got, np.random.default_rng(22).laplace(0.0, 0.6, 1000))
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    def test_gamma_route_kept(self, gamma):
+        p = GGParams(gamma=gamma, scale=1.3)
+        got = gg_sample(1000, p, np.random.default_rng(23))
+        np.testing.assert_array_equal(got, gamma_route(1000, p, np.random.default_rng(23)))
+
+    @pytest.mark.parametrize("gamma, scale", [(2.0, 2.5), (1.0, 0.4)])
+    def test_direct_route_fits_cdf(self, gamma, scale):
+        p = GGParams(gamma=gamma, scale=scale)
+        draws = gg_sample(10**5, p, np.random.default_rng(24))
+        res = stats.kstest(draws, lambda v: gg_cdf(v, p))
+        assert res.pvalue > 0.001
+
+
 class TestMixture:
     def test_tail_mass(self):
         # nearly half the draws carry a huge shift

@@ -9,10 +9,12 @@ from mixdetect import (
     TiesError,
     TwoSample,
     dejitter,
+    gg_sample,
     hc_stat,
     hc_stat_sup_form,
     ks_one_sided,
     lrt_stat,
+    mixture_sample,
     rank_profile,
     tail_run,
     wilcoxon_u,
@@ -333,6 +335,55 @@ class TestLrt:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lrt_stat(np.array([]), self.NORMAL, MixtureAlt(0.1, 1.0))
+
+
+def log_ratios(y, p, mu):
+    """log(f(y - mu) / f(y)) for the generalized Gaussian f."""
+    z, zs = np.abs(y / p.scale), np.abs((y - mu) / p.scale)
+    return (z**p.gamma - zs**p.gamma) / p.gamma
+
+
+def reference_lrt(y, p, alt):
+    """The LRT as one logaddexp per term, log((1-eps) + eps * f(y-mu)/f(y))."""
+    y = np.asarray(y, dtype=float)
+    lr = log_ratios(y, p, alt.mu)
+    return float(np.sum(np.logaddexp(np.log1p(-alt.epsilon), np.log(alt.epsilon) + lr)))
+
+
+class TestLrtReference:
+    """lrt_stat's log1p form against the logaddexp form, to relative 1e-9."""
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("eps, mu", [(0.3, 0.05), (0.1, 1.0), (0.01, 3.0), (1e-4, 6.0)])
+    def test_random_samples(self, gamma, eps, mu):
+        rng = np.random.default_rng(int(gamma * 100) + int(mu * 10))
+        p = GGParams(gamma=gamma, scale=0.8)
+        alt = MixtureAlt(epsilon=eps, mu=mu)
+        for n in (1, 7, 2000):
+            for y in (gg_sample(n, p, rng), mixture_sample(n, p, alt, rng)):
+                got = lrt_stat(y, p, alt).value
+                assert got == pytest.approx(reference_lrt(y, p, alt), rel=1e-9)
+
+    def test_overflow_branch(self):
+        # lr reaches 1487 and 10^6 here, past exp's range (lr > 709)
+        p = GGParams(gamma=2.0)
+        for alt, y in [
+            (MixtureAlt(epsilon=1e-6, mu=5.0), np.array([300.0, -300.0, 0.0, 2.0])),
+            (MixtureAlt(epsilon=0.2, mu=1000.0), np.array([1000.0, 999.0, 0.5, -3.0])),
+            (MixtureAlt(epsilon=0.01, mu=40.0), np.linspace(-5.0, 60.0, 500)),
+        ]:
+            assert np.max(log_ratios(y, p, alt.mu)) > 709
+            got = lrt_stat(y, p, alt).value
+            assert got == pytest.approx(reference_lrt(y, p, alt), rel=1e-9)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_tiny_epsilon(self, gamma):
+        rng = np.random.default_rng(15)
+        p = GGParams(gamma=gamma)
+        alt = MixtureAlt(epsilon=1e-15, mu=2.0)
+        for y in (gg_sample(500, p, rng), gg_sample(500, p, rng) + 2.0):
+            got = lrt_stat(y, p, alt).value
+            assert got == pytest.approx(reference_lrt(y, p, alt), rel=1e-9)
 
 
 class TestSharedProperties:

@@ -111,6 +111,26 @@ class TestHcConditions:
         with pytest.raises(ValueError):
             hc_conditions(1.0, 100, NORMAL, MixtureAlt(0.1, 1.0), eta=0.6)
 
+    @pytest.mark.parametrize("t", [40.0, 100.0, 1e6])
+    def test_far_tail_reads_zero(self, t):
+        # sf(t) and eps*eta*sf(t - mu) both underflow to 0 here, so the
+        # separation's formula is 0/0 in floats: it reads 0, verdict no
+        c1, c2, c3 = hc_conditions(t, 1000, NORMAL, MixtureAlt(0.1, 1.0), eta=0.5)
+        assert (c1.lhs, c2.lhs) == (0.0, 0.0)
+        assert (c1.verdict, c2.verdict) == ("no", "no")
+        assert math.isfinite(c3.lhs) and c3.lhs > 0
+
+    def test_tail_just_inside_float_range_unchanged(self):
+        # t = 30: both survival terms are tiny but positive, so (ii) keeps
+        # its formula
+        alt = MixtureAlt(0.1, 1.0)
+        sf_t, sf_tm = stats.norm.sf(30.0), stats.norm.sf(29.0)
+        assert sf_t > 0
+        expected = math.sqrt(1000) * 0.1 * (sf_tm - sf_t) / math.sqrt(sf_t + 0.05 * sf_tm)
+        _, c2, _ = hc_conditions(30.0, 1000, NORMAL, alt, eta=0.5)
+        assert c2.lhs == pytest.approx(expected, rel=1e-9)
+        assert c2.lhs > 0
+
 
 class TestWilcoxonCondition:
     def test_tiny_mu(self):
