@@ -28,14 +28,17 @@ from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_sample, mixt
 from .theory import quad_pieces
 
 # files of another version are refused (3: rank tables of RNG_SCHEME 3,
-# which scheme 4 leaves unchanged; only rank-statistic files are ever read)
+# which schemes 4 and 5 leave unchanged; only rank-statistic files are ever
+# read)
 CACHE_FORMAT_VERSION = 3
 
-# version of the harness's seed streams, recorded in its JSON output;
-# scheme 3 draws each rank-null replicate as one random arrangement, and
+# version of the harness's seed streams and LRT values, recorded in its JSON
+# output; scheme 3 draws each rank-null replicate as one random arrangement,
 # scheme 4 draws gamma = 2 and gamma = 1 samples directly (gg_sample) and
-# sums the LRT in log1p form (lrt_stat); rank-null tables are unchanged
-RNG_SCHEME = 4
+# sums the LRT in log1p form (lrt_stat), and scheme 5 takes the gamma = 2
+# log density ratio in its affine form (lrt_stat), which moves gamma = 2 LRT
+# values in their last bits; rank-null tables are unchanged
+RNG_SCHEME = 5
 
 _TINY_P = 1e-300
 
@@ -361,7 +364,7 @@ STATISTICS = {
 }
 
 
-def _npz_path(path) -> Path:
+def npz_path(path) -> Path:
     """path with the .npz suffix that numpy appends on save."""
     path = Path(path)
     return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
@@ -372,7 +375,7 @@ def save_null_table(table: NullTable, path, force: bool = False) -> Path:
 
     Returns the path written, which ends in .npz.
     """
-    path = _npz_path(path)
+    path = npz_path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force=True to overwrite")
     np.savez(
@@ -393,7 +396,7 @@ def load_null_table(path) -> NullTable:
 
     Like save_null_table, it adds a missing .npz suffix to path.
     """
-    path = _npz_path(path)
+    path = npz_path(path)
     try:
         with np.load(path) as data:
             version = int(data["version"])

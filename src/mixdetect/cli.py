@@ -224,6 +224,14 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def _table_file_name(statistic: str, args, model) -> str:
+    """The harness's cache name; an LRT name also carries gamma, scale, eps and mu."""
+    if model is not None:
+        p, alt = model
+        statistic += f"_g{p.gamma!r}_sc{p.scale!r}_e{alt.epsilon!r}_mu{alt.mu!r}"
+    return cal.cache_key(statistic, args.m, args.n, args.reps, args.seed)
+
+
 def cmd_calibrate(args) -> int:
     statistic = args.statistic.upper()
     if statistic == st.TAILRUN:
@@ -235,12 +243,15 @@ def cmd_calibrate(args) -> int:
     model = None
     if statistic == st.LRT:
         model = (_model_from_args(args), _alt_from_args(args))
+    # a bad --out fails now, not after simulating the table
+    out = cal.npz_path(args.out or _table_file_name(statistic, args, model))
+    if out.exists() and not args.force:
+        raise CliError(f"{out} exists; pass --force to overwrite")
+    if not out.parent.is_dir():
+        raise CliError(f"cannot write {out}: no directory {out.parent}")
     table = cal.mc_null_table(
         statistic, args.m, args.n, args.reps, args.seed, model=model
     )
-    out = Path(args.out) if args.out else Path(cal.cache_key(
-        statistic, args.m, args.n, args.reps, args.seed
-    ))
     try:
         out = cal.save_null_table(table, out, force=args.force)
     except OSError as e:

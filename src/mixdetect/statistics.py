@@ -213,22 +213,32 @@ def lrt_stat(y, p: GGParams, alt: MixtureAlt) -> StatValue:
 
     Each term log((1-eps) + eps * f(y-mu)/f(y)) is written
     log1p(-eps) + log1p(eps/(1-eps) * exp(lr)), lr = log(f(y-mu)/f(y)), and
-    the constant n * log1p(-eps) is added once.  Where exp(lr) would
-    overflow the term is logaddexp(0, log(eps/(1-eps)) + lr), the same value
+    the constant n * log1p(-eps) is added once.  For gamma = 2 lr is the
+    affine c*z - c^2/2 (z = y/scale, c = mu/scale), taken as
+    y * (c/scale) - c^2/2 and exact far in the tail; other gamma take
+    (|z|^gamma - |z - c|^gamma)/gamma.  Only when some lr
+    exceeds _EXP_SAFE, where exp(lr) could overflow, is lr clamped and the
+    large terms set to logaddexp(0, log(eps/(1-eps)) + lr), the same value
     in log space, so tiny eps and huge density ratios are both handled
     stably.
     """
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("y must be nonempty")
-    z = y / p.scale
-    zs = (y - alt.mu) / p.scale
-    log_ratio = (np.abs(z) ** p.gamma - np.abs(zs) ** p.gamma) / p.gamma
+    if p.gamma == 2.0:
+        c = alt.mu / p.scale
+        log_ratio = y * (c / p.scale) - 0.5 * c * c  # one pass over y
+    else:
+        z = y / p.scale
+        zs = (y - alt.mu) / p.scale
+        log_ratio = (np.abs(z) ** p.gamma - np.abs(zs) ** p.gamma) / p.gamma
     odds = alt.epsilon / (1.0 - alt.epsilon)
-    terms = np.log1p(odds * np.exp(np.minimum(log_ratio, _EXP_SAFE)))
-    big = log_ratio > _EXP_SAFE
-    if big.any():
+    if log_ratio.max() > _EXP_SAFE:
+        terms = np.log1p(odds * np.exp(np.minimum(log_ratio, _EXP_SAFE)))
+        big = log_ratio > _EXP_SAFE
         terms[big] = np.logaddexp(0.0, math.log(odds) + log_ratio[big])
+    else:
+        terms = np.log1p(odds * np.exp(log_ratio))
     total = float(np.sum(terms) + y.size * math.log1p(-alt.epsilon))
     if not np.isfinite(total):
         raise FloatingPointError("non-finite likelihood ratio term")

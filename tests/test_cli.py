@@ -232,6 +232,41 @@ class TestCmdCalibrate:
         assert main(args) == 1
         assert main(args + ["--force"]) == 0
 
+    def test_bad_out_refused_before_simulating(self, tmp_path, capsys, monkeypatch):
+        from mixdetect import calibration
+
+        out = tmp_path / "t.npz"
+        out.write_bytes(b"")
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("mc_null_table called for a bad --out")
+
+        monkeypatch.setattr(calibration, "mc_null_table", no_table)
+        args = [
+            "calibrate", "--statistic", "HC", "--m", "20", "--n", "20",
+            "--reps", "150", "--out", str(out),
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--force" in err
+        assert out.read_bytes() == b""
+        args[-1] = str(tmp_path / "nodir" / "t.npz")
+        assert main(args) == 1
+        assert "nodir" in capsys.readouterr().err
+
+    def test_lrt_default_names_carry_the_model(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        args = [
+            "calibrate", "--statistic", "LRT", "--m", "5", "--n", "50",
+            "--reps", "100", "--seed", "0", "--epsilon", "0.1",
+        ]
+        paths = []
+        for mu in ("1", "3"):
+            assert main(args + ["--mu", mu]) == 0
+            paths.append(json.loads(capsys.readouterr().out)["path"])
+        assert paths[0] != paths[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(paths)
+
     def test_path_without_suffix(self, tmp_path, capsys):
         args = [
             "calibrate", "--statistic", "HC", "--m", "20", "--n", "20",

@@ -386,6 +386,44 @@ class TestLrtReference:
             assert got == pytest.approx(reference_lrt(y, p, alt), rel=1e-9)
 
 
+def scheme4_lrt(y, p, alt):
+    """lrt_stat as of rng_scheme 4, operation for operation."""
+    y = np.asarray(y, dtype=float)
+    z = y / p.scale
+    zs = (y - alt.mu) / p.scale
+    log_ratio = (np.abs(z) ** p.gamma - np.abs(zs) ** p.gamma) / p.gamma
+    odds = alt.epsilon / (1.0 - alt.epsilon)
+    terms = np.log1p(odds * np.exp(np.minimum(log_ratio, 700.0)))
+    big = log_ratio > 700.0
+    if big.any():
+        terms[big] = np.logaddexp(0.0, math.log(odds) + log_ratio[big])
+    return float(np.sum(terms) + y.size * math.log1p(-alt.epsilon))
+
+
+class TestLrtKernel:
+    """The affine gamma = 2 route, and every other gamma unchanged bit for bit."""
+
+    def test_normal_far_tail_exact(self):
+        # the squared form (|z|^2 - |z - mu|^2)/2 is off by 0.5 here
+        val = lrt_stat(np.array([1e8]), GGParams(2.0), MixtureAlt(0.1, 1.0)).value
+        assert val == pytest.approx(1e8 - 0.5 + math.log(0.1), abs=1e-6)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 3.0])
+    def test_other_gamma_bitwise(self, gamma):
+        rng = np.random.default_rng(int(gamma * 10))
+        p = GGParams(gamma=gamma, scale=0.8)
+        for alt in (MixtureAlt(0.1, 1.0), MixtureAlt(1e-4, 4.0)):
+            for y in (gg_sample(2000, p, rng), mixture_sample(2000, p, alt, rng)):
+                assert np.max(log_ratios(y, p, alt.mu)) < 700
+                assert lrt_stat(y, p, alt).value == scheme4_lrt(y, p, alt)
+        # a shift whose density ratio at y = mu is exp(1500): the clamp route
+        mu = 0.8 * (1500.0 * gamma) ** (1.0 / gamma)
+        alt = MixtureAlt(0.01, mu)
+        for y in (np.linspace(-5.0, 1.2 * mu, 400), mixture_sample(2000, p, alt, rng)):
+            assert np.max(log_ratios(y, p, alt.mu)) > 700
+            assert lrt_stat(y, p, alt).value == scheme4_lrt(y, p, alt)
+
+
 class TestSharedProperties:
     def test_shift_monotonicity(self):
         rng = np.random.default_rng(6)
