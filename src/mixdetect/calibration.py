@@ -28,17 +28,19 @@ from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_sample, mixt
 from .theory import quad_pieces
 
 # files of another version are refused (3: rank tables of RNG_SCHEME 3,
-# which schemes 4 and 5 leave unchanged; only rank-statistic files are ever
+# which schemes 4 to 6 leave unchanged; only rank-statistic files are ever
 # read)
 CACHE_FORMAT_VERSION = 3
 
 # version of the harness's seed streams and LRT values, recorded in its JSON
 # output; scheme 3 draws each rank-null replicate as one random arrangement,
 # scheme 4 draws gamma = 2 and gamma = 1 samples directly (gg_sample) and
-# sums the LRT in log1p form (lrt_stat), and scheme 5 takes the gamma = 2
-# log density ratio in its affine form (lrt_stat), which moves gamma = 2 LRT
-# values in their last bits; rank-null tables are unchanged
-RNG_SCHEME = 5
+# sums the LRT in log1p form (lrt_stat), scheme 5 takes the gamma = 2 log
+# density ratio in its affine form (lrt_stat), which moves gamma = 2 LRT
+# values in their last bits, and scheme 6 draws gamma = 1 samples by gamma
+# variates again (gg_sample), as every gamma but 2 is; rank-null tables are
+# unchanged
+RNG_SCHEME = 6
 
 _TINY_P = 1e-300
 

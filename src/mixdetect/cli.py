@@ -167,16 +167,9 @@ def cmd_boundary(args) -> int:
     return 0
 
 
-def _report_json(rep: theory.ConditionReport) -> dict:
-    out = {
-        "lhs": rep.lhs,
-        "scale": rep.scale,
-        "ratio": rep.ratio,
-        "verdict": rep.verdict,
-    }
-    if rep.where is not None:
-        out["where"] = rep.where
-    return out
+def _report_json(report) -> dict:
+    """A ConditionReport or TailRunCheck as a dict, without its None fields."""
+    return {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
 
 
 def cmd_diagnose(args) -> int:
@@ -190,37 +183,23 @@ def cmd_diagnose(args) -> int:
         return 0
     alt = _alt_from_args(args)
     if args.condition == "wilcoxon":
-        rep = theory.wilcoxon_condition(args.n, model, alt)
-        print(json.dumps(_report_json(rep), sort_keys=True))
+        out = _report_json(theory.wilcoxon_condition(args.n, model, alt))
     elif args.condition == "ks":
-        rep = theory.ks_condition(args.n, model, alt)
-        print(json.dumps(_report_json(rep), sort_keys=True))
+        out = _report_json(theory.ks_condition(args.n, model, alt))
     elif args.condition == "hc":
         if args.t is None:
             raise CliError("hc requires --t (the threshold t_n)")
         reps = theory.hc_conditions(args.t, args.n, model, alt, args.eta)
-        print(
-            json.dumps(
-                {
-                    "tail_mass": _report_json(reps[0]),
-                    "separation": _report_json(reps[1]),
-                    "median_separation": _report_json(reps[2]),
-                },
-                sort_keys=True,
-            )
-        )
+        names = ("tail_mass", "separation", "median_separation")
+        out = {name: _report_json(rep) for name, rep in zip(names, reps)}
     elif args.condition == "tailrun":
         if args.t is None:
             raise CliError("tailrun requires --t")
         chk = theory.tailrun_condition(args.t, args.m, args.n, model, alt, args.l)
-        print(
-            json.dumps(
-                {"tail_mass_x": chk.tail_mass_x, "run_margin": chk.run_margin},
-                sort_keys=True,
-            )
-        )
+        out = _report_json(chk)
     else:
         raise CliError(f"unknown condition {args.condition!r}")
+    print(json.dumps(out, sort_keys=True))
     return 0
 
 

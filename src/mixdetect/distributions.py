@@ -155,16 +155,13 @@ def gg_quantile(q, p: GGParams):
 def gg_sample(count: int, p: GGParams, rng: np.random.Generator) -> np.ndarray:
     """iid draws from the generalized Gaussian.
 
-    gamma = 2 is drawn as scale * standard_normal and gamma = 1 as
-    laplace(0, scale); any other gamma uses |X/scale|**gamma / gamma ~
-    Gamma(1/gamma) with a uniform sign.
+    gamma = 2 is drawn as scale * standard_normal; any other gamma uses
+    |X/scale|**gamma / gamma ~ Gamma(1/gamma) with a uniform sign.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if p.gamma == 2.0:
         return p.scale * rng.standard_normal(count)
-    if p.gamma == 1.0:
-        return rng.laplace(0.0, p.scale, size=count)
     w = rng.gamma(1.0 / p.gamma, size=count)
     sign = rng.integers(0, 2, size=count) * 2 - 1
     return sign * p.scale * (p.gamma * w) ** (1.0 / p.gamma)

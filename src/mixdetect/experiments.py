@@ -108,19 +108,7 @@ class ScenarioConfig:
         return theory.detection_boundary_dense(self.beta, self.model.gamma)
 
     def to_dict(self) -> dict:
-        return {
-            "model": {"gamma": self.model.gamma, "scale": self.model.scale},
-            "m": self.m,
-            "n": self.n,
-            "regime": self.regime,
-            "beta": self.beta,
-            "grid": list(self.grid),
-            "tests": list(self.tests),
-            "level": self.level,
-            "power_reps": self.power_reps,
-            "calib_reps": self.calib_reps,
-            "master_seed": self.master_seed,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -161,10 +149,7 @@ class PowerCurve:
             "rng_scheme": cal.RNG_SCHEME,
             "boundary_marker": self.boundary_marker,
             "notes": self.notes,
-            "points": [
-                {"grid_value": pt.grid_value, "per_test": pt.per_test}
-                for pt in self.points
-            ],
+            "points": [dataclasses.asdict(pt) for pt in self.points],
         }
 
     def write(self, out_dir, stem: str) -> tuple[Path, Path]:

@@ -107,6 +107,22 @@ class TestCmdDiagnose:
         out = json.loads(capsys.readouterr().out)
         assert out["lower_bound_integral"] == pytest.approx(np.e - 1, rel=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_lower_bound_past_float_range(self, capsys):
+        assert main(["diagnose", "--condition", "lower-bound", "--mu", "30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "mu=30.0" in lines[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_ks_large_mu(self, capsys):
+        argv = ["diagnose", "--condition", "ks", "--epsilon", "0.1", "--mu", "20"]
+        assert main([*argv, "--n", "10000"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["where"] == 10.0
+
     def test_wilcoxon_tiny_mu(self, capsys):
         assert (
             main(

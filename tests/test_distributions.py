@@ -175,19 +175,14 @@ def gamma_route(count, p, rng):
 
 
 class TestSamplerRoutes:
-    """gamma = 2 and gamma = 1 are drawn directly; other gamma by gamma variates."""
+    """gamma = 2 is drawn directly; every other gamma by gamma variates."""
 
     def test_normal_route(self):
         p = GGParams(gamma=2.0, scale=1.7)
         got = gg_sample(1000, p, np.random.default_rng(21))
         np.testing.assert_array_equal(got, 1.7 * np.random.default_rng(21).standard_normal(1000))
 
-    def test_laplace_route(self):
-        p = GGParams(gamma=1.0, scale=0.6)
-        got = gg_sample(1000, p, np.random.default_rng(22))
-        np.testing.assert_array_equal(got, np.random.default_rng(22).laplace(0.0, 0.6, 1000))
-
-    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
     def test_gamma_route_kept(self, gamma):
         p = GGParams(gamma=gamma, scale=1.3)
         got = gg_sample(1000, p, np.random.default_rng(23))

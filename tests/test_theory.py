@@ -174,6 +174,20 @@ class TestKsCondition:
         rep = ks_condition(10**4, NORMAL, MixtureAlt(0.1, 1e-9))
         assert abs(rep.lhs) < 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "gamma, mu", [(2.0, 20.0), (3.0, 10.0), (1.0, 100.0), (0.5, 1e3), (2.0, 1e6)]
+    )
+    def test_large_mu(self, gamma, mu):
+        # sf(-t) = 1 - sf(t) for the symmetric base, so the sup is 1 - 2 sf(mu/2)
+        from mixdetect import gg_survival
+
+        p = GGParams(gamma=gamma)
+        rep = ks_condition(10**4, p, MixtureAlt(0.1, mu))
+        assert rep.where == mu / 2
+        closed = 1.0 - 2.0 * gg_survival(mu / 2, p)
+        assert rep.lhs == pytest.approx(math.sqrt(10**4) * 0.1 * closed, rel=1e-12)
+
 
 class TestTailRunCondition:
     def test_far_threshold(self):
@@ -219,6 +233,19 @@ class TestLowerBoundIntegral:
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
             lower_bound_integral(np.inf, NORMAL, -1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", [26.5, 26.6])
+    def test_inside_float_range(self, mu):
+        # the integrand exceeds exp(700) near 2*mu, yet the integral is finite
+        val = lower_bound_integral(np.inf, NORMAL, mu)
+        assert val == pytest.approx(math.expm1(mu**2), rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma, mu", [(2.0, 26.7), (2.0, 30.0), (1.0, 800.0)])
+    def test_past_float_range_refused(self, gamma, mu):
+        with pytest.raises(ValueError, match=f"float range at mu={mu!r}"):
+            lower_bound_integral(np.inf, GGParams(gamma=gamma), mu)
 
 
 class TestConditionSizes:
