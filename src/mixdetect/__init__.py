@@ -59,6 +59,7 @@ from .statistics import (
     hc_stat_sup_form,
     ks_one_sided,
     lrt_stat,
+    lrt_stats,
     rank_profile,
     tail_run,
     wilcoxon_u,

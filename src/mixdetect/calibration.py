@@ -27,10 +27,10 @@ from . import statistics as st
 from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_sample, mixture_sample
 from .theory import quad_pieces
 
-# files of another version are refused (3: rank tables of RNG_SCHEME 3,
-# which schemes 4 to 6 leave unchanged; only rank-statistic files are ever
-# read)
-CACHE_FORMAT_VERSION = 3
+# files of another version are refused (4: an LRT file also carries the
+# gamma, scale, eps and mu it was simulated for; rank tables are those of
+# RNG_SCHEME 3, which schemes 4 to 6 leave unchanged)
+CACHE_FORMAT_VERSION = 4
 
 # version of the harness's seed streams and LRT values, recorded in its JSON
 # output; scheme 3 draws each rank-null replicate as one random arrangement,
@@ -65,13 +65,18 @@ DATA = "data"  # X from F and Y from G, or from F when alt is None
 
 @dataclass(frozen=True)
 class NullTable:
-    """Sorted Monte Carlo draws of a statistic under H0."""
+    """Sorted Monte Carlo draws of a statistic under H0.
+
+    model is the (GGParams, MixtureAlt) an LRT table was simulated for; a
+    rank table has none.
+    """
 
     statistic: str
     m: int
     n: int
     draws: np.ndarray
     seed: int
+    model: tuple[GGParams, MixtureAlt] | None = None
 
     def __post_init__(self):
         d = self.draws
@@ -79,6 +84,8 @@ class NullTable:
             raise ValueError("null-table draws must be a finite 1-D array")
         if np.any(d[1:] < d[:-1]):
             raise ValueError("null-table draws must be sorted")
+        if (self.model is None) == (self.statistic == st.LRT):
+            raise ValueError("an LRT table, and only an LRT table, carries its model")
 
     @property
     def reps(self) -> int:
@@ -86,8 +93,13 @@ class NullTable:
 
     @property
     def key(self) -> tuple:
-        """(statistic, m, n, reps, seed): what the table was simulated for."""
-        return (self.statistic, self.m, self.n, self.reps, self.seed)
+        """What the table was simulated for: (statistic, m, n, reps, seed),
+        followed for an LRT table by its gamma, scale, eps and mu."""
+        key = (self.statistic, self.m, self.n, self.reps, self.seed)
+        if self.model is None:
+            return key
+        p, alt = self.model
+        return (*key, p.gamma, p.scale, alt.epsilon, alt.mu)
 
 
 @dataclass(frozen=True)
@@ -107,9 +119,11 @@ class Statistic:
     kernel names the rank kernel in `statistics`, f(xi, m, n) on the pooled
     X-origin indicator; it is looked up at call time, so a wrapper put on
     that module sees every call.  The LRT has no kernel: it reads the
-    Y-sample and the model.  pvalues(values, m, n, table) maps an array of
-    statistic values to p-values; a Monte-Carlo test needs its null table.
-    extra(value, m, n) gives further fields for a test report.
+    Y-sample and the model, and lrt_stats gives its value at every
+    alternative of a replicate in one call.  pvalues(values, m, n, table)
+    maps an array of statistic values to p-values; a Monte-Carlo test needs
+    its null table.  extra(value, m, n) gives further fields for a test
+    report.
     """
 
     name: str
@@ -126,10 +140,11 @@ class Statistic:
     def monte_carlo(self) -> bool:
         return self.method == MONTE_CARLO
 
-    def value(self, xi, y, m: int, n: int, model=None, alt=None) -> float:
+    def values(self, xi, y, m: int, n: int, model=None, alts=()) -> list[float]:
+        """One value for a rank statistic; the LRT's at each alternative in alts."""
         if self.kernel is None:
-            return st.lrt_stat(y, model, alt).value
-        return float(getattr(st, self.kernel)(xi, m, n))
+            return st.lrt_stats(y, model, alts).tolist()
+        return [float(getattr(st, self.kernel)(xi, m, n))]
 
     def pvalue(self, value: float, m: int, n: int, table=None) -> PValue:
         p = self.pvalues(np.asarray(value, dtype=float), m, n, table)
@@ -162,7 +177,8 @@ def replicate(kind, stats, model, alt, lrt_alts, m, n, parts) -> list[float]:
 
     kind is RANK_NULL, LRT_NULL or DATA; alt is the alternative the Y-sample
     is drawn from (DATA only).  A rank statistic gives one value, the LRT
-    one value per alternative in lrt_alts, all on the same sample.
+    one value per alternative in lrt_alts, all on the same sample and from
+    one lrt_stats call.
     """
     if kind == RANK_NULL:
         labels = np.repeat(np.array([1, 0], dtype=np.int64), [m, n])
@@ -171,11 +187,7 @@ def replicate(kind, stats, model, alt, lrt_alts, m, n, parts) -> list[float]:
         y, xi = gg_sample(n, model, _derived_rng(parts)), None
     else:
         y, xi = _draw_pooled(model, alt, m, n, parts)
-    return [
-        s.value(xi, y, m, n, model, a)
-        for s in stats
-        for a in ((None,) if s.rank else lrt_alts)
-    ]
+    return [v for s in stats for v in s.values(xi, y, m, n, model, lrt_alts)]
 
 
 def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np.ndarray:
@@ -214,7 +226,7 @@ def mc_null_table(
     kind, tag = (RANK_NULL, TAG_CALIB_RANK) if stat.rank else (LRT_NULL, TAG_CALIB_LRT)
     p, alt = model or (None, None)
     draws = replicate_rows(kind, [statistic], p, None, [alt], m, n, [master_seed, tag], 0, reps)
-    return NullTable(statistic, m, n, np.sort(draws[:, 0]), master_seed)
+    return NullTable(statistic, m, n, np.sort(draws[:, 0]), master_seed, model)
 
 
 def mc_pvalues(values, table: NullTable) -> np.ndarray:
@@ -281,10 +293,11 @@ def wilcoxon_alt_moments(
     # split around both mixture components so quad never misses a bump
     s, mu = p.scale, alt.mu
     cuts = (-mu - 10 * s, -10 * s, 0.0, mu / 2, mu, mu + 10 * s)
-    f_dg = quad_pieces(lambda x: gg_cdf(x, p) * _mixture_pdf(x, p, alt), cuts)
-    f2_dg = quad_pieces(lambda x: gg_cdf(x, p) ** 2 * _mixture_pdf(x, p, alt), cuts)
+    what = f"a Wilcoxon moment at gamma={p.gamma!r}, mu={mu!r}"
+    f_dg = quad_pieces(lambda x: gg_cdf(x, p) * _mixture_pdf(x, p, alt), cuts, what=what)
+    f2_dg = quad_pieces(lambda x: gg_cdf(x, p) ** 2 * _mixture_pdf(x, p, alt), cuts, what=what)
     bar_g2_df = quad_pieces(
-        lambda x: (1.0 - _mixture_cdf(x, p, alt)) ** 2 * gg_pdf(x, p), cuts
+        lambda x: (1.0 - _mixture_cdf(x, p, alt)) ** 2 * gg_pdf(x, p), cuts, what=what
     )
     lam = 0.5 - f_dg
     eps1 = 1.0 / 3.0 - f2_dg
@@ -375,11 +388,17 @@ def npz_path(path) -> Path:
 def save_null_table(table: NullTable, path, force: bool = False) -> Path:
     """Write a null-table cache file (bit-exact round trip, versioned).
 
-    Returns the path written, which ends in .npz.
+    An LRT file also holds gamma, scale, epsilon and mu.  Returns the path
+    written, which ends in .npz.
     """
     path = npz_path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force=True to overwrite")
+    model = {}
+    if table.model is not None:
+        p, alt = table.model
+        model = dict(gamma=np.float64(p.gamma), scale=np.float64(p.scale),
+                     epsilon=np.float64(alt.epsilon), mu=np.float64(alt.mu))
     np.savez(
         path,
         version=np.int64(CACHE_FORMAT_VERSION),
@@ -389,6 +408,7 @@ def save_null_table(table: NullTable, path, force: bool = False) -> Path:
         reps=np.int64(table.reps),
         seed=np.int64(table.seed),
         draws=table.draws,
+        **model,
     )
     return path
 
@@ -396,7 +416,8 @@ def save_null_table(table: NullTable, path, force: bool = False) -> Path:
 def load_null_table(path) -> NullTable:
     """Read a cache file; ValueError unless it is intact and of this version.
 
-    Like save_null_table, it adds a missing .npz suffix to path.
+    An LRT file's gamma, scale, epsilon and mu come back as the table's
+    model.  Like save_null_table, it adds a missing .npz suffix to path.
     """
     path = npz_path(path)
     try:
@@ -404,12 +425,18 @@ def load_null_table(path) -> NullTable:
             version = int(data["version"])
             if version != CACHE_FORMAT_VERSION:
                 raise ValueError(f"unsupported cache format version {version}")
+            statistic = str(data["statistic"])
+            model = None
+            if statistic == st.LRT:
+                model = (GGParams(float(data["gamma"]), float(data["scale"])),
+                         MixtureAlt(float(data["epsilon"]), float(data["mu"])))
             table = NullTable(
-                statistic=str(data["statistic"]),
+                statistic=statistic,
                 m=int(data["m"]),
                 n=int(data["n"]),
                 draws=data["draws"].copy(),
                 seed=int(data["seed"]),
+                model=model,
             )
             reps = int(data["reps"])
     except (KeyError, zipfile.BadZipFile) as e:

@@ -97,7 +97,7 @@ def cmd_test(args) -> int:
         model, alt = _model_from_args(args), _alt_from_args(args)
     report = {"m": m, "n": n, "tests": {}}
     for stat in stats:
-        value = stat.value(xi, ts.y, m, n, model, alt)
+        (value,) = stat.values(xi, ts.y, m, n, model, [alt])
         table = _null_table(args, stat, m, n, model, alt) if stat.monte_carlo else None
         pv = stat.pvalue(value, m, n, table)
         row = {"statistic": value, "pvalue": pv.p, "method": pv.method}

@@ -9,7 +9,8 @@ index) for the null tables; _collect maps calibration.replicate_rows over
 batches of them, in the run's one process pool if threads > 1, so results
 are byte-identical at any worker count.  The null tables are mc_null_table's:
 one HC table and one LRT pass per run, whose replicate k draws one Y-sample
-for the LRT at every grid point's alternative.
+and evaluates the LRT at every grid point's alternative in one
+statistics.lrt_stats call.
 """
 
 from __future__ import annotations
@@ -188,14 +189,19 @@ def _collect(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps, pool):
 
 
 def _null_tables(config: ScenarioConfig, statistic: str, kind, tag, alts, pool) -> list:
-    """Sorted tables of statistic, one per value of replicate k of (seed, tag, k)."""
+    """Sorted tables of statistic, one per value of replicate k of (seed, tag, k).
+
+    A rank statistic has one value per replicate; the LRT one per alternative
+    in alts, and table i carries the model (config.model, alts[i]).
+    """
     columns = _collect(
         kind, config.model, None, alts, config.m, config.n, [statistic],
         [config.master_seed, tag], config.calib_reps, pool,
     )
+    models = [(config.model, a) for a in alts] or [None]
     return [
-        cal.NullTable(statistic, config.m, config.n, np.sort(draws), config.master_seed)
-        for draws in columns
+        cal.NullTable(statistic, config.m, config.n, np.sort(draws), config.master_seed, model)
+        for draws, model in zip(columns, models)
     ]
 
 
@@ -224,8 +230,9 @@ def _lrt_null_table(config: ScenarioConfig, statistic: str, pool) -> list:
     """Null tables of a model-based statistic (the LRT), one per grid point.
 
     Replicate k draws one Y-sample from the stream (seed, TAG_CALIB_LRT, k)
-    and evaluates the statistic at every grid point's alternative, so table
-    g equals mc_null_table(statistic, ..., model=(model, alt_g)).
+    and evaluates the statistic at every grid point's alternative in one
+    lrt_stats call, whose rows are bit for bit lrt_stat's, so table g equals
+    mc_null_table(statistic, ..., model=(model, alt_g)), its model included.
     """
     alts = [config.alt_for(g) for g in config.grid]
     return _null_tables(config, statistic, cal.LRT_NULL, cal.TAG_CALIB_LRT, alts, pool)

@@ -208,38 +208,82 @@ def tail_run(ts: TwoSample) -> StatValue:
     return StatValue(TAILRUN, float(tailrun_from_indicator(xi, ts.m, ts.n)))
 
 
-def lrt_stat(y, p: GGParams, alt: MixtureAlt) -> StatValue:
-    """Oracle log-likelihood ratio of the Y-sample under the true model.
+# The per-alternative constants of lrt_stats at sample size n: (k, 1)
+# columns, and flat rows for the log odds and n * log1p(-eps).  Each is
+# computed in Python floats, one alternative at a time, so every row takes
+# the same values a one-alternative call does; shared by every replicate of
+# an alternative set and read-only so no caller can alter a later one.
+@functools.lru_cache(maxsize=32)
+def _lrt_constants(p: GGParams, alts: tuple, n: int):
+    def column(values):
+        col = np.array(values, dtype=float).reshape(-1, 1)
+        col.setflags(write=False)
+        return col
 
-    Each term log((1-eps) + eps * f(y-mu)/f(y)) is written
+    if p.gamma == 2.0:
+        cs = [a.mu / p.scale for a in alts]
+        lr_consts = (column([c / p.scale for c in cs]), column([0.5 * c * c for c in cs]))
+    else:
+        lr_consts = (column([a.mu for a in alts]),)
+    odds = [a.epsilon / (1.0 - a.epsilon) for a in alts]
+    log_odds = column([math.log(o) for o in odds]).ravel()
+    n_log1p_eps = column([n * math.log1p(-a.epsilon) for a in alts]).ravel()
+    return lr_consts, column(odds), log_odds, n_log1p_eps
+
+
+def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
+    """Oracle log-likelihood ratio of the Y-sample at each alternative in alts.
+
+    Row i of a (len(alts), n) array holds the terms of alternative i; each
+    term log((1-eps) + eps * f(y-mu)/f(y)) is written
     log1p(-eps) + log1p(eps/(1-eps) * exp(lr)), lr = log(f(y-mu)/f(y)), and
-    the constant n * log1p(-eps) is added once.  For gamma = 2 lr is the
-    affine c*z - c^2/2 (z = y/scale, c = mu/scale), taken as
+    the constant n * log1p(-eps) is added once per row.  For gamma = 2 lr is
+    the affine c*z - c^2/2 (z = y/scale, c = mu/scale), taken as
     y * (c/scale) - c^2/2 and exact far in the tail; other gamma take
-    (|z|^gamma - |z - c|^gamma)/gamma.  Only when some lr
-    exceeds _EXP_SAFE, where exp(lr) could overflow, is lr clamped and the
-    large terms set to logaddexp(0, log(eps/(1-eps)) + lr), the same value
-    in log space, so tiny eps and huge density ratios are both handled
-    stably.
+    (|z|^gamma - |z - c|^gamma)/gamma, with |z|^gamma shared by every row.
+    Only when some lr exceeds _EXP_SAFE, where exp(lr) could overflow, is lr
+    clamped and each large term set to logaddexp(0, log(eps/(1-eps)) + lr),
+    the same value in log space, so tiny eps and huge density ratios are both
+    handled stably.  Every row is summed whole, so row i is bit for bit the
+    value of lrt_stat(y, p, alts[i]).
     """
     y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise ValueError("y must be nonempty")
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError("y must be a nonempty 1-D sample")
+    alts = tuple(alts)
+    if not alts:
+        raise ValueError("alts must be nonempty")
+    lr_consts, odds, log_odds, n_log1p_eps = _lrt_constants(p, alts, y.size)
     if p.gamma == 2.0:
-        c = alt.mu / p.scale
-        log_ratio = y * (c / p.scale) - 0.5 * c * c  # one pass over y
+        slope, offset = lr_consts
+        lr = np.multiply(y, slope)
+        lr -= offset
     else:
-        z = y / p.scale
-        zs = (y - alt.mu) / p.scale
-        log_ratio = (np.abs(z) ** p.gamma - np.abs(zs) ** p.gamma) / p.gamma
-    odds = alt.epsilon / (1.0 - alt.epsilon)
-    if log_ratio.max() > _EXP_SAFE:
-        terms = np.log1p(odds * np.exp(np.minimum(log_ratio, _EXP_SAFE)))
-        big = log_ratio > _EXP_SAFE
-        terms[big] = np.logaddexp(0.0, math.log(odds) + log_ratio[big])
-    else:
-        terms = np.log1p(odds * np.exp(log_ratio))
-    total = float(np.sum(terms) + y.size * math.log1p(-alt.epsilon))
-    if not np.isfinite(total):
+        (mu,) = lr_consts
+        z_pow = np.abs(y / p.scale) ** p.gamma
+        lr = np.subtract(y, mu)
+        lr /= p.scale
+        np.abs(lr, out=lr)
+        lr **= p.gamma
+        np.subtract(z_pow, lr, out=lr)
+        lr /= p.gamma
+    big = None
+    if lr.max() > _EXP_SAFE:
+        big = np.nonzero(lr > _EXP_SAFE)
+        big_terms = np.logaddexp(0.0, log_odds[big[0]] + lr[big])
+        np.minimum(lr, _EXP_SAFE, out=lr)
+    np.exp(lr, out=lr)
+    lr *= odds
+    np.log1p(lr, out=lr)
+    if big is not None:
+        lr[big] = big_terms
+    totals = lr.sum(axis=1)
+    totals += n_log1p_eps
+    if not all(map(math.isfinite, totals.tolist())):
         raise FloatingPointError("non-finite likelihood ratio term")
-    return StatValue(LRT, total)
+    return totals
+
+
+def lrt_stat(y, p: GGParams, alt: MixtureAlt) -> StatValue:
+    """The oracle LRT at one alternative: the one-row case of lrt_stats."""
+    return StatValue(LRT, float(lrt_stats(y, p, (alt,))[0]))

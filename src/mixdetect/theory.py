@@ -19,6 +19,8 @@ from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_survival
 
 _YES_RATIO = 10.0
 _NO_RATIO = 0.1
+_QUAD_ABS = 1e-10  # quad's requested tolerance on each piece
+_QUAD_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,16 +46,24 @@ class ConditionReport:
     where: float | None = None  # maximizer location, when one exists
 
 
-def quad_pieces(fn, cuts, upper: float = np.inf) -> float:
+def quad_pieces(fn, cuts, upper: float = np.inf, *, what: str) -> float:
     """Integral of fn over (-inf, upper), by adaptive quadrature on each piece.
 
     The line is cut at every point of cuts below upper; cutting at each bump
-    of the integrand keeps quad from stepping over it.
+    of the integrand keeps quad from stepping over it.  Where quad flags a
+    piece as not converged and its own error estimate exceeds the requested
+    tolerance, the value's accuracy is unknown: that raises ValueError
+    naming `what`.
     """
     edges = [-np.inf, *sorted({c for c in cuts if c < upper}), upper]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(fn, a, b, epsabs=1e-10, epsrel=1e-8, limit=200)
+        val, err, _, *flag = integrate.quad(
+            fn, a, b, epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=200, full_output=1
+        )
+        if flag and err > max(_QUAD_ABS, _QUAD_REL * abs(val)):
+            reason = flag[0].splitlines()[0].strip()
+            raise ValueError(f"{what} did not converge ({reason})")
         total += val
     return total
 
@@ -143,6 +153,7 @@ def wilcoxon_condition(n: int, p: GGParams, alt: MixtureAlt) -> ConditionReport:
     total = quad_pieces(
         lambda x: gg_cdf(x - mu, p) * gg_pdf(x, p),
         (-mu - 10 * p.scale, 0.0, mu / 2, mu, mu + 10 * p.scale),
+        what=f"the Wilcoxon condition's integral at gamma={p.gamma!r}, mu={mu!r}",
     )
     lhs = math.sqrt(n) * alt.epsilon * (0.5 - total)
     return _report(lhs, math.log(n))
@@ -190,7 +201,9 @@ def lower_bound_integral(x_upper: float, p: GGParams, mu: float) -> float:
 
     The integrand is assembled in log space; for gamma = 2 it is a Gaussian
     bump at 2*mu with total mass exp(mu**2), which exceeds the float range
-    from mu = 26.7 on.  An integral past the float range raises ValueError.
+    from mu = 26.7 on.  An integral past the float range, or one on which
+    quad does not converge (gamma = 0.3 at mu = 1e5, for one), raises
+    ValueError.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -206,8 +219,9 @@ def lower_bound_integral(x_upper: float, p: GGParams, mu: float) -> float:
         return gg_pdf(0.0, p) * np.exp(log_val)
 
     cuts = (-mu - 10 * s, -10 * s, 0.0, mu, 2 * mu, 2 * mu + 10 * s)
+    what = f"lower-bound integral at gamma={g!r}, mu={mu!r}"
     with np.errstate(over="ignore"):  # an overflow is reported below
-        total = quad_pieces(integrand, cuts, x_upper)
+        total = quad_pieces(integrand, cuts, x_upper, what=what)
     if not math.isfinite(total):
         raise ValueError(f"lower-bound integral exceeds the float range at mu={mu!r}")
     return max(total - 1.0, 0.0)

@@ -407,6 +407,48 @@ class TestCacheRoundTrip:
         np.testing.assert_array_equal(loaded.draws, table.draws)
 
 
+class TestLrtTableModel:
+    """An LRT table carries the model it was simulated for, in its key and file."""
+
+    MODEL = GGParams(gamma=1.5, scale=0.8)
+
+    def table(self, mu):
+        return mc_null_table(st.LRT, 30, 25, 100, master_seed=2,
+                             model=(self.MODEL, MixtureAlt(0.1, mu)))
+
+    def test_round_trip(self, tmp_path):
+        table = self.table(1.0)
+        assert table.key == (st.LRT, 30, 25, 100, 2, 1.5, 0.8, 0.1, 1.0)
+        loaded = load_null_table(save_null_table(table, tmp_path / "lrt"))
+        assert loaded.model == table.model and loaded.key == table.key
+        np.testing.assert_array_equal(loaded.draws, table.draws)
+
+    def test_another_mu_is_not_a_match(self, tmp_path):
+        # a file simulated for mu = 3 under the name a mu = 1 table would get
+        wanted = self.table(1.0)
+        path = save_null_table(self.table(3.0), tmp_path / "lrt_mu1.npz")
+        loaded = load_null_table(path)
+        assert loaded.key != wanted.key
+        assert loaded.key[:-1] == wanted.key[:-1] and loaded.model[1].mu == 3.0
+
+    def test_model_only_on_lrt_tables(self):
+        draws = np.arange(3.0)
+        with pytest.raises(ValueError, match="model"):
+            NullTable(st.LRT, 5, 5, draws, 0)
+        with pytest.raises(ValueError, match="model"):
+            NullTable(st.HC, 5, 5, draws, 0, model=(NORMAL, MixtureAlt(0.1, 1.0)))
+
+    def test_lrt_file_without_model_refused(self, tmp_path):
+        path = tmp_path / "lrt.npz"
+        np.savez(
+            path, version=np.int64(cal.CACHE_FORMAT_VERSION), statistic=np.str_(st.LRT),
+            m=np.int64(5), n=np.int64(5), reps=np.int64(3), seed=np.int64(0),
+            draws=np.arange(3.0),
+        )
+        with pytest.raises(ValueError, match="not a null-table file"):
+            load_null_table(path)
+
+
 class TestLoadChecks:
     def write(self, path, draws, reps=None, version=cal.CACHE_FORMAT_VERSION):
         draws = np.asarray(draws, dtype=float)
@@ -438,6 +480,13 @@ class TestLoadChecks:
     def test_rejects_another_version(self, tmp_path):
         path = self.write(tmp_path / "v1.npz", [1.0, 2.0], version=1)
         with pytest.raises(ValueError, match="version"):
+            load_null_table(path)
+
+    def test_rejects_format_3(self, tmp_path):
+        # format 3 files carry no model; an HC file of format 3 is refused too
+        assert cal.CACHE_FORMAT_VERSION == 4
+        path = self.write(tmp_path / "v3.npz", [1.0, 2.0], version=3)
+        with pytest.raises(ValueError, match="version 3"):
             load_null_table(path)
 
     def test_rejects_a_file_missing_a_field(self, tmp_path):

@@ -77,6 +77,17 @@ class TestCmdTest:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nope.npz" in err
 
+    def test_format_3_table_refused(self, tmp_path, capsys):
+        xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
+        old = tmp_path / "hc_v3.npz"
+        np.savez(
+            old, version=np.int64(3), statistic=np.str_("HC"), m=np.int64(3),
+            n=np.int64(3), reps=np.int64(3), seed=np.int64(0), draws=np.arange(3.0),
+        )
+        assert main(["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", str(old)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 3" in err
+
     def test_json_roundtrip(self, tmp_path, capsys):
         xf, yf = write_samples(tmp_path, [1, 2], [3, 4])
         main(["test", "--x", xf, "--y", yf, "--tests", "ks,tailrun"])
@@ -115,6 +126,16 @@ class TestCmdDiagnose:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "mu=30.0" in lines[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_lower_bound_not_converged(self, capsys):
+        argv = ["diagnose", "--condition", "lower-bound", "--gamma", "0.3", "--mu", "1e6"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "gamma=0.3, mu=1000000.0 did not converge" in lines[0]
 
     @pytest.mark.filterwarnings("error")
     def test_ks_large_mu(self, capsys):
@@ -332,6 +353,7 @@ class TestCmdCalibrate:
                 "--mu", repr(alt.mu), "--out", str(out),
             ]) == 0
             np.testing.assert_array_equal(load_null_table(out).draws, table.draws)
+            assert load_null_table(out).key == table.key
 
     def test_missing_out_directory(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.npz"

@@ -214,9 +214,8 @@ class TestPinnedOutput:
         # the reject counts of 20 power replicates can hide a changed null
         # stream, so the tables' draws are pinned too; the HC entry did not
         # change at rng_scheme 4, because rank nulls are shuffles that never
-        # call gg_sample, which is why CACHE_FORMAT_VERSION stayed 3 and
-        # HC cache files of scheme 3 stay valid; at rng_scheme 5 only the
-        # LRT entries moved (the gamma = 2 log density ratio's last bits)
+        # call gg_sample; at rng_scheme 5 only the LRT entries moved (the
+        # gamma = 2 log density ratio's last bits)
         seen = {}
         power_point = exp._power_point
 

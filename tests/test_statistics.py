@@ -14,11 +14,13 @@ from mixdetect import (
     hc_stat_sup_form,
     ks_one_sided,
     lrt_stat,
+    lrt_stats,
     mixture_sample,
     rank_profile,
     tail_run,
     wilcoxon_u,
 )
+from mixdetect import calibration as cal
 from mixdetect import statistics as st
 from mixdetect.calibration import ks_lambda
 from mixdetect.statistics import (
@@ -422,6 +424,111 @@ class TestLrtKernel:
         for y in (np.linspace(-5.0, 1.2 * mu, 400), mixture_sample(2000, p, alt, rng)):
             assert np.max(log_ratios(y, p, alt.mu)) > 700
             assert lrt_stat(y, p, alt).value == scheme4_lrt(y, p, alt)
+
+
+def scheme6_log_ratio(y, p, alt):
+    """log(f(y - mu) / f(y)) as lrt_stat took it at rng_scheme 6."""
+    if p.gamma == 2.0:
+        c = alt.mu / p.scale
+        return y * (c / p.scale) - 0.5 * c * c
+    z = y / p.scale
+    zs = (y - alt.mu) / p.scale
+    return (np.abs(z) ** p.gamma - np.abs(zs) ** p.gamma) / p.gamma
+
+
+def scheme6_lrt(y, p, alt):
+    """lrt_stat as of rng_scheme 6, one alternative at a time, operation for operation."""
+    y = np.asarray(y, dtype=float)
+    log_ratio = scheme6_log_ratio(y, p, alt)
+    odds = alt.epsilon / (1.0 - alt.epsilon)
+    if log_ratio.max() > 700.0:
+        terms = np.log1p(odds * np.exp(np.minimum(log_ratio, 700.0)))
+        big = log_ratio > 700.0
+        terms[big] = np.logaddexp(0.0, math.log(odds) + log_ratio[big])
+    else:
+        terms = np.log1p(odds * np.exp(log_ratio))
+    return float(np.sum(terms) + y.size * math.log1p(-alt.epsilon))
+
+
+class TestLrtStats:
+    """lrt_stats row by row against scheme6_lrt, bit for bit."""
+
+    GAMMAS = [0.5, 1.0, 1.5, 2.0, 3.0]
+
+    @staticmethod
+    def overflowing(y, p, alts):
+        return sum(scheme6_log_ratio(y, p, a).max() > 700.0 for a in alts)
+
+    @staticmethod
+    def check(y, p, alts):
+        got = lrt_stats(y, p, alts)
+        assert got.shape == (len(alts),)
+        for value, alt in zip(got.tolist(), alts):
+            assert value == scheme6_lrt(y, p, alt)
+            assert lrt_stat(y, p, alt).value == value
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_rows_bitwise(self, gamma):
+        rng = np.random.default_rng(int(gamma * 10) + 40)
+        p = GGParams(gamma=gamma, scale=0.8)
+        for n in (1, 7, 2000):
+            # ten alternatives, the first at eps = 1e-15; each also alone
+            eps = [1e-15, *rng.uniform(1e-4, 0.4, size=9)]
+            alts = [MixtureAlt(float(e), float(mu))
+                    for e, mu in zip(eps, rng.uniform(0.05, 4.0, size=10))]
+            for y in (gg_sample(n, p, rng), mixture_sample(n, p, alts[-1], rng)):
+                assert self.overflowing(y, p, alts) == 0
+                self.check(y, p, alts)
+                for alt in alts:
+                    self.check(y, p, [alt])
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_overflow_rows(self, gamma):
+        # lr at y = mu is (mu/scale)^gamma / gamma, which passes 700 at
+        # mu = edge; no row, every row and some rows take the overflow branch
+        p = GGParams(gamma=gamma)
+        edge = (700.0 * gamma) ** (1.0 / gamma)
+        small = [MixtureAlt(0.1, 1.0), MixtureAlt(1e-15, 2.0)]
+        large = [MixtureAlt(0.01, 1.05 * edge), MixtureAlt(1e-15, 1.1 * edge),
+                 MixtureAlt(0.3, 1.2 * edge)]
+        y = np.linspace(-5.0, 1.25 * edge, 2001)
+        for alts, rows in ((small, 0), (large, 3), (small + large, 3), (large[::-1] + small, 3)):
+            assert self.overflowing(y, p, alts) == rows
+            # the clamp keeps exp from overflowing
+            with np.errstate(over="raise", invalid="raise"):
+                self.check(y, p, alts)
+
+    def test_empty_or_not_1d_rejected(self):
+        alts = [MixtureAlt(0.1, 1.0)]
+        for y in (np.array([]), np.ones((2, 3))):
+            with pytest.raises(ValueError):
+                lrt_stats(y, GGParams(2.0), alts)
+        with pytest.raises(ValueError):
+            lrt_stats(np.ones(3), GGParams(2.0), [])
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_non_finite_total_raises(self, gamma):
+        alts = [MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 3.0)]
+        for y in ([0.0, np.inf], [np.nan, 1.0]):
+            with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+                lrt_stats(np.array(y), GGParams(gamma), alts)
+
+    def test_constants_read_only(self):
+        lr_consts, odds, log_odds, n_log1p_eps = st._lrt_constants(
+            GGParams(2.0), (MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 3.0)), 5
+        )
+        for arr in (*lr_consts, odds, log_odds, n_log1p_eps):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_replicate_equals_lrt_stat(self, gamma):
+        p = GGParams(gamma)
+        alts = [MixtureAlt(0.05 * i, 0.4 * i) for i in range(1, 6)]
+        parts = [3, cal.TAG_CALIB_LRT, 7]
+        got = cal.replicate(cal.LRT_NULL, [cal.STATISTICS[st.LRT]], p, None, alts, 50, 40, parts)
+        y = gg_sample(40, p, cal._derived_rng(parts))
+        assert got == [lrt_stat(y, p, a).value for a in alts]
 
 
 class TestSharedProperties:

@@ -151,6 +151,18 @@ class TestWilcoxonCondition:
         closed = math.sqrt(n) * eps * (stats.norm.cdf(mu / math.sqrt(2)) - 0.5)
         assert rep.lhs == pytest.approx(closed, abs=1e-6 * math.sqrt(n) * eps)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma, mu, integral", [
+        (0.3, 1e3, 2.60764517763702e-9), (0.4, 300.0, 2.28223897640311e-9),
+    ])
+    def test_flagged_piece_within_tolerance(self, gamma, mu, integral):
+        # quad flags the piece next to the cusp of f at 0, yet its own error
+        # estimate (3e-11) is within the requested 1e-10; the reference is a
+        # 30-digit quadrature of the same pieces
+        n, eps = 1000, 0.1
+        rep = wilcoxon_condition(n, GGParams(gamma=gamma), MixtureAlt(eps, mu))
+        assert 0.5 - rep.lhs / (math.sqrt(n) * eps) == pytest.approx(integral, abs=1e-12)
+
 
 class TestKsCondition:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 3.0])
@@ -245,6 +257,15 @@ class TestLowerBoundIntegral:
     @pytest.mark.parametrize("gamma, mu", [(2.0, 26.7), (2.0, 30.0), (1.0, 800.0)])
     def test_past_float_range_refused(self, gamma, mu):
         with pytest.raises(ValueError, match=f"float range at mu={mu!r}"):
+            lower_bound_integral(np.inf, GGParams(gamma=gamma), mu)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma, mu", [(0.3, 1e5), (0.3, 1e6), (0.5, 1e5)])
+    def test_non_convergence_refused(self, gamma, mu):
+        # quad's error estimate exceeds the value on the two pieces at the
+        # cusp x = mu; at (0.5, 1e5) it returned 1.154e274 against 1.175e274
+        match = f"gamma={gamma!r}, mu={mu!r} did not converge"
+        with pytest.raises(ValueError, match=match):
             lower_bound_integral(np.inf, GGParams(gamma=gamma), mu)
 
 
