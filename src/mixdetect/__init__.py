@@ -39,7 +39,6 @@ from .experiments import (
     PowerPoint,
     ScenarioConfig,
     figure_config,
-    reproduce_figure,
     run_null_level,
     run_power_grid,
 )

@@ -8,8 +8,9 @@ uniformly random arrangement of m X-labels and n Y-labels, so its null
 table is simulated by shuffling those labels.
 
 STATISTICS is the one table of the five tests: how each is computed and
-how its p-value is found.  Every simulated replicate, in a null table here
-or in the power harness, is a replicate() call in replicate_rows()'s loop.
+how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
+the power harness's, is built by _null_tables, and every simulated
+replicate is a replicate() call in replicate_rows()'s loop.
 """
 
 from __future__ import annotations
@@ -27,19 +28,13 @@ from . import statistics as st
 from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_sample, mixture_sample
 from .theory import quad_pieces
 
-# files of another version are refused (4: an LRT file also carries the
-# gamma, scale, eps and mu it was simulated for; rank tables are those of
-# RNG_SCHEME 3, which schemes 4 to 6 leave unchanged)
+# version of the null-table file format; files of another version are
+# refused (4: an LRT file also carries the gamma, scale, eps and mu it was
+# simulated for)
 CACHE_FORMAT_VERSION = 4
 
-# version of the harness's seed streams and LRT values, recorded in its JSON
-# output; scheme 3 draws each rank-null replicate as one random arrangement,
-# scheme 4 draws gamma = 2 and gamma = 1 samples directly (gg_sample) and
-# sums the LRT in log1p form (lrt_stat), scheme 5 takes the gamma = 2 log
-# density ratio in its affine form (lrt_stat), which moves gamma = 2 LRT
-# values in their last bits, and scheme 6 draws gamma = 1 samples by gamma
-# variates again (gg_sample), as every gamma but 2 is; rank-null tables are
-# unchanged
+# version of the harness's seed streams and statistic values, recorded in
+# its JSON output; a change to either moves it (README lists each scheme)
 RNG_SCHEME = 6
 
 _TINY_P = 1e-300
@@ -198,6 +193,38 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     return np.array(rows, dtype=float)
 
 
+def _serial(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps) -> np.ndarray:
+    """reps replicates in this process, as one replicate_rows call; row i
+    holds value i of every replicate."""
+    return replicate_rows(kind, tests, model, alt, lrt_alts, m, n, seed_parts, 0, reps).T
+
+
+def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) -> list:
+    """Sorted null tables of statistic, from replicate k of (seed, tag, k).
+
+    A rank statistic gives one table, simulated on random arrangements of
+    m X-labels and n Y-labels (tag TAG_CALIB_RANK).  The LRT draws its
+    Y-sample from F = p (tag TAG_CALIB_LRT) and gives one table per
+    alternative in alts, table i carrying the model (p, alts[i]).  collect
+    runs the replicates: it is called positionally as _serial is, and the
+    power harness passes its own, which uses the run's pool.
+    """
+    if reps < 100:
+        raise ValueError("reps must be at least 100")
+    if m < 1 or n < 1:
+        raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    rank = STATISTICS[statistic].rank
+    if not rank and p is None:
+        raise ValueError("LRT calibration requires the model (GGParams, MixtureAlt)")
+    kind, tag = (RANK_NULL, TAG_CALIB_RANK) if rank else (LRT_NULL, TAG_CALIB_LRT)
+    columns = collect(kind, p, None, alts, m, n, [statistic], [seed, tag], reps)
+    models = [(p, a) for a in alts] or [None]
+    return [NullTable(statistic, m, n, np.sort(draws), seed, model)
+            for draws, model in zip(columns, models)]
+
+
 def mc_null_table(
     statistic: str,
     m: int,
@@ -208,25 +235,14 @@ def mc_null_table(
 ) -> NullTable:
     """Simulate the null distribution of a statistic.
 
-    A rank statistic is simulated on random arrangements of m X-labels and
-    n Y-labels, replicate k from the stream (master_seed, TAG_CALIB_RANK, k).
-    The LRT needs the model and draws its Y-sample from F, replicate k from
-    (master_seed, TAG_CALIB_LRT, k), the stream the power harness evaluates
-    at every grid point.  Its draws are one replicate_rows call (the harness's loop).
+    The one-table case of the power harness's builder, so a table equals
+    the harness's for the same (statistic, m, n, reps, seed): a rank
+    statistic is simulated on random label arrangements, the LRT, which
+    needs the model (GGParams, MixtureAlt), on Y-samples from F.
     """
-    if reps < 100:
-        raise ValueError("reps must be at least 100")
-    if m < 1 or n < 1:
-        raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    stat = STATISTICS[statistic]
-    if not stat.rank and model is None:
-        raise ValueError("LRT calibration requires the model (GGParams, MixtureAlt)")
-    kind, tag = (RANK_NULL, TAG_CALIB_RANK) if stat.rank else (LRT_NULL, TAG_CALIB_LRT)
     p, alt = model or (None, None)
-    draws = replicate_rows(kind, [statistic], p, None, [alt], m, n, [master_seed, tag], 0, reps)
-    return NullTable(statistic, m, n, np.sort(draws[:, 0]), master_seed, model)
+    (table,) = _null_tables(statistic, m, n, reps, master_seed, p, [alt] if model else [])
+    return table
 
 
 def mc_pvalues(values, table: NullTable) -> np.ndarray:
@@ -421,7 +437,7 @@ def load_null_table(path) -> NullTable:
     """
     path = npz_path(path)
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as f, np.load(f) as data:
             version = int(data["version"])
             if version != CACHE_FORMAT_VERSION:
                 raise ValueError(f"unsupported cache format version {version}")
@@ -446,5 +462,10 @@ def load_null_table(path) -> NullTable:
     return table
 
 
-def cache_key(statistic: str, m: int, n: int, reps: int, seed: int) -> str:
+def cache_key(statistic: str, m: int, n: int, reps: int, seed: int, model=None) -> str:
+    """The file name of a null table; an LRT name, given the table's model
+    (GGParams, MixtureAlt), also carries gamma, scale, eps and mu."""
+    if model is not None:
+        p, alt = model
+        statistic += f"_g{p.gamma!r}_sc{p.scale!r}_e{alt.epsilon!r}_mu{alt.mu!r}"
     return f"{statistic}_m{m}_n{n}_r{reps}_s{seed}.npz"

@@ -85,11 +85,8 @@ def cmd_test(args) -> int:
     y = read_sample_file(args.y)
     if args.dejitter:
         x, y = st.dejitter(x, y)
-    try:
-        ts = st.TwoSample(x=x, y=y)
-        xi = st.pooled_indicator(ts.x, ts.y)
-    except st.TiesError as e:
-        raise CliError(str(e))
+    ts = st.TwoSample(x=x, y=y)
+    xi = st.pooled_indicator(ts.x, ts.y)
     stats = [cal.STATISTICS[t] for t in _parse_tests(args.tests)]
     m, n = ts.m, ts.n
     model = alt = None
@@ -203,14 +200,6 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _table_file_name(statistic: str, args, model) -> str:
-    """The harness's cache name; an LRT name also carries gamma, scale, eps and mu."""
-    if model is not None:
-        p, alt = model
-        statistic += f"_g{p.gamma!r}_sc{p.scale!r}_e{alt.epsilon!r}_mu{alt.mu!r}"
-    return cal.cache_key(statistic, args.m, args.n, args.reps, args.seed)
-
-
 def cmd_calibrate(args) -> int:
     statistic = args.statistic.upper()
     if statistic == st.TAILRUN:
@@ -223,7 +212,9 @@ def cmd_calibrate(args) -> int:
     if statistic == st.LRT:
         model = (_model_from_args(args), _alt_from_args(args))
     # a bad --out fails now, not after simulating the table
-    out = cal.npz_path(args.out or _table_file_name(statistic, args, model))
+    out = cal.npz_path(
+        args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed, model)
+    )
     if out.exists() and not args.force:
         raise CliError(f"{out} exists; pass --force to overwrite")
     if not out.parent.is_dir():
@@ -327,7 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, st.TiesError) as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -7,16 +7,17 @@ rng-stream derived from (master seed, purpose tag, grid index, replicate
 index) for the power replicates, or (master seed, purpose tag, replicate
 index) for the null tables; _collect maps calibration.replicate_rows over
 batches of them, in the run's one process pool if threads > 1, so results
-are byte-identical at any worker count.  The null tables are mc_null_table's:
-one HC table and one LRT pass per run, whose replicate k draws one Y-sample
-and evaluates the LRT at every grid point's alternative in one
-statistics.lrt_stats call.
+are byte-identical at any worker count.  The null tables come from
+mc_null_table's builder, run through _collect: one HC table and one LRT
+pass per run, whose replicate k draws one Y-sample and evaluates the LRT at
+every grid point's alternative in one statistics.lrt_stats call.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -188,29 +189,12 @@ def _collect(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps, pool):
     return np.concatenate(_run_batches(tasks, pool)).T
 
 
-def _null_tables(config: ScenarioConfig, statistic: str, kind, tag, alts, pool) -> list:
-    """Sorted tables of statistic, one per value of replicate k of (seed, tag, k).
-
-    A rank statistic has one value per replicate; the LRT one per alternative
-    in alts, and table i carries the model (config.model, alts[i]).
-    """
-    columns = _collect(
-        kind, config.model, None, alts, config.m, config.n, [statistic],
-        [config.master_seed, tag], config.calib_reps, pool,
-    )
-    models = [(config.model, a) for a in alts] or [None]
-    return [
-        cal.NullTable(statistic, config.m, config.n, np.sort(draws), config.master_seed, model)
-        for draws, model in zip(columns, models)
-    ]
-
-
 def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> cal.NullTable:
     """The run's null table of a rank statistic with a Monte-Carlo null (HC).
 
     A file in cache_dir is used only if it loads cleanly and was simulated
     for this (statistic, m, n, reps, seed); any other file is recomputed
-    in the run's pool and overwritten.
+    in the run's pool, as mc_null_table would compute it, and overwritten.
     """
     key = (statistic, config.m, config.n, config.calib_reps, config.master_seed)
     path = None if cache_dir is None else Path(cache_dir) / cal.cache_key(*key)
@@ -219,7 +203,7 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> c
             table = cal.load_null_table(path)
             if table.key == key:
                 return table
-    (table,) = _null_tables(config, statistic, cal.RANK_NULL, cal.TAG_CALIB_RANK, [], pool)
+    (table,) = cal._null_tables(*key, collect=functools.partial(_collect, pool=pool))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         cal.save_null_table(table, path, force=True)
@@ -229,13 +213,14 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> c
 def _lrt_null_table(config: ScenarioConfig, statistic: str, pool) -> list:
     """Null tables of a model-based statistic (the LRT), one per grid point.
 
-    Replicate k draws one Y-sample from the stream (seed, TAG_CALIB_LRT, k)
-    and evaluates the statistic at every grid point's alternative in one
+    One pass in the run's pool: replicate k draws one Y-sample and
+    evaluates the statistic at every grid point's alternative in one
     lrt_stats call, whose rows are bit for bit lrt_stat's, so table g equals
     mc_null_table(statistic, ..., model=(model, alt_g)), its model included.
     """
     alts = [config.alt_for(g) for g in config.grid]
-    return _null_tables(config, statistic, cal.LRT_NULL, cal.TAG_CALIB_LRT, alts, pool)
+    key = (statistic, config.m, config.n, config.calib_reps, config.master_seed)
+    return cal._null_tables(*key, config.model, alts, functools.partial(_collect, pool=pool))
 
 
 def _pvalues_for(test, values, m, n, table):
@@ -355,10 +340,3 @@ def figure_notes(figure: str, scale: float) -> dict:
         )
     return notes
 
-
-def reproduce_figure(
-    figure: str, scale: float = 1.0, threads: int = 1, cache_dir=None
-) -> PowerCurve:
-    config = figure_config(figure, scale)
-    curve = run_power_grid(config, threads=threads, cache_dir=cache_dir)
-    return dataclasses.replace(curve, notes={**curve.notes, **figure_notes(figure, scale)})

@@ -86,6 +86,23 @@ class TestMcNullTable:
         with pytest.raises(ValueError, match=f"m={m}, n={n}"):
             mc_null_table(st.KS, m, n, 200, master_seed=0)
 
+    def test_builder_calls_collect_positionally(self):
+        # the power harness passes its own collect, which is called as _serial is
+        calls = []
+
+        def collect(*args, **kwargs):
+            calls.append((args, kwargs))
+            return cal._serial(*args, **kwargs)
+
+        alts = [MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 2.0)]
+        tables = cal._null_tables(st.LRT, 20, 15, 100, 4, NORMAL, alts, collect)
+        [(args, kwargs)] = calls
+        assert kwargs == {} and args[0] == cal.LRT_NULL and args[8] == 100
+        for alt, table in zip(alts, tables):
+            expected = mc_null_table(st.LRT, 20, 15, 100, 4, model=(NORMAL, alt))
+            assert table.key == expected.key
+            np.testing.assert_array_equal(table.draws, expected.draws)
+
     def test_lrt_stream(self):
         # replicate k: the Y-sample from F, drawn from the stream (seed, 102, k)
         alt = MixtureAlt(epsilon=0.1, mu=2.0)
@@ -438,6 +455,13 @@ class TestLrtTableModel:
         with pytest.raises(ValueError, match="model"):
             NullTable(st.HC, 5, 5, draws, 0, model=(NORMAL, MixtureAlt(0.1, 1.0)))
 
+    def test_cache_key_names_the_model(self):
+        table = self.table(1.0)
+        assert cal.cache_key(*table.key[:5], table.model) == (
+            "LRT_g1.5_sc0.8_e0.1_mu1.0_m30_n25_r100_s2.npz"
+        )
+        assert cal.cache_key(st.HC, 1000, 1000, 4000, 0) == "HC_m1000_n1000_r4000_s0.npz"
+
     def test_lrt_file_without_model_refused(self, tmp_path):
         path = tmp_path / "lrt.npz"
         np.savez(
@@ -487,6 +511,14 @@ class TestLoadChecks:
         assert cal.CACHE_FORMAT_VERSION == 4
         path = self.write(tmp_path / "v3.npz", [1.0, 2.0], version=3)
         with pytest.raises(ValueError, match="version 3"):
+            load_null_table(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_truncated_file_closes_its_handle(self, tmp_path):
+        # zipfile refuses the file; an unclosed handle would warn on collection
+        path = self.write(tmp_path / "cut.npz", [1.0, 2.0])
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(ValueError, match="not a null-table file"):
             load_null_table(path)
 
     def test_rejects_a_file_missing_a_field(self, tmp_path):

@@ -118,6 +118,29 @@ class TestCmdDiagnose:
         out = json.loads(capsys.readouterr().out)
         assert out["lower_bound_integral"] == pytest.approx(np.e - 1, rel=1e-6)
 
+    def test_lower_bound_x_upper(self, capsys):
+        from mixdetect import GGParams, lower_bound_integral
+
+        argv = ["diagnose", "--condition", "lower-bound", "--mu", "1", "--x-upper", "0"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"lower_bound_integral": lower_bound_integral(0.0, GGParams(2.0), 1.0)}
+
+    def test_gg_scale_reaches_the_model(self, capsys):
+        import dataclasses
+
+        from mixdetect import GGParams, MixtureAlt, ks_condition
+
+        argv = ["diagnose", "--condition", "ks", "--epsilon", "0.1", "--mu", "1", "--n", "1000"]
+        outs = []
+        for scale in (1.0, 2.0):
+            assert main([*argv, "--gg-scale", repr(scale)]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+            report = ks_condition(1000, GGParams(2.0, scale), MixtureAlt(0.1, 1.0))
+            expected = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+            assert outs[-1] == expected
+        assert outs[0] != outs[1]
+
     @pytest.mark.filterwarnings("error")
     def test_lower_bound_past_float_range(self, capsys):
         assert main(["diagnose", "--condition", "lower-bound", "--mu", "30"]) == 1
@@ -304,6 +327,14 @@ class TestCmdCalibrate:
         assert paths[0] != paths[1]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(paths)
 
+    def test_default_names(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        base = ["calibrate", "--m", "5", "--n", "50", "--reps", "100"]
+        assert main([*base, "--statistic", "HC"]) == 0
+        assert main([*base, "--statistic", "LRT", "--epsilon", "0.1", "--mu", "1"]) == 0
+        paths = [json.loads(line)["path"] for line in capsys.readouterr().out.splitlines()]
+        assert paths == ["HC_m5_n50_r100_s0.npz", "LRT_g2.0_sc1.0_e0.1_mu1.0_m5_n50_r100_s0.npz"]
+
     def test_path_without_suffix(self, tmp_path, capsys):
         args = [
             "calibrate", "--statistic", "HC", "--m", "20", "--n", "20",
@@ -403,6 +434,17 @@ class TestCmdPower:
         assert len(lines) == 1 + 10 * 5  # 10 grid rows x 5 tests
         sidecar = json.loads((tmp_path / "normal-dense.json").read_text())
         assert sidecar["notes"]["figure"] == "normal-dense"
+
+    def test_stem_names_both_files(self, tmp_path, capsys):
+        args = [
+            "power", "--preset", "normal-dense", "--scale", "0.0005", "--reps", "2",
+            "--out", str(tmp_path), "--stem", "run1",
+        ]
+        assert main(args) == 0
+        csv_path, json_path = tmp_path / "run1.csv", tmp_path / "run1.json"
+        assert capsys.readouterr().out == f"wrote {csv_path} and {json_path}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run1.csv", "run1.json"]
+        assert json.loads(json_path.read_text())["notes"]["figure"] == "normal-dense"
 
     def test_rerun_identical_bytes(self, tmp_path, capsys):
         out1 = tmp_path / "a"
