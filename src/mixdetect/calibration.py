@@ -213,6 +213,8 @@ def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) 
         raise ValueError("reps must be at least 100")
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     rank = STATISTICS[statistic].rank

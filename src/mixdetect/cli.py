@@ -4,8 +4,9 @@ Subcommands: test (run tests on two sample files), power (power-curve
 experiments), boundary (closed-form detection boundaries), diagnose
 (power-condition diagnostics), calibrate (null-table cache files).
 
-All data goes to stdout or --out files; diagnostics go to stderr.  Every
-randomized command takes an explicit --seed (default 0).
+All data goes to stdout or --out files.  Every failure, a refused input or
+an unreadable or unwritable file, is one "error: ..." line on stderr with
+exit status 1.  Every randomized command takes an explicit --seed (default 0).
 """
 
 from __future__ import annotations
@@ -25,30 +26,22 @@ from . import theory
 from .distributions import GGParams, MixtureAlt
 
 
-class CliError(Exception):
-    pass
-
-
 def read_sample_file(path) -> np.ndarray:
     """One finite decimal per line; blank lines and '#' comments ignored."""
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}")
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         try:
             v = float(body)
         except ValueError:
-            raise CliError(f"{path}:{lineno}: not a number: {body!r}")
+            raise ValueError(f"{path}:{lineno}: not a number: {body!r}") from None
         if not np.isfinite(v):
-            raise CliError(f"{path}:{lineno}: non-finite value {body!r}")
+            raise ValueError(f"{path}:{lineno}: non-finite value {body!r}")
         values.append(v)
     if not values:
-        raise CliError(f"{path}: no values found")
+        raise ValueError(f"{path}: no values found")
     return np.asarray(values)
 
 
@@ -58,19 +51,16 @@ def _model_from_args(args) -> GGParams:
 
 def _alt_from_args(args) -> MixtureAlt:
     if args.epsilon is None or args.mu is None:
-        raise CliError("this operation requires --epsilon and --mu")
+        raise ValueError("this operation requires --epsilon and --mu")
     return MixtureAlt(epsilon=args.epsilon, mu=args.mu)
 
 
 def _null_table(args, stat, m: int, n: int, model, alt) -> cal.NullTable:
     """The Monte Carlo null table of stat: --table for a rank statistic, or simulated."""
     if stat.rank and args.table:
-        try:
-            table = cal.load_null_table(args.table)
-        except OSError as e:
-            raise CliError(f"cannot read table {args.table}: {e}")
+        table = cal.load_null_table(args.table)
         if (table.statistic, table.m, table.n) != (stat.name, m, n):
-            raise CliError(
+            raise ValueError(
                 f"table {args.table} is for "
                 f"({table.statistic}, m={table.m}, n={table.n})"
             )
@@ -108,41 +98,37 @@ def cmd_test(args) -> int:
 def _parse_tests(spec: str) -> list[str]:
     names = [t.strip().upper() for t in spec.split(",") if t.strip()]
     if not names:
-        raise CliError("no tests selected")
+        raise ValueError("no tests selected")
     if names == ["ALL"]:
         return list(st.ALL_STATISTICS)
     for t in names:
         if t not in st.ALL_STATISTICS:
-            raise CliError(f"unknown test {t!r}; choose from {st.ALL_STATISTICS}")
+            raise ValueError(f"unknown test {t!r}; choose from {st.ALL_STATISTICS}")
     return names
 
 
 def cmd_power(args) -> int:
     if bool(args.config) == bool(args.preset):
-        raise CliError("provide exactly one of --config or --preset")
+        raise ValueError("provide exactly one of --config or --preset")
     if args.preset:
         config = exp.figure_config(args.preset, scale=args.scale)
     else:
         try:
             raw = json.loads(Path(args.config).read_text())
-        except OSError as e:
-            raise CliError(f"cannot read config: {e}")
         except json.JSONDecodeError as e:
-            raise CliError(f"config is not valid JSON: {e}")
+            raise ValueError(f"config is not valid JSON: {e}")
         try:
             config = exp.ScenarioConfig.from_dict(raw)
         except (TypeError, ValueError, KeyError) as e:
-            raise CliError(f"invalid config: {e!r}")
+            raise ValueError(f"invalid config: {e!r}")
     overrides = {"master_seed": args.seed, "power_reps": args.reps, "level": args.level}
     # replace() validates the overridden config again
     config = dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if v is not None}
     )
-    try:  # a bad --out or --cache-dir fails now, not after simulating the curve
-        for directory in [d for d in (args.out, args.cache_dir) if d is not None]:
-            Path(directory).mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise CliError(f"cannot create directory: {e}")
+    # a bad --out or --cache-dir fails now, not after simulating the curve
+    for directory in [d for d in (args.out, args.cache_dir) if d is not None]:
+        Path(directory).mkdir(parents=True, exist_ok=True)
     curve = exp.run_power_grid(config, threads=args.threads, cache_dir=args.cache_dir)
     if args.preset:
         notes = {**curve.notes, **exp.figure_notes(args.preset, args.scale)}
@@ -173,7 +159,7 @@ def cmd_diagnose(args) -> int:
     model = _model_from_args(args)
     if args.condition == "lower-bound":
         if args.mu is None:
-            raise CliError("lower-bound requires --mu")
+            raise ValueError("lower-bound requires --mu")
         x_upper = float(args.x_upper) if args.x_upper is not None else np.inf
         value = theory.lower_bound_integral(x_upper, model, args.mu)
         print(json.dumps({"lower_bound_integral": value}, sort_keys=True))
@@ -185,17 +171,15 @@ def cmd_diagnose(args) -> int:
         out = _report_json(theory.ks_condition(args.n, model, alt))
     elif args.condition == "hc":
         if args.t is None:
-            raise CliError("hc requires --t (the threshold t_n)")
+            raise ValueError("hc requires --t (the threshold t_n)")
         reps = theory.hc_conditions(args.t, args.n, model, alt, args.eta)
         names = ("tail_mass", "separation", "median_separation")
         out = {name: _report_json(rep) for name, rep in zip(names, reps)}
-    elif args.condition == "tailrun":
+    else:  # tailrun
         if args.t is None:
-            raise CliError("tailrun requires --t")
+            raise ValueError("tailrun requires --t")
         chk = theory.tailrun_condition(args.t, args.m, args.n, model, alt, args.l)
         out = _report_json(chk)
-    else:
-        raise CliError(f"unknown condition {args.condition!r}")
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -203,11 +187,11 @@ def cmd_diagnose(args) -> int:
 def cmd_calibrate(args) -> int:
     statistic = args.statistic.upper()
     if statistic == st.TAILRUN:
-        raise CliError(
+        raise ValueError(
             "exact null available for the tail run; use the test command instead"
         )
     if statistic not in st.ALL_STATISTICS:
-        raise CliError(f"unknown statistic {args.statistic!r}")
+        raise ValueError(f"unknown statistic {args.statistic!r}")
     model = None
     if statistic == st.LRT:
         model = (_model_from_args(args), _alt_from_args(args))
@@ -216,16 +200,13 @@ def cmd_calibrate(args) -> int:
         args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed, model)
     )
     if out.exists() and not args.force:
-        raise CliError(f"{out} exists; pass --force to overwrite")
+        raise ValueError(f"{out} exists; pass --force to overwrite")
     if not out.parent.is_dir():
-        raise CliError(f"cannot write {out}: no directory {out.parent}")
+        raise ValueError(f"cannot write {out}: no directory {out.parent}")
     table = cal.mc_null_table(
         statistic, args.m, args.n, args.reps, args.seed, model=model
     )
-    try:
-        out = cal.save_null_table(table, out, force=args.force)
-    except OSError as e:
-        raise CliError(str(e))
+    out = cal.save_null_table(table, out, force=args.force)
     q = {lev: float(np.quantile(table.draws, lev)) for lev in (0.90, 0.95, 0.99)}
     print(
         json.dumps(
@@ -318,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -44,13 +44,17 @@ from .distributions import (
 SPARSE = "sparse"
 DENSE = "dense"
 
-FIGURE_PRESETS = (
-    "normal-dense",
-    "normal-moderate",
-    "normal-verysparse",
-    "dexp-dense",
-    "dexp-moderate",
-)
+_GRID_05 = tuple(round(0.05 * i, 10) for i in range(1, 11))
+_GRID_01 = tuple(round(0.1 * i, 10) for i in range(1, 10))
+# figure preset -> (model, regime, beta, grid), read by figure_config
+_PRESETS = {
+    "normal-dense": (GGParams(gamma=2.0), DENSE, 0.2, _GRID_05),
+    "normal-moderate": (GGParams(gamma=2.0), SPARSE, 0.6, _GRID_05),
+    "normal-verysparse": (GGParams(gamma=2.0), SPARSE, 0.8, _GRID_01),
+    "dexp-dense": (GGParams.double_exponential_unit_variance(), DENSE, 0.2, _GRID_05),
+    "dexp-moderate": (GGParams.double_exponential_unit_variance(), SPARSE, 0.6, _GRID_05),
+}
+FIGURE_PRESETS = tuple(_PRESETS)
 
 
 @dataclass
@@ -76,6 +80,8 @@ class ScenarioConfig:
             raise ValueError("m and n must be at least 2")
         if not (0.0 < self.level < 1.0):
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.power_reps < 1:
             raise ValueError("power_reps must be positive")
         if self.calib_reps < 100:
@@ -254,9 +260,11 @@ def _power_point(config, grid_idx, null, tables, pool):
 
 
 def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> PowerCurve:
-    if threads < 0:
-        raise ValueError(f"threads must be at least 0 (0 = one per core), got {threads}")
-    threads = threads or os.cpu_count() or 1
+    # a pool forks all its workers at once, so threads is capped at the cores
+    cores = os.cpu_count() or 1
+    if not 0 <= threads <= cores:
+        raise ValueError(f"threads must lie in [0, {cores}] (0 = one per core), got {threads}")
+    threads = threads or cores
     # the run's only pool, if any; leaving the block joins its workers
     with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as executor:
         pool = None if executor is None else _Pool(executor, threads)
@@ -313,20 +321,9 @@ def figure_config(figure: str, scale: float = 1.0) -> ScenarioConfig:
     if not (0.0 < scale <= 1.0):
         raise ValueError(f"scale must lie in (0, 1], got {scale}")
     mn = max(2, round(1e5 * scale))
-    normal = GGParams(gamma=2.0)
-    dexp = GGParams.double_exponential_unit_variance()
-    grid_05 = [round(0.05 * i, 10) for i in range(1, 11)]
-    grid_01 = [round(0.1 * i, 10) for i in range(1, 10)]
-    presets = {
-        "normal-dense": (normal, DENSE, 0.2, grid_05),
-        "normal-moderate": (normal, SPARSE, 0.6, grid_05),
-        "normal-verysparse": (normal, SPARSE, 0.8, grid_01),
-        "dexp-dense": (dexp, DENSE, 0.2, grid_05),
-        "dexp-moderate": (dexp, SPARSE, 0.6, grid_05),
-    }
-    model, regime, beta, grid = presets[figure]
+    model, regime, beta, grid = _PRESETS[figure]
     return ScenarioConfig(
-        model=model, m=mn, n=mn, regime=regime, beta=beta, grid=grid
+        model=model, m=mn, n=mn, regime=regime, beta=beta, grid=list(grid)
     )
 
 

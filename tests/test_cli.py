@@ -70,13 +70,6 @@ class TestCmdTest:
         assert row["method"] == "monte-carlo"
         assert 0 < row["pvalue"] <= 1
 
-    def test_missing_table_file(self, tmp_path, capsys):
-        xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
-        missing = str(tmp_path / "nope.npz")
-        assert main(["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", missing]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "nope.npz" in err
-
     def test_format_3_table_refused(self, tmp_path, capsys):
         xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
         old = tmp_path / "hc_v3.npz"
@@ -488,6 +481,21 @@ class TestCmdPower:
         assert err.startswith("error: ") and "threads" in err
         assert not (tmp_path / "normal-dense.csv").exists()
 
+    def test_threads_above_the_cores_refused(self, tmp_path, capsys, monkeypatch):
+        from mixdetect import experiments as exp
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                pytest.fail("a pool was started for a refused --threads")
+
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", NoPool)
+        args = ["power", "--preset", "normal-dense", "--scale", "0.001", "--out", str(tmp_path)]
+        assert main(args + ["--threads", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: threads must lie in [0, 2] (0 = one per core), got 3\n"
+        assert not (tmp_path / "normal-dense.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--cache-dir"])
     def test_directory_that_is_a_file(self, tmp_path, capsys, monkeypatch, flag):
         from mixdetect import experiments as exp
@@ -512,3 +520,77 @@ class TestCmdPower:
         cfg.write_text(json.dumps({"m": 10}))
         assert main(["power", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "config" in capsys.readouterr().err
+
+
+class TestErrorBoundary:
+    """Every failure is one 'error: ' line on stderr and exit status 1."""
+
+    @staticmethod
+    def missing_x(tmp_path):
+        _, yf = write_samples(tmp_path, [1, 2], [3, 4])
+        missing = tmp_path / "nope.txt"
+        return ["test", "--x", str(missing), "--y", yf], missing
+
+    @staticmethod
+    def missing_table(tmp_path):
+        xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
+        missing = tmp_path / "nope.npz"
+        return ["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", str(missing)], missing
+
+    @staticmethod
+    def missing_config(tmp_path):
+        missing = tmp_path / "nope.json"
+        return ["power", "--config", str(missing), "--out", str(tmp_path)], missing
+
+    @staticmethod
+    def calibrate_onto_directory(tmp_path):
+        out = tmp_path / "t.npz"
+        out.mkdir()
+        argv = ["calibrate", "--statistic", "HC", "--m", "5", "--n", "5", "--reps", "100",
+                "--out", str(out), "--force"]
+        return argv, out
+
+    @staticmethod
+    def power_csv_is_a_directory(tmp_path):
+        csv_path = tmp_path / "normal-dense.csv"
+        csv_path.mkdir()
+        argv = ["power", "--preset", "normal-dense", "--scale", "0.0005", "--reps", "2",
+                "--out", str(tmp_path)]
+        return argv, csv_path
+
+    @staticmethod
+    def cache_entry_is_a_directory(tmp_path):
+        entry = tmp_path / "cache" / "HC_m100_n100_r4000_s0.npz"
+        entry.mkdir(parents=True)
+        argv = ["power", "--preset", "normal-dense", "--scale", "0.001", "--reps", "2",
+                "--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")]
+        return argv, entry
+
+    @pytest.mark.parametrize("case", [
+        "missing_x", "missing_table", "missing_config", "calibrate_onto_directory",
+        "power_csv_is_a_directory", "cache_entry_is_a_directory",
+    ])
+    def test_file_errors(self, tmp_path, capsys, case):
+        argv, path = getattr(self, case)(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(path) in lines[0]
+
+    @pytest.mark.parametrize("command, name", [
+        ("power", "master_seed"), ("test", "seed"), ("calibrate", "seed"),
+    ])
+    def test_negative_seed(self, tmp_path, capsys, command, name):
+        xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
+        out = tmp_path / "out"
+        argv = {
+            "power": ["--preset", "normal-dense", "--scale", "0.001", "--out", str(out)],
+            "test": ["--x", xf, "--y", yf, "--tests", "hc", "--reps", "200"],
+            "calibrate": ["--statistic", "HC", "--m", "5", "--n", "5", "--reps", "100",
+                          "--out", str(out) + ".npz"],
+        }[command]
+        assert main([command, *argv, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == f"error: {name} must be non-negative, got -1\n"
+        assert not out.exists() and not (tmp_path / "out.npz").exists()

@@ -80,7 +80,10 @@ class TestRunPowerGrid:
             assert 0 <= row["reject_count"] <= 10
             assert row["power"] == row["reject_count"] / 10
 
-    def test_determinism_across_threads(self):
+    def test_determinism_across_threads(self, monkeypatch):
+        # three workers split the replicates unlike two; --threads is capped
+        # at the core count, so the test stands in for a 3-core host
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: 3)
         cfg = small_config(grid=[0.3, 0.7], power_reps=20)
         a = run_power_grid(cfg, threads=1)
         b = run_power_grid(cfg, threads=3)
@@ -170,6 +173,12 @@ class TestFigurePresets:
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
             figure_config("bogus")
+
+    def test_configs_share_no_grid(self):
+        a = figure_config("normal-dense")
+        a.grid.append(0.6)
+        assert figure_config("normal-dense").grid[-1] == 0.5
+        assert figure_config("dexp-dense").grid[-1] == 0.5
 
 
 def pinned_config():
