@@ -260,11 +260,12 @@ def _power_point(config, grid_idx, null, tables, pool):
 
 
 def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> PowerCurve:
-    # a pool forks all its workers at once, so threads is capped at the cores
+    if threads < 0:
+        raise ValueError(f"threads must be at least 0 (0 = one per core), got {threads}")
+    # a pool forks all its workers at once, so it gets at most one per core;
+    # the output is the same at any worker count
     cores = os.cpu_count() or 1
-    if not 0 <= threads <= cores:
-        raise ValueError(f"threads must lie in [0, {cores}] (0 = one per core), got {threads}")
-    threads = threads or cores
+    threads = min(threads or cores, cores)
     # the run's only pool, if any; leaving the block joins its workers
     with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as executor:
         pool = None if executor is None else _Pool(executor, threads)

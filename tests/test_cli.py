@@ -481,20 +481,27 @@ class TestCmdPower:
         assert err.startswith("error: ") and "threads" in err
         assert not (tmp_path / "normal-dense.csv").exists()
 
-    def test_threads_above_the_cores_refused(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_threads_capped_at_the_cores(self, tmp_path, monkeypatch, cores):
         from mixdetect import experiments as exp
 
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                pytest.fail("a pool was started for a refused --threads")
+        sizes = []
 
-        monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(exp, "ProcessPoolExecutor", NoPool)
-        args = ["power", "--preset", "normal-dense", "--scale", "0.001", "--out", str(tmp_path)]
-        assert main(args + ["--threads", "3"]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: threads must lie in [0, 2] (0 = one per core), got 3\n"
-        assert not (tmp_path / "normal-dense.csv").exists()
+        class CappedPool(exp.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                # fail before any worker could start if the cap is missing
+                assert max_workers <= cores
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", CappedPool)
+        args = ["power", "--preset", "normal-dense", "--scale", "0.001", "--reps", "4"]
+        assert main(args + ["--out", str(tmp_path / "a"), "--threads", "5000"]) == 0
+        assert main(args + ["--out", str(tmp_path / "b"), "--threads", "1"]) == 0
+        assert sizes == ([] if cores == 1 else [2])
+        csv = "normal-dense.csv"
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
     @pytest.mark.parametrize("flag", ["--out", "--cache-dir"])
     def test_directory_that_is_a_file(self, tmp_path, capsys, monkeypatch, flag):

@@ -81,7 +81,7 @@ class TestRunPowerGrid:
             assert row["power"] == row["reject_count"] / 10
 
     def test_determinism_across_threads(self, monkeypatch):
-        # three workers split the replicates unlike two; --threads is capped
+        # three workers split the replicates unlike two; threads is capped
         # at the core count, so the test stands in for a 3-core host
         monkeypatch.setattr(exp.os, "cpu_count", lambda: 3)
         cfg = small_config(grid=[0.3, 0.7], power_reps=20)
@@ -293,6 +293,7 @@ class TestLrtNullTables:
                 super().shutdown(wait, **kwargs)
 
         monkeypatch.setattr(exp, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)  # room for 2 workers
         run_power_grid(self.config(), threads=threads)
         assert len(opened) == pools and joined == [True] * pools
 
