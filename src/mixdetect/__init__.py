@@ -49,7 +49,6 @@ from .statistics import (
     LRT,
     TAILRUN,
     WILCOXON,
-    RankProfile,
     StatValue,
     TiesError,
     TwoSample,
@@ -59,7 +58,6 @@ from .statistics import (
     ks_one_sided,
     lrt_stat,
     lrt_stats,
-    rank_profile,
     tail_run,
     wilcoxon_u,
 )

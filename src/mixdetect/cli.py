@@ -55,21 +55,6 @@ def _alt_from_args(args) -> MixtureAlt:
     return MixtureAlt(epsilon=args.epsilon, mu=args.mu)
 
 
-def _null_table(args, stat, m: int, n: int, model, alt) -> cal.NullTable:
-    """The Monte Carlo null table of stat: --table for a rank statistic, or simulated."""
-    if stat.rank and args.table:
-        table = cal.load_null_table(args.table)
-        if (table.statistic, table.m, table.n) != (stat.name, m, n):
-            raise ValueError(
-                f"table {args.table} is for "
-                f"({table.statistic}, m={table.m}, n={table.n})"
-            )
-        return table
-    return cal.mc_null_table(
-        stat.name, m, n, args.reps, args.seed, model=None if stat.rank else (model, alt)
-    )
-
-
 def cmd_test(args) -> int:
     x = read_sample_file(args.x)
     y = read_sample_file(args.y)
@@ -82,11 +67,27 @@ def cmd_test(args) -> int:
     model = alt = None
     if not all(s.rank for s in stats):
         model, alt = _model_from_args(args), _alt_from_args(args)
+    tables = {}
+    if args.table:
+        # the file serves the selected Monte Carlo test it was simulated for
+        table = cal.load_null_table(args.table)
+        if (
+            not any(s.monte_carlo and s.name == table.statistic for s in stats)
+            or (table.m, table.n) != (m, n)
+            or table.model not in (None, (model, alt))
+        ):
+            raise ValueError(
+                f"table {args.table} is for {table.key}; it matches no selected test here"
+            )
+        tables[table.statistic] = table
     report = {"m": m, "n": n, "tests": {}}
     for stat in stats:
         (value,) = stat.values(xi, ts.y, m, n, model, [alt])
-        table = _null_table(args, stat, m, n, model, alt) if stat.monte_carlo else None
-        pv = stat.pvalue(value, m, n, table)
+        if stat.monte_carlo and stat.name not in tables:
+            tables[stat.name] = cal.mc_null_table(
+                stat.name, m, n, args.reps, args.seed, model=None if stat.rank else (model, alt)
+            )
+        pv = stat.pvalue(value, m, n, tables.get(stat.name))
         row = {"statistic": value, "pvalue": pv.p, "method": pv.method}
         if stat.extra is not None:
             row.update(stat.extra(value, m, n))
@@ -129,11 +130,14 @@ def cmd_power(args) -> int:
     # a bad --out or --cache-dir fails now, not after simulating the curve
     for directory in [d for d in (args.out, args.cache_dir) if d is not None]:
         Path(directory).mkdir(parents=True, exist_ok=True)
+    stem = args.stem or (args.preset or Path(args.config).stem)
+    for path in (Path(args.out) / f"{stem}.csv", Path(args.out) / f"{stem}.json"):
+        if path.is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
     curve = exp.run_power_grid(config, threads=args.threads, cache_dir=args.cache_dir)
     if args.preset:
         notes = {**curve.notes, **exp.figure_notes(args.preset, args.scale)}
         curve = dataclasses.replace(curve, notes=notes)
-    stem = args.stem or (args.preset or Path(args.config).stem)
     csv_path, json_path = curve.write(args.out, stem)
     print(f"wrote {csv_path} and {json_path}")
     return 0
@@ -199,10 +203,11 @@ def cmd_calibrate(args) -> int:
     out = cal.npz_path(
         args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed, model)
     )
+    if out.is_dir() or not out.parent.is_dir():
+        reason = "it is a directory" if out.is_dir() else f"no directory {out.parent}"
+        raise ValueError(f"cannot write {out}: {reason}")
     if out.exists() and not args.force:
         raise ValueError(f"{out} exists; pass --force to overwrite")
-    if not out.parent.is_dir():
-        raise ValueError(f"cannot write {out}: no directory {out.parent}")
     table = cal.mc_null_table(
         statistic, args.m, args.n, args.reps, args.seed, model=model
     )
@@ -241,7 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tests", default="HC,WILCOXON,KS,TAILRUN", help="comma list or 'all'")
     p.add_argument("--reps", type=int, default=4000, help="Monte Carlo calibration reps")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--table", default=None, help="null-table cache file for HC")
+    p.add_argument(
+        "--table",
+        default=None,
+        help="null-table file from calibrate, read by the selected HC or LRT test it "
+        "was simulated for; its m and n, and an LRT table's model, must match the run's",
+    )
     p.add_argument("--dejitter", action="store_true", help="break ties deterministically")
     add_model_args(p)
     p.set_defaults(fn=cmd_test)

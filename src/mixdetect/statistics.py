@@ -47,15 +47,6 @@ class StatValue:
     value: float
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """v[s-1] counts X-origin values among the s smallest pooled, s=1..m+n-1."""
-
-    v: np.ndarray
-    m: int
-    n: int
-
-
 @dataclass
 class TwoSample:
     """Control sample x (from F) and test sample y (from G)."""
@@ -108,11 +99,6 @@ def pooled_indicator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if dup.any():
         raise TiesError(float(svals[:-1][dup][0]))
     return (order < x.size).astype(np.int64)
-
-
-def rank_profile(ts: TwoSample) -> RankProfile:
-    xi = pooled_indicator(ts.x, ts.y)
-    return RankProfile(v=np.cumsum(xi)[:-1], m=ts.m, n=ts.n)
 
 
 # The per-(m, n) constants of the rank kernels, shared by every replicate of

@@ -22,9 +22,16 @@ class TestReadSampleFile:
 
     def test_bad_value(self, tmp_path):
         f = tmp_path / "s.txt"
-        f.write_text("1.0\nnot-a-number\n")
-        with pytest.raises(Exception):
-            read_sample_file(f)
+        for text, message in [
+            ("1.0\nnot-a-number\n", f"{f}:2: not a number: 'not-a-number'"),
+            ("1.0\n-inf  # far out\n", f"{f}:2: non-finite value '-inf'"),
+            ("nan\n", f"{f}:1: non-finite value 'nan'"),
+            ("# no data\n\n", f"{f}: no values found"),
+        ]:
+            f.write_text(text)
+            with pytest.raises(ValueError) as exc:
+                read_sample_file(f)
+            assert str(exc.value) == message
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(Exception):
@@ -80,6 +87,86 @@ class TestCmdTest:
         assert main(["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", str(old)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "version 3" in err
+
+    @pytest.mark.parametrize("tests", ["lrt", "all"])
+    def test_lrt_pvalue(self, tmp_path, capsys, tests):
+        from mixdetect import ALL_STATISTICS, GGParams, MixtureAlt, lrt_stat
+        from mixdetect import calibration as cal
+
+        rng = np.random.default_rng(4)
+        xf, yf = write_samples(tmp_path, rng.normal(size=20), rng.normal(size=30))
+        argv = ["test", "--x", xf, "--y", yf, "--tests", tests, "--reps", "200",
+                "--seed", "3", "--epsilon", "0.1", "--mu", "1.5"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report["tests"]) == sorted(ALL_STATISTICS if tests == "all" else ["LRT"])
+        model = (GGParams(2.0), MixtureAlt(0.1, 1.5))
+        row = report["tests"]["LRT"]
+        assert row["statistic"] == lrt_stat(read_sample_file(yf), *model).value
+        table = cal.mc_null_table("LRT", 20, 30, 200, 3, model=model)
+        assert row["pvalue"] == cal.mc_pvalue(row["statistic"], table).p
+        assert row["method"] == "monte-carlo"
+
+    def test_lrt_requires_the_alternative(self, tmp_path, capsys):
+        xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
+        assert main(["test", "--x", xf, "--y", yf, "--tests", "hc,lrt", "--mu", "1"]) == 1
+        assert capsys.readouterr().err == "error: this operation requires --epsilon and --mu\n"
+
+    MODEL_ARGS = ["--epsilon", "0.1", "--mu", "1.5"]
+
+    @staticmethod
+    def stored_table(tmp_path, statistic, m=20, n=30, mu=1.5):
+        """A 500-rep table file of statistic, written as calibrate writes it."""
+        from mixdetect import GGParams, MixtureAlt
+        from mixdetect import calibration as cal
+
+        model = (GGParams(2.0), MixtureAlt(0.1, mu)) if statistic == "LRT" else None
+        table = cal.mc_null_table(statistic, m, n, 500, 5, model=model)
+        return cal.save_null_table(table, tmp_path / "stored.npz")
+
+    @pytest.mark.parametrize("statistic", ["HC", "LRT"])
+    def test_stored_table_used(self, tmp_path, capsys, monkeypatch, statistic):
+        from mixdetect import calibration as cal
+
+        rng = np.random.default_rng(6)
+        xf, yf = write_samples(tmp_path, rng.normal(size=20), 0.5 + rng.normal(size=30))
+        path = self.stored_table(tmp_path, statistic)
+        simulated = []
+        mc_null_table = cal.mc_null_table
+        monkeypatch.setattr(
+            cal, "mc_null_table", lambda s, *a, **k: simulated.append(s) or mc_null_table(s, *a, **k)
+        )
+        argv = ["test", "--x", xf, "--y", yf, "--tests", "lrt,hc,ks", "--reps", "200",
+                "--table", str(path), *self.MODEL_ARGS]
+        assert main(argv) == 0
+        assert simulated == [{"HC": "LRT", "LRT": "HC"}[statistic]]
+        row = json.loads(capsys.readouterr().out)["tests"][statistic]
+        stored = cal.load_null_table(path)
+        assert row["pvalue"] == cal.mc_pvalue(row["statistic"], stored).p
+        # on the file's 1/(R + 1) grid, R = 500, not on that of --reps 200
+        assert row["pvalue"] * 501 == pytest.approx(round(row["pvalue"] * 501), abs=1e-9)
+
+    @pytest.mark.parametrize("statistic, tests, table_args", [
+        ("LRT", "lrt", {"mu": 2.0}),  # another alternative than --mu 1.5
+        ("HC", "hc", {"n": 31}),  # another sample size
+        ("HC", "wilcoxon,ks,lrt", {}),  # no selected test reads an HC table
+        ("LRT", "hc,tailrun", {}),  # nor an LRT one
+    ], ids=["another_mu", "another_n", "hc_table_unread", "lrt_table_unread"])
+    def test_stored_table_refused(self, tmp_path, capsys, statistic, tests, table_args):
+        from mixdetect import load_null_table
+
+        rng = np.random.default_rng(6)
+        xf, yf = write_samples(tmp_path, rng.normal(size=20), rng.normal(size=30))
+        path = self.stored_table(tmp_path, statistic, **table_args)
+        argv = ["test", "--x", xf, "--y", yf, "--tests", tests, "--table", str(path),
+                *self.MODEL_ARGS]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: table {path} is for {load_null_table(path).key}; "
+            "it matches no selected test here\n"
+        )
 
     def test_json_roundtrip(self, tmp_path, capsys):
         xf, yf = write_samples(tmp_path, [1, 2], [3, 4])
@@ -202,6 +289,17 @@ class TestCmdDiagnose:
         out = json.loads(capsys.readouterr().out)
         assert out["median_separation"]["verdict"] == "yes"
 
+    def test_tailrun(self, capsys):
+        import dataclasses
+
+        from mixdetect import GGParams, MixtureAlt, tailrun_condition
+
+        argv = ["diagnose", "--condition", "tailrun", "--t", "2.5", "--m", "1000",
+                "--n", "2000", "--l", "3", "--epsilon", "0.05", "--mu", "3"]
+        assert main(argv) == 0
+        check = tailrun_condition(2.5, 1000, 2000, GGParams(2.0), MixtureAlt(0.05, 3.0), 3)
+        assert json.loads(capsys.readouterr().out) == dataclasses.asdict(check)
+
     def test_unknown_condition_exit(self, capsys):
         with pytest.raises(SystemExit):
             main(["diagnose", "--condition", "bogus"])
@@ -306,6 +404,11 @@ class TestCmdCalibrate:
         args[-1] = str(tmp_path / "nodir" / "t.npz")
         assert main(args) == 1
         assert "nodir" in capsys.readouterr().err
+        directory = tmp_path / "d.npz"
+        directory.mkdir()
+        args[-1] = str(directory)
+        assert main([*args, "--force"]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {directory}: it is a directory\n"
 
     def test_lrt_default_names_carry_the_model(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -503,21 +606,27 @@ class TestCmdPower:
         csv = "normal-dense.csv"
         assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
-    @pytest.mark.parametrize("flag", ["--out", "--cache-dir"])
+    @pytest.mark.parametrize("flag", ["--out", "--cache-dir", "run.csv", "run.json"])
     def test_directory_that_is_a_file(self, tmp_path, capsys, monkeypatch, flag):
+        """--out or --cache-dir is a file, or an output file is a directory."""
         from mixdetect import experiments as exp
 
         def fail(*args, **kwargs):
             pytest.fail("the curve was simulated before the directory was checked")
 
         monkeypatch.setattr(exp, "run_power_grid", fail)
-        blocker = tmp_path / "a-file"
-        blocker.write_text("")
         args = ["power", "--preset", "normal-dense", "--scale", "0.0005", "--reps", "2",
-                "--out", str(tmp_path), flag, str(blocker)]
+                "--out", str(tmp_path), "--stem", "run"]
+        if flag.startswith("--"):
+            blocker = tmp_path / "a-file"
+            blocker.write_text("")
+            args += [flag, str(blocker)]
+        else:
+            blocker = tmp_path / flag
+            blocker.mkdir()
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "a-file" in err
+        assert err.startswith("error: ") and str(blocker) in err
 
     def test_config_and_preset_conflict(self, capsys):
         assert main(["power", "--preset", "normal-dense", "--config", "x.json"]) == 1
@@ -543,6 +652,12 @@ class TestErrorBoundary:
         xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
         missing = tmp_path / "nope.npz"
         return ["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", str(missing)], missing
+
+    @staticmethod
+    def missing_unused_table(tmp_path):
+        argv, missing = TestErrorBoundary.missing_table(tmp_path)
+        argv[argv.index("hc")] = "wilcoxon"
+        return argv, missing
 
     @staticmethod
     def missing_config(tmp_path):
@@ -574,7 +689,8 @@ class TestErrorBoundary:
         return argv, entry
 
     @pytest.mark.parametrize("case", [
-        "missing_x", "missing_table", "missing_config", "calibrate_onto_directory",
+        "missing_x", "missing_table", "missing_unused_table", "missing_config",
+        "calibrate_onto_directory",
         "power_csv_is_a_directory", "cache_entry_is_a_directory",
     ])
     def test_file_errors(self, tmp_path, capsys, case):
