@@ -16,15 +16,12 @@ from .calibration import (
     save_null_table,
     tailrun_null_pmf,
     tailrun_pvalue,
-    wilcoxon_alt_moments,
     wilcoxon_exact_null,
     wilcoxon_pvalue,
 )
 from .distributions import (
-    DenseParam,
     GGParams,
     MixtureAlt,
-    SparseParam,
     dense_calibration,
     gg_cdf,
     gg_pdf,
@@ -49,20 +46,19 @@ from .statistics import (
     LRT,
     TAILRUN,
     WILCOXON,
-    StatValue,
     TiesError,
     TwoSample,
     dejitter,
-    hc_stat,
-    hc_stat_sup_form,
-    ks_one_sided,
+    hc_from_indicator,
+    hc_sup_form_from_indicator,
+    ks_from_indicator,
     lrt_stat,
     lrt_stats,
-    tail_run,
-    wilcoxon_u,
+    pooled_indicator,
+    tailrun_from_indicator,
+    wilcoxon_from_indicator,
 )
 from .theory import (
-    BoundaryQuery,
     ConditionReport,
     TailRunCheck,
     detection_boundary_dense,

@@ -25,8 +25,7 @@ import numpy as np
 from scipy import special
 
 from . import statistics as st
-from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_sample, mixture_sample
-from .theory import quad_pieces
+from .distributions import GGParams, MixtureAlt, gg_sample, mixture_sample
 
 # version of the null-table file format; files of another version are
 # refused (4: an LRT file also carries the gamma, scale, eps and mu it was
@@ -290,43 +289,6 @@ def wilcoxon_exact_null(m: int, n: int) -> np.ndarray:
             counts[i, j, :] = counts[i, j - 1, :]
             counts[i, j, j:] += counts[i - 1, j, : top + 1 - j]
     return counts[m, n, :] / math.comb(m + n, n)
-
-
-def _mixture_cdf(x, p: GGParams, alt: MixtureAlt):
-    return (1 - alt.epsilon) * gg_cdf(x, p) + alt.epsilon * gg_cdf(x - alt.mu, p)
-
-
-def _mixture_pdf(x, p: GGParams, alt: MixtureAlt):
-    return (1 - alt.epsilon) * gg_pdf(x, p) + alt.epsilon * gg_pdf(x - alt.mu, p)
-
-
-def wilcoxon_alt_moments(
-    p: GGParams, alt: MixtureAlt, m: int, n: int
-) -> tuple[float, float]:
-    """Mean and variance of U/mn under the mixture alternative.
-
-    The three cross-moments of (F, G) are evaluated by adaptive quadrature
-    and assembled with the classical large-sample variance identity.
-    """
-    # split around both mixture components so quad never misses a bump
-    s, mu = p.scale, alt.mu
-    cuts = (-mu - 10 * s, -10 * s, 0.0, mu / 2, mu, mu + 10 * s)
-    what = f"a Wilcoxon moment at gamma={p.gamma!r}, mu={mu!r}"
-    f_dg = quad_pieces(lambda x: gg_cdf(x, p) * _mixture_pdf(x, p, alt), cuts, what=what)
-    f2_dg = quad_pieces(lambda x: gg_cdf(x, p) ** 2 * _mixture_pdf(x, p, alt), cuts, what=what)
-    bar_g2_df = quad_pieces(
-        lambda x: (1.0 - _mixture_cdf(x, p, alt)) ** 2 * gg_pdf(x, p), cuts, what=what
-    )
-    lam = 0.5 - f_dg
-    eps1 = 1.0 / 3.0 - f2_dg
-    eps2 = 1.0 / 3.0 - bar_g2_df
-    var = (
-        (m + n + 1) / 12.0
-        + (m - 1) * (lam - eps1)
-        + (n - 1) * (lam - eps2)
-        - lam**2 * (m + n - 1)
-    ) / (m * n)
-    return f_dg, var
 
 
 def ks_lambda(d, m: int, n: int):

@@ -64,9 +64,10 @@ def cmd_test(args) -> int:
     xi = st.pooled_indicator(ts.x, ts.y)
     stats = [cal.STATISTICS[t] for t in _parse_tests(args.tests)]
     m, n = ts.m, ts.n
-    model = alt = None
-    if not all(s.rank for s in stats):
-        model, alt = _model_from_args(args), _alt_from_args(args)
+    # every model input given is validated, read by a selected test or not
+    model, alt = _model_from_args(args), None
+    if not all(s.rank for s in stats) or args.epsilon is not None or args.mu is not None:
+        alt = _alt_from_args(args)
     tables = {}
     if args.table:
         # the file serves the selected Monte Carlo test it was simulated for
@@ -102,9 +103,11 @@ def _parse_tests(spec: str) -> list[str]:
         raise ValueError("no tests selected")
     if names == ["ALL"]:
         return list(st.ALL_STATISTICS)
-    for t in names:
+    for i, t in enumerate(names):
         if t not in st.ALL_STATISTICS:
             raise ValueError(f"unknown test {t!r}; choose from {st.ALL_STATISTICS}")
+        if t in names[:i]:
+            raise ValueError(f"test {t!r} is selected more than once")
     return names
 
 
@@ -145,9 +148,7 @@ def cmd_power(args) -> int:
 
 def cmd_boundary(args) -> int:
     if args.regime == "sparse":
-        value = theory.detection_boundary_sparse(
-            theory.BoundaryQuery(beta=args.beta, gamma=args.gamma)
-        )
+        value = theory.detection_boundary_sparse(args.beta, args.gamma)
     else:
         value = theory.detection_boundary_dense(args.beta, args.gamma)
     print(f"{value:.12g}")
@@ -199,10 +200,10 @@ def cmd_calibrate(args) -> int:
     model = None
     if statistic == st.LRT:
         model = (_model_from_args(args), _alt_from_args(args))
-    # a bad --out fails now, not after simulating the table
-    out = cal.npz_path(
-        args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed, model)
-    )
+    # a bad --out fails now, not after simulating the table; a directory is
+    # refused as given, before npz_path names a file beside it
+    out = Path(args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed, model))
+    out = out if out.is_dir() else cal.npz_path(out)
     if out.is_dir() or not out.parent.is_dir():
         reason = "it is a directory" if out.is_dir() else f"no directory {out.parent}"
         raise ValueError(f"cannot write {out}: {reason}")

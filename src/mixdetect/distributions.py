@@ -64,38 +64,6 @@ class MixtureAlt:
             raise ValueError(f"mu must be a positive finite real, got {self.mu}")
 
 
-@dataclass(frozen=True)
-class SparseParam:
-    """Sparse-regime exponents: epsilon = n**-beta, mu = (gamma*r*log n)**(1/gamma)."""
-
-    beta: float
-    r: float
-
-    def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not (0.0 < self.r < 1.0):
-            raise ValueError(f"r must lie in (0, 1), got {self.r}")
-
-
-@dataclass(frozen=True)
-class DenseParam:
-    """Dense-regime exponents: epsilon = n**-beta, mu = n**(s - 1/2).
-
-    s = 1/2 (constant shift mu = 1) is accepted as the closure of the range
-    since the experiment grids include it.
-    """
-
-    beta: float
-    s: float
-
-    def __post_init__(self):
-        if not (0.0 < self.beta < 0.5):
-            raise ValueError(f"beta must lie in (0, 1/2), got {self.beta}")
-        if not (0.0 < self.s <= 0.5):
-            raise ValueError(f"s must lie in (0, 1/2], got {self.s}")
-
-
 def _check_finite(x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -177,19 +145,31 @@ def mixture_sample(
     return base
 
 
-def sparse_calibration(n: int, sp: SparseParam, gamma: float) -> MixtureAlt:
-    """Sparse-regime (epsilon, mu) at sample size n."""
+def sparse_calibration(n: int, beta: float, r: float, gamma: float) -> MixtureAlt:
+    """Sparse-regime epsilon = n**-beta, mu = (gamma*r*log n)**(1/gamma)."""
+    if not (0.0 < beta < 1.0):
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    if not (0.0 < r < 1.0):
+        raise ValueError(f"r must lie in (0, 1), got {r}")
     if n < 2:
         raise ValueError("n must be at least 2")
-    eps = n ** (-sp.beta)
+    eps = n ** (-beta)
     if eps >= 0.5:
         raise ValueError(f"epsilon = n**-beta = {eps} >= 1/2; increase n or beta")
-    mu = (gamma * sp.r * math.log(n)) ** (1.0 / gamma)
+    mu = (gamma * r * math.log(n)) ** (1.0 / gamma)
     return MixtureAlt(epsilon=eps, mu=mu)
 
 
-def dense_calibration(n: int, dp: DenseParam) -> MixtureAlt:
-    """Dense-regime (epsilon, mu) at sample size n."""
+def dense_calibration(n: int, beta: float, s: float) -> MixtureAlt:
+    """Dense-regime epsilon = n**-beta, mu = n**(s - 1/2).
+
+    s = 1/2 (constant shift mu = 1) is accepted as the closure of the range
+    since the experiment grids include it.
+    """
+    if not (0.0 < beta < 0.5):
+        raise ValueError(f"beta must lie in (0, 1/2), got {beta}")
+    if not (0.0 < s <= 0.5):
+        raise ValueError(f"s must lie in (0, 1/2], got {s}")
     if n < 2:
         raise ValueError("n must be at least 2")
-    return MixtureAlt(epsilon=n ** (-dp.beta), mu=n ** (dp.s - 0.5))
+    return MixtureAlt(epsilon=n ** (-beta), mu=n ** (s - 0.5))

@@ -32,14 +32,7 @@ import numpy as np
 from . import calibration as cal
 from . import statistics as st
 from . import theory
-from .distributions import (
-    DenseParam,
-    GGParams,
-    MixtureAlt,
-    SparseParam,
-    dense_calibration,
-    sparse_calibration,
-)
+from .distributions import GGParams, MixtureAlt, dense_calibration, sparse_calibration
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -91,28 +84,27 @@ class ScenarioConfig:
         unknown = [t for t in self.tests if t not in st.ALL_STATISTICS]
         if unknown:
             raise ValueError(f"unknown tests: {unknown}")
+        repeated = [t for i, t in enumerate(self.tests) if t in self.tests[:i]]
+        if repeated:
+            raise ValueError(f"repeated tests: {repeated}")
         if not self.tests:
             raise ValueError("tests must be nonempty")
         if not self.grid:
             raise ValueError("grid must be nonempty")
         if any(b >= a for a, b in zip(self.grid[1:], self.grid[:-1])):
             raise ValueError("grid values must be strictly increasing")
-        # SparseParam / DenseParam check the range of every grid value
+        # the calibrations check the range of beta and of every grid value
         for g in self.grid:
             self.alt_for(g)
 
     def alt_for(self, grid_value: float) -> MixtureAlt:
         if self.regime == SPARSE:
-            sp = SparseParam(beta=self.beta, r=grid_value)
-            return sparse_calibration(self.n, sp, self.model.gamma)
-        dp = DenseParam(beta=self.beta, s=grid_value)
-        return dense_calibration(self.n, dp)
+            return sparse_calibration(self.n, self.beta, grid_value, self.model.gamma)
+        return dense_calibration(self.n, self.beta, grid_value)
 
     def boundary_marker(self) -> float:
         if self.regime == SPARSE:
-            return theory.detection_boundary_sparse(
-                theory.BoundaryQuery(beta=self.beta, gamma=self.model.gamma)
-            )
+            return theory.detection_boundary_sparse(self.beta, self.model.gamma)
         return theory.detection_boundary_dense(self.beta, self.model.gamma)
 
     def to_dict(self) -> dict:

@@ -41,12 +41,6 @@ class TiesError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class StatValue:
-    name: str
-    value: float
-
-
 @dataclass
 class TwoSample:
     """Control sample x (from F) and test sample y (from G)."""
@@ -169,31 +163,6 @@ def tailrun_from_indicator(xi: np.ndarray, m: int, n: int) -> int:
     return int(np.argmax(rev))  # first X-origin from the top; x nonempty
 
 
-def hc_stat(ts: TwoSample) -> StatValue:
-    xi = pooled_indicator(ts.x, ts.y)
-    return StatValue(HC, hc_from_indicator(xi, ts.m, ts.n))
-
-
-def hc_stat_sup_form(ts: TwoSample) -> StatValue:
-    xi = pooled_indicator(ts.x, ts.y)
-    return StatValue(HC, hc_sup_form_from_indicator(xi, ts.m, ts.n))
-
-
-def wilcoxon_u(ts: TwoSample) -> StatValue:
-    xi = pooled_indicator(ts.x, ts.y)
-    return StatValue(WILCOXON, float(wilcoxon_from_indicator(xi, ts.m, ts.n)))
-
-
-def ks_one_sided(ts: TwoSample) -> StatValue:
-    xi = pooled_indicator(ts.x, ts.y)
-    return StatValue(KS, ks_from_indicator(xi, ts.m, ts.n))
-
-
-def tail_run(ts: TwoSample) -> StatValue:
-    xi = pooled_indicator(ts.x, ts.y)
-    return StatValue(TAILRUN, float(tailrun_from_indicator(xi, ts.m, ts.n)))
-
-
 # The per-alternative constants of lrt_stats at sample size n: (k, 1)
 # columns, and flat rows for the log odds and n * log1p(-eps).  Each is
 # computed in Python floats, one alternative at a time, so every row takes
@@ -270,6 +239,6 @@ def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
     return totals
 
 
-def lrt_stat(y, p: GGParams, alt: MixtureAlt) -> StatValue:
+def lrt_stat(y, p: GGParams, alt: MixtureAlt) -> float:
     """The oracle LRT at one alternative: the one-row case of lrt_stats."""
-    return StatValue(LRT, float(lrt_stats(y, p, (alt,))[0]))
+    return float(lrt_stats(y, p, (alt,))[0])

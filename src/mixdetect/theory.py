@@ -24,18 +24,6 @@ _QUAD_REL = 1e-8
 
 
 @dataclass(frozen=True)
-class BoundaryQuery:
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     """LHS of a power condition, its comparison scale, and a ternary verdict."""
 
@@ -84,13 +72,16 @@ def _report(lhs: float, scale: float, where: float | None = None) -> ConditionRe
     return ConditionReport(lhs=lhs, scale=scale, ratio=ratio, verdict=verdict, where=where)
 
 
-def detection_boundary_sparse(q: BoundaryQuery) -> float:
+def detection_boundary_sparse(beta: float, gamma: float) -> float:
     """Critical signal exponent r separating detectable from undetectable.
 
     Quoted for the sparse regime 1/2 < beta < 1; evaluates for any beta in
     (0, 1).
     """
-    beta, gamma = q.beta, q.gamma
+    if not (0.0 < beta < 1.0):
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     if gamma <= 1.0:
         return 2.0 * beta - 1.0
     breakpoint_ = 1.0 - 2.0 ** (-gamma / (gamma - 1.0))

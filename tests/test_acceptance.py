@@ -50,7 +50,9 @@ def test_criterion_1_hc_identity():
         m = int(rng.integers(2, 201))
         n = int(rng.integers(2, 201))
         ts = md.TwoSample(x=rng.normal(size=m), y=rng.normal(size=n))
-        worst = max(worst, abs(md.hc_stat(ts).value - md.hc_stat_sup_form(ts).value))
+        xi = md.pooled_indicator(ts.x, ts.y)
+        rank_form = md.hc_from_indicator(xi, ts.m, ts.n)
+        worst = max(worst, abs(rank_form - md.hc_sup_form_from_indicator(xi, ts.m, ts.n)))
     elapsed = time.time() - t0
     check(
         "criterion 1 (rank/sup HC identity)",
@@ -162,10 +164,10 @@ def test_criterion_6_boundary_formulas():
         left = (2 ** (1 / (gamma - 1)) - 1) ** (gamma - 1) * (bp - 0.5)
         right = (1 - (1 - bp) ** (1 / gamma)) ** gamma
         worst = max(worst, abs(left - right))
-        at_bp = md.detection_boundary_sparse(theory.BoundaryQuery(bp, gamma))
+        at_bp = md.detection_boundary_sparse(bp, gamma)
         worst = max(worst, abs(at_bp - right))
     exact_gamma1 = all(
-        md.detection_boundary_sparse(theory.BoundaryQuery(b, 1.0)) == 2 * b - 1
+        md.detection_boundary_sparse(b, 1.0) == 2 * b - 1
         for b in (0.55, 0.7, 0.9)
     )
     dense_gap = max(

@@ -18,7 +18,6 @@ from mixdetect import (
     save_null_table,
     tailrun_null_pmf,
     tailrun_pvalue,
-    wilcoxon_alt_moments,
     wilcoxon_exact_null,
     wilcoxon_pvalue,
 )
@@ -109,7 +108,7 @@ class TestMcNullTable:
         expected = []
         for k in range(100):
             rng = np.random.default_rng(np.random.SeedSequence([4, 102, k]))
-            expected.append(st.lrt_stat(gg_sample(30, NORMAL, rng), NORMAL, alt).value)
+            expected.append(st.lrt_stat(gg_sample(30, NORMAL, rng), NORMAL, alt))
         table = mc_null_table(st.LRT, 30, 30, 100, master_seed=4, model=(NORMAL, alt))
         np.testing.assert_array_equal(table.draws, np.sort(expected))
 
@@ -152,7 +151,7 @@ class TestDataRetry:
         rng = np.random.default_rng(np.random.SeedSequence([*self.parts, 1]))
         x, y = gg_sample(40, NORMAL, rng), mixture_sample(30, NORMAL, self.alt, rng)
         xi = pooled_indicator(x, y)
-        assert got == [st.hc_from_indicator(xi, 40, 30), st.lrt_stat(y, NORMAL, self.alt).value]
+        assert got == [st.hc_from_indicator(xi, 40, 30), st.lrt_stat(y, NORMAL, self.alt)]
         assert len(calls) == 2
 
     def test_persistent_ties_raise(self, monkeypatch):
@@ -286,36 +285,6 @@ class TestWilcoxonExactNull:
     def test_scale_error(self):
         with pytest.raises(ValueError):
             wilcoxon_exact_null(13, 12)
-
-
-class TestWilcoxonAltMoments:
-    def test_null_reduction_tiny_epsilon(self):
-        m = n = 50
-        mean, var = wilcoxon_alt_moments(NORMAL, MixtureAlt(1e-12, 1.0), m, n)
-        assert mean == pytest.approx(0.5, abs=1e-9)
-        assert var == pytest.approx((m + n + 1) / (12 * m * n), rel=1e-6)
-
-    def test_null_reduction_tiny_mu(self):
-        m = n = 50
-        mean, var = wilcoxon_alt_moments(NORMAL, MixtureAlt(0.3, 1e-10), m, n)
-        assert mean == pytest.approx(0.5, abs=1e-8)
-        assert var == pytest.approx((m + n + 1) / (12 * m * n), rel=1e-4)
-
-    def test_simulation_oracle(self):
-        m = n = 100
-        alt = MixtureAlt(epsilon=0.1, mu=1.0)
-        mean, var = wilcoxon_alt_moments(NORMAL, alt, m, n)
-        reps = 4000
-        sims = np.empty(reps)
-        for k in range(reps):
-            rng = np.random.default_rng(np.random.SeedSequence([77, k]))
-            x = gg_sample(m, NORMAL, rng)
-            y = mixture_sample(n, NORMAL, alt, rng)
-            xi = st.pooled_indicator(x, y)
-            sims[k] = st.wilcoxon_from_indicator(xi, m, n) / (m * n)
-        se = math.sqrt(var / reps)
-        assert abs(np.mean(sims) - mean) < 3 * se
-        assert np.var(sims) == pytest.approx(var, rel=0.15)
 
 
 class TestKsPvalue:

@@ -102,7 +102,7 @@ class TestCmdTest:
         assert sorted(report["tests"]) == sorted(ALL_STATISTICS if tests == "all" else ["LRT"])
         model = (GGParams(2.0), MixtureAlt(0.1, 1.5))
         row = report["tests"]["LRT"]
-        assert row["statistic"] == lrt_stat(read_sample_file(yf), *model).value
+        assert row["statistic"] == lrt_stat(read_sample_file(yf), *model)
         table = cal.mc_null_table("LRT", 20, 30, 200, 3, model=model)
         assert row["pvalue"] == cal.mc_pvalue(row["statistic"], table).p
         assert row["method"] == "monte-carlo"
@@ -167,6 +167,33 @@ class TestCmdTest:
             f"error: table {path} is for {load_null_table(path).key}; "
             "it matches no selected test here\n"
         )
+
+    @pytest.mark.parametrize("model_args, message", [
+        (["--mu", "-1", "--epsilon", "0.9", "--gamma", "-2"],
+         "gamma must be a positive finite real, got -2.0"),
+        (["--gg-scale", "0"], "scale must be a positive finite real, got 0.0"),
+        (["--epsilon", "0.9", "--mu", "1"], "epsilon must lie in (0, 1/2), got 0.9"),
+        (["--epsilon", "0.1", "--mu", "-1"], "mu must be a positive finite real, got -1.0"),
+        (["--mu", "1"], "this operation requires --epsilon and --mu"),
+    ], ids=["gamma", "gg_scale", "epsilon", "mu", "mu_alone"])
+    def test_unread_model_args_validated(self, tmp_path, capsys, model_args, message):
+        xf, yf = write_samples(tmp_path, [1, 2], [3, 4])
+        assert main(["test", "--x", xf, "--y", yf, "--tests", "wilcoxon", *model_args]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_valid_unread_model_args_change_nothing(self, tmp_path, capsys):
+        xf, yf = write_samples(tmp_path, [1, 2, 5], [3, 4, 6])
+        argv = ["test", "--x", xf, "--y", yf, "--reps", "100"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--gamma", "1", "--epsilon", "0.1", "--mu", "1"]) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("tests, name", [("hc,hc,wilcoxon", "HC"), ("ks,tailrun,KS", "KS")])
+    def test_repeated_test_refused(self, tmp_path, capsys, tests, name):
+        xf, yf = write_samples(tmp_path, [1, 2], [3, 4])
+        assert main(["test", "--x", xf, "--y", yf, "--tests", tests]) == 1
+        assert capsys.readouterr() == ("", f"error: test {name!r} is selected more than once\n")
 
     def test_json_roundtrip(self, tmp_path, capsys):
         xf, yf = write_samples(tmp_path, [1, 2], [3, 4])
@@ -409,6 +436,14 @@ class TestCmdCalibrate:
         args[-1] = str(directory)
         assert main([*args, "--force"]) == 1
         assert capsys.readouterr().err == f"error: cannot write {directory}: it is a directory\n"
+        # a directory given without the suffix is refused as it is, not
+        # taken as the stem of a file beside it
+        plain = tmp_path / "out"
+        plain.mkdir()
+        args[-1] = f"{plain}/"
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: cannot write {plain}: it is a directory\n"
+        assert not (tmp_path / "out.npz").exists()
 
     def test_lrt_default_names_carry_the_model(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

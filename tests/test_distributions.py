@@ -5,10 +5,8 @@ import pytest
 from scipy import integrate, special, stats
 
 from mixdetect import (
-    DenseParam,
     GGParams,
     MixtureAlt,
-    SparseParam,
     dense_calibration,
     gg_cdf,
     gg_pdf,
@@ -33,12 +31,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             MixtureAlt(epsilon=0.1, mu=0.0)
         with pytest.raises(ValueError):
-            SparseParam(beta=1.0, r=0.5)
+            sparse_calibration(100, beta=1.0, r=0.5, gamma=2.0)
         with pytest.raises(ValueError):
-            DenseParam(beta=0.2, s=0.51)
+            dense_calibration(100, beta=0.2, s=0.51)
 
     def test_dense_param_accepts_half(self):
-        DenseParam(beta=0.2, s=0.5)
+        dense_calibration(100, beta=0.2, s=0.5)
 
     def test_nonfinite_x(self):
         with pytest.raises(ValueError):
@@ -239,30 +237,30 @@ class TestMixture:
 
 class TestCalibrations:
     def test_sparse_values(self):
-        alt = sparse_calibration(10**4, SparseParam(beta=0.6, r=0.4), gamma=2.0)
+        alt = sparse_calibration(10**4, beta=0.6, r=0.4, gamma=2.0)
         assert alt.epsilon == pytest.approx(3.981e-3, rel=1e-3)
         assert alt.mu == pytest.approx(2.7145, abs=1e-3)
 
     def test_sparse_log_identity(self):
         # gamma = 1 reduces mu to r * log n
-        alt = sparse_calibration(10**4, SparseParam(beta=0.8, r=0.3), gamma=1.0)
+        alt = sparse_calibration(10**4, beta=0.8, r=0.3, gamma=1.0)
         assert alt.epsilon == pytest.approx(10 ** (-3.2), rel=1e-12)
         assert alt.mu == pytest.approx(0.3 * math.log(10**4), rel=1e-12)
 
     def test_sparse_epsilon_too_large(self):
         with pytest.raises(ValueError):
-            sparse_calibration(2, SparseParam(beta=0.1, r=0.5), gamma=2.0)
+            sparse_calibration(2, beta=0.1, r=0.5, gamma=2.0)
 
     def test_dense_values(self):
-        alt = dense_calibration(10**4, DenseParam(beta=0.2, s=0.25))
+        alt = dense_calibration(10**4, beta=0.2, s=0.25)
         assert alt.mu == pytest.approx(0.1, rel=1e-12)
         assert alt.epsilon == pytest.approx(10 ** (-0.8), rel=1e-12)
 
     def test_dense_s_half(self):
-        alt = dense_calibration(10**4, DenseParam(beta=0.2, s=0.5))
+        alt = dense_calibration(10**4, beta=0.2, s=0.5)
         assert alt.mu == pytest.approx(1.0, rel=1e-12)
 
     def test_deterministic(self):
-        a = sparse_calibration(500, SparseParam(beta=0.7, r=0.3), gamma=1.5)
-        b = sparse_calibration(500, SparseParam(beta=0.7, r=0.3), gamma=1.5)
+        a = sparse_calibration(500, beta=0.7, r=0.3, gamma=1.5)
+        b = sparse_calibration(500, beta=0.7, r=0.3, gamma=1.5)
         assert (a.epsilon, a.mu) == (b.epsilon, b.mu)

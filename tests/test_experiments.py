@@ -49,6 +49,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(tests=["HC", "BOGUS"])
 
+    def test_repeated_test(self):
+        with pytest.raises(ValueError, match=r"^repeated tests: \['HC'\]$"):
+            small_config(tests=["HC", "WILCOXON", "HC"])
+
     def test_nonincreasing_grid(self):
         with pytest.raises(ValueError):
             small_config(grid=[0.3, 0.3])

@@ -10,30 +10,30 @@ from mixdetect import (
     TwoSample,
     dejitter,
     gg_sample,
-    hc_stat,
-    hc_stat_sup_form,
-    ks_one_sided,
+    hc_from_indicator,
+    hc_sup_form_from_indicator,
+    ks_from_indicator,
     lrt_stat,
     lrt_stats,
     mixture_sample,
-    tail_run,
-    wilcoxon_u,
+    pooled_indicator,
+    tailrun_from_indicator,
+    wilcoxon_from_indicator,
 )
 from mixdetect import calibration as cal
 from mixdetect import statistics as st
 from mixdetect.calibration import ks_lambda
-from mixdetect.statistics import (
-    hc_from_indicator,
-    ks_from_indicator,
-    pooled_indicator,
-    wilcoxon_from_indicator,
-)
 
 
 def random_two_sample(rng, max_size=200):
     m = int(rng.integers(2, max_size + 1))
     n = int(rng.integers(2, max_size + 1))
     return TwoSample(x=rng.normal(size=m), y=rng.normal(size=n))
+
+
+def on(kernel, ts):
+    """kernel on the pooled X-origin indicator of ts, as the registry takes it."""
+    return kernel(pooled_indicator(ts.x, ts.y), ts.m, ts.n)
 
 
 def rank_profile(ts):
@@ -79,11 +79,11 @@ class TestTies:
 
     def test_within_sample_ties_raise(self):
         with pytest.raises(TiesError):
-            hc_stat(TwoSample(x=[1.0, 1.0], y=[2.0, 3.0]))
+            on(hc_from_indicator, TwoSample(x=[1.0, 1.0], y=[2.0, 3.0]))
 
     def test_dejitter_breaks_ties(self):
         x, y = dejitter([1.0, 2.0], [2.0, 1.0])
-        hc_stat(TwoSample(x=x, y=y))  # no TiesError
+        on(hc_from_indicator, TwoSample(x=x, y=y))  # no TiesError
         x2, y2 = dejitter([1.0, 2.0], [2.0, 1.0])
         np.testing.assert_array_equal(x, x2)
         np.testing.assert_array_equal(y, y2)
@@ -191,24 +191,24 @@ class TestCachedKernels:
 
 class TestHigherCriticism:
     def test_singletons(self):
-        assert hc_stat(TwoSample(x=[0.3], y=[0.7])).value == pytest.approx(
+        assert on(hc_from_indicator, TwoSample(x=[0.3], y=[0.7])) == pytest.approx(
             math.sqrt(2), abs=1e-12
         )
-        assert hc_stat(TwoSample(x=[0.7], y=[0.3])).value == pytest.approx(
+        assert on(hc_from_indicator, TwoSample(x=[0.7], y=[0.3])) == pytest.approx(
             -math.sqrt(2), abs=1e-12
         )
 
     def test_hand_value_two_by_two(self):
         ts = TwoSample(x=[1, 2], y=[3, 4])
-        assert hc_stat(ts).value == pytest.approx(2.0, abs=1e-12)
-        assert hc_stat_sup_form(ts).value == pytest.approx(2.0, abs=1e-12)
+        assert on(hc_from_indicator, ts) == pytest.approx(2.0, abs=1e-12)
+        assert on(hc_sup_form_from_indicator, ts) == pytest.approx(2.0, abs=1e-12)
 
     def test_rank_sup_identity(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
             ts = random_two_sample(rng)
-            a = hc_stat(ts).value
-            b = hc_stat_sup_form(ts).value
+            a = on(hc_from_indicator, ts)
+            b = on(hc_sup_form_from_indicator, ts)
             assert abs(a - b) <= 1e-9
 
     def test_swap_antisymmetry_via_sup_form(self):
@@ -225,23 +225,23 @@ class TestHigherCriticism:
             h = np.arange(1, N) / N
             scale = math.sqrt(m * n / N)
             sup_swapped = np.max(scale * (gn - fm) / np.sqrt(h * (1 - h)))
-            assert hc_stat_sup_form(swapped).value == pytest.approx(
+            assert on(hc_sup_form_from_indicator, swapped) == pytest.approx(
                 float(sup_swapped), abs=1e-10
             )
 
 
 class TestWilcoxon:
     def test_extremes(self):
-        assert wilcoxon_u(TwoSample(x=[1, 2], y=[3, 4])).value == 4
-        assert wilcoxon_u(TwoSample(x=[3, 4], y=[1, 2])).value == 0
-        assert wilcoxon_u(TwoSample(x=[1, 3], y=[2, 4])).value == 3
+        assert on(wilcoxon_from_indicator, TwoSample(x=[1, 2], y=[3, 4])) == 4
+        assert on(wilcoxon_from_indicator, TwoSample(x=[3, 4], y=[1, 2])) == 0
+        assert on(wilcoxon_from_indicator, TwoSample(x=[1, 3], y=[2, 4])) == 3
 
     def test_pair_count_brute_force(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             ts = random_two_sample(rng, max_size=25)
             brute = sum(1 for xi in ts.x for yj in ts.y if xi < yj)
-            assert wilcoxon_u(ts).value == brute
+            assert on(wilcoxon_from_indicator, ts) == brute
 
     def test_arrangement_pair_count(self):
         rng = np.random.default_rng(14)
@@ -264,17 +264,17 @@ class TestWilcoxon:
         rng = np.random.default_rng(3)
         for _ in range(50):
             ts = random_two_sample(rng, max_size=40)
-            u = wilcoxon_u(ts).value
+            u = on(wilcoxon_from_indicator, ts)
             u_rev = sum(1 for xi in ts.x for yj in ts.y if yj < xi)
             assert u + u_rev == ts.m * ts.n
 
 
 class TestKolmogorovSmirnov:
     def test_separated(self):
-        assert ks_one_sided(TwoSample(x=[1, 2], y=[3, 4])).value == 1.0
+        assert on(ks_from_indicator, TwoSample(x=[1, 2], y=[3, 4])) == 1.0
 
     def test_sup_of_nonpositive_function_is_zero(self):
-        assert ks_one_sided(TwoSample(x=[3, 4], y=[1, 2])).value == 0.0
+        assert on(ks_from_indicator, TwoSample(x=[3, 4], y=[1, 2])) == 0.0
 
     def test_brute_force(self):
         rng = np.random.default_rng(4)
@@ -287,17 +287,17 @@ class TestKolmogorovSmirnov:
                     np.mean(ts.x <= t) - np.mean(ts.y <= t) for t in pooled
                 ),
             )
-            assert ks_one_sided(ts).value == pytest.approx(brute, abs=1e-12)
+            assert on(ks_from_indicator, ts) == pytest.approx(brute, abs=1e-12)
 
     def test_scaled_value(self):
         ts = TwoSample(x=[1, 2], y=[3, 4])
-        assert ks_lambda(ks_one_sided(ts).value, ts.m, ts.n) == pytest.approx(1.0, abs=1e-12)
+        assert ks_lambda(on(ks_from_indicator, ts), ts.m, ts.n) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTailRun:
     def test_cases(self):
-        assert tail_run(TwoSample(x=[1, 2], y=[3, 4])).value == 2
-        assert tail_run(TwoSample(x=[4], y=[1, 2, 3])).value == 0
+        assert on(tailrun_from_indicator, TwoSample(x=[1, 2], y=[3, 4])) == 2
+        assert on(tailrun_from_indicator, TwoSample(x=[4], y=[1, 2, 3])) == 0
 
     def test_brute_force(self):
         rng = np.random.default_rng(5)
@@ -311,7 +311,7 @@ class TestTailRun:
                 if label == 0:
                     break
                 run += 1
-            assert tail_run(ts).value == run
+            assert on(tailrun_from_indicator, ts) == run
 
 
 class TestLrt:
@@ -319,23 +319,23 @@ class TestLrt:
 
     def test_tiny_epsilon_limit(self):
         alt = MixtureAlt(epsilon=1e-15, mu=1.0)
-        val = lrt_stat(np.array([0.2, -1.3, 0.8]), self.NORMAL, alt).value
+        val = lrt_stat(np.array([0.2, -1.3, 0.8]), self.NORMAL, alt)
         assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_tiny_mu_limit(self):
         alt = MixtureAlt(epsilon=0.3, mu=1e-12)
-        val = lrt_stat(np.array([0.2, -1.3, 0.8]), self.NORMAL, alt).value
+        val = lrt_stat(np.array([0.2, -1.3, 0.8]), self.NORMAL, alt)
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_symmetry_point(self):
         alt = MixtureAlt(epsilon=0.25, mu=1.6)
-        val = lrt_stat(np.array([0.8]), self.NORMAL, alt).value
+        val = lrt_stat(np.array([0.8]), self.NORMAL, alt)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_large_values_stable(self):
         alt = MixtureAlt(epsilon=1e-6, mu=5.0)
         y = np.array([300.0, -300.0, 0.0])
-        val = lrt_stat(y, self.NORMAL, alt).value
+        val = lrt_stat(y, self.NORMAL, alt)
         assert np.isfinite(val)
 
     def test_empty_rejected(self):
@@ -367,7 +367,7 @@ class TestLrtReference:
         alt = MixtureAlt(epsilon=eps, mu=mu)
         for n in (1, 7, 2000):
             for y in (gg_sample(n, p, rng), mixture_sample(n, p, alt, rng)):
-                got = lrt_stat(y, p, alt).value
+                got = lrt_stat(y, p, alt)
                 assert got == pytest.approx(reference_lrt(y, p, alt), rel=1e-9)
 
     def test_overflow_branch(self):
@@ -379,7 +379,7 @@ class TestLrtReference:
             (MixtureAlt(epsilon=0.01, mu=40.0), np.linspace(-5.0, 60.0, 500)),
         ]:
             assert np.max(log_ratios(y, p, alt.mu)) > 709
-            got = lrt_stat(y, p, alt).value
+            got = lrt_stat(y, p, alt)
             assert got == pytest.approx(reference_lrt(y, p, alt), rel=1e-9)
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
@@ -388,7 +388,7 @@ class TestLrtReference:
         p = GGParams(gamma=gamma)
         alt = MixtureAlt(epsilon=1e-15, mu=2.0)
         for y in (gg_sample(500, p, rng), gg_sample(500, p, rng) + 2.0):
-            got = lrt_stat(y, p, alt).value
+            got = lrt_stat(y, p, alt)
             assert got == pytest.approx(reference_lrt(y, p, alt), rel=1e-9)
 
 
@@ -411,7 +411,7 @@ class TestLrtKernel:
 
     def test_normal_far_tail_exact(self):
         # the squared form (|z|^2 - |z - mu|^2)/2 is off by 0.5 here
-        val = lrt_stat(np.array([1e8]), GGParams(2.0), MixtureAlt(0.1, 1.0)).value
+        val = lrt_stat(np.array([1e8]), GGParams(2.0), MixtureAlt(0.1, 1.0))
         assert val == pytest.approx(1e8 - 0.5 + math.log(0.1), abs=1e-6)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 3.0])
@@ -421,13 +421,13 @@ class TestLrtKernel:
         for alt in (MixtureAlt(0.1, 1.0), MixtureAlt(1e-4, 4.0)):
             for y in (gg_sample(2000, p, rng), mixture_sample(2000, p, alt, rng)):
                 assert np.max(log_ratios(y, p, alt.mu)) < 700
-                assert lrt_stat(y, p, alt).value == scheme4_lrt(y, p, alt)
+                assert lrt_stat(y, p, alt) == scheme4_lrt(y, p, alt)
         # a shift whose density ratio at y = mu is exp(1500): the clamp route
         mu = 0.8 * (1500.0 * gamma) ** (1.0 / gamma)
         alt = MixtureAlt(0.01, mu)
         for y in (np.linspace(-5.0, 1.2 * mu, 400), mixture_sample(2000, p, alt, rng)):
             assert np.max(log_ratios(y, p, alt.mu)) > 700
-            assert lrt_stat(y, p, alt).value == scheme4_lrt(y, p, alt)
+            assert lrt_stat(y, p, alt) == scheme4_lrt(y, p, alt)
 
 
 def scheme6_log_ratio(y, p, alt):
@@ -469,7 +469,7 @@ class TestLrtStats:
         assert got.shape == (len(alts),)
         for value, alt in zip(got.tolist(), alts):
             assert value == scheme6_lrt(y, p, alt)
-            assert lrt_stat(y, p, alt).value == value
+            assert lrt_stat(y, p, alt) == value
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_rows_bitwise(self, gamma):
@@ -532,7 +532,7 @@ class TestLrtStats:
         parts = [3, cal.TAG_CALIB_LRT, 7]
         got = cal.replicate(cal.LRT_NULL, [cal.STATISTICS[st.LRT]], p, None, alts, 50, 40, parts)
         y = gg_sample(40, p, cal._derived_rng(parts))
-        assert got == [lrt_stat(y, p, a).value for a in alts]
+        assert got == [lrt_stat(y, p, a) for a in alts]
 
 
 class TestSharedProperties:
@@ -541,19 +541,19 @@ class TestSharedProperties:
         for _ in range(30):
             ts = random_two_sample(rng, max_size=40)
             shifted = TwoSample(x=ts.x, y=ts.y + 0.37)
-            assert wilcoxon_u(shifted).value >= wilcoxon_u(ts).value
-            assert ks_one_sided(shifted).value >= ks_one_sided(ts).value
-            assert tail_run(shifted).value >= tail_run(ts).value
+            assert on(wilcoxon_from_indicator, shifted) >= on(wilcoxon_from_indicator, ts)
+            assert on(ks_from_indicator, shifted) >= on(ks_from_indicator, ts)
+            assert on(tailrun_from_indicator, shifted) >= on(tailrun_from_indicator, ts)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             ts = random_two_sample(rng, max_size=60)
             tf = TwoSample(x=ts.x**3 + ts.x, y=ts.y**3 + ts.y)
-            assert hc_stat(tf).value == hc_stat(ts).value
-            assert wilcoxon_u(tf).value == wilcoxon_u(ts).value
-            assert ks_one_sided(tf).value == ks_one_sided(ts).value
-            assert tail_run(tf).value == tail_run(ts).value
+            assert on(hc_from_indicator, tf) == on(hc_from_indicator, ts)
+            assert on(wilcoxon_from_indicator, tf) == on(wilcoxon_from_indicator, ts)
+            assert on(ks_from_indicator, tf) == on(ks_from_indicator, ts)
+            assert on(tailrun_from_indicator, tf) == on(tailrun_from_indicator, ts)
 
     def test_large_sample_runtime(self):
         import time
@@ -561,8 +561,8 @@ class TestSharedProperties:
         rng = np.random.default_rng(8)
         ts = TwoSample(x=rng.normal(size=10**5), y=rng.normal(size=10**5))
         t0 = time.time()
-        hc_stat(ts)
-        wilcoxon_u(ts)
-        ks_one_sided(ts)
-        tail_run(ts)
+        on(hc_from_indicator, ts)
+        on(wilcoxon_from_indicator, ts)
+        on(ks_from_indicator, ts)
+        on(tailrun_from_indicator, ts)
         assert time.time() - t0 < 1.0

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from mixdetect import (
-    BoundaryQuery,
     GGParams,
     MixtureAlt,
     detection_boundary_dense,
@@ -22,30 +21,30 @@ NORMAL = GGParams(gamma=2.0)
 
 class TestSparseBoundary:
     def test_breakpoint_case(self):
-        assert detection_boundary_sparse(BoundaryQuery(0.75, 2.0)) == pytest.approx(
+        assert detection_boundary_sparse(0.75, 2.0) == pytest.approx(
             0.25, abs=1e-14
         )
 
     def test_first_branch(self):
-        assert detection_boundary_sparse(BoundaryQuery(0.6, 2.0)) == pytest.approx(
+        assert detection_boundary_sparse(0.6, 2.0) == pytest.approx(
             0.1, abs=1e-14
         )
 
     def test_gamma_leq_one(self):
-        assert detection_boundary_sparse(BoundaryQuery(0.8, 1.0)) == pytest.approx(0.6)
-        assert detection_boundary_sparse(BoundaryQuery(0.8, 0.5)) == pytest.approx(0.6)
+        assert detection_boundary_sparse(0.8, 1.0) == pytest.approx(0.6)
+        assert detection_boundary_sparse(0.8, 0.5) == pytest.approx(0.6)
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
     def test_continuity_at_breakpoint(self, gamma):
         bp = 1 - 2 ** (-gamma / (gamma - 1))
-        left = detection_boundary_sparse(BoundaryQuery(bp - 1e-13, gamma))
-        right = detection_boundary_sparse(BoundaryQuery(bp + 1e-13, gamma))
+        left = detection_boundary_sparse(bp - 1e-13, gamma)
+        right = detection_boundary_sparse(bp + 1e-13, gamma)
         assert abs(left - right) < 1e-12
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
     def test_monotone_in_beta(self, gamma):
         betas = np.linspace(0.51, 0.999, 100)
-        vals = [detection_boundary_sparse(BoundaryQuery(b, gamma)) for b in betas]
+        vals = [detection_boundary_sparse(b, gamma) for b in betas]
         assert all(b >= a - 1e-15 for a, b in zip(vals[:-1], vals[1:]))
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
@@ -53,7 +52,7 @@ class TestSparseBoundary:
         # exact gap at beta = 1 - d is ~ gamma * d**(1/gamma) (6.3e-5 already
         # at gamma = 2), so the bound tracks that rate
         gap = 2 * gamma * (1e-9) ** (1 / gamma)
-        assert detection_boundary_sparse(BoundaryQuery(1 - 1e-9, gamma)) == pytest.approx(
+        assert detection_boundary_sparse(1 - 1e-9, gamma) == pytest.approx(
             1.0, abs=gap
         )
 
@@ -92,11 +91,11 @@ class TestHcConditions:
     def test_separation_grows_with_n_above_boundary(self):
         # beta = 0.6, r = 0.4 > boundary 0.1 and r >= r_gamma = 0.25, so the
         # threshold exponent q is capped at 1: t_n = sqrt(2 * log n)
-        from mixdetect import sparse_calibration, SparseParam
+        from mixdetect import sparse_calibration
 
         lhs = {}
         for n in (10**4, 10**6):
-            alt = sparse_calibration(n, SparseParam(beta=0.6, r=0.4), 2.0)
+            alt = sparse_calibration(n, 0.6, 0.4, 2.0)
             t = math.sqrt(2 * math.log(n))
             _, c2, _ = hc_conditions(t, n, NORMAL, alt, eta=0.5)
             lhs[n] = c2.lhs
@@ -213,10 +212,10 @@ class TestTailRunCondition:
         assert chk.run_margin == pytest.approx(n * eps / 2 - 2 * l, rel=1e-9)
 
     def test_very_sparse_regime_values(self):
-        from mixdetect import sparse_calibration, SparseParam
+        from mixdetect import sparse_calibration
 
         n = m = 10**6
-        alt = sparse_calibration(n, SparseParam(beta=0.8, r=0.9), 2.0)
+        alt = sparse_calibration(n, 0.8, 0.9, 2.0)
         t = math.sqrt(2 * 1.05 * math.log(n))
         chk = tailrun_condition(t, m, n, NORMAL, alt, l=1)
         assert chk.tail_mass_x < 1.0
