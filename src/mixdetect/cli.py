@@ -191,12 +191,15 @@ def cmd_diagnose(args) -> int:
 
 def cmd_calibrate(args) -> int:
     statistic = args.statistic.upper()
-    if statistic == st.TAILRUN:
-        raise ValueError(
-            "exact null available for the tail run; use the test command instead"
-        )
     if statistic not in st.ALL_STATISTICS:
         raise ValueError(f"unknown statistic {args.statistic!r}")
+    # a table is written only for a test whose p-value reads one
+    stat = cal.STATISTICS[statistic]
+    if not stat.monte_carlo:
+        raise ValueError(
+            f"{statistic} reads no null table: its p-value uses the {stat.method} null; "
+            "use the test command instead"
+        )
     model = None
     if statistic == st.LRT:
         model = (_model_from_args(args), _alt_from_args(args))
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_diagnose)
 
     p = sub.add_parser("calibrate", help="write a null-table cache file")
-    p.add_argument("--statistic", required=True)
+    p.add_argument("--statistic", required=True, help="HC or LRT, the Monte Carlo tests")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=4000)

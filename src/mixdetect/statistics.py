@@ -66,18 +66,33 @@ class TwoSample:
 
 
 def dejitter(x, y):
-    """Break ties deterministically by adding ulp-scale offsets.
+    """Break ties deterministically, keeping every strict inequality.
 
-    Offsets grow with stable input order (x first, then y), so repeated
-    values become strictly increasing in that order.
+    The pooled values are taken in stable order (ascending; equal values x
+    first, then in input order) and each is raised by the fewest ulps that
+    make the sequence strictly increasing, so tied values become increasing
+    in that order and no value passes one that was above it.  Values that
+    need no raise keep their value (-0.0 comes back as +0.0).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pooled = np.concatenate([x, y])
-    step = np.spacing(max(1.0, float(np.max(np.abs(pooled)))))
-    offsets = np.arange(pooled.size) * step
-    jittered = pooled + offsets
-    return jittered[: x.size], jittered[x.size :]
+    order = np.argsort(pooled, kind="stable")
+    svals = pooled[order]
+    # an order-preserving integer view of the floats, one step per ulp;
+    # -0.0 and +0.0 share the key 0
+    mag = np.abs(svals).view(np.int64)
+    keys = np.where(svals < 0, -mag, mag)
+    step = np.arange(keys.size, dtype=np.int64)
+    raised = np.maximum.accumulate(keys - step) + step
+    back = np.abs(raised).view(np.float64)
+    out = np.empty_like(pooled)
+    out[order] = np.where(raised < 0, -back, back)
+    if not np.isfinite(out).all():
+        raise ValueError(
+            "cannot dejitter: values must be finite, with no tie at the largest float"
+        )
+    return out[: x.size], out[x.size :]
 
 
 def pooled_indicator(x: np.ndarray, y: np.ndarray) -> np.ndarray:

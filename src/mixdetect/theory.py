@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_survival
 
@@ -43,6 +42,11 @@ def quad_pieces(fn, cuts, upper: float = np.inf, *, what: str) -> float:
     tolerance, the value's accuracy is unknown: that raises ValueError
     naming `what`.
     """
+    # imported here, not at the top: scipy.integrate loads scipy.optimize and
+    # scipy.sparse, a third of the package's import time, and only this
+    # function uses it
+    from scipy import integrate
+
     edges = [-np.inf, *sorted({c for c in cuts if c < upper}), upper]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):

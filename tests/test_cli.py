@@ -403,7 +403,7 @@ class TestCmdCalibrate:
     def test_existing_file_requires_force(self, tmp_path, capsys):
         out = tmp_path / "t.npz"
         args = [
-            "calibrate", "--statistic", "KS", "--m", "20", "--n", "20",
+            "calibrate", "--statistic", "HC", "--m", "20", "--n", "20",
             "--reps", "150", "--seed", "1", "--out", str(out),
         ]
         assert main(args) == 0
@@ -527,30 +527,22 @@ class TestCmdCalibrate:
 
     def test_empty_sample_refused(self, tmp_path, capsys):
         out = tmp_path / "t.npz"
-        args = ["calibrate", "--statistic", "KS", "--m", "3", "--n", "0", "--out", str(out)]
+        args = ["calibrate", "--statistic", "HC", "--m", "3", "--n", "0", "--out", str(out)]
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n=0" in err
         assert not out.exists()
 
-    def test_wilcoxon_quantile_matches_enumeration(self, tmp_path, capsys):
-        out = tmp_path / "w.npz"
-        assert (
-            main(
-                [
-                    "calibrate", "--statistic", "WILCOXON", "--m", "4", "--n", "4",
-                    "--reps", "100000", "--seed", "2", "--out", str(out),
-                ]
-            )
-            == 0
-        )
-        report = json.loads(capsys.readouterr().out)
-        from mixdetect import wilcoxon_exact_null
-
-        pmf = wilcoxon_exact_null(4, 4)
-        cdf = np.cumsum(pmf)
-        exact_q95 = int(np.searchsorted(cdf, 0.95))
-        assert abs(report["quantiles"]["0.95"] - exact_q95) <= 1.0
+    @pytest.mark.parametrize("statistic", ["wilcoxon", "KS"])
+    def test_asymptotic_statistics_refused(self, tmp_path, capsys, statistic):
+        # no p-value reads their tables; the label shuffle's law is checked
+        # by TestMcNullTable::test_rank_null_law
+        out = tmp_path / "t.npz"
+        args = ["calibrate", "--statistic", statistic, "--m", "5", "--n", "5", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {statistic.upper()} reads no null table")
+        assert not out.exists()
 
 
 class TestCmdPower:

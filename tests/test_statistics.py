@@ -88,6 +88,42 @@ class TestTies:
         np.testing.assert_array_equal(x, x2)
         np.testing.assert_array_equal(y, y2)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dejitter_keeps_order_of_values_ulps_apart(self, seed):
+        rng = np.random.default_rng(seed)
+        tiny = np.nextafter(0.0, 1.0)
+        one_below = np.nextafter(1.0, 0.0)
+        grid = [-2 * tiny, -tiny, -0.0, 0.0, tiny, 2 * tiny,
+                np.nextafter(one_below, 0.0), one_below, 1.0, np.nextafter(1.0, 2.0)]
+        x = rng.choice(grid, size=12)
+        y = rng.choice(grid, size=9)
+        out = np.concatenate(dejitter(x, y))
+        pooled = np.concatenate([x, y])
+        assert np.unique(out).size == out.size  # no output is tied
+        below = pooled[:, None] < pooled[None, :]
+        assert np.all(out[:, None] < out[None, :], where=below)
+        # tied inputs come out x first, then in input order
+        earlier = np.triu(pooled[:, None] == pooled[None, :], k=1)
+        assert np.all(out[:, None] < out[None, :], where=earlier)
+
+    def test_dejitter_moves_no_value_past_a_close_one(self):
+        below_one = np.nextafter(1.0, 0.0)
+        x, y = dejitter([1.0, 2.0], [below_one])
+        np.testing.assert_array_equal(pooled_indicator(x, y), [0, 1, 1])
+        x, y = dejitter([1.0], [below_one])
+        np.testing.assert_array_equal(pooled_indicator(x, y), [0, 1])
+
+    def test_dejitter_refuses_a_tie_at_the_largest_float(self):
+        top = np.finfo(float).max
+        with pytest.raises(ValueError, match="largest float"):
+            dejitter([top], [top])
+
+    def test_dejitter_leaves_distinct_values_alone(self):
+        ts = random_two_sample(np.random.default_rng(4))
+        x, y = dejitter(ts.x, ts.y)
+        np.testing.assert_array_equal(x, ts.x)
+        np.testing.assert_array_equal(y, ts.y)
+
 
 def reference_indicator(x, y):
     """The pooled ordering as one stable sort of the concatenated samples."""
