@@ -11,6 +11,11 @@ STATISTICS is the one table of the five tests: how each is computed and
 how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
 the power harness's, is built by _null_tables, and every simulated
 replicate is a replicate() call in replicate_rows()'s loop.
+
+Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
+as in rng_scheme 6; replicate_rows derives the PCG64 states of its whole
+batch of streams in one vectorised pass (_pcg64_states) and sets one
+generator to each in turn, so no replicate builds a SeedSequence.
 """
 
 from __future__ import annotations
@@ -145,18 +150,108 @@ class Statistic:
         return PValue(p=float(p), method=self.method)
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier, for
+# _pcg64_states
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+
+
+def _words(v) -> list[int]:
+    """The little-endian 32-bit words SeedSequence reads an entropy int as."""
+    v = int(v)
+    if v < 0:
+        raise ValueError(f"stream entropy must be non-negative, got {v}")
+    words = [v & _M32]
+    while v := v >> 32:
+        words.append(v & _M32)
+    return words
+
+
+def _pcg64_states(prefix, k0: int, k1: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of default_rng(SeedSequence([*prefix, k])), k0 <= k < k1.
+
+    SeedSequence's entropy pool (4 words) and generate_state(4, uint64) run
+    on uint32 arrays over k, so a batch of streams costs a few dozen array
+    operations; PCG64's seeding step is done in Python ints.  Each k is one
+    entropy word: 0 <= k0 <= k1 <= 2**32, which _streams checks.
+    """
+    ks = np.arange(k0, k1, dtype=np.uint32)
+    entropy = [np.full_like(ks, w) for p in prefix for w in _words(p)] + [ks]
+    hash_const = _INIT_A
+
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        v = v * hash_const
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(ks)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, hash_const = [], _INIT_B
+    for i in range(8):
+        v = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        v = v * hash_const
+        out.append((v ^ (v >> 16)).astype(np.uint64))
+    # uint64 word j is out[2j] | out[2j+1] << 32; words 0-1 seed the state and
+    # 2-3 the increment, high word first, as pcg64_set_seed reads them
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (out[2 * j] | (out[2 * j + 1] << 32)).tolist() for j in range(4)
+    )
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def _streams(prefix, k0: int, k1: int):
+    """Generators on the streams SeedSequence([*prefix, k]), k0 <= k < k1, in order.
+
+    They are one Generator, set to each stream's start in turn, so each is
+    used up before the next is taken.  States are derived 1024 streams at
+    a time, which bounds the memory a large batch holds.
+    """
+    if not 0 <= k0 <= k1 <= 2**32:
+        raise ValueError(f"replicate and retry indices must lie in [0, 2**32), got {k0}..{k1 - 1}")
+    rng = np.random.Generator(np.random.PCG64(0))
+    for a in range(k0, k1, 1024):
+        for state, inc in _pcg64_states(prefix, a, min(a + 1024, k1)):
+            rng.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
 def _derived_rng(parts, retry: int = 0) -> np.random.Generator:
-    entropy = list(parts) + ([retry] if retry else [])
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    """The generator of the stream SeedSequence([*parts, retry]), or of
+    SeedSequence(parts) when retry is 0."""
+    *prefix, last = [*parts, retry] if retry else parts
+    return next(_streams(prefix, last, last + 1))
 
 
-def _draw_pooled(model, alt, m, n, parts):
+def _draw_pooled(model, alt, m, n, parts, rng):
     """The Y-sample and pooled X-origin indicator of simulated data.
 
-    A float tie is redrawn from the stream (parts, retry).
+    The first draw is from rng, the stream `parts`; a float tie is redrawn
+    from the stream (parts, retry).
     """
     for retry in range(100):
-        rng = _derived_rng(parts, retry)
+        if retry:
+            rng = _derived_rng(parts, retry)
         x = gg_sample(m, model, rng)
         y = gg_sample(n, model, rng) if alt is None else mixture_sample(n, model, alt, rng)
         try:
@@ -166,29 +261,30 @@ def _draw_pooled(model, alt, m, n, parts):
     raise st.TiesError("persistent ties in simulated continuous data")
 
 
-def replicate(kind, stats, model, alt, lrt_alts, m, n, parts) -> list[float]:
-    """Values of stats on one replicate drawn from the stream `parts`.
+def replicate(kind, stats, model, alt, lrt_alts, m, n, parts, rng, labels=None) -> list[float]:
+    """Values of stats on one replicate drawn from rng, the stream `parts`.
 
     kind is RANK_NULL, LRT_NULL or DATA; alt is the alternative the Y-sample
-    is drawn from (DATA only).  A rank statistic gives one value, the LRT
+    is drawn from (DATA only).  A RANK_NULL replicate shuffles a copy of
+    labels, m ones then n zeros.  A rank statistic gives one value, the LRT
     one value per alternative in lrt_alts, all on the same sample and from
     one lrt_stats call.
     """
     if kind == RANK_NULL:
-        labels = np.repeat(np.array([1, 0], dtype=np.int64), [m, n])
-        y, xi = None, _derived_rng(parts).permutation(labels)
+        y, xi = None, rng.permutation(labels)
     elif kind == LRT_NULL:
-        y, xi = gg_sample(n, model, _derived_rng(parts)), None
+        y, xi = gg_sample(n, model, rng), None
     else:
-        y, xi = _draw_pooled(model, alt, m, n, parts)
+        y, xi = _draw_pooled(model, alt, m, n, parts, rng)
     return [v for s in stats for v in s.values(xi, y, m, n, model, lrt_alts)]
 
 
 def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np.ndarray:
     """Rows of replicate() on (*parts, k), k0 <= k < k1; tests are names, so they pickle."""
     stats = [STATISTICS[t] for t in tests]
-    rows = [replicate(kind, stats, model, alt, lrt_alts, m, n, [*parts, k])
-            for k in range(k0, k1)]
+    labels = np.repeat(np.array([1, 0], dtype=np.int64), [m, n])
+    rows = [replicate(kind, stats, model, alt, lrt_alts, m, n, [*parts, k], rng, labels)
+            for k, rng in zip(range(k0, k1), _streams(parts, k0, k1))]
     return np.array(rows, dtype=float)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,7 +38,7 @@ def read_sample_file(path) -> np.ndarray:
             v = float(body)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not a number: {body!r}") from None
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError(f"{path}:{lineno}: non-finite value {body!r}")
         values.append(v)
     if not values:
@@ -56,6 +57,11 @@ def _alt_from_args(args) -> MixtureAlt:
 
 
 def cmd_test(args) -> int:
+    # the calibration flags are validated whether or not a table is simulated
+    if args.reps < 100:
+        raise ValueError("reps must be at least 100")
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     x = read_sample_file(args.x)
     y = read_sample_file(args.y)
     if args.dejitter:

@@ -124,12 +124,17 @@ def gg_sample(count: int, p: GGParams, rng: np.random.Generator) -> np.ndarray:
     """iid draws from the generalized Gaussian.
 
     gamma = 2 is drawn as scale * standard_normal; any other gamma uses
-    |X/scale|**gamma / gamma ~ Gamma(1/gamma) with a uniform sign.
+    |X/scale|**gamma / gamma ~ Gamma(1/gamma) with a uniform sign.  numpy
+    draws Gamma(1) by its standard exponential, so gamma = 1 calls that
+    directly: the same values and stream position, without the power.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if p.gamma == 2.0:
         return p.scale * rng.standard_normal(count)
+    if p.gamma == 1.0:
+        w = rng.standard_exponential(count)
+        return (rng.integers(0, 2, size=count) * 2 - 1) * p.scale * w
     w = rng.gamma(1.0 / p.gamma, size=count)
     sign = rng.integers(0, 2, size=count) * 2 - 1
     return sign * p.scale * (p.gamma * w) ** (1.0 / p.gamma)

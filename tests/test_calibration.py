@@ -134,7 +134,8 @@ class TestDataRetry:
 
     def draw(self):
         stats_ = [cal.STATISTICS[st.HC], cal.STATISTICS[st.LRT]]
-        return cal.replicate(cal.DATA, stats_, NORMAL, self.alt, [self.alt], 40, 30, self.parts)
+        return cal.replicate(cal.DATA, stats_, NORMAL, self.alt, [self.alt], 40, 30,
+                             self.parts, cal._derived_rng(self.parts))
 
     def test_tie_restarts_from_the_retry_stream(self, monkeypatch):
         pooled_indicator = st.pooled_indicator
@@ -165,6 +166,99 @@ class TestDataRetry:
         with pytest.raises(st.TiesError, match="persistent"):
             self.draw()
         assert len(calls) == 100
+
+
+def numpy_stream(entropy):
+    """The oracle: numpy's own seeding of the stream SeedSequence(entropy)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def first_draws(rng):
+    return [
+        rng.permutation(np.repeat(np.array([1, 0], dtype=np.int64), [7, 5])),
+        rng.standard_normal(5),
+        rng.gamma(0.5, size=5),
+        rng.integers(0, 2, size=5),
+        rng.random(5),
+        rng.integers(0, 2**20, size=3, dtype=np.uint32),  # buffered 32-bit halves
+        rng.random(3, dtype=np.float32),
+    ]
+
+
+class TestStreams:
+    """Each batch's PCG64 states equal numpy's SeedSequence seeding."""
+
+    @pytest.mark.parametrize("prefix", [
+        [5, cal.TAG_CALIB_RANK],  # 3 words: a null table
+        [5, cal.TAG_POWER, 3],  # 4 words: a power point
+        [5, cal.TAG_POWER, 3, 17],  # 5 words: a tie retry of replicate 17
+        [2**40 + 3, cal.TAG_CALIB_LRT],  # a two-word master seed
+        [2**70 + 3, cal.TAG_POWER, 9, 4],  # a three-word one, 7 words in all
+        [0],
+        [],
+    ])
+    @pytest.mark.parametrize("k0, k1", [(0, 4), (2**32 - 3, 2**32)])
+    def test_states_and_draws_equal_numpy(self, prefix, k0, k1):
+        states = cal._pcg64_states(prefix, k0, k1)
+        assert len(states) == k1 - k0
+        for k, (state, inc), rng in zip(range(k0, k1), states, cal._streams(prefix, k0, k1)):
+            oracle = numpy_stream([*prefix, k])
+            assert oracle.bit_generator.state["state"] == {"state": state, "inc": inc}
+            for got, want in zip(first_draws(rng), first_draws(oracle)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_derived_rng_is_one_stream(self):
+        parts = [2**40 + 3, cal.TAG_POWER, 2, 11]
+        for rng, entropy in [(cal._derived_rng(parts), parts),
+                             (cal._derived_rng(parts, 3), [*parts, 3])]:
+            assert rng.bit_generator.state == numpy_stream(entropy).bit_generator.state
+
+    def test_stream_set_after_a_buffered_half(self):
+        # a uint32 draw leaves half of a 64-bit output buffered; the next
+        # stream must not start from it
+        streams = cal._streams([8, cal.TAG_CALIB_RANK], 0, 2)
+        rng = next(streams)
+        rng.integers(0, 2**20, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        rng = next(streams)
+        for got, want in zip(first_draws(rng), first_draws(numpy_stream([8, 101, 1]))):
+            np.testing.assert_array_equal(got, want)
+
+    def test_batches_longer_than_a_chunk(self):
+        # states are derived 1024 at a time; the seam must not show
+        rngs = cal._streams([6, cal.TAG_CALIB_LRT], 1000, 2100)
+        for k, rng in zip(range(1000, 2100), rngs):
+            want = numpy_stream([6, cal.TAG_CALIB_LRT, k]).bit_generator.state
+            assert rng.bit_generator.state == want
+        assert next(rngs, None) is None
+
+    @pytest.mark.parametrize("call", [
+        lambda: next(cal._streams([1], 2**32, 2**32 + 1)),
+        lambda: next(cal._streams([1], 0, 2**32 + 1)),
+        lambda: next(cal._streams([1], -1, 2)),
+        lambda: cal._derived_rng([1, cal.TAG_POWER, 2**32]),
+        lambda: cal._derived_rng([1, cal.TAG_POWER, 0], 2**32),
+    ])
+    def test_index_of_two_words_refused(self, call):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*32\)"):
+            call()
+
+    def test_no_replicate_builds_a_seed_sequence(self, monkeypatch):
+        from mixdetect import ScenarioConfig, run_power_grid
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate built a SeedSequence")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        config = ScenarioConfig(
+            model=NORMAL, m=60, n=50, regime="dense", beta=0.2, grid=[0.3, 0.5],
+            power_reps=5, calib_reps=100, master_seed=2**40 + 3,
+        )
+        curve = run_power_grid(config)
+        assert [pt.grid_value for pt in curve.points] == [0.3, 0.5]
+        mc_null_table(st.HC, 20, 15, 100, master_seed=1)
+        mc_null_table(st.LRT, 20, 15, 100, master_seed=1, model=(NORMAL, MixtureAlt(0.1, 1.0)))
 
 
 class TestMcPvalue:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -195,11 +196,52 @@ class TestCmdTest:
         assert main(["test", "--x", xf, "--y", yf, "--tests", tests]) == 1
         assert capsys.readouterr() == ("", f"error: test {name!r} is selected more than once\n")
 
+    @pytest.mark.parametrize("tests", ["wilcoxon", "ks,tailrun", "hc", "table"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--reps", "99", "error: reps must be at least 100\n"),
+        ("--seed", "-1", "error: seed must be non-negative, got -1\n"),
+    ], ids=["reps", "seed"])
+    def test_calibration_flags_validated_on_every_run(
+        self, tmp_path, capsys, tests, flag, value, message
+    ):
+        # also when no table is simulated: no Monte Carlo test, or a stored table
+        xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
+        argv = ["test", "--x", xf, "--y", yf, "--tests", tests]
+        if tests == "table":
+            table = str(tmp_path / "hc.npz")
+            main(["calibrate", "--statistic", "hc", "--m", "3", "--n", "3", "--reps", "100",
+                  "--out", table])
+            capsys.readouterr()
+            argv[-1:] = ["hc", "--table", table]
+            assert main(argv) == 0
+            capsys.readouterr()
+        assert main([*argv, flag, value]) == 1
+        assert capsys.readouterr() == ("", message)
+
     def test_json_roundtrip(self, tmp_path, capsys):
         xf, yf = write_samples(tmp_path, [1, 2], [3, 4])
         main(["test", "--x", xf, "--y", yf, "--tests", "ks,tailrun"])
         out = capsys.readouterr().out
         assert json.loads(json.dumps(json.loads(out))) == json.loads(out)
+
+
+class TestPinnedTestOutput:
+    """sha256 of `test --tests all` stdout on fixed 300 x 300 files (rng_scheme 6,
+    numpy 2.4.6); the master seed 2**40 + 3 takes two entropy words."""
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "2af1096d5639c1d3ceccf04cd6eeac1ef0896629d3f93c2c4335e8fd9858844a"),
+        (2**40 + 3, "94c007bccef27b50ce2b05988d80357739ddbc68ea61870fdd2744be85bb5564"),
+    ], ids=["seed-0", "seed-two-words"])
+    def test_all_tests(self, tmp_path, capsys, seed, digest):
+        rng = np.random.default_rng(2021)
+        x, y = rng.standard_normal(300), rng.standard_normal(300)
+        y[:20] += 1.5
+        xf, yf = write_samples(tmp_path, x, y)
+        argv = ["test", "--x", xf, "--y", yf, "--tests", "all",
+                "--epsilon", "0.05", "--mu", "1.5", "--seed", str(seed)]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestCmdBoundary:

@@ -186,6 +186,16 @@ class TestSamplerRoutes:
         got = gg_sample(1000, p, np.random.default_rng(23))
         np.testing.assert_array_equal(got, gamma_route(1000, p, np.random.default_rng(23)))
 
+    @pytest.mark.parametrize("scale", [1.0, 1 / math.sqrt(2), 0.37, 4.5])
+    def test_exponential_route_is_the_gamma_route(self, scale):
+        # gamma = 1 draws standard exponentials, not Gamma(1) variates: the
+        # values and the stream position after them are the gamma route's
+        p = GGParams(gamma=1.0, scale=scale)
+        for seed in range(8):
+            rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(gg_sample(2000, p, rng), gamma_route(2000, p, old))
+            assert rng.random() == old.random()
+
     @pytest.mark.parametrize("gamma, scale", [(2.0, 2.5), (1.0, 0.4)])
     def test_direct_route_fits_cdf(self, gamma, scale):
         p = GGParams(gamma=gamma, scale=scale)

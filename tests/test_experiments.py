@@ -206,6 +206,13 @@ class TestPinnedOutput:
             "4d1464d0009efa8b328a648d2741ba494cc9936311f3b0ac65370c9bd99faf62"
         )
 
+    def test_power_grid_multiword_seed(self):
+        # a master seed of 2**40 + 3 enters the entropy as two words
+        cfg = dataclasses.replace(pinned_config(), master_seed=2**40 + 3)
+        assert self.digest(run_power_grid(cfg)) == (
+            "9543c20914988353173e7412995e4db5f7fbca260b55fc2563561ce9520bb92d"
+        )
+
     def test_null_level(self):
         assert self.digest(run_null_level(pinned_config())) == (
             "e50b2fbc23bab7258ed5dadb6e229b2d8d73000715667256e03c7d73cbe76837"

@@ -566,8 +566,9 @@ class TestLrtStats:
         p = GGParams(gamma)
         alts = [MixtureAlt(0.05 * i, 0.4 * i) for i in range(1, 6)]
         parts = [3, cal.TAG_CALIB_LRT, 7]
-        got = cal.replicate(cal.LRT_NULL, [cal.STATISTICS[st.LRT]], p, None, alts, 50, 40, parts)
-        y = gg_sample(40, p, cal._derived_rng(parts))
+        got = cal.replicate(cal.LRT_NULL, [cal.STATISTICS[st.LRT]], p, None, alts, 50, 40,
+                            parts, cal._derived_rng(parts))
+        y = gg_sample(40, p, np.random.default_rng(np.random.SeedSequence(parts)))
         assert got == [lrt_stat(y, p, a) for a in alts]
 
 
