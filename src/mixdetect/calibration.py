@@ -10,7 +10,8 @@ table is simulated by shuffling those labels.
 STATISTICS is the one table of the five tests: how each is computed and
 how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
 the power harness's, is built by _null_tables, and every simulated
-replicate is a replicate() call in replicate_rows()'s loop.
+replicate is drawn by replicate_rows, which evaluates each statistic once
+per block of replicates (Statistic.values).
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
 as in rng_scheme 6; replicate_rows derives the PCG64 states of its whole
@@ -115,11 +116,11 @@ class PValue:
 class Statistic:
     """One test: its statistic and its p-value.
 
-    kernel names the rank kernel in `statistics`, f(xi, m, n) on the pooled
-    X-origin indicator; it is looked up at call time, so a wrapper put on
-    that module sees every call.  The LRT has no kernel: it reads the
-    Y-sample and the model, and lrt_stats gives its value at every
-    alternative of a replicate in one call.  pvalues(values, m, n, table)
+    kernel names the rank kernel in `statistics`, f(xi, m, n) on a block of
+    pooled X-origin indicators; it is looked up at call time, so a wrapper
+    put on that module sees every call.  The LRT has no kernel: it reads the
+    Y-samples and the model, and one call gives its value at every
+    alternative of every replicate of a block.  pvalues(values, m, n, table)
     maps an array of statistic values to p-values; a Monte-Carlo test needs
     its null table.  extra(value, m, n) gives further fields for a test
     report.
@@ -139,11 +140,16 @@ class Statistic:
     def monte_carlo(self) -> bool:
         return self.method == MONTE_CARLO
 
-    def values(self, xi, y, m: int, n: int, model=None, alts=()) -> list[float]:
-        """One value for a rank statistic; the LRT's at each alternative in alts."""
+    def values(self, xi, y, m: int, n: int, model=None, alts=()) -> np.ndarray:
+        """Values on a block of replicates, one row each: xi holds their
+        (rows, m+n) pooled indicators and y their (rows, n) Y-samples.
+
+        A float (rows, 1) array for a rank statistic, (rows, len(alts)) for
+        the LRT.
+        """
         if self.kernel is None:
-            return st.lrt_stats(y, model, alts).tolist()
-        return [float(getattr(st, self.kernel)(xi, m, n))]
+            return st._lrt_rows(y, model, tuple(alts))
+        return getattr(st, self.kernel)(xi, m, n).astype(float)[:, None]
 
     def pvalue(self, value: float, m: int, n: int, table=None) -> PValue:
         p = self.pvalues(np.asarray(value, dtype=float), m, n, table)
@@ -261,31 +267,49 @@ def _draw_pooled(model, alt, m, n, parts, rng):
     raise st.TiesError("persistent ties in simulated continuous data")
 
 
-def replicate(kind, stats, model, alt, lrt_alts, m, n, parts, rng, labels=None) -> list[float]:
-    """Values of stats on one replicate drawn from rng, the stream `parts`.
-
-    kind is RANK_NULL, LRT_NULL or DATA; alt is the alternative the Y-sample
-    is drawn from (DATA only).  A RANK_NULL replicate shuffles a copy of
-    labels, m ones then n zeros.  A rank statistic gives one value, the LRT
-    one value per alternative in lrt_alts, all on the same sample and from
-    one lrt_stats call.
-    """
-    if kind == RANK_NULL:
-        y, xi = None, rng.permutation(labels)
-    elif kind == LRT_NULL:
-        y, xi = gg_sample(n, model, rng), None
-    else:
-        y, xi = _draw_pooled(model, alt, m, n, parts, rng)
-    return [v for s in stats for v in s.values(xi, y, m, n, model, lrt_alts)]
+# the most elements a block of replicates puts in one row-wide temporary
+# (m+n per row for a rank statistic, n per alternative for the LRT); of the
+# budgets 2**12 to 2**16, 2**14 (128 KiB of float64) took the least CPU
+# summed over test-cli-, sparse- and dense-sized calls on a 2-vCPU Linux VM
+_BLOCK_ELEMENTS = 2**14
 
 
 def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np.ndarray:
-    """Rows of replicate() on (*parts, k), k0 <= k < k1; tests are names, so they pickle."""
+    """Values of tests on replicates k0 <= k < k1, row k - k0 for replicate k.
+
+    Replicate k draws from the stream (*parts, k); kind is RANK_NULL,
+    LRT_NULL or DATA, and alt is the alternative the Y-sample is drawn from
+    (DATA only).  A RANK_NULL replicate shuffles m ones then n zeros.  A
+    rank statistic gives one value, the LRT one value per alternative in
+    lrt_alts, all on the same sample.  The replicates are drawn one by one
+    into blocks of rows, and each statistic is evaluated once per block;
+    a block holds as many rows as keep a row-wide temporary within
+    _BLOCK_ELEMENTS (at least one).  tests are names, so they pickle.
+    """
     stats = [STATISTICS[t] for t in tests]
-    labels = np.repeat(np.array([1, 0], dtype=np.int64), [m, n])
-    rows = [replicate(kind, stats, model, alt, lrt_alts, m, n, [*parts, k], rng, labels)
-            for k, rng in zip(range(k0, k1), _streams(parts, k0, k1))]
-    return np.array(rows, dtype=float)
+    widths = [1 if s.rank else len(lrt_alts) for s in stats]
+    row = max(m + n if s.rank else len(lrt_alts) * n for s in stats)
+    rows = max(1, min(_BLOCK_ELEMENTS // row, k1 - k0))
+    # the block's pooled indicators and Y-samples; a null replicate leaves
+    # the one its kind does not draw empty
+    xi = np.empty((rows, 0 if kind == LRT_NULL else m + n), dtype=np.int64)
+    y = np.empty((rows, 0 if kind == RANK_NULL else n))
+    out = np.empty((k1 - k0, sum(widths)))
+    streams = _streams(parts, k0, k1)
+    for a in range(k0, k1, rows):
+        b = min(a + rows, k1)
+        for i, (k, rng) in enumerate(zip(range(a, b), streams)):
+            if kind == RANK_NULL:
+                xi[i, :m], xi[i, m:] = 1, 0
+                rng.shuffle(xi[i])  # the arrangement rng.permutation gives
+            elif kind == LRT_NULL:
+                y[i] = gg_sample(n, model, rng)
+            else:
+                y[i], xi[i] = _draw_pooled(model, alt, m, n, [*parts, k], rng)
+        out[a - k0:b - k0] = np.hstack(
+            [s.values(xi[:b - a], y[:b - a], m, n, model, lrt_alts) for s in stats]
+        )
+    return out
 
 
 def _serial(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps) -> np.ndarray:

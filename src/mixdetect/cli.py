@@ -35,6 +35,9 @@ def read_sample_file(path) -> np.ndarray:
         if not body:
             continue
         try:
+            # float() also reads digit-group underscores and non-ASCII digits
+            if "_" in body or not body.isascii():
+                raise ValueError
             v = float(body)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not a number: {body!r}") from None
@@ -89,7 +92,7 @@ def cmd_test(args) -> int:
         tables[table.statistic] = table
     report = {"m": m, "n": n, "tests": {}}
     for stat in stats:
-        (value,) = stat.values(xi, ts.y, m, n, model, [alt])
+        (value,) = stat.values(xi[None], ts.y[None], m, n, model, [alt])[0].tolist()
         if stat.monte_carlo and stat.name not in tables:
             tables[stat.name] = cal.mc_null_table(
                 stat.name, m, n, args.reps, args.seed, model=None if stat.rank else (model, alt)

@@ -2,15 +2,16 @@
 
 Calibrates null tables, simulates alternatives over a sparse (r) or dense
 (s) parameter grid, and reports empirical power with binomial confidence
-half-widths.  Every replicate is one calibration.replicate call on an
-rng-stream derived from (master seed, purpose tag, grid index, replicate
-index) for the power replicates, or (master seed, purpose tag, replicate
-index) for the null tables; _collect maps calibration.replicate_rows over
-batches of them, in the run's one process pool if threads > 1, so results
-are byte-identical at any worker count.  The null tables come from
-mc_null_table's builder, run through _collect: one HC table and one LRT
-pass per run, whose replicate k draws one Y-sample and evaluates the LRT at
-every grid point's alternative in one statistics.lrt_stats call.
+half-widths.  Every replicate draws from an rng-stream derived from
+(master seed, purpose tag, grid index, replicate index) for the power
+replicates, or (master seed, purpose tag, replicate index) for the null
+tables; _collect maps calibration.replicate_rows, which evaluates each
+statistic once per block of replicates, over batches of them, in the run's
+one process pool if threads > 1, so results are byte-identical at any
+worker count.  The null tables come from mc_null_table's builder, run
+through _collect: one HC table and one LRT pass per run, whose replicate k
+draws one Y-sample and has the LRT evaluated on it at every grid point's
+alternative.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ def _collect(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps, pool):
 
     Every null-table and power replicate of a run goes through here.  Returns
     a 2-D array whose row i holds value i of every replicate (see
-    calibration.replicate for the values of a replicate), in replicate order.
+    calibration.replicate_rows for the values of a replicate), in replicate
+    order.
     """
     n_batches = 1 if pool is None else min(reps, 4 * pool.workers)
     bounds = np.linspace(0, reps, n_batches + 1).astype(int)
@@ -211,9 +213,9 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> c
 def _lrt_null_table(config: ScenarioConfig, statistic: str, pool) -> list:
     """Null tables of a model-based statistic (the LRT), one per grid point.
 
-    One pass in the run's pool: replicate k draws one Y-sample and
-    evaluates the statistic at every grid point's alternative in one
-    lrt_stats call, whose rows are bit for bit lrt_stat's, so table g equals
+    One pass in the run's pool: replicate k draws one Y-sample and the
+    statistic is evaluated on it at every grid point's alternative, each
+    value bit for bit lrt_stat's, so table g equals
     mc_null_table(statistic, ..., model=(model, alt_g)), its model included.
     """
     alts = [config.alt_for(g) for g in config.grid]

@@ -132,57 +132,65 @@ def _hc_null_moments(m: int, n: int):
     return e0, sd0, np.sqrt(N / (N - 1.0))
 
 
-def hc_from_indicator(xi: np.ndarray, m: int, n: int) -> float:
+def _value(v):
+    """A kernel's result: a Python scalar for one indicator, else the array."""
+    return v.item() if v.ndim == 0 else v
+
+
+# Each rank kernel f(xi, m, n) works along the last axis: xi is one sorted
+# X-origin indicator, or a (rows, m+n) block of them with one value per row.
+def hc_from_indicator(xi: np.ndarray, m: int, n: int):
     """Rank-form higher criticism from the sorted X-origin indicator."""
     e0, sd0, c = _hc_null_moments(m, n)
-    v = np.cumsum(xi)[:-1]
-    return float(c * np.max((v - e0) / sd0))
+    v = np.cumsum(xi, axis=-1)[..., :-1]
+    return _value(c * np.max((v - e0) / sd0, axis=-1))
 
 
-def hc_sup_form_from_indicator(xi: np.ndarray, m: int, n: int) -> float:
+def hc_sup_form_from_indicator(xi: np.ndarray, m: int, n: int):
     """Sup-form higher criticism, evaluated at pooled order statistics.
 
     The index s = m+n is excluded since the pooled-ECDF denominator
     vanishes there.
     """
     N = m + n
-    cx = np.cumsum(xi)[:-1]
+    cx = np.cumsum(xi, axis=-1)[..., :-1]
     s = np.arange(1, N, dtype=float)
     fm = cx / m
     gn = (s - cx) / n
     h = s / N
     vals = np.sqrt(m * n / N) * (fm - gn) / np.sqrt(h * (1.0 - h))
-    return float(np.max(vals))
+    return _value(np.max(vals, axis=-1))
 
 
-def wilcoxon_from_indicator(xi: np.ndarray, m: int, n: int) -> int:
+def wilcoxon_from_indicator(xi: np.ndarray, m: int, n: int):
     """U = #{(i, j): X_i < Y_j} via a single cumulative pass.
 
     The running X-count summed over Y positions is U; over X positions it
     is 1 + ... + m, since the k-th X in pooled order sees k.
     """
-    return int(np.cumsum(xi).sum() - m * (m + 1) // 2)
+    return _value(np.cumsum(xi, axis=-1).sum(axis=-1) - m * (m + 1) // 2)
 
 
-def ks_from_indicator(xi: np.ndarray, m: int, n: int) -> float:
-    """Signed one-sided sup of F_m - G_n; never below 0 (sup over all t)."""
-    cx = np.cumsum(xi)
+def ks_from_indicator(xi: np.ndarray, m: int, n: int):
+    """Signed one-sided sup of F_m - G_n; never below 0, since d = 0 at s = m+n."""
+    cx = np.cumsum(xi, axis=-1)
     s = _rank_grid(m + n)
     d = cx / m - (s - cx) / n
-    return float(max(0.0, np.max(d)))
+    return _value(np.max(d, axis=-1))
 
 
-def tailrun_from_indicator(xi: np.ndarray, m: int, n: int) -> int:
+def tailrun_from_indicator(xi: np.ndarray, m: int, n: int):
     """Run of Y-origin values at the top of the pooled ordering."""
-    rev = xi[::-1]
-    return int(np.argmax(rev))  # first X-origin from the top; x nonempty
+    # first X-origin from the top; x nonempty
+    return _value(np.argmax(xi[..., ::-1], axis=-1))
 
 
 # The per-alternative constants of lrt_stats at sample size n: (k, 1)
 # columns, and flat rows for the log odds and n * log1p(-eps).  Each is
-# computed in Python floats, one alternative at a time, so every row takes
-# the same values a one-alternative call does; shared by every replicate of
-# an alternative set and read-only so no caller can alter a later one.
+# computed in Python floats, one alternative at a time, so every alternative
+# takes the same values a one-alternative call does; shared by every
+# replicate of an alternative set and read-only so no caller can alter a
+# later one.
 @functools.lru_cache(maxsize=32)
 def _lrt_constants(p: GGParams, alts: tuple, n: int):
     def column(values):
@@ -204,18 +212,7 @@ def _lrt_constants(p: GGParams, alts: tuple, n: int):
 def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
     """Oracle log-likelihood ratio of the Y-sample at each alternative in alts.
 
-    Row i of a (len(alts), n) array holds the terms of alternative i; each
-    term log((1-eps) + eps * f(y-mu)/f(y)) is written
-    log1p(-eps) + log1p(eps/(1-eps) * exp(lr)), lr = log(f(y-mu)/f(y)), and
-    the constant n * log1p(-eps) is added once per row.  For gamma = 2 lr is
-    the affine c*z - c^2/2 (z = y/scale, c = mu/scale), taken as
-    y * (c/scale) - c^2/2 and exact far in the tail; other gamma take
-    (|z|^gamma - |z - c|^gamma)/gamma, with |z|^gamma shared by every row.
-    Only when some lr exceeds _EXP_SAFE, where exp(lr) could overflow, is lr
-    clamped and each large term set to logaddexp(0, log(eps/(1-eps)) + lr),
-    the same value in log space, so tiny eps and huge density ratios are both
-    handled stably.  Every row is summed whole, so row i is bit for bit the
-    value of lrt_stat(y, p, alts[i]).
+    The one-row case of _lrt_rows: element i is the value at alts[i].
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
@@ -223,7 +220,29 @@ def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
     alts = tuple(alts)
     if not alts:
         raise ValueError("alts must be nonempty")
-    lr_consts, odds, log_odds, n_log1p_eps = _lrt_constants(p, alts, y.size)
+    return _lrt_rows(y[None], p, alts)[0]
+
+
+def _lrt_rows(y: np.ndarray, p: GGParams, alts: tuple) -> np.ndarray:
+    """The oracle LRT of each row of y, a (rows, n) block of Y-samples, at
+    each alternative in alts, as a (rows, len(alts)) array.
+
+    Each term log((1-eps) + eps * f(y-mu)/f(y)), of a (rows, len(alts), n)
+    array, is written log1p(-eps) + log1p(eps/(1-eps) * exp(lr)),
+    lr = log(f(y-mu)/f(y)), and the constant n * log1p(-eps) is added once
+    per sum.  For gamma = 2 lr is the affine c*z - c^2/2 (z = y/scale,
+    c = mu/scale), taken as y * (c/scale) - c^2/2 and exact far in the tail;
+    other gamma take (|z|^gamma - |z - c|^gamma)/gamma, with |z|^gamma
+    shared by every alternative.  Only when some lr exceeds _EXP_SAFE, where
+    exp(lr) could overflow, is lr clamped and each large term set to
+    logaddexp(0, log(eps/(1-eps)) + lr), the same value in log space, so
+    tiny eps and huge density ratios are both handled stably; the clamp
+    leaves every other term as it was.  Each (row, alternative) is summed
+    whole, along the last axis, so every value is bit for bit the one its
+    Y-sample gives alone at that alternative alone.
+    """
+    lr_consts, odds, log_odds, n_log1p_eps = _lrt_constants(p, alts, y.shape[-1])
+    y = y[:, None, :]
     if p.gamma == 2.0:
         slope, offset = lr_consts
         lr = np.multiply(y, slope)
@@ -240,16 +259,16 @@ def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
     big = None
     if lr.max() > _EXP_SAFE:
         big = np.nonzero(lr > _EXP_SAFE)
-        big_terms = np.logaddexp(0.0, log_odds[big[0]] + lr[big])
+        big_terms = np.logaddexp(0.0, log_odds[big[1]] + lr[big])
         np.minimum(lr, _EXP_SAFE, out=lr)
     np.exp(lr, out=lr)
     lr *= odds
     np.log1p(lr, out=lr)
     if big is not None:
         lr[big] = big_terms
-    totals = lr.sum(axis=1)
+    totals = lr.sum(axis=-1)
     totals += n_log1p_eps
-    if not all(map(math.isfinite, totals.tolist())):
+    if not np.isfinite(totals).all():
         raise FloatingPointError("non-finite likelihood ratio term")
     return totals
 

@@ -129,13 +129,13 @@ class TestMcNullTable:
 class TestDataRetry:
     """A tied data replicate is redrawn from the stream (*parts, retry)."""
 
-    parts = [9, cal.TAG_POWER, 0, 3]
+    parts = [9, cal.TAG_POWER, 0, 3]  # replicate 3 of grid point 0
     alt = MixtureAlt(epsilon=0.2, mu=1.5)
 
     def draw(self):
-        stats_ = [cal.STATISTICS[st.HC], cal.STATISTICS[st.LRT]]
-        return cal.replicate(cal.DATA, stats_, NORMAL, self.alt, [self.alt], 40, 30,
-                             self.parts, cal._derived_rng(self.parts))
+        (row,) = cal.replicate_rows(cal.DATA, [st.HC, st.LRT], NORMAL, self.alt, [self.alt],
+                                    40, 30, self.parts[:3], 3, 4).tolist()
+        return row
 
     def test_tie_restarts_from_the_retry_stream(self, monkeypatch):
         pooled_indicator = st.pooled_indicator
@@ -166,6 +166,117 @@ class TestDataRetry:
         with pytest.raises(st.TiesError, match="persistent"):
             self.draw()
         assert len(calls) == 100
+
+
+class TestBlockRows:
+    """replicate_rows evaluates each statistic once per block of replicates,
+    and every row is bit for bit the value its replicate gives alone (in a
+    block of one row)."""
+
+    GAMMAS = [0.7, 1.0, 2.0, 3.0]
+    RANK = [st.HC, st.WILCOXON, st.KS, st.TAILRUN]
+
+    @staticmethod
+    def record(monkeypatch, name, seen):
+        """Wrap the kernel `name` of statistics; seen gets a copy of each block."""
+        kernel = getattr(st, name)
+
+        def wrapper(block, *args):
+            seen.append(block.copy())
+            return kernel(block, *args)
+
+        monkeypatch.setattr(st, name, wrapper)
+
+    @staticmethod
+    def alone(kind, tests, model, alt, alts, m, n, parts, k0, k1):
+        return np.concatenate([
+            cal.replicate_rows(kind, tests, model, alt, alts, m, n, parts, k, k + 1)
+            for k in range(k0, k1)
+        ])
+
+    def check(self, monkeypatch, kernel, rows, kind, tests, model, alt, alts, m, n, k0, k1):
+        """The block rows kernel saw, then every row against its replicate alone."""
+        parts = [23, cal.TAG_POWER, 1]
+        seen = []
+        with monkeypatch.context() as mp:
+            self.record(mp, kernel, seen)
+            got = cal.replicate_rows(kind, tests, model, alt, alts, m, n, parts, k0, k1)
+        assert [len(b) for b in seen] == rows
+        expected = self.alone(kind, tests, model, alt, alts, m, n, parts, k0, k1)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        return seen
+
+    def test_rank_null(self, monkeypatch):
+        # 2**14 // (1200 + 800) = 8 rows a block
+        self.check(monkeypatch, "hc_from_indicator", [8, 8, 4], cal.RANK_NULL,
+                   self.RANK, None, None, (), 1200, 800, 5, 25)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_lrt_null(self, monkeypatch, gamma):
+        # three alternatives at n = 700: 2**14 // 2100 = 7 rows a block
+        alts = [MixtureAlt(0.01, 0.5), MixtureAlt(0.1, 2.0), MixtureAlt(1e-15, 3.0)]
+        self.check(monkeypatch, "_lrt_rows", [7, 7, 3], cal.LRT_NULL, [st.LRT],
+                   GGParams(gamma, 0.8), None, alts, 900, 700, 0, 17)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_data(self, monkeypatch, gamma):
+        # 2**14 // (1200 + 800) = 8 rows a block
+        alt = MixtureAlt(0.1, 1.5)
+        self.check(monkeypatch, "ks_from_indicator", [8, 8, 4], cal.DATA,
+                   [st.LRT, *self.RANK], GGParams(gamma), alt, [alt], 1200, 800, 0, 20)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_overflow_in_some_rows(self, monkeypatch, gamma):
+        # lr at y = mu is (mu/scale)^gamma / gamma, past _EXP_SAFE here, so a
+        # replicate with a shifted value takes the overflow branch; with
+        # eps = 0.0014 about half of the 500-value Y-samples have none
+        p = GGParams(gamma)
+        mu = 1.2 * (700.0 * gamma) ** (1.0 / gamma)
+        alt = MixtureAlt(0.0014, mu)
+        seen = self.check(monkeypatch, "_lrt_rows", [8, 8, 4], cal.DATA, [st.LRT, st.HC],
+                          p, alt, [alt], 1500, 500, 0, 20)
+        mixed = []
+        for y in seen:
+            z = np.abs(y / p.scale)
+            lr_max = ((z ** gamma - np.abs(z - mu / p.scale) ** gamma) / gamma).max(axis=1)
+            mixed.append(0 < np.sum(lr_max > st._EXP_SAFE) < len(y))
+        assert any(mixed)
+
+    def test_above_the_budget_one_row_blocks(self, monkeypatch):
+        # m + n = 16400 > 2**14
+        self.check(monkeypatch, "wilcoxon_from_indicator", [1, 1, 1], cal.RANK_NULL,
+                   self.RANK, None, None, (), 8200, 8200, 0, 3)
+        self.check(monkeypatch, "_lrt_rows", [1, 1], cal.DATA, [st.LRT, st.TAILRUN],
+                   NORMAL, None, [MixtureAlt(0.1, 1.0)], 8200, 8200, 0, 2)
+
+    def test_tie_retry_inside_a_block(self, monkeypatch):
+        # the first draw of replicate 4 ties; it is redrawn from (*parts, 4, 1)
+        parts, alt, m, n = [7, cal.TAG_POWER, 2], MixtureAlt(0.2, 1.5), 40, 30
+        tests = [st.HC, st.LRT]
+        pooled_indicator = st.pooled_indicator
+        calls = []
+
+        def tie_on_fifth(x, y):
+            calls.append(1)
+            if len(calls) == 5:
+                raise st.TiesError(0.0)
+            return pooled_indicator(x, y)
+
+        seen = []
+        with monkeypatch.context() as mp:
+            mp.setattr(st, "pooled_indicator", tie_on_fifth)
+            self.record(mp, "hc_from_indicator", seen)
+            got = cal.replicate_rows(cal.DATA, tests, NORMAL, alt, [alt], m, n, parts, 0, 9)
+        assert len(calls) == 10 and [len(b) for b in seen] == [9]
+        rng = np.random.default_rng(np.random.SeedSequence([*parts, 4, 1]))
+        x, y = gg_sample(m, NORMAL, rng), mixture_sample(n, NORMAL, alt, rng)
+        xi = pooled_indicator(x, y)
+        expected = self.alone(cal.DATA, tests, NORMAL, alt, [alt], m, n, parts, 0, 9)
+        expected[4] = [st.hc_from_indicator(xi, m, n), st.lrt_stat(y, NORMAL, alt)]
+        assert got.tobytes() == expected.tobytes()
+        assert got[4].tobytes() != self.alone(
+            cal.DATA, tests, NORMAL, alt, [alt], m, n, parts, 4, 5).tobytes()
 
 
 def numpy_stream(entropy):

@@ -25,6 +25,9 @@ class TestReadSampleFile:
         f = tmp_path / "s.txt"
         for text, message in [
             ("1.0\nnot-a-number\n", f"{f}:2: not a number: 'not-a-number'"),
+            # float() would read these as 15.0 and 12.0
+            ("1_5\n2.5\n", f"{f}:1: not a number: '1_5'"),
+            ("2.5\n\uff11\uff12\n", f"{f}:2: not a number: '\uff11\uff12'"),
             ("1.0\n-inf  # far out\n", f"{f}:2: non-finite value '-inf'"),
             ("nan\n", f"{f}:1: non-finite value 'nan'"),
             ("# no data\n\n", f"{f}: no values found"),

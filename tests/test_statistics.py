@@ -225,6 +225,26 @@ class TestCachedKernels:
         np.testing.assert_array_equal(st._rank_grid(8), np.arange(1.0, 9.0))
 
 
+class TestKernelBlocks:
+    """A kernel on a (rows, m+n) block gives each row's value on that
+    indicator alone, bit for bit; on one indicator, a Python scalar."""
+
+    KERNELS = [(hc_from_indicator, float), (hc_sup_form_from_indicator, float),
+               (wilcoxon_from_indicator, int), (ks_from_indicator, float),
+               (tailrun_from_indicator, int)]
+
+    @pytest.mark.parametrize("kernel, kind", KERNELS, ids=[k.__name__ for k, _ in KERNELS])
+    def test_rows_bitwise(self, kernel, kind):
+        rng = np.random.default_rng(15)
+        for m, n in [(1, 1), (1, 9), (9, 1), (13, 7), (64, 65)]:
+            block = np.array([arrangement(rng, m, n) for _ in range(11)])
+            alone = [kernel(xi, m, n) for xi in block]
+            assert all(type(v) is kind for v in alone)
+            got = kernel(block, m, n)
+            assert got.shape == (11,)
+            assert got.tolist() == alone
+
+
 class TestHigherCriticism:
     def test_singletons(self):
         assert on(hc_from_indicator, TwoSample(x=[0.3], y=[0.7])) == pytest.approx(
@@ -538,6 +558,22 @@ class TestLrtStats:
             with np.errstate(over="raise", invalid="raise"):
                 self.check(y, p, alts)
 
+    @pytest.mark.parametrize("gamma", [0.7, 1.0, 2.0, 3.0])
+    def test_block_with_overflow_in_some_rows(self, gamma):
+        # rows 1 and 4 hold y = mu of alts[0], where lr = (mu/scale)^gamma / gamma
+        # passes 700
+        p = GGParams(gamma)
+        edge = (700.0 * gamma) ** (1.0 / gamma)
+        alts = (MixtureAlt(0.01, 1.05 * edge), MixtureAlt(0.2, 1.0))
+        y = gg_sample(300, p, np.random.default_rng(16)).reshape(6, 50)
+        y[[1, 4], 7] = alts[0].mu
+        assert [self.overflowing(row, p, alts) for row in y] == [0, 1, 0, 0, 1, 0]
+        got = st._lrt_rows(y, p, alts)
+        assert got.shape == (6, 2)
+        for row, values in zip(y, got.tolist()):
+            assert values == [scheme6_lrt(row, p, a) for a in alts]
+            assert values == lrt_stats(row, p, alts).tolist()
+
     def test_empty_or_not_1d_rejected(self):
         alts = [MixtureAlt(0.1, 1.0)]
         for y in (np.array([]), np.ones((2, 3))):
@@ -565,9 +601,10 @@ class TestLrtStats:
     def test_replicate_equals_lrt_stat(self, gamma):
         p = GGParams(gamma)
         alts = [MixtureAlt(0.05 * i, 0.4 * i) for i in range(1, 6)]
+        # replicate 7 of the stream (3, TAG_CALIB_LRT)
         parts = [3, cal.TAG_CALIB_LRT, 7]
-        got = cal.replicate(cal.LRT_NULL, [cal.STATISTICS[st.LRT]], p, None, alts, 50, 40,
-                            parts, cal._derived_rng(parts))
+        (got,) = cal.replicate_rows(cal.LRT_NULL, [st.LRT], p, None, alts, 50, 40,
+                                    parts[:2], 7, 8).tolist()
         y = gg_sample(40, p, np.random.default_rng(np.random.SeedSequence(parts)))
         assert got == [lrt_stat(y, p, a) for a in alts]
 
