@@ -14,9 +14,9 @@ replicate is drawn by replicate_rows, which evaluates each statistic once
 per block of replicates (Statistic.values).
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
-as in rng_scheme 6; replicate_rows derives the PCG64 states of its whole
-batch of streams in one vectorised pass (_pcg64_states) and sets one
-generator to each in turn, so no replicate builds a SeedSequence.
+as in rng_scheme 6; the seed words of a whole batch of streams are hashed
+in one vectorised pass (_seed_words), and numpy's PCG64 seeds each
+replicate's own generator from them, so no replicate builds a SeedSequence.
 """
 
 from __future__ import annotations
@@ -156,12 +156,10 @@ class Statistic:
         return PValue(p=float(p), method=self.method)
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier, for
-# _pcg64_states
+# numpy's SeedSequence hash constants, for _seed_words
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_M32, _M128 = 2**32 - 1, 2**128 - 1
+_M32 = 2**32 - 1
 
 
 def _words(v) -> list[int]:
@@ -175,13 +173,12 @@ def _words(v) -> list[int]:
     return words
 
 
-def _pcg64_states(prefix, k0: int, k1: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of default_rng(SeedSequence([*prefix, k])), k0 <= k < k1.
+def _seed_words(prefix, k0: int, k1: int) -> np.ndarray:
+    """SeedSequence([*prefix, k]).generate_state(4, np.uint64), k0 <= k < k1, one row each.
 
-    SeedSequence's entropy pool (4 words) and generate_state(4, uint64) run
-    on uint32 arrays over k, so a batch of streams costs a few dozen array
-    operations; PCG64's seeding step is done in Python ints.  Each k is one
-    entropy word: 0 <= k0 <= k1 <= 2**32, which _streams checks.
+    SeedSequence's entropy pool (4 words) and generate_state run on uint32
+    arrays over k, so a batch of streams costs a few dozen array operations.
+    Each k is one entropy word: 0 <= k0 <= k1 <= 2**32, which _streams checks.
     """
     ks = np.arange(k0, k1, dtype=np.uint32)
     entropy = [np.full_like(ks, w) for p in prefix for w in _words(p)] + [ks]
@@ -206,40 +203,38 @@ def _pcg64_states(prefix, k0: int, k1: int) -> list[tuple[int, int]]:
     for word in entropy[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
-    out, hash_const = [], _INIT_B
+    out, hash_const = np.empty((ks.size, 8), dtype="<u4"), _INIT_B
     for i in range(8):
         v = pool[i % 4] ^ hash_const
         hash_const = hash_const * _MULT_B & _M32
         v = v * hash_const
-        out.append((v ^ (v >> 16)).astype(np.uint64))
-    # uint64 word j is out[2j] | out[2j+1] << 32; words 0-1 seed the state and
-    # 2-3 the increment, high word first, as pcg64_set_seed reads them
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (out[2 * j] | (out[2 * j + 1] << 32)).tolist() for j in range(4)
-    )
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, inc))
-    return states
+        out[:, i] = v ^ (v >> 16)
+    # generate_state pairs the uint32 words little-endian on every host
+    return out.view("<u8").astype(np.uint64)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A stream's seed words for PCG64, which reads them from memory unchecked:
+    words must be a contiguous uint64 array of 4, a row of _seed_words'."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _streams(prefix, k0: int, k1: int):
     """Generators on the streams SeedSequence([*prefix, k]), k0 <= k < k1, in order.
 
-    They are one Generator, set to each stream's start in turn, so each is
-    used up before the next is taken.  States are derived 1024 streams at
-    a time, which bounds the memory a large batch holds.
+    Each is its own, seeded by numpy's PCG64 from the stream's _seed_words,
+    which are derived 1024 streams at a time to bound a large batch's memory.
     """
     if not 0 <= k0 <= k1 <= 2**32:
         raise ValueError(f"replicate and retry indices must lie in [0, 2**32), got {k0}..{k1 - 1}")
-    rng = np.random.Generator(np.random.PCG64(0))
     for a in range(k0, k1, 1024):
-        for state, inc in _pcg64_states(prefix, a, min(a + 1024, k1)):
-            rng.bit_generator.state = {"bit_generator": "PCG64",
-                                       "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-            yield rng
+        for words in _seed_words(prefix, a, min(a + 1024, k1)):
+            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def _derived_rng(parts, retry: int = 0) -> np.random.Generator:
@@ -321,12 +316,13 @@ def _serial(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps) -> np.nda
 def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) -> list:
     """Sorted null tables of statistic, from replicate k of (seed, tag, k).
 
-    A rank statistic gives one table, simulated on random arrangements of
-    m X-labels and n Y-labels (tag TAG_CALIB_RANK).  The LRT draws its
-    Y-sample from F = p (tag TAG_CALIB_LRT) and gives one table per
-    alternative in alts, table i carrying the model (p, alts[i]).  collect
-    runs the replicates: it is called positionally as _serial is, and the
-    power harness passes its own, which uses the run's pool.
+    HC gives one table, simulated on random arrangements of m X-labels and
+    n Y-labels (tag TAG_CALIB_RANK).  The LRT draws its Y-sample from F = p
+    (tag TAG_CALIB_LRT) and gives one table per alternative in alts, table
+    i carrying the model (p, alts[i]).  A test whose p-value reads no table
+    is refused.  collect runs the replicates: it is called positionally as
+    _serial is, and the power harness passes its own, which uses the run's
+    pool.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
@@ -334,12 +330,14 @@ def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) 
         raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if statistic not in STATISTICS:
+    stat = STATISTICS.get(statistic)
+    if stat is None:
         raise ValueError(f"unknown statistic {statistic!r}")
-    rank = STATISTICS[statistic].rank
-    if not rank and p is None:
+    if not stat.monte_carlo:
+        raise ValueError(f"{statistic} reads no null table: its p-value uses the {stat.method} null")
+    if not stat.rank and p is None:
         raise ValueError("LRT calibration requires the model (GGParams, MixtureAlt)")
-    kind, tag = (RANK_NULL, TAG_CALIB_RANK) if rank else (LRT_NULL, TAG_CALIB_LRT)
+    kind, tag = (RANK_NULL, TAG_CALIB_RANK) if stat.rank else (LRT_NULL, TAG_CALIB_LRT)
     columns = collect(kind, p, None, alts, m, n, [statistic], [seed, tag], reps)
     models = [(p, a) for a in alts] or [None]
     return [NullTable(statistic, m, n, np.sort(draws), seed, model)
@@ -357,9 +355,10 @@ def mc_null_table(
     """Simulate the null distribution of a statistic.
 
     The one-table case of the power harness's builder, so a table equals
-    the harness's for the same (statistic, m, n, reps, seed): a rank
-    statistic is simulated on random label arrangements, the LRT, which
-    needs the model (GGParams, MixtureAlt), on Y-samples from F.
+    the harness's for the same (statistic, m, n, reps, seed): HC is
+    simulated on random label arrangements, the LRT, which needs the model
+    (GGParams, MixtureAlt), on Y-samples from F.  WILCOXON, KS and TAILRUN
+    read no table and are refused.
     """
     p, alt = model or (None, None)
     (table,) = _null_tables(statistic, m, n, reps, master_seed, p, [alt] if model else [])

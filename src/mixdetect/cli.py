@@ -59,6 +59,15 @@ def _alt_from_args(args) -> MixtureAlt:
     return MixtureAlt(epsilon=args.epsilon, mu=args.mu)
 
 
+def _model_and_alt(args, lrt: bool) -> tuple[GGParams, MixtureAlt | None]:
+    """The model, and the alternative if the LRT reads it or --epsilon or
+    --mu is given: every model flag given is validated, read or not."""
+    model, alt = _model_from_args(args), None
+    if lrt or args.epsilon is not None or args.mu is not None:
+        alt = _alt_from_args(args)
+    return model, alt
+
+
 def cmd_test(args) -> int:
     # the calibration flags are validated whether or not a table is simulated
     if args.reps < 100:
@@ -73,10 +82,7 @@ def cmd_test(args) -> int:
     xi = st.pooled_indicator(ts.x, ts.y)
     stats = [cal.STATISTICS[t] for t in _parse_tests(args.tests)]
     m, n = ts.m, ts.n
-    # every model input given is validated, read by a selected test or not
-    model, alt = _model_from_args(args), None
-    if not all(s.rank for s in stats) or args.epsilon is not None or args.mu is not None:
-        alt = _alt_from_args(args)
+    model, alt = _model_and_alt(args, lrt=not all(s.rank for s in stats))
     tables = {}
     if args.table:
         # the file serves the selected Monte Carlo test it was simulated for
@@ -144,8 +150,9 @@ def cmd_power(args) -> int:
         Path(directory).mkdir(parents=True, exist_ok=True)
     stem = args.stem or (args.preset or Path(args.config).stem)
     for path in (Path(args.out) / f"{stem}.csv", Path(args.out) / f"{stem}.json"):
-        if path.is_dir():
-            raise ValueError(f"cannot write {path}: it is a directory")
+        if path.is_dir() or not path.parent.is_dir():
+            reason = "it is a directory" if path.is_dir() else f"no directory {path.parent}"
+            raise ValueError(f"cannot write {path}: {reason}")
     curve = exp.run_power_grid(config, threads=args.threads, cache_dir=args.cache_dir)
     if args.preset:
         notes = {**curve.notes, **exp.figure_notes(args.preset, args.scale)}
@@ -200,18 +207,8 @@ def cmd_diagnose(args) -> int:
 
 def cmd_calibrate(args) -> int:
     statistic = args.statistic.upper()
-    if statistic not in st.ALL_STATISTICS:
-        raise ValueError(f"unknown statistic {args.statistic!r}")
-    # a table is written only for a test whose p-value reads one
-    stat = cal.STATISTICS[statistic]
-    if not stat.monte_carlo:
-        raise ValueError(
-            f"{statistic} reads no null table: its p-value uses the {stat.method} null; "
-            "use the test command instead"
-        )
-    model = None
-    if statistic == st.LRT:
-        model = (_model_from_args(args), _alt_from_args(args))
+    p, alt = _model_and_alt(args, lrt=statistic == st.LRT)
+    model = (p, alt) if statistic == st.LRT else None
     # a bad --out fails now, not after simulating the table; a directory is
     # refused as given, before npz_path names a file beside it
     out = Path(args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed, model))
@@ -221,9 +218,8 @@ def cmd_calibrate(args) -> int:
         raise ValueError(f"cannot write {out}: {reason}")
     if out.exists() and not args.force:
         raise ValueError(f"{out} exists; pass --force to overwrite")
-    table = cal.mc_null_table(
-        statistic, args.m, args.n, args.reps, args.seed, model=model
-    )
+    # an unknown statistic, or one whose p-value reads no table, is refused here
+    table = cal.mc_null_table(statistic, args.m, args.n, args.reps, args.seed, model=model)
     out = cal.save_null_table(table, out, force=args.force)
     q = {lev: float(np.quantile(table.draws, lev)) for lev in (0.90, 0.95, 0.99)}
     print(

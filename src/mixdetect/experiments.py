@@ -68,6 +68,10 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "n", "power_reps", "calib_reps", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n > self.m:
             raise ValueError(f"n must not exceed m, got n={self.n} m={self.m}")
         if self.m < 2 or self.n < 2:

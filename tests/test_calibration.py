@@ -41,13 +41,6 @@ class TestMcNullTable:
         qb = np.quantile(b.draws, 0.95)
         assert abs(qa - qb) < 0.15
 
-    def test_wilcoxon_null_mean(self):
-        m = n = 4
-        table = mc_null_table(st.WILCOXON, m, n, 10**5, master_seed=3)
-        exact_sd = math.sqrt(m * n * (m + n + 1) / 12)
-        se = exact_sd / math.sqrt(table.reps)
-        assert abs(np.mean(table.draws) - m * n / 2) < 3 * se
-
     def test_lrt_requires_model(self):
         with pytest.raises(ValueError):
             mc_null_table(st.LRT, 50, 50, 200, master_seed=0)
@@ -63,8 +56,8 @@ class TestMcNullTable:
         for k in range(100):
             rng = np.random.default_rng(np.random.SeedSequence([4, 101, k]))
             xi = rng.permutation(np.repeat(np.array([1, 0], dtype=np.int64), [m, n]))
-            expected.append(st.ks_from_indicator(xi, m, n))
-        table = mc_null_table(st.KS, m, n, 100, master_seed=4)
+            expected.append(st.hc_from_indicator(xi, m, n))
+        table = mc_null_table(st.HC, m, n, 100, master_seed=4)
         np.testing.assert_array_equal(table.draws, np.sort(expected))
 
     @pytest.mark.parametrize(
@@ -72,18 +65,32 @@ class TestMcNullTable:
         [(st.WILCOXON, wilcoxon_exact_null), (st.TAILRUN, tailrun_null_pmf)],
     )
     def test_rank_null_law(self, statistic, pmf):
-        # m != n, so swapped X/Y labels would change the tail-run law
+        # the label shuffle a rank table is simulated on follows the exact
+        # law; m != n, so swapped X/Y labels would change the tail-run law
         m, n, reps = 5, 3, 20000
-        table = mc_null_table(statistic, m, n, reps, master_seed=21)
+        draws = cal.replicate_rows(cal.RANK_NULL, [statistic], None, None, (), m, n,
+                                   [21, cal.TAG_CALIB_RANK], 0, reps)
         expected = pmf(m, n)
-        observed = np.bincount(table.draws.astype(int), minlength=expected.size)
+        observed = np.bincount(draws[:, 0].astype(int), minlength=expected.size)
         assert observed.size == expected.size
         assert stats.chisquare(observed, reps * expected).pvalue > 0.001
 
     @pytest.mark.parametrize("m, n", [(0, 5), (3, 0)])
     def test_empty_sample_refused(self, m, n):
         with pytest.raises(ValueError, match=f"m={m}, n={n}"):
-            mc_null_table(st.KS, m, n, 200, master_seed=0)
+            mc_null_table(st.HC, m, n, 200, master_seed=0)
+
+    @pytest.mark.parametrize("statistic, method", [
+        (st.WILCOXON, "normal-approx"), (st.KS, "smirnov-limit"), (st.TAILRUN, "exact"),
+    ])
+    def test_no_table_for_a_test_that_reads_none(self, monkeypatch, statistic, method):
+        def fail(*args, **kwargs):
+            raise AssertionError("replicates drawn for a test that reads no table")
+
+        monkeypatch.setattr(cal, "replicate_rows", fail)
+        message = f"^{statistic} reads no null table: its p-value uses the {method} null$"
+        with pytest.raises(ValueError, match=message):
+            mc_null_table(statistic, 5, 5, 200, master_seed=0)
 
     def test_builder_calls_collect_positionally(self):
         # the power harness passes its own collect, which is called as _serial is
@@ -297,9 +304,9 @@ def first_draws(rng):
 
 
 class TestStreams:
-    """Each batch's PCG64 states equal numpy's SeedSequence seeding."""
+    """Each batch's seed words and generators equal numpy's SeedSequence seeding."""
 
-    @pytest.mark.parametrize("prefix", [
+    PREFIXES = [
         [5, cal.TAG_CALIB_RANK],  # 3 words: a null table
         [5, cal.TAG_POWER, 3],  # 4 words: a power point
         [5, cal.TAG_POWER, 3, 17],  # 5 words: a tie retry of replicate 17
@@ -307,14 +314,27 @@ class TestStreams:
         [2**70 + 3, cal.TAG_POWER, 9, 4],  # a three-word one, 7 words in all
         [0],
         [],
-    ])
+    ]
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @pytest.mark.parametrize("k0, k1", [(0, 4), (2**32 - 3, 2**32), (1020, 1030)])
+    def test_seed_words_equal_numpy(self, prefix, k0, k1):
+        words = cal._seed_words(prefix, k0, k1)
+        # PCG64 reads each row's memory as it is
+        assert words.shape == (k1 - k0, 4) and words.dtype == np.uint64
+        assert words.flags.c_contiguous
+        for k, row in zip(range(k0, k1), words):
+            want = np.random.SeedSequence([*prefix, k]).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
     @pytest.mark.parametrize("k0, k1", [(0, 4), (2**32 - 3, 2**32)])
     def test_states_and_draws_equal_numpy(self, prefix, k0, k1):
-        states = cal._pcg64_states(prefix, k0, k1)
-        assert len(states) == k1 - k0
-        for k, (state, inc), rng in zip(range(k0, k1), states, cal._streams(prefix, k0, k1)):
+        rngs = list(cal._streams(prefix, k0, k1))
+        assert len(rngs) == k1 - k0
+        for k, rng in zip(range(k0, k1), rngs):
             oracle = numpy_stream([*prefix, k])
-            assert oracle.bit_generator.state["state"] == {"state": state, "inc": inc}
+            assert rng.bit_generator.state == oracle.bit_generator.state
             for got, want in zip(first_draws(rng), first_draws(oracle)):
                 np.testing.assert_array_equal(got, want)
 
@@ -333,6 +353,20 @@ class TestStreams:
         assert rng.bit_generator.state["has_uint32"] == 1
         rng = next(streams)
         for got, want in zip(first_draws(rng), first_draws(numpy_stream([8, 101, 1]))):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_taken_stream_keeps_its_own(self):
+        # a generator already taken keeps drawing its own stream after the
+        # next one is taken
+        streams = cal._streams([8, cal.TAG_CALIB_RANK], 0, 2)
+        first = next(streams)
+        head = first.standard_normal(3)
+        second = next(streams)
+        oracle = numpy_stream([8, cal.TAG_CALIB_RANK, 0])
+        np.testing.assert_array_equal(head, oracle.standard_normal(3))
+        for got, want in zip(first_draws(first), first_draws(oracle)):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(first_draws(second), first_draws(numpy_stream([8, 101, 1]))):
             np.testing.assert_array_equal(got, want)
 
     def test_batches_longer_than_a_chunk(self):

@@ -578,6 +578,30 @@ class TestCmdCalibrate:
         assert err.startswith("error: ") and "n=0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model_args, message", [
+        (["--mu", "-1", "--epsilon", "0.9", "--gamma", "-2"],
+         "gamma must be a positive finite real, got -2.0"),
+        (["--gg-scale", "0"], "scale must be a positive finite real, got 0.0"),
+        (["--epsilon", "0.9", "--mu", "1"], "epsilon must lie in (0, 1/2), got 0.9"),
+        (["--epsilon", "0.1", "--mu", "-1"], "mu must be a positive finite real, got -1.0"),
+        (["--mu", "1"], "this operation requires --epsilon and --mu"),
+    ], ids=["gamma", "gg_scale", "epsilon", "mu", "mu_alone"])
+    def test_unread_model_args_validated(self, tmp_path, capsys, monkeypatch, model_args,
+                                         message):
+        # HC reads no model, but every model flag given is validated, as in test
+        from mixdetect import calibration
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("mc_null_table called with a bad model flag")
+
+        monkeypatch.setattr(calibration, "mc_null_table", no_table)
+        out = tmp_path / "t.npz"
+        args = ["calibrate", "--statistic", "hc", "--m", "5", "--n", "5", "--reps", "100",
+                "--out", str(out), *model_args]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("statistic", ["wilcoxon", "KS"])
     def test_asymptotic_statistics_refused(self, tmp_path, capsys, statistic):
         # no p-value reads their tables; the label shuffle's law is checked
@@ -700,6 +724,22 @@ class TestCmdPower:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(blocker) in err
 
+    def test_missing_stem_directory_refused_before_simulating(self, tmp_path, capsys,
+                                                               monkeypatch):
+        from mixdetect import experiments as exp
+
+        def fail(*args, **kwargs):
+            pytest.fail("the curve was simulated before the stem's directory was checked")
+
+        monkeypatch.setattr(exp, "run_power_grid", fail)
+        args = ["power", "--preset", "normal-dense", "--scale", "0.0005", "--reps", "2",
+                "--out", str(tmp_path), "--stem", "sub/run"]
+        assert main(args) == 1
+        csv_path = tmp_path / "sub" / "run.csv"
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {csv_path}: no directory {csv_path.parent}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_and_preset_conflict(self, capsys):
         assert main(["power", "--preset", "normal-dense", "--config", "x.json"]) == 1
 
@@ -708,6 +748,26 @@ class TestCmdPower:
         cfg.write_text(json.dumps({"m": 10}))
         assert main(["power", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("master_seed", 1.5), ("master_seed", True), ("power_reps", 20.5),
+        ("calib_reps", 150.5), ("m", 40.5),
+    ])
+    def test_config_integer_fields(self, tmp_path, capsys, monkeypatch, field, value):
+        from mixdetect import experiments as exp
+
+        def fail(*args, **kwargs):
+            pytest.fail("the curve was simulated for a config with a non-integer field")
+
+        monkeypatch.setattr(exp, "run_power_grid", fail)
+        raw = {**exp.figure_config("normal-dense", 0.0004).to_dict(), field: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["power", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid config: ValueError('{field} must be an integer, got {value!r}')\n")
+        assert not out.exists()
 
 
 class TestErrorBoundary:

@@ -68,6 +68,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(regime=DENSE, beta=0.2, grid=[0.6])
 
+    @pytest.mark.parametrize("name", ["m", "n", "power_reps", "calib_reps", "master_seed"])
+    def test_integer_fields(self, name):
+        # a float or a bool used to be taken as the number it rounds to, or
+        # to fail later with a TypeError
+        value = small_config().to_dict()[name]
+        for bad in (value + 0.5, float(value), True, str(value)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                small_config(**{name: bad})
+        assert getattr(small_config(**{name: np.int64(value)}), name) == value
+
     def test_dict_roundtrip(self):
         cfg = small_config()
         again = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
