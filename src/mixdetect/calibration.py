@@ -118,8 +118,8 @@ class Statistic:
 
     kernel names the rank kernel in `statistics`, f(xi, m, n) on a block of
     pooled X-origin indicators; it is looked up at call time, so a wrapper
-    put on that module sees every call.  The LRT has no kernel: it reads the
-    Y-samples and the model, and one call gives its value at every
+    put on that module sees every call.  The LRT has no rank kernel: one
+    lrt_stats call on the Y-samples and the model gives its value at every
     alternative of every replicate of a block.  pvalues(values, m, n, table)
     maps an array of statistic values to p-values; a Monte-Carlo test needs
     its null table.  extra(value, m, n) gives further fields for a test
@@ -144,11 +144,11 @@ class Statistic:
         """Values on a block of replicates, one row each: xi holds their
         (rows, m+n) pooled indicators and y their (rows, n) Y-samples.
 
-        A float (rows, 1) array for a rank statistic, (rows, len(alts)) for
-        the LRT.
+        A float (rows, 1) array for a rank statistic, its kernel's value per
+        row; (rows, len(alts)) for the LRT, lrt_stats on the Y block.
         """
         if self.kernel is None:
-            return st._lrt_rows(y, model, tuple(alts))
+            return st.lrt_stats(y, model, alts)
         return getattr(st, self.kernel)(xi, m, n).astype(float)[:, None]
 
     def pvalue(self, value: float, m: int, n: int, table=None) -> PValue:
@@ -538,7 +538,8 @@ def load_null_table(path) -> NullTable:
                 model=model,
             )
             reps = int(data["reps"])
-    except (KeyError, zipfile.BadZipFile) as e:
+    # EOFError: an empty file; TypeError: a bare .npy, or a field of the wrong shape or type
+    except (KeyError, EOFError, TypeError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path} is not a null-table file: {e}") from None
     if table.reps != reps:
         raise ValueError(f"{table.reps} draws but reps = {reps}")

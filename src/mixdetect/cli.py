@@ -49,23 +49,22 @@ def read_sample_file(path) -> np.ndarray:
     return np.asarray(values)
 
 
-def _model_from_args(args) -> GGParams:
-    return GGParams(gamma=args.gamma, scale=args.gg_scale)
-
-
-def _alt_from_args(args) -> MixtureAlt:
-    if args.epsilon is None or args.mu is None:
-        raise ValueError("this operation requires --epsilon and --mu")
-    return MixtureAlt(epsilon=args.epsilon, mu=args.mu)
-
-
 def _model_and_alt(args, lrt: bool) -> tuple[GGParams, MixtureAlt | None]:
     """The model, and the alternative if the LRT reads it or --epsilon or
     --mu is given: every model flag given is validated, read or not."""
-    model, alt = _model_from_args(args), None
+    model, alt = GGParams(gamma=args.gamma, scale=args.gg_scale), None
     if lrt or args.epsilon is not None or args.mu is not None:
-        alt = _alt_from_args(args)
+        if args.epsilon is None or args.mu is None:
+            raise ValueError("this operation requires --epsilon and --mu")
+        alt = MixtureAlt(epsilon=args.epsilon, mu=args.mu)
     return model, alt
+
+
+def _check_writable(path: Path) -> None:
+    """Refuse an output file that is a directory or has no directory to go in."""
+    if path.is_dir() or not path.parent.is_dir():
+        reason = "it is a directory" if path.is_dir() else f"no directory {path.parent}"
+        raise ValueError(f"cannot write {path}: {reason}")
 
 
 def cmd_test(args) -> int:
@@ -74,14 +73,14 @@ def cmd_test(args) -> int:
         raise ValueError("reps must be at least 100")
     if args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
+    # nonempty and finite: read_sample_file and dejitter refuse anything else
     x = read_sample_file(args.x)
     y = read_sample_file(args.y)
     if args.dejitter:
         x, y = st.dejitter(x, y)
-    ts = st.TwoSample(x=x, y=y)
-    xi = st.pooled_indicator(ts.x, ts.y)
+    xi = st.pooled_indicator(x, y)
     stats = [cal.STATISTICS[t] for t in _parse_tests(args.tests)]
-    m, n = ts.m, ts.n
+    m, n = x.size, y.size
     model, alt = _model_and_alt(args, lrt=not all(s.rank for s in stats))
     tables = {}
     if args.table:
@@ -98,7 +97,7 @@ def cmd_test(args) -> int:
         tables[table.statistic] = table
     report = {"m": m, "n": n, "tests": {}}
     for stat in stats:
-        (value,) = stat.values(xi[None], ts.y[None], m, n, model, [alt])[0].tolist()
+        (value,) = stat.values(xi[None], y[None], m, n, model, [alt])[0].tolist()
         if stat.monte_carlo and stat.name not in tables:
             tables[stat.name] = cal.mc_null_table(
                 stat.name, m, n, args.reps, args.seed, model=None if stat.rank else (model, alt)
@@ -114,23 +113,20 @@ def cmd_test(args) -> int:
 
 def _parse_tests(spec: str) -> list[str]:
     names = [t.strip().upper() for t in spec.split(",") if t.strip()]
-    if not names:
-        raise ValueError("no tests selected")
-    if names == ["ALL"]:
-        return list(st.ALL_STATISTICS)
-    for i, t in enumerate(names):
-        if t not in st.ALL_STATISTICS:
-            raise ValueError(f"unknown test {t!r}; choose from {st.ALL_STATISTICS}")
-        if t in names[:i]:
-            raise ValueError(f"test {t!r} is selected more than once")
-    return names
+    return list(st.ALL_STATISTICS) if names == ["ALL"] else st.check_tests(names)
 
 
 def cmd_power(args) -> int:
     if bool(args.config) == bool(args.preset):
         raise ValueError("provide exactly one of --config or --preset")
+    if args.config and args.scale is not None:
+        raise ValueError("--scale applies only to --preset; a config gives m and n itself")
+    stem = args.stem or (args.preset or Path(args.config).stem)
+    if Path(stem).is_absolute() or ".." in Path(stem).parts:
+        raise ValueError(f"--stem must name a file inside --out, got {stem!r}")
+    scale = 1.0 if args.scale is None else args.scale
     if args.preset:
-        config = exp.figure_config(args.preset, scale=args.scale)
+        config = exp.figure_config(args.preset, scale=scale)
     else:
         try:
             raw = json.loads(Path(args.config).read_text())
@@ -148,14 +144,11 @@ def cmd_power(args) -> int:
     # a bad --out or --cache-dir fails now, not after simulating the curve
     for directory in [d for d in (args.out, args.cache_dir) if d is not None]:
         Path(directory).mkdir(parents=True, exist_ok=True)
-    stem = args.stem or (args.preset or Path(args.config).stem)
-    for path in (Path(args.out) / f"{stem}.csv", Path(args.out) / f"{stem}.json"):
-        if path.is_dir() or not path.parent.is_dir():
-            reason = "it is a directory" if path.is_dir() else f"no directory {path.parent}"
-            raise ValueError(f"cannot write {path}: {reason}")
+    for suffix in (".csv", ".json"):
+        _check_writable(Path(args.out) / f"{stem}{suffix}")
     curve = exp.run_power_grid(config, threads=args.threads, cache_dir=args.cache_dir)
     if args.preset:
-        notes = {**curve.notes, **exp.figure_notes(args.preset, args.scale)}
+        notes = {**curve.notes, **exp.figure_notes(args.preset, scale)}
         curve = dataclasses.replace(curve, notes=notes)
     csv_path, json_path = curve.write(args.out, stem)
     print(f"wrote {csv_path} and {json_path}")
@@ -177,15 +170,16 @@ def _report_json(report) -> dict:
 
 
 def cmd_diagnose(args) -> int:
-    model = _model_from_args(args)
     if args.condition == "lower-bound":
+        # --mu is a bare shift here, with no --epsilon
+        model = GGParams(gamma=args.gamma, scale=args.gg_scale)
         if args.mu is None:
             raise ValueError("lower-bound requires --mu")
         x_upper = float(args.x_upper) if args.x_upper is not None else np.inf
         value = theory.lower_bound_integral(x_upper, model, args.mu)
         print(json.dumps({"lower_bound_integral": value}, sort_keys=True))
         return 0
-    alt = _alt_from_args(args)
+    model, alt = _model_and_alt(args, lrt=True)
     if args.condition == "wilcoxon":
         out = _report_json(theory.wilcoxon_condition(args.n, model, alt))
     elif args.condition == "ks":
@@ -213,9 +207,7 @@ def cmd_calibrate(args) -> int:
     # refused as given, before npz_path names a file beside it
     out = Path(args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed, model))
     out = out if out.is_dir() else cal.npz_path(out)
-    if out.is_dir() or not out.parent.is_dir():
-        reason = "it is a directory" if out.is_dir() else f"no directory {out.parent}"
-        raise ValueError(f"cannot write {out}: {reason}")
+    _check_writable(out)
     if out.exists() and not args.force:
         raise ValueError(f"{out} exists; pass --force to overwrite")
     # an unknown statistic, or one whose p-value reads no table, is refused here
@@ -268,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power", help="run a power-curve experiment")
     p.add_argument("--config", default=None, help="JSON scenario config file")
     p.add_argument("--preset", default=None, choices=exp.FIGURE_PRESETS)
-    p.add_argument("--scale", type=float, default=1.0, help="shrink m=n from 1e5")
+    p.add_argument("--scale", type=float, default=None, help="shrink m=n from 1e5 (--preset)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--stem", default=None, help="output file stem")
+    p.add_argument("--stem", default=None, help="output file stem, relative to --out")
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--reps", type=int, default=None, help="override power reps")
     p.add_argument("--level", type=float, default=None, help="override test level")

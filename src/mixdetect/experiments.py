@@ -86,14 +86,7 @@ class ScenarioConfig:
             raise ValueError("calib_reps must be at least 100")
         if self.regime not in (SPARSE, DENSE):
             raise ValueError(f"regime must be sparse or dense, got {self.regime!r}")
-        unknown = [t for t in self.tests if t not in st.ALL_STATISTICS]
-        if unknown:
-            raise ValueError(f"unknown tests: {unknown}")
-        repeated = [t for i, t in enumerate(self.tests) if t in self.tests[:i]]
-        if repeated:
-            raise ValueError(f"repeated tests: {repeated}")
-        if not self.tests:
-            raise ValueError("tests must be nonempty")
+        st.check_tests(self.tests)
         if not self.grid:
             raise ValueError("grid must be nonempty")
         if any(b >= a for a, b in zip(self.grid[1:], self.grid[:-1])):

@@ -4,7 +4,8 @@ All five statistics reject for large values under the positive-shift
 alternative (the Y-sample stochastically larger).  The four rank statistics
 depend on the data only through the pooled ordering; the likelihood-ratio
 statistic additionally needs the model (F, epsilon, mu) and by design
-ignores the X-sample, since F is supplied exactly.
+ignores the X-sample, since F is supplied exactly.  Every kernel, lrt_stats
+included, works along the last axis: one sample or a block of rows.
 """
 
 from __future__ import annotations
@@ -24,6 +25,19 @@ TAILRUN = "TAILRUN"
 LRT = "LRT"
 
 ALL_STATISTICS = (LRT, HC, WILCOXON, KS, TAILRUN)
+
+
+def check_tests(names) -> list:
+    """names as a list; refused unless nonempty, known and never repeated."""
+    names = list(names)
+    if not names:
+        raise ValueError("no tests selected")
+    for i, t in enumerate(names):
+        if t not in ALL_STATISTICS:
+            raise ValueError(f"unknown test {t!r}; choose from {ALL_STATISTICS}")
+        if t in names[:i]:
+            raise ValueError(f"test {t!r} is selected more than once")
+    return names
 
 # largest log density ratio whose exp the LRT takes directly; exp overflows
 # past log(DBL_MAX) ~ 709.78
@@ -210,24 +224,11 @@ def _lrt_constants(p: GGParams, alts: tuple, n: int):
 
 
 def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
-    """Oracle log-likelihood ratio of the Y-sample at each alternative in alts.
+    """Oracle log-likelihood ratio of Y-samples at each alternative in alts.
 
-    The one-row case of _lrt_rows: element i is the value at alts[i].
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("y must be a nonempty 1-D sample")
-    alts = tuple(alts)
-    if not alts:
-        raise ValueError("alts must be nonempty")
-    return _lrt_rows(y[None], p, alts)[0]
-
-
-def _lrt_rows(y: np.ndarray, p: GGParams, alts: tuple) -> np.ndarray:
-    """The oracle LRT of each row of y, a (rows, n) block of Y-samples, at
-    each alternative in alts, as a (rows, len(alts)) array.
-
-    Each term log((1-eps) + eps * f(y-mu)/f(y)), of a (rows, len(alts), n)
+    Works along the last axis, like the rank kernels: a 1-D y gives a
+    (len(alts),) array, element i the value at alts[i], and a (rows, n)
+    block of Y-samples a (rows, len(alts)) array, one row per sample.  Each term log((1-eps) + eps * f(y-mu)/f(y)), of a (..., len(alts), n)
     array, is written log1p(-eps) + log1p(eps/(1-eps) * exp(lr)),
     lr = log(f(y-mu)/f(y)), and the constant n * log1p(-eps) is added once
     per sum.  For gamma = 2 lr is the affine c*z - c^2/2 (z = y/scale,
@@ -237,12 +238,18 @@ def _lrt_rows(y: np.ndarray, p: GGParams, alts: tuple) -> np.ndarray:
     exp(lr) could overflow, is lr clamped and each large term set to
     logaddexp(0, log(eps/(1-eps)) + lr), the same value in log space, so
     tiny eps and huge density ratios are both handled stably; the clamp
-    leaves every other term as it was.  Each (row, alternative) is summed
+    leaves every other term as it was.  Each (sample, alternative) is summed
     whole, along the last axis, so every value is bit for bit the one its
     Y-sample gives alone at that alternative alone.
     """
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] == 0:
+        raise ValueError("y must be a nonempty 1-D sample or a (rows, n) block of them")
+    alts = tuple(alts)
+    if not alts:
+        raise ValueError("alts must be nonempty")
     lr_consts, odds, log_odds, n_log1p_eps = _lrt_constants(p, alts, y.shape[-1])
-    y = y[:, None, :]
+    y = y[..., None, :]
     if p.gamma == 2.0:
         slope, offset = lr_consts
         lr = np.multiply(y, slope)
@@ -259,7 +266,7 @@ def _lrt_rows(y: np.ndarray, p: GGParams, alts: tuple) -> np.ndarray:
     big = None
     if lr.max() > _EXP_SAFE:
         big = np.nonzero(lr > _EXP_SAFE)
-        big_terms = np.logaddexp(0.0, log_odds[big[1]] + lr[big])
+        big_terms = np.logaddexp(0.0, log_odds[big[-2]] + lr[big])
         np.minimum(lr, _EXP_SAFE, out=lr)
     np.exp(lr, out=lr)
     lr *= odds
@@ -274,5 +281,6 @@ def _lrt_rows(y: np.ndarray, p: GGParams, alts: tuple) -> np.ndarray:
 
 
 def lrt_stat(y, p: GGParams, alt: MixtureAlt) -> float:
-    """The oracle LRT at one alternative: the one-row case of lrt_stats."""
+    """The oracle LRT of one Y-sample at one alternative: the one-alternative
+    case of lrt_stats."""
     return float(lrt_stats(y, p, (alt,))[0])

@@ -223,7 +223,7 @@ class TestBlockRows:
     def test_lrt_null(self, monkeypatch, gamma):
         # three alternatives at n = 700: 2**14 // 2100 = 7 rows a block
         alts = [MixtureAlt(0.01, 0.5), MixtureAlt(0.1, 2.0), MixtureAlt(1e-15, 3.0)]
-        self.check(monkeypatch, "_lrt_rows", [7, 7, 3], cal.LRT_NULL, [st.LRT],
+        self.check(monkeypatch, "lrt_stats", [7, 7, 3], cal.LRT_NULL, [st.LRT],
                    GGParams(gamma, 0.8), None, alts, 900, 700, 0, 17)
 
     @pytest.mark.parametrize("gamma", GAMMAS)
@@ -241,7 +241,7 @@ class TestBlockRows:
         p = GGParams(gamma)
         mu = 1.2 * (700.0 * gamma) ** (1.0 / gamma)
         alt = MixtureAlt(0.0014, mu)
-        seen = self.check(monkeypatch, "_lrt_rows", [8, 8, 4], cal.DATA, [st.LRT, st.HC],
+        seen = self.check(monkeypatch, "lrt_stats", [8, 8, 4], cal.DATA, [st.LRT, st.HC],
                           p, alt, [alt], 1500, 500, 0, 20)
         mixed = []
         for y in seen:
@@ -254,7 +254,7 @@ class TestBlockRows:
         # m + n = 16400 > 2**14
         self.check(monkeypatch, "wilcoxon_from_indicator", [1, 1, 1], cal.RANK_NULL,
                    self.RANK, None, None, (), 8200, 8200, 0, 3)
-        self.check(monkeypatch, "_lrt_rows", [1, 1], cal.DATA, [st.LRT, st.TAILRUN],
+        self.check(monkeypatch, "lrt_stats", [1, 1], cal.DATA, [st.LRT, st.TAILRUN],
                    NORMAL, None, [MixtureAlt(0.1, 1.0)], 8200, 8200, 0, 2)
 
     def test_tie_retry_inside_a_block(self, monkeypatch):
@@ -726,6 +726,26 @@ class TestLoadChecks:
         # zipfile refuses the file; an unclosed handle would warn on collection
         path = self.write(tmp_path / "cut.npz", [1.0, 2.0])
         path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(ValueError, match="not a null-table file"):
+            load_null_table(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("damage", ["empty", "npy", "version", "m", "draws"])
+    def test_rejects_a_file_that_is_no_table(self, tmp_path, damage):
+        # numpy raises EOFError on an empty file and TypeError on the others
+        path = self.write(tmp_path / "odd.npz", [1.0, 2.0, 3.0])
+        if damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "npy":
+            # a bare array under the .npz name
+            with open(path, "wb") as f:
+                np.save(f, np.arange(3.0))
+        else:
+            with np.load(path) as data:
+                fields = dict(data)
+            fields[damage] = {"version": np.array([4, 4]), "m": np.array([5, 5]),
+                              "draws": np.array(["a", "b", "c"])}[damage]
+            np.savez(path, **fields)
         with pytest.raises(ValueError, match="not a null-table file"):
             load_null_table(path)
 

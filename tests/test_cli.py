@@ -740,6 +740,59 @@ class TestCmdPower:
             "", f"error: cannot write {csv_path}: no directory {csv_path.parent}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("stem", ["absolute", "../esc", "sub/../../esc"])
+    def test_stem_outside_out_refused_before_simulating(self, tmp_path, capsys,
+                                                          monkeypatch, stem):
+        from mixdetect import experiments as exp
+
+        def fail(*args, **kwargs):
+            pytest.fail("the curve was simulated before the stem was checked")
+
+        monkeypatch.setattr(exp, "run_power_grid", fail)
+        stem = str(tmp_path / "run") if stem == "absolute" else stem
+        args = ["power", "--preset", "normal-dense", "--scale", "0.0005", "--reps", "2",
+                "--out", str(tmp_path / "o" / "inner"), "--stem", stem]
+        assert main(args) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --stem must name a file inside --out, got {stem!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stem_in_a_subdirectory(self, tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        args = ["power", "--preset", "normal-dense", "--scale", "0.0005", "--reps", "2",
+                "--out", str(tmp_path), "--stem", "sub/run"]
+        assert main(args) == 0
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["run.csv", "run.json"]
+
+    def test_scale_with_config_refused_before_simulating(self, tmp_path, capsys,
+                                                          monkeypatch):
+        from mixdetect import experiments as exp
+
+        def fail(*args, **kwargs):
+            pytest.fail("the curve was simulated for a config with --scale")
+
+        monkeypatch.setattr(exp, "run_power_grid", fail)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(exp.figure_config("normal-dense", 0.0005).to_dict()))
+        args = ["power", "--config", str(cfg), "--scale", "0.5", "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert capsys.readouterr() == (
+            "", "error: --scale applies only to --preset; a config gives m and n itself\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_preset_scale_defaults_to_one(self, capsys, monkeypatch):
+        from mixdetect import experiments as exp
+
+        seen = []
+
+        def stop(preset, scale):
+            seen.append(scale)
+            raise ValueError("stop")
+
+        monkeypatch.setattr(exp, "figure_config", stop)
+        assert main(["power", "--preset", "normal-dense"]) == 1
+        assert seen == [1.0]
+
     def test_config_and_preset_conflict(self, capsys):
         assert main(["power", "--preset", "normal-dense", "--config", "x.json"]) == 1
 
@@ -786,6 +839,20 @@ class TestErrorBoundary:
         return ["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", str(missing)], missing
 
     @staticmethod
+    def empty_table(tmp_path):
+        argv, table = TestErrorBoundary.missing_table(tmp_path)
+        table.write_bytes(b"")
+        return argv, table
+
+    @staticmethod
+    def npy_table(tmp_path):
+        # an .npy file under the .npz name: np.load gives a bare array
+        argv, table = TestErrorBoundary.missing_table(tmp_path)
+        with open(table, "wb") as f:
+            np.save(f, np.arange(3.0))
+        return argv, table
+
+    @staticmethod
     def missing_unused_table(tmp_path):
         argv, missing = TestErrorBoundary.missing_table(tmp_path)
         argv[argv.index("hc")] = "wilcoxon"
@@ -822,7 +889,7 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("case", [
         "missing_x", "missing_table", "missing_unused_table", "missing_config",
-        "calibrate_onto_directory",
+        "calibrate_onto_directory", "empty_table", "npy_table",
         "power_csv_is_a_directory", "cache_entry_is_a_directory",
     ])
     def test_file_errors(self, tmp_path, capsys, case):

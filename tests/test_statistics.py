@@ -568,7 +568,7 @@ class TestLrtStats:
         y = gg_sample(300, p, np.random.default_rng(16)).reshape(6, 50)
         y[[1, 4], 7] = alts[0].mu
         assert [self.overflowing(row, p, alts) for row in y] == [0, 1, 0, 0, 1, 0]
-        got = st._lrt_rows(y, p, alts)
+        got = lrt_stats(y, p, alts)
         assert got.shape == (6, 2)
         for row, values in zip(y, got.tolist()):
             assert values == [scheme6_lrt(row, p, a) for a in alts]
@@ -576,7 +576,7 @@ class TestLrtStats:
 
     def test_empty_or_not_1d_rejected(self):
         alts = [MixtureAlt(0.1, 1.0)]
-        for y in (np.array([]), np.ones((2, 3))):
+        for y in (np.array([]), np.ones((2, 0)), np.ones((2, 3, 4))):
             with pytest.raises(ValueError):
                 lrt_stats(y, GGParams(2.0), alts)
         with pytest.raises(ValueError):
