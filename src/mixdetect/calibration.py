@@ -17,6 +17,12 @@ Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
 as in rng_scheme 6; the seed words of a whole batch of streams are hashed
 in one vectorised pass (_seed_words), and numpy's PCG64 seeds each
 replicate's own generator from them, so no replicate builds a SeedSequence.
+
+The module loads no SciPy: the Wilcoxon p-value is the normal upper tail
+0.5 * erfc(z / sqrt(2)) from math.erfc, and the tail-run p-value
+C(n, l) / C(m+n, l) is summed in log space from math.lgamma, once per
+distinct l.  At import it allocates and frees one 1 MiB array, so that the
+replicate loop's temporaries reuse glibc's heap (see _BLOCK_ELEMENTS).
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import statistics as st
 from .distributions import GGParams, MixtureAlt, gg_sample, mixture_sample
@@ -43,6 +48,7 @@ CACHE_FORMAT_VERSION = 4
 RNG_SCHEME = 6
 
 _TINY_P = 1e-300
+_SQRT_HALF = math.sqrt(0.5)
 
 MONTE_CARLO = "monte-carlo"
 NORMAL_APPROX = "normal-approx"
@@ -268,6 +274,15 @@ def _draw_pooled(model, alt, m, n, parts, rng):
 # summed over test-cli-, sparse- and dense-sized calls on a 2-vCPU Linux VM
 _BLOCK_ELEMENTS = 2**14
 
+# A block's row-wide temporaries (up to 128 KiB each) are freed at the top
+# of the heap, and glibc gives memory there back to the kernel once more
+# than its trim threshold is free, so each block would fault its pages in
+# again.  Freeing an mmapped chunk raises glibc's mmap threshold to that
+# chunk's size and its trim threshold to twice it: after this one 1 MiB
+# array, the temporaries reuse the heap.  Pool workers inherit the
+# thresholds through fork.
+np.empty(2**17)
+
 
 def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np.ndarray:
     """Values of tests on replicates k0 <= k < k1, row k - k0 for replicate k.
@@ -378,13 +393,18 @@ def mc_pvalue(value: float, table: NullTable) -> PValue:
 
 
 def wilcoxon_pvalues(u, m: int, n: int) -> np.ndarray:
-    """Upper-tail normal approximation with continuity correction."""
+    """Upper-tail normal approximation with continuity correction.
+
+    The upper tail of z is 0.5 * erfc(z / sqrt(2)), by math.erfc per value,
+    with z scaled by the double nearest 1/sqrt(2).
+    """
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0) & (u <= m * n)):
         raise ValueError(f"U must lie in [0, mn], got {u}")
     sd = math.sqrt(m * n * (m + n + 1) / 12.0)
     z = (u - 0.5 - m * n / 2.0) / sd
-    return np.maximum(special.ndtr(-z), _TINY_P)
+    upper = [0.5 * math.erfc(v) for v in (z * _SQRT_HALF).ravel().tolist()]
+    return np.maximum(np.reshape(upper, z.shape), _TINY_P)
 
 
 def wilcoxon_pvalue(u, m: int, n: int) -> PValue:
@@ -428,14 +448,17 @@ def ks_pvalue(lam: float) -> PValue:
     return PValue(p=float(ks_pvalues(lam)), method=SMIRNOV_LIMIT)
 
 
-def _tailrun_log_sf(l, m: int, n: int):
-    # log P0(L* >= l) = log prod_{j=0}^{l-1} (n-j)/(m+n-j)
-    return (
-        special.gammaln(n + 1)
-        - special.gammaln(n - l + 1)
-        + special.gammaln(m + n - l + 1)
-        - special.gammaln(m + n + 1)
-    )
+def _tailrun_log_sf(ls, m: int, n: int) -> np.ndarray:
+    """log P0(L* >= l) = log prod_{j=0}^{l-1} (n-j)/(m+n-j) for each l in ls,
+    as a sum of math.lgamma terms evaluated once per distinct l."""
+    ls = np.asarray(ls)
+    values = ls.ravel().tolist()
+    lg_n, lg_mn = math.lgamma(n + 1), math.lgamma(m + n + 1)
+    logs = {
+        l: lg_n - math.lgamma(n - l + 1) + math.lgamma(m + n - l + 1) - lg_mn
+        for l in set(values)
+    }
+    return np.reshape([logs[l] for l in values], ls.shape)
 
 
 def tailrun_pvalues(ls, m: int, n: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -122,7 +123,8 @@ def cmd_power(args) -> int:
     if args.config and args.scale is not None:
         raise ValueError("--scale applies only to --preset; a config gives m and n itself")
     stem = args.stem or (args.preset or Path(args.config).stem)
-    if Path(stem).is_absolute() or ".." in Path(stem).parts:
+    # Path drops a trailing "/" or "/.", so the file name is read from the string
+    if Path(stem).is_absolute() or ".." in Path(stem).parts or os.path.basename(stem) in ("", "."):
         raise ValueError(f"--stem must name a file inside --out, got {stem!r}")
     scale = 1.0 if args.scale is None else args.scale
     if args.preset:

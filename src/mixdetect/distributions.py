@@ -9,6 +9,10 @@ so gamma=2 with scale=1 is the standard normal and gamma=1 the standard
 double-exponential (which has variance 2; use scale=1/sqrt(2) for unit
 variance).  The alternative model contaminates a fraction epsilon of draws
 with a positive shift mu.
+
+The functions that need Gamma or the incomplete gamma import scipy.special
+when called, so that importing the package, sampling and every command but
+diagnose load no SciPy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,8 @@ class GGParams:
     @property
     def variance(self) -> float:
         """Variance of the distribution (standard form times scale**2)."""
+        from scipy import special
+
         g = self.gamma
         return (
             self.scale**2
@@ -72,6 +77,8 @@ def _check_finite(x):
 
 
 def _norm_const(gamma: float) -> float:
+    from scipy import special
+
     return gamma ** (1.0 - 1.0 / gamma) / (2.0 * special.gamma(1.0 / gamma))
 
 
@@ -85,6 +92,8 @@ def gg_pdf(x, p: GGParams):
 
 def gg_cdf(x, p: GGParams):
     """CDF via the regularized lower incomplete gamma function."""
+    from scipy import special
+
     x = _check_finite(x)
     z = x / p.scale
     a = np.abs(z) ** p.gamma / p.gamma
@@ -98,6 +107,8 @@ def gg_survival(x, p: GGParams):
     Uses the complementary incomplete gamma directly for x >= 0 instead of
     subtracting the CDF from 1.
     """
+    from scipy import special
+
     x = _check_finite(x)
     z = x / p.scale
     a = np.abs(z) ** p.gamma / p.gamma
@@ -110,6 +121,8 @@ def gg_survival(x, p: GGParams):
 
 def gg_quantile(q, p: GGParams):
     """Inverse CDF.  Inverts the incomplete-gamma representation directly."""
+    from scipy import special
+
     q = np.asarray(q, dtype=float)
     if not np.all((q > 0.0) & (q < 1.0)):
         raise ValueError("quantile level must lie strictly in (0, 1)")

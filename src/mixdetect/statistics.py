@@ -228,8 +228,10 @@ def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
 
     Works along the last axis, like the rank kernels: a 1-D y gives a
     (len(alts),) array, element i the value at alts[i], and a (rows, n)
-    block of Y-samples a (rows, len(alts)) array, one row per sample.  Each term log((1-eps) + eps * f(y-mu)/f(y)), of a (..., len(alts), n)
-    array, is written log1p(-eps) + log1p(eps/(1-eps) * exp(lr)),
+    block of Y-samples a (rows, len(alts)) array, one row per sample (an
+    empty one for a block of no rows).  Each term
+    log((1-eps) + eps * f(y-mu)/f(y)), of a (..., len(alts), n) array, is
+    written log1p(-eps) + log1p(eps/(1-eps) * exp(lr)),
     lr = log(f(y-mu)/f(y)), and the constant n * log1p(-eps) is added once
     per sum.  For gamma = 2 lr is the affine c*z - c^2/2 (z = y/scale,
     c = mu/scale), taken as y * (c/scale) - c^2/2 and exact far in the tail;
@@ -248,6 +250,8 @@ def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
     alts = tuple(alts)
     if not alts:
         raise ValueError("alts must be nonempty")
+    if y.shape[0] == 0:
+        return np.empty((0, len(alts)))
     lr_consts, odds, log_odds, n_log1p_eps = _lrt_constants(p, alts, y.shape[-1])
     y = y[..., None, :]
     if p.gamma == 2.0:

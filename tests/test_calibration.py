@@ -1,9 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from mixdetect import (
     GGParams,
@@ -466,6 +467,14 @@ class TestWilcoxonPvalue:
         ps = [wilcoxon_pvalue(u, 10, 10).p for u in range(101)]
         assert all(b <= a for a, b in zip(ps[:-1], ps[1:]))
 
+    @pytest.mark.parametrize("m, n", [(2, 22), (12, 12), (300, 300), (2000, 2000)])
+    def test_matches_scipy_ndtr(self, m, n):
+        # every U from 0 to mn, or 4001 of them: both tails, down to the clamp
+        u = np.unique(np.linspace(0, m * n, 4001).round())
+        z = (u - 0.5 - m * n / 2.0) / math.sqrt(m * n * (m + n + 1) / 12.0)
+        expected = np.maximum(special.ndtr(-z), cal._TINY_P)
+        np.testing.assert_allclose(cal.wilcoxon_pvalues(u, m, n), expected, rtol=1e-13, atol=0)
+
 
 class TestStatisticTable:
     def test_order_and_methods(self):
@@ -562,6 +571,13 @@ class TestTailRunNull:
         assert tailrun_pvalue(0, 5, 5).p == 1.0
         assert tailrun_pvalue(1, 7, 7).p == pytest.approx(0.5, abs=1e-12)
         assert tailrun_pvalue(2, 2, 2).p == pytest.approx(1 / 6, abs=1e-12)
+
+    @pytest.mark.parametrize("m, n", [(2000, 2000), (1000, 400), (300, 300), (7, 7)])
+    def test_pvalue_matches_exact_ratio(self, m, n):
+        # P0(L* >= l) = C(n, l) / C(m+n, l), in exact arithmetic
+        ls = np.arange(min(n, 200) + 1)
+        exact = [float(Fraction(math.comb(n, l), math.comb(m + n, l))) for l in ls.tolist()]
+        np.testing.assert_allclose(cal.tailrun_pvalues(ls, m, n), exact, rtol=1e-10, atol=0)
 
     def test_pvalue_strictly_decreasing(self):
         m, n = 9, 7

@@ -583,6 +583,13 @@ class TestLrtStats:
             lrt_stats(np.ones(3), GGParams(2.0), [])
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_zero_row_block(self, gamma):
+        alts = [MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 3.0)]
+        out = lrt_stats(np.empty((0, 5)), GGParams(gamma), alts)
+        assert out.shape == (0, 2) and out.dtype == np.float64
+        assert hc_from_indicator(np.empty((0, 5)), 2, 3).shape == (0,)
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_non_finite_total_raises(self, gamma):
         alts = [MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 3.0)]
         for y in ([0.0, np.inf], [np.nan, 1.0]):
