@@ -9,11 +9,9 @@ table is simulated by shuffling those labels.
 
 STATISTICS is the one table of the five tests: how each is computed and
 how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
-the power harness's, is built in two steps: _null_stage validates the
-request and names its replicates (a Stage), and _null_tables sorts their
-values into tables.  Every simulated replicate, of a table or of a power
-curve, is drawn by replicate_rows, which evaluates each statistic once per
-block of replicates (Statistic.values).
+the power harness's, is built by _null_tables, and every simulated
+replicate is drawn by replicate_rows, which evaluates each statistic once
+per block of replicates (Statistic.values).
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
 as in rng_scheme 6; the seed words of a whole batch of streams are hashed
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import math
 import zipfile
-from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -271,10 +268,6 @@ def _draw_pooled(model, alt, m, n, parts, rng):
     raise st.TiesError("persistent ties in simulated continuous data")
 
 
-# the replicates of one stage of a run: replicate_rows' arguments, with their
-# number in place of the range k0, k1
-Stage = namedtuple("Stage", "kind tests model alt lrt_alts m n parts reps")
-
 # the most elements a block of replicates puts in one row-wide temporary
 # (m+n per row for a rank statistic, n per alternative for the LRT); of the
 # budgets 2**12 to 2**16, 2**14 (128 KiB of float64) took the least CPU
@@ -329,14 +322,22 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     return out
 
 
-def _null_stage(statistic, m, n, reps, seed, p=None, alts=()) -> Stage:
-    """The replicates of statistic's null tables: replicate k of (seed, tag, k).
+def _serial(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps) -> np.ndarray:
+    """reps replicates in this process, as one replicate_rows call; row i
+    holds value i of every replicate."""
+    return replicate_rows(kind, tests, model, alt, lrt_alts, m, n, seed_parts, 0, reps).T
 
-    HC's table is simulated on random arrangements of m X-labels and n
-    Y-labels (tag TAG_CALIB_RANK).  The LRT draws its Y-sample from F = p
-    (tag TAG_CALIB_LRT) and has one table per alternative in alts.  A test
-    whose p-value reads no table is refused.  _null_tables turns the
-    stage's rows into its tables.
+
+def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) -> list:
+    """Sorted null tables of statistic, from replicate k of (seed, tag, k).
+
+    HC gives one table, simulated on random arrangements of m X-labels and
+    n Y-labels (tag TAG_CALIB_RANK).  The LRT draws its Y-sample from F = p
+    (tag TAG_CALIB_LRT) and gives one table per alternative in alts, table
+    i carrying the model (p, alts[i]).  A test whose p-value reads no table
+    is refused.  collect runs the replicates: it is called positionally as
+    _serial is, and the power harness passes its own, which uses the run's
+    pool.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
@@ -352,19 +353,10 @@ def _null_stage(statistic, m, n, reps, seed, p=None, alts=()) -> Stage:
     if not stat.rank and p is None:
         raise ValueError("LRT calibration requires the model (GGParams, MixtureAlt)")
     kind, tag = (RANK_NULL, TAG_CALIB_RANK) if stat.rank else (LRT_NULL, TAG_CALIB_LRT)
-    return Stage(kind, [statistic], p, None, list(alts), m, n, [seed, tag], reps)
-
-
-def _null_tables(stage: Stage, rows) -> list:
-    """The sorted null tables of a _null_stage, from its rows in replicate order.
-
-    HC gives one table; the LRT gives one per alternative, table i carrying
-    the model (p, alts[i]).
-    """
-    (statistic,), seed = stage.tests, stage.parts[0]
-    models = [(stage.model, a) for a in stage.lrt_alts] or [None]
-    return [NullTable(statistic, stage.m, stage.n, np.sort(draws), seed, model)
-            for draws, model in zip(rows.T, models)]
+    columns = collect(kind, p, None, alts, m, n, [statistic], [seed, tag], reps)
+    models = [(p, a) for a in alts] or [None]
+    return [NullTable(statistic, m, n, np.sort(draws), seed, model)
+            for draws, model in zip(columns, models)]
 
 
 def mc_null_table(
@@ -384,8 +376,7 @@ def mc_null_table(
     read no table and are refused.
     """
     p, alt = model or (None, None)
-    stage = _null_stage(statistic, m, n, reps, master_seed, p, [alt] if model else [])
-    (table,) = _null_tables(stage, replicate_rows(*stage[:-1], 0, stage.reps))
+    (table,) = _null_tables(statistic, m, n, reps, master_seed, p, [alt] if model else [])
     return table
 
 

@@ -5,28 +5,25 @@ Calibrates null tables, simulates alternatives over a sparse (r) or dense
 half-widths.  Every replicate draws from an rng-stream derived from
 (master seed, purpose tag, grid index, replicate index) for the power
 replicates, or (master seed, purpose tag, replicate index) for the null
-tables, so results are byte-identical at any worker count.
-
-A run is one plan, one map and one assembly.  The plan lists its stages
-of replicates (calibration.Stage): the HC table and the LRT pass, each
-from mc_null_table's builder and only for the tables a cache directory
-lacks, then every grid point's power replicates.  The LRT pass draws one
-Y-sample per replicate and evaluates the LRT on it at every grid point's
-alternative.  _collect cuts each stage into one contiguous batch per
-worker, and _run_batches maps calibration.replicate_rows over every batch
-of the run at once, in the run's one process pool if threads > 1.  The
-tables are then sorted from their stages' rows, and each grid point's
-p-values and rejection rates are computed from its own rows.
+tables; _collect maps calibration.replicate_rows, which evaluates each
+statistic once per block of replicates, over one contiguous batch of them
+per worker, in the run's one process pool if threads > 1, so results are
+byte-identical at any worker count.  The null tables come from
+mc_null_table's builder, run through _collect: one HC table and one LRT
+pass per run, whose replicate k draws one Y-sample and has the LRT
+evaluated on it at every grid point's alternative.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -163,60 +160,64 @@ class PowerCurve:
         return csv_path, json_path
 
 
-def _run_batches(tasks, workers):
-    """replicate_rows on every batch of a run, in order: in this process at
-    one worker, else as one map in the run's one process pool."""
-    if workers == 1:
-        return [cal.replicate_rows(*task) for task in tasks]
-    with ProcessPoolExecutor(workers) as executor:
-        return list(executor.map(cal.replicate_rows, *zip(*tasks)))
+# the run's one process pool and its size; None in its place runs serially
+_Pool = namedtuple("_Pool", "executor workers")
 
 
-def _collect(kind, tests, model, alt, lrt_alts, m, n, parts, reps, workers):
-    """The batches of one stage (a calibration.Stage, then workers): one
-    contiguous range of its reps replicates per worker, or per replicate if
-    there are fewer, each given as the arguments of replicate_rows."""
-    count = min(reps, workers)
-    bounds = [reps * i // count for i in range(count + 1)]
-    return [(kind, tests, model, alt, lrt_alts, m, n, parts, a, b)
-            for a, b in zip(bounds[:-1], bounds[1:])]
+def _run_batches(tasks, pool):
+    mapper = map if pool is None else pool.executor.map
+    return list(mapper(cal.replicate_rows, *zip(*tasks)))
 
 
-def _cached_table(cache_dir, key, model=None):
-    """The table that cache_dir holds for key, (statistic, m, n, reps, seed),
-    and model, an LRT table's (GGParams, MixtureAlt); None if there is none.
+def _collect(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps, pool):
+    """Run reps replicates: one batch when serial, one per worker in the run's pool.
 
-    A file is used only if it loads cleanly and was simulated for both; the
-    run recomputes any other and overwrites it.
+    Every null-table and power replicate of a run goes through here.  Returns
+    a 2-D array whose row i holds value i of every replicate (see
+    calibration.replicate_rows for the values of a replicate), in replicate
+    order.
     """
-    path = None if cache_dir is None else Path(cache_dir) / cal.cache_key(*key, model)
+    n_batches = 1 if pool is None else min(reps, pool.workers)
+    bounds = np.linspace(0, reps, n_batches + 1).astype(int)
+    tasks = [
+        (kind, tests, model, alt, lrt_alts, m, n, seed_parts, int(a), int(b))
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    return np.concatenate(_run_batches(tasks, pool)).T
+
+
+def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> cal.NullTable:
+    """The run's null table of a rank statistic with a Monte-Carlo null (HC).
+
+    A file in cache_dir is used only if it loads cleanly and was simulated
+    for this (statistic, m, n, reps, seed); any other file is recomputed
+    in the run's pool, as mc_null_table would compute it, and overwritten.
+    """
+    key = (statistic, config.m, config.n, config.calib_reps, config.master_seed)
+    path = None if cache_dir is None else Path(cache_dir) / cal.cache_key(*key)
     if path is not None and path.exists():
         with contextlib.suppress(ValueError):
             table = cal.load_null_table(path)
-            if (table.key[:5], table.model) == (key, model):
+            if table.key == key:
                 return table
-    return None
+    (table,) = cal._null_tables(*key, collect=functools.partial(_collect, pool=pool))
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        cal.save_null_table(table, path, force=True)
+    return table
 
 
-def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir):
-    """The run's null table of a rank statistic with a Monte-Carlo null (HC)
-    from cache_dir, or None if the run simulates it."""
-    key = (statistic, config.m, config.n, config.calib_reps, config.master_seed)
-    return _cached_table(cache_dir, key)
-
-
-def _lrt_null_table(config: ScenarioConfig, stage, rows, cached) -> list:
+def _lrt_null_table(config: ScenarioConfig, statistic: str, pool) -> list:
     """Null tables of a model-based statistic (the LRT), one per grid point.
 
-    cached holds the tables read from the cache, None at each grid point
-    the run's LRT pass simulated.  stage is that pass, and rows its values
-    in replicate order: replicate k draws one Y-sample and the statistic is
-    evaluated on it at every alternative the cache lacks.  Each value is bit
-    for bit lrt_stat's, whatever the other alternatives, so table g equals
+    One pass in the run's pool: replicate k draws one Y-sample and the
+    statistic is evaluated on it at every grid point's alternative, each
+    value bit for bit lrt_stat's, so table g equals
     mc_null_table(statistic, ..., model=(model, alt_g)), its model included.
     """
-    fresh = iter(cal._null_tables(stage, rows))
-    return [next(fresh) if t is None else t for _, t in zip(config.grid, cached, strict=True)]
+    alts = [config.alt_for(g) for g in config.grid]
+    key = (statistic, config.m, config.n, config.calib_reps, config.master_seed)
+    return cal._null_tables(*key, config.model, alts, functools.partial(_collect, pool=pool))
 
 
 def _pvalues_for(test, values, m, n, table):
@@ -224,13 +225,17 @@ def _pvalues_for(test, values, m, n, table):
     return cal.STATISTICS[test].pvalues(values, m, n, table)
 
 
-def _power_point(config, grid_idx, tables, columns):
-    """Rejection rates of every test at one grid point.
+def _power_point(config, grid_idx, null, tables, pool):
+    """Rejection rates of every test at one grid point; under H0 if null.
 
-    tables maps each Monte-Carlo test to its null table at this grid point,
-    and columns holds each test's values on the point's power replicates,
-    in the order of config.tests.
+    tables maps each Monte-Carlo test to its null table at this grid point.
     """
+    alt = config.alt_for(config.grid[grid_idx])
+    seed_parts = [config.master_seed, cal.TAG_NULL if null else cal.TAG_POWER, grid_idx]
+    columns = _collect(
+        cal.DATA, config.model, None if null else alt, [alt], config.m, config.n,
+        config.tests, seed_parts, config.power_reps, pool,
+    )
     per_test = {}
     for test, values in zip(config.tests, columns):
         pvals = _pvalues_for(test, values, config.m, config.n, tables.get(test))
@@ -251,52 +256,24 @@ def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> Po
     # a pool forks all its workers at once, so it gets at most one per core;
     # the output is the same at any worker count
     cores = os.cpu_count() or 1
-    workers = min(threads or cores, cores)
-    alts = [config.alt_for(g) for g in config.grid]
-    # plan: one stage per Monte-Carlo test for the null tables the cache
-    # lacks, first since their batches are the largest, then one stage of
-    # power replicates per grid point
-    monte_carlo = [s for s in map(cal.STATISTICS.get, config.tests) if s.monte_carlo]
-    cached, stages = {}, {}  # test -> tables read from the cache; test or grid index -> stage
-    for s in monte_carlo:
-        key = (s.name, config.m, config.n, config.calib_reps, config.master_seed)
-        if s.rank:
-            cached[s.name] = [_hc_null_table(config, s.name, cache_dir)]
-            plan = key
-        else:
-            cached[s.name] = [_cached_table(cache_dir, key, (config.model, a)) for a in alts]
-            plan = (*key, config.model, [a for a, t in zip(alts, cached[s.name]) if t is None])
-        if any(t is None for t in cached[s.name]):
-            stages[s.name] = cal._null_stage(*plan)
-    tag = cal.TAG_NULL if null else cal.TAG_POWER
-    for gi, alt in enumerate(alts):
-        stages[gi] = cal.Stage(
-            cal.DATA, config.tests, config.model, None if null else alt, [alt],
-            config.m, config.n, [config.master_seed, tag, gi], config.power_reps,
-        )
-    # map every batch of the run at once, then join each stage's rows
-    batches = {name: _collect(*stage, workers) for name, stage in stages.items()}
-    results = iter(_run_batches([task for b in batches.values() for task in b], workers))
-    rows = {name: np.concatenate([next(results) for _ in b]) for name, b in batches.items()}
-    # assemble: the tables, each simulated one written to the cache, then each point
-    tables = {}  # test -> its null table at each grid point
-    for s in monte_carlo:
-        got = cached[s.name]
-        if s.name in stages:
+    threads = min(threads or cores, cores)
+    # the run's only pool, if any; leaving the block joins its workers
+    with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as executor:
+        pool = None if executor is None else _Pool(executor, threads)
+        tables = [{} for _ in config.grid]  # per grid point: test -> null table
+        for s in (cal.STATISTICS[t] for t in config.tests):
+            if not s.monte_carlo:
+                continue
             if s.rank:
-                got = cal._null_tables(stages[s.name], rows[s.name])
+                per_point = [_hc_null_table(config, s.name, cache_dir, pool)] * len(config.grid)
             else:
-                got = _lrt_null_table(config, stages[s.name], rows[s.name], got)
-            for table in (t for t, c in zip(got, cached[s.name]) if c is None):
-                if cache_dir is not None:
-                    path = Path(cache_dir) / cal.cache_key(*table.key[:5], table.model)
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    cal.save_null_table(table, path, force=True)
-        tables[s.name] = got * len(alts) if s.rank else got
-    points = [
-        _power_point(config, gi, {t: ts[gi] for t, ts in tables.items()}, rows[gi].T)
-        for gi in range(len(alts))
-    ]
+                per_point = _lrt_null_table(config, s.name, pool)
+            for point, table in zip(tables, per_point):
+                point[s.name] = table
+        points = [
+            _power_point(config, gi, null, tables[gi], pool)
+            for gi in range(len(config.grid))
+        ]
     return PowerCurve(
         config=config.to_dict(),
         points=points,

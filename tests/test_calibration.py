@@ -94,20 +94,17 @@ class TestMcNullTable:
             mc_null_table(statistic, 5, 5, 200, master_seed=0)
 
     def test_builder_calls_collect_positionally(self):
-        # the power harness passes the builder's stage to _collect positionally
-        # (kind first, reps ninth) and assembles the tables from the batches' rows
-        from mixdetect import experiments as exp
+        # the power harness passes its own collect, which is called as _serial is
+        calls = []
+
+        def collect(*args, **kwargs):
+            calls.append((args, kwargs))
+            return cal._serial(*args, **kwargs)
 
         alts = [MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 2.0)]
-        stage = cal._null_stage(st.LRT, 20, 15, 100, 4, NORMAL, alts)
-        assert stage[0] == cal.LRT_NULL and stage[8] == 100
-        batches = exp._collect(*stage, 3)
-        assert [(b[0], b[-2], b[-1]) for b in batches] == [
-            (cal.LRT_NULL, 0, 33), (cal.LRT_NULL, 33, 66), (cal.LRT_NULL, 66, 100)
-        ]
-        rows = np.concatenate([cal.replicate_rows(*b) for b in batches])
-        tables = cal._null_tables(stage, rows)
-        assert len(tables) == len(alts)
+        tables = cal._null_tables(st.LRT, 20, 15, 100, 4, NORMAL, alts, collect)
+        [(args, kwargs)] = calls
+        assert kwargs == {} and args[0] == cal.LRT_NULL and args[8] == 100
         for alt, table in zip(alts, tables):
             expected = mc_null_table(st.LRT, 20, 15, 100, 4, model=(NORMAL, alt))
             assert table.key == expected.key

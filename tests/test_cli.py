@@ -544,19 +544,16 @@ class TestCmdCalibrate:
         np.testing.assert_array_equal(load_null_table(out).draws, cached.draws)
 
     def test_lrt_matches_the_harness(self, tmp_path, capsys):
-        # the harness's cache holds calibrate's file for the middle grid
-        # point, so its LRT pass simulates the other two alternatives only
-        from mixdetect import GGParams, ScenarioConfig, load_null_table, run_power_grid
-        from mixdetect.calibration import cache_key
+        from mixdetect import GGParams, ScenarioConfig, load_null_table
+        from mixdetect.experiments import _lrt_null_table
 
         cfg = ScenarioConfig(
             model=GGParams(2.0), m=50, n=40, regime="dense", beta=0.2,
             grid=[0.1, 0.3, 0.5], tests=["LRT"], power_reps=1, calib_reps=150,
             master_seed=3,
         )
-        cache = tmp_path / "cache"
-        calibrated = []
-        for g in cfg.grid:
+        harness = _lrt_null_table(cfg, "LRT", None)
+        for g, table in zip(cfg.grid, harness):
             alt = cfg.alt_for(g)
             out = tmp_path / f"lrt_{g}.npz"
             assert main([
@@ -564,17 +561,8 @@ class TestCmdCalibrate:
                 "--reps", "150", "--seed", "3", "--epsilon", repr(alt.epsilon),
                 "--mu", repr(alt.mu), "--out", str(out),
             ]) == 0
-            calibrated.append(load_null_table(out))
-        hit = cache / cache_key("LRT", 50, 40, 150, 3, (cfg.model, cfg.alt_for(0.3)))
-        cache.mkdir()
-        hit.write_bytes((tmp_path / "lrt_0.3.npz").read_bytes())
-        stamp = hit.stat().st_mtime_ns
-        run_power_grid(cfg, cache_dir=cache)
-        assert hit.stat().st_mtime_ns == stamp
-        for g, table in zip(cfg.grid, calibrated):
-            harness = load_null_table(cache / cache_key("LRT", 50, 40, 150, 3, table.model))
-            np.testing.assert_array_equal(harness.draws, table.draws)
-            assert harness.key == table.key
+            np.testing.assert_array_equal(load_null_table(out).draws, table.draws)
+            assert load_null_table(out).key == table.key
 
     def test_missing_out_directory(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.npz"

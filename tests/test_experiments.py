@@ -249,9 +249,9 @@ class TestPinnedOutput:
         seen = {}
         power_point = exp._power_point
 
-        def spy(config, grid_idx, tables, columns):
+        def spy(config, grid_idx, null, tables, threads):
             seen[grid_idx] = tables
-            return power_point(config, grid_idx, tables, columns)
+            return power_point(config, grid_idx, null, tables, threads)
 
         monkeypatch.setattr(exp, "_power_point", spy)
         run(pinned_config())
@@ -278,9 +278,9 @@ class TestLrtNullTables:
         seen = {}
         power_point = exp._power_point
 
-        def spy(config, grid_idx, tables, columns):
+        def spy(config, grid_idx, null, tables, threads):
             seen[grid_idx] = tables
-            return power_point(config, grid_idx, tables, columns)
+            return power_point(config, grid_idx, null, tables, threads)
 
         monkeypatch.setattr(exp, "_power_point", spy)
         run(cfg, threads=threads)
@@ -393,54 +393,36 @@ def spy_batches(monkeypatch):
     calls = []
     run_batches = exp._run_batches
 
-    def spy(tasks, workers):
+    def spy(tasks, pool):
         calls.append(list(tasks))
-        return run_batches(tasks, workers)
+        return run_batches(tasks, pool)
 
     monkeypatch.setattr(exp, "_run_batches", spy)
     return calls
 
 
-class TestOneMap:
-    """A run maps every batch of its tables and power replicates at once."""
+class TestBatches:
+    """Each stage of a run is one contiguous batch of replicates per worker."""
 
     def config(self, **overrides):
         defaults = dict(m=50, n=40, regime=DENSE, beta=0.2, grid=[0.1, 0.3, 0.5],
                         tests=[st.LRT, st.HC, st.KS], power_reps=5, calib_reps=150)
         return small_config(**{**defaults, **overrides})
 
-    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
-    def test_one_map_in_one_pool(self, monkeypatch, threads, pools):
-        opened = []
-
-        class CountedPool(exp.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                opened.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(exp, "ProcessPoolExecutor", CountedPool)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_batch_per_worker(self, monkeypatch, threads):
         monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)
         calls = spy_batches(monkeypatch)
-        points = []
-        power_point = exp._power_point
-
-        def point_spy(config, grid_idx, tables, columns):
-            points.append(grid_idx)
-            return power_point(config, grid_idx, tables, columns)
-
-        monkeypatch.setattr(exp, "_power_point", point_spy)
         cfg = self.config()
         csv = run_power_grid(cfg, threads=threads).to_csv()
-        assert len(opened) == pools and points == [0, 1, 2]
-        # the tables' stages first, then the grid points', each in one
-        # contiguous range of replicates per worker
-        [tasks] = calls
+        # the LRT pass, the HC table, then each grid point's power replicates
         expected = [(cal.LRT_NULL, (5, cal.TAG_CALIB_LRT)),
                     (cal.RANK_NULL, (5, cal.TAG_CALIB_RANK))]
         expected += [(cal.DATA, (5, cal.TAG_POWER, g)) for g in range(3)]
-        got = [(t[0], tuple(t[7])) for t in tasks]
-        assert got == [e for e in expected for _ in range(threads)]
-        cut = [(t[8], t[9]) for t in tasks[:threads]]
+        assert [[(t[0], tuple(t[7])) for t in tasks] for tasks in calls] == [
+            [e] * threads for e in expected
+        ]
+        cut = [(t[8], t[9]) for t in calls[0]]
         assert cut == ([(0, 150)] if threads == 1 else [(0, 75), (75, 150)])
         assert csv == run_power_grid(cfg, threads=1).to_csv()
 
@@ -449,78 +431,13 @@ class TestOneMap:
         calls = spy_batches(monkeypatch)
         cfg = self.config(power_reps=1)
         two = run_power_grid(cfg, threads=2).to_csv()
-        data = [t for t in calls[0] if t[0] == cal.DATA]
-        assert [(t[8], t[9]) for t in data] == [(0, 1)] * 3
+        data = [[(t[8], t[9]) for t in tasks] for tasks in calls if tasks[0][0] == cal.DATA]
+        assert data == [[(0, 1)]] * 3
         assert two == run_power_grid(cfg, threads=1).to_csv()
 
-    def test_hc_cache_hit_plans_no_rank_batch(self, monkeypatch, tmp_path):
+    def test_hc_cache_hit_draws_no_rank_null_batch(self, monkeypatch, tmp_path):
         cfg = self.config(tests=[st.HC, st.WILCOXON])
         first = run_power_grid(cfg, cache_dir=tmp_path).to_csv()
         calls = spy_batches(monkeypatch)
         assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == first
-        [tasks] = calls
-        assert [t[0] for t in tasks] == [cal.DATA] * 3
-
-
-class TestLrtCache:
-    """With a cache directory, each grid point's LRT table is cached too."""
-
-    def config(self):
-        return small_config(m=50, n=40, regime=DENSE, beta=0.2, grid=[0.1, 0.3, 0.5],
-                            tests=[st.LRT], power_reps=5, calib_reps=150)
-
-    def cache_file(self, cfg, tmp_path, g):
-        model = (cfg.model, cfg.alt_for(g))
-        return tmp_path / cal.cache_key(st.LRT, cfg.m, cfg.n, cfg.calib_reps,
-                                        cfg.master_seed, model)
-
-    def expected(self, cfg, g):
-        return cal.mc_null_table(st.LRT, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed,
-                                 model=(cfg.model, cfg.alt_for(g)))
-
-    def test_full_hit_plans_no_lrt_batch(self, monkeypatch, tmp_path):
-        cfg = self.config()
-        first = run_power_grid(cfg, cache_dir=tmp_path).to_csv()
-        assert first == run_power_grid(cfg).to_csv()
-        stamps = [self.cache_file(cfg, tmp_path, g).stat().st_mtime_ns for g in cfg.grid]
-        calls = spy_batches(monkeypatch)
-        assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == first
-        assert [t[0] for t in calls[0]] == [cal.DATA] * 3
-        assert stamps == [self.cache_file(cfg, tmp_path, g).stat().st_mtime_ns for g in cfg.grid]
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_partial_hit_equals_mc_null_table(self, monkeypatch, tmp_path, threads):
-        monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)
-        cfg = self.config()
-        cal.save_null_table(self.expected(cfg, 0.3), self.cache_file(cfg, tmp_path, 0.3))
-        calls = spy_batches(monkeypatch)
-        seen = {}
-        power_point = exp._power_point
-
-        def spy(config, grid_idx, tables, columns):
-            seen[grid_idx] = tables[st.LRT]
-            return power_point(config, grid_idx, tables, columns)
-
-        monkeypatch.setattr(exp, "_power_point", spy)
-        run_power_grid(cfg, threads=threads, cache_dir=tmp_path)
-        [lrt] = {tuple(t[4]) for t in calls[0] if t[0] == cal.LRT_NULL}
-        assert lrt == (cfg.alt_for(0.1), cfg.alt_for(0.5))
-        for gi, g in enumerate(cfg.grid):
-            expected = self.expected(cfg, g)
-            for table in (seen[gi], cal.load_null_table(self.cache_file(cfg, tmp_path, g))):
-                assert table.key == expected.key
-                np.testing.assert_array_equal(table.draws, expected.draws)
-
-    def test_damaged_or_mismatched_file_is_recomputed(self, tmp_path):
-        cfg = self.config()
-        expected = run_power_grid(cfg).to_csv()
-        damaged = self.cache_file(cfg, tmp_path, 0.1)
-        mismatched = self.cache_file(cfg, tmp_path, 0.3)
-        run_power_grid(cfg, cache_dir=tmp_path)
-        damaged.write_bytes(damaged.read_bytes()[:100])
-        # another alternative's table under this alternative's name
-        mismatched.write_bytes(self.cache_file(cfg, tmp_path, 0.5).read_bytes())
-        assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == expected
-        for g in (0.1, 0.3):
-            table = cal.load_null_table(self.cache_file(cfg, tmp_path, g))
-            assert table.key == self.expected(cfg, g).key
+        assert [t[0] for tasks in calls for t in tasks] == [cal.DATA] * 3
