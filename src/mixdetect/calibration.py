@@ -11,7 +11,8 @@ STATISTICS is the one table of the five tests: how each is computed and
 how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
 the power harness's, is built by _null_tables, and every simulated
 replicate is drawn by replicate_rows, which evaluates each statistic once
-per block of replicates (Statistic.values).
+per block of replicates (Statistic.values), every rank kernel on the
+block's one running X-count.
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
 as in rng_scheme 6; the seed words of a whole batch of streams are hashed
@@ -146,16 +147,19 @@ class Statistic:
     def monte_carlo(self) -> bool:
         return self.method == MONTE_CARLO
 
-    def values(self, xi, y, m: int, n: int, model=None, alts=()) -> np.ndarray:
+    def values(self, xi, y, m: int, n: int, model=None, alts=(), v=None) -> np.ndarray:
         """Values on a block of replicates, one row each: xi holds their
         (rows, m+n) pooled indicators and y their (rows, n) Y-samples.
 
         A float (rows, 1) array for a rank statistic, its kernel's value per
-        row; (rows, len(alts)) for the LRT, lrt_stats on the Y block.
+        row; (rows, len(alts)) for the LRT, lrt_stats on the Y block.  v is
+        the block's running X-count np.cumsum(xi, axis=-1), taken once and
+        read by every rank kernel that needs it; a kernel given none takes
+        its own.
         """
         if self.kernel is None:
             return st.lrt_stats(y, model, alts)
-        return getattr(st, self.kernel)(xi, m, n).astype(float)[:, None]
+        return getattr(st, self.kernel)(xi, m, n, v).astype(float)[:, None]
 
     def pvalue(self, value: float, m: int, n: int, table=None) -> PValue:
         p = self.pvalues(np.asarray(value, dtype=float), m, n, table)
@@ -294,9 +298,12 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     lrt_alts, all on the same sample.  The replicates are drawn one by one
     into blocks of rows, and each statistic is evaluated once per block;
     a block holds as many rows as keep a row-wide temporary within
-    _BLOCK_ELEMENTS (at least one).  tests are names, so they pickle.
+    _BLOCK_ELEMENTS (at least one).  When a rank test is selected, the
+    block's running X-count is taken once and every rank kernel reads it.
+    tests are names, so they pickle.
     """
     stats = [STATISTICS[t] for t in tests]
+    counted = any(s.rank for s in stats)
     widths = [1 if s.rank else len(lrt_alts) for s in stats]
     row = max(m + n if s.rank else len(lrt_alts) * n for s in stats)
     rows = max(1, min(_BLOCK_ELEMENTS // row, k1 - k0))
@@ -316,8 +323,9 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
                 y[i] = gg_sample(n, model, rng)
             else:
                 y[i], xi[i] = _draw_pooled(model, alt, m, n, [*parts, k], rng)
+        v = np.cumsum(xi[:b - a], axis=-1) if counted else None
         out[a - k0:b - k0] = np.hstack(
-            [s.values(xi[:b - a], y[:b - a], m, n, model, lrt_alts) for s in stats]
+            [s.values(xi[:b - a], y[:b - a], m, n, model, lrt_alts, v) for s in stats]
         )
     return out
 

@@ -172,30 +172,44 @@ def _report_json(report) -> dict:
 
 
 def cmd_diagnose(args) -> int:
+    # the flags each condition reads besides --gamma, --gg-scale and --mu,
+    # with their defaults; a flag given to a condition that does not read it
+    # is refused
+    reads = {
+        "hc": {"n": 10**5, "t": None, "eta": 0.5, "epsilon": None},
+        "wilcoxon": {"n": 10**5, "epsilon": None},
+        "ks": {"n": 10**5, "epsilon": None},
+        "tailrun": {"n": 10**5, "m": 10**5, "t": None, "l": 1, "epsilon": None},
+        "lower-bound": {"x_upper": math.inf},
+    }[args.condition]
+    for name in ("n", "m", "t", "l", "eta", "x_upper", "epsilon"):
+        if getattr(args, name) is not None and name not in reads:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to --condition {args.condition}")
+    flags = {k: v if getattr(args, k) is None else getattr(args, k) for k, v in reads.items()}
     if args.condition == "lower-bound":
         # --mu is a bare shift here, with no --epsilon
         model = GGParams(gamma=args.gamma, scale=args.gg_scale)
         if args.mu is None:
             raise ValueError("lower-bound requires --mu")
-        x_upper = float(args.x_upper) if args.x_upper is not None else np.inf
-        value = theory.lower_bound_integral(x_upper, model, args.mu)
+        value = theory.lower_bound_integral(flags["x_upper"], model, args.mu)
         print(json.dumps({"lower_bound_integral": value}, sort_keys=True))
         return 0
     model, alt = _model_and_alt(args, lrt=True)
     if args.condition == "wilcoxon":
-        out = _report_json(theory.wilcoxon_condition(args.n, model, alt))
+        out = _report_json(theory.wilcoxon_condition(flags["n"], model, alt))
     elif args.condition == "ks":
-        out = _report_json(theory.ks_condition(args.n, model, alt))
+        out = _report_json(theory.ks_condition(flags["n"], model, alt))
     elif args.condition == "hc":
-        if args.t is None:
+        if flags["t"] is None:
             raise ValueError("hc requires --t (the threshold t_n)")
-        reps = theory.hc_conditions(args.t, args.n, model, alt, args.eta)
+        reps = theory.hc_conditions(flags["t"], flags["n"], model, alt, flags["eta"])
         names = ("tail_mass", "separation", "median_separation")
         out = {name: _report_json(rep) for name, rep in zip(names, reps)}
     else:  # tailrun
-        if args.t is None:
+        if flags["t"] is None:
             raise ValueError("tailrun requires --t")
-        chk = theory.tailrun_condition(args.t, args.m, args.n, model, alt, args.l)
+        chk = theory.tailrun_condition(flags["t"], flags["m"], flags["n"], model, alt, flags["l"])
         out = _report_json(chk)
     print(json.dumps(out, sort_keys=True))
     return 0
@@ -284,12 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("hc", "wilcoxon", "ks", "tailrun", "lower-bound"),
     )
-    p.add_argument("--n", type=int, default=10**5)
-    p.add_argument("--m", type=int, default=10**5)
-    p.add_argument("--t", type=float, default=None, help="threshold t_n")
-    p.add_argument("--l", type=int, default=1, help="tail-run length")
-    p.add_argument("--eta", type=float, default=0.5, help="limit of n/(m+n)")
-    p.add_argument("--x-upper", type=float, default=None, help="upper integration limit")
+    # each condition refuses the flags it does not read and sets the
+    # defaults of those it does (cmd_diagnose)
+    p.add_argument("--n", type=int, default=None, help="Y-sample size (not lower-bound; 100000)")
+    p.add_argument("--m", type=int, default=None, help="X-sample size (tailrun; 100000)")
+    p.add_argument("--t", type=float, default=None, help="threshold t_n (hc, tailrun)")
+    p.add_argument("--l", type=int, default=None, help="tail-run length (tailrun; 1)")
+    p.add_argument("--eta", type=float, default=None, help="limit of n/(m+n) (hc; 0.5)")
+    p.add_argument("--x-upper", type=float, default=None,
+                   help="upper integration limit (lower-bound; inf)")
     add_model_args(p)
     p.set_defaults(fn=cmd_diagnose)
 

@@ -151,12 +151,15 @@ def _value(v):
     return v.item() if v.ndim == 0 else v
 
 
-# Each rank kernel f(xi, m, n) works along the last axis: xi is one sorted
-# X-origin indicator, or a (rows, m+n) block of them with one value per row.
-def hc_from_indicator(xi: np.ndarray, m: int, n: int):
+# Each rank kernel f(xi, m, n, v=None) works along the last axis: xi is one
+# sorted X-origin indicator, or a (rows, m+n) block of them with one value per
+# row.  HC, Wilcoxon and KS read the running X-count v = np.cumsum(xi, axis=-1),
+# which a block's kernels share; a kernel given none takes its own, and the
+# tail run reads xi.
+def hc_from_indicator(xi: np.ndarray, m: int, n: int, v=None):
     """Rank-form higher criticism from the sorted X-origin indicator."""
     e0, sd0, c = _hc_null_moments(m, n)
-    v = np.cumsum(xi, axis=-1)[..., :-1]
+    v = (np.cumsum(xi, axis=-1) if v is None else v)[..., :-1]
     return _value(c * np.max((v - e0) / sd0, axis=-1))
 
 
@@ -176,24 +179,25 @@ def hc_sup_form_from_indicator(xi: np.ndarray, m: int, n: int):
     return _value(np.max(vals, axis=-1))
 
 
-def wilcoxon_from_indicator(xi: np.ndarray, m: int, n: int):
-    """U = #{(i, j): X_i < Y_j} via a single cumulative pass.
+def wilcoxon_from_indicator(xi: np.ndarray, m: int, n: int, v=None):
+    """U = #{(i, j): X_i < Y_j} from the running X-count.
 
     The running X-count summed over Y positions is U; over X positions it
     is 1 + ... + m, since the k-th X in pooled order sees k.
     """
-    return _value(np.cumsum(xi, axis=-1).sum(axis=-1) - m * (m + 1) // 2)
+    v = np.cumsum(xi, axis=-1) if v is None else v
+    return _value(v.sum(axis=-1) - m * (m + 1) // 2)
 
 
-def ks_from_indicator(xi: np.ndarray, m: int, n: int):
+def ks_from_indicator(xi: np.ndarray, m: int, n: int, v=None):
     """Signed one-sided sup of F_m - G_n; never below 0, since d = 0 at s = m+n."""
-    cx = np.cumsum(xi, axis=-1)
+    cx = np.cumsum(xi, axis=-1) if v is None else v
     s = _rank_grid(m + n)
     d = cx / m - (s - cx) / n
     return _value(np.max(d, axis=-1))
 
 
-def tailrun_from_indicator(xi: np.ndarray, m: int, n: int):
+def tailrun_from_indicator(xi: np.ndarray, m: int, n: int, v=None):
     """Run of Y-origin values at the top of the pooled ordering."""
     # first X-origin from the top; x nonempty
     return _value(np.argmax(xi[..., ::-1], axis=-1))

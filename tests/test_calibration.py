@@ -258,6 +258,43 @@ class TestBlockRows:
         self.check(monkeypatch, "lrt_stats", [1, 1], cal.DATA, [st.LRT, st.TAILRUN],
                    NORMAL, None, [MixtureAlt(0.1, 1.0)], 8200, 8200, 0, 2)
 
+    @pytest.mark.parametrize("tests", [[st.HC], RANK], ids=["hc", "rank"])
+    @pytest.mark.parametrize("kind", [cal.RANK_NULL, cal.DATA])
+    @pytest.mark.parametrize("m, n, k1, blocks", [
+        (1200, 800, 20, 3),  # 8 rows a block
+        (1, 30, 4, 1),
+        (30, 1, 4, 1),
+        (8200, 8200, 2, 2),  # m + n above the budget: one row a block
+    ])
+    def test_one_count_per_block(self, monkeypatch, tests, kind, m, n, k1, blocks):
+        """The running X-count is taken once per block, whatever rank tests
+        are selected, and each value is its kernel's on that row's indicator
+        alone, bit for bit."""
+        alt = MixtureAlt(0.1, 1.5)
+        cumsum, seen, counts = np.cumsum, [], []
+
+        def counting(*args, **kwargs):
+            counts.append(args[0].shape)
+            return cumsum(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            self.record(mp, cal.STATISTICS[tests[0]].kernel, seen)
+            mp.setattr(np, "cumsum", counting)
+            got = cal.replicate_rows(kind, tests, NORMAL, alt, [alt], m, n, [29, cal.TAG_POWER, 3],
+                                     0, k1)
+        assert counts == [b.shape for b in seen] and len(seen) == blocks
+        kernels = [getattr(st, cal.STATISTICS[t].kernel) for t in tests]
+        expected = [[f(xi, m, n) for f in kernels] for xi in np.concatenate(seen)]
+        assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+
+    def test_no_count_without_a_rank_test(self, monkeypatch):
+        alt = MixtureAlt(0.1, 1.5)
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "cumsum", None)
+            got = cal.replicate_rows(cal.DATA, [st.LRT], NORMAL, alt, [alt], 50, 40,
+                                     [29, cal.TAG_POWER, 3], 0, 5)
+        assert got.shape == (5, 1)
+
     def test_tie_retry_inside_a_block(self, monkeypatch):
         # the first draw of replicate 4 ties; it is redrawn from (*parts, 4, 1)
         parts, alt, m, n = [7, cal.TAG_POWER, 2], MixtureAlt(0.2, 1.5), 40, 30

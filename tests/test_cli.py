@@ -266,6 +266,19 @@ class TestCmdBoundary:
         assert main(["boundary", "--beta", "1.5", "--gamma", "2", "--regime", "sparse"]) == 1
 
 
+# the flags each diagnose condition reads, besides --gamma, --gg-scale and
+# --mu, and a valid value of each
+DIAGNOSE_READS = {
+    "hc": {"--n", "--t", "--eta", "--epsilon"},
+    "wilcoxon": {"--n", "--epsilon"},
+    "ks": {"--n", "--epsilon"},
+    "tailrun": {"--n", "--m", "--t", "--l", "--epsilon"},
+    "lower-bound": {"--x-upper"},
+}
+DIAGNOSE_FLAGS = {"--n": "100", "--m": "100", "--t": "1", "--l": "2", "--eta": "0.5",
+                  "--x-upper": "1", "--epsilon": "0.1"}
+
+
 class TestCmdDiagnose:
     def test_lower_bound(self, capsys):
         assert main(["diagnose", "--condition", "lower-bound", "--gamma", "2", "--mu", "1"]) == 0
@@ -373,6 +386,48 @@ class TestCmdDiagnose:
         assert main(argv) == 0
         check = tailrun_condition(2.5, 1000, 2000, GGParams(2.0), MixtureAlt(0.05, 3.0), 3)
         assert json.loads(capsys.readouterr().out) == dataclasses.asdict(check)
+
+    @pytest.mark.parametrize("condition, flag", [
+        (c, f) for c, reads in DIAGNOSE_READS.items() for f in DIAGNOSE_FLAGS if f not in reads
+    ])
+    def test_unread_flag_refused(self, capsys, monkeypatch, condition, flag):
+        from mixdetect import cli
+
+        for name in ("hc_conditions", "wilcoxon_condition", "ks_condition",
+                     "tailrun_condition", "lower_bound_integral"):
+            monkeypatch.setattr(cli.theory, name, None)
+        argv = ["diagnose", "--condition", condition, "--mu", "1", flag, DIAGNOSE_FLAGS[flag]]
+        # every flag the condition requires is given, so only the unread one is wrong
+        for required in DIAGNOSE_READS[condition] & {"--t", "--epsilon"}:
+            argv += [required, DIAGNOSE_FLAGS[required]]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} does not apply to --condition {condition}\n"
+
+    def test_unread_flags_with_bad_values_refused(self, capsys):
+        argv = ["diagnose", "--condition", "ks", "--n", "100", "--m", "0", "--l", "-5",
+                "--eta", "9", "--x-upper", "nan", "--epsilon", "0.1", "--mu", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --m does not apply to --condition ks\n"
+
+    def test_defaults_of_the_reading_condition(self, capsys):
+        import dataclasses
+
+        from mixdetect import GGParams, MixtureAlt, hc_conditions, tailrun_condition
+
+        model, alt = GGParams(2.0), MixtureAlt(0.1, 1.0)
+        main(["diagnose", "--condition", "tailrun", "--t", "2", "--epsilon", "0.1", "--mu", "1"])
+        check = tailrun_condition(2.0, 10**5, 10**5, model, alt, 1)
+        assert json.loads(capsys.readouterr().out) == dataclasses.asdict(check)
+        main(["diagnose", "--condition", "hc", "--t", "2", "--epsilon", "0.1", "--mu", "1"])
+        reps = hc_conditions(2.0, 10**5, model, alt, 0.5)
+        out = json.loads(capsys.readouterr().out)
+        assert out["median_separation"] == {
+            k: v for k, v in dataclasses.asdict(reps[2]).items() if v is not None
+        }
 
     def test_unknown_condition_exit(self, capsys):
         with pytest.raises(SystemExit):

@@ -232,6 +232,8 @@ class TestKernelBlocks:
     KERNELS = [(hc_from_indicator, float), (hc_sup_form_from_indicator, float),
                (wilcoxon_from_indicator, int), (ks_from_indicator, float),
                (tailrun_from_indicator, int)]
+    # the registry's kernels, which take the running count
+    COUNTED = [KERNELS[0], *KERNELS[2:]]
 
     @pytest.mark.parametrize("kernel, kind", KERNELS, ids=[k.__name__ for k, _ in KERNELS])
     def test_rows_bitwise(self, kernel, kind):
@@ -243,6 +245,20 @@ class TestKernelBlocks:
             got = kernel(block, m, n)
             assert got.shape == (11,)
             assert got.tolist() == alone
+
+    @pytest.mark.parametrize("kernel, kind", COUNTED, ids=[k.__name__ for k, _ in COUNTED])
+    def test_given_count(self, kernel, kind):
+        """Given the running X-count v, a kernel gives bit for bit what it
+        gives without it, of the same type: U and the tail run stay ints."""
+        rng = np.random.default_rng(16)
+        for m, n in [(1, 1), (1, 9), (9, 1), (13, 7), (64, 65)]:
+            block = np.array([arrangement(rng, m, n) for _ in range(11)])
+            for xi in block:
+                got = kernel(xi, m, n, np.cumsum(xi))
+                assert type(got) is kind and got == kernel(xi, m, n)
+            got = kernel(block, m, n, np.cumsum(block, axis=-1))
+            assert got.dtype == kernel(block, m, n).dtype
+            assert got.tobytes() == kernel(block, m, n).tobytes()
 
 
 class TestHigherCriticism:

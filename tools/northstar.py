@@ -12,8 +12,12 @@ runs once from each tree, in a fresh interpreter with PYTHONPATH set to that
 tree's ``src/``; which tree runs first alternates from one pair to the next.
 Prints one JSON object: every run's wall seconds, CPU seconds (the child's
 and its pool workers'), and the sha256 of the CSV it wrote, followed by the
-median wall and CPU per tree and thread count.  It checks nothing and exits
-0 unless a run fails.
+median wall and CPU per tree and thread count.  Under "paired", per thread
+count, it gives each pair's change/parent CPU ratio, their median, how many
+pairs the change took less CPU in, and each tree's CPU quartiles: the two
+runs of a pair are back to back, so their ratio cancels any drift of the
+host slower than one pair.  It checks nothing and exits 0 unless a run
+fails.
 """
 
 from __future__ import annotations
@@ -52,6 +56,28 @@ def run_once(tree: Path, threads: int, scale: float, out: Path) -> dict:
     return {"threads": threads, "wall_s": wall, "cpu_s": cpu, "csv_sha256": digest}
 
 
+def quartiles(values) -> list:
+    """The first and third quartiles, as numpy's default percentile gives them."""
+    values = list(values)
+    if len(values) == 1:
+        return values * 2
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def paired(runs, pairs: int, threads: int) -> dict:
+    """The per-pair change/parent CPU ratios at one thread count, and their summary."""
+    cpu = {(r["side"], r["pair"]): r["cpu_s"] for r in runs if r["threads"] == threads}
+    ratios = [cpu["change", i] / cpu["parent", i] for i in range(pairs)]
+    return {
+        "cpu_ratios": ratios,
+        "median_cpu_ratio": statistics.median(ratios),
+        "pairs_change_less_cpu": sum(r < 1 for r in ratios),
+        "cpu_quartiles": {side: quartiles(cpu[side, i] for i in range(pairs))
+                          for side in ("parent", "change")},
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
@@ -86,6 +112,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "runs": runs,
         "medians": medians,
+        "paired": {f"t{threads}": paired(runs, args.pairs, threads) for threads in THREADS},
     }, indent=2))
     return 0
 
