@@ -10,9 +10,9 @@ table is simulated by shuffling those labels.
 STATISTICS is the one table of the five tests: how each is computed and
 how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
 the power harness's, is built by _null_tables, and every simulated
-replicate is drawn by replicate_rows, which evaluates each statistic once
-per block of replicates (Statistic.values), every rank kernel on the
-block's one running X-count.
+replicate is drawn by replicate_rows.  block_values scores a block of
+replicates, or mixdetect test's one sample, evaluating each statistic once
+and every rank kernel on the block's one running X-count.
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
 as in rng_scheme 6; the seed words of a whole batch of streams are hashed
@@ -28,6 +28,7 @@ replicate loop's temporaries reuse glibc's heap (see _BLOCK_ELEMENTS).
 
 from __future__ import annotations
 
+import itertools
 import math
 import zipfile
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .distributions import GGParams, MixtureAlt, gg_sample, mixture_sample
 CACHE_FORMAT_VERSION = 4
 
 # version of the harness's seed streams and statistic values, recorded in
-# its JSON output; a change to either moves it (README lists each scheme)
+# its JSON output; a change to either moves it (CHANGES.md records each scheme)
 RNG_SCHEME = 6
 
 _TINY_P = 1e-300
@@ -123,14 +124,13 @@ class PValue:
 class Statistic:
     """One test: its statistic and its p-value.
 
-    kernel names the rank kernel in `statistics`, f(xi, m, n) on a block of
-    pooled X-origin indicators; it is looked up at call time, so a wrapper
-    put on that module sees every call.  The LRT has no rank kernel: one
-    lrt_stats call on the Y-samples and the model gives its value at every
-    alternative of every replicate of a block.  pvalues(values, m, n, table)
-    maps an array of statistic values to p-values; a Monte-Carlo test needs
-    its null table.  extra(value, m, n) gives further fields for a test
-    report.
+    kernel names the rank kernel in `statistics`, f(xi, m, n, v) on a block
+    of pooled X-origin indicators, which block_values calls.  The LRT has no
+    rank kernel: one lrt_stats call on the Y-samples and the model gives its
+    value at every alternative of every replicate of a block.  pvalues(values,
+    m, n, table) maps an array of statistic values to p-values; a Monte-Carlo
+    test needs its null table.  extra(value, m, n) gives further fields for a
+    test report.
     """
 
     name: str
@@ -146,20 +146,6 @@ class Statistic:
     @property
     def monte_carlo(self) -> bool:
         return self.method == MONTE_CARLO
-
-    def values(self, xi, y, m: int, n: int, model=None, alts=(), v=None) -> np.ndarray:
-        """Values on a block of replicates, one row each: xi holds their
-        (rows, m+n) pooled indicators and y their (rows, n) Y-samples.
-
-        A float (rows, 1) array for a rank statistic, its kernel's value per
-        row; (rows, len(alts)) for the LRT, lrt_stats on the Y block.  v is
-        the block's running X-count np.cumsum(xi, axis=-1), taken once and
-        read by every rank kernel that needs it; a kernel given none takes
-        its own.
-        """
-        if self.kernel is None:
-            return st.lrt_stats(y, model, alts)
-        return getattr(st, self.kernel)(xi, m, n, v).astype(float)[:, None]
 
     def pvalue(self, value: float, m: int, n: int, table=None) -> PValue:
         p = self.pvalues(np.asarray(value, dtype=float), m, n, table)
@@ -247,22 +233,14 @@ def _streams(prefix, k0: int, k1: int):
             yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def _derived_rng(parts, retry: int = 0) -> np.random.Generator:
-    """The generator of the stream SeedSequence([*parts, retry]), or of
-    SeedSequence(parts) when retry is 0."""
-    *prefix, last = [*parts, retry] if retry else parts
-    return next(_streams(prefix, last, last + 1))
-
-
 def _draw_pooled(model, alt, m, n, parts, rng):
     """The Y-sample and pooled X-origin indicator of simulated data.
 
     The first draw is from rng, the stream `parts`; a float tie is redrawn
-    from the stream (parts, retry).
+    from the stream (*parts, retry), retry = 1, 2, ..., 99 in turn.  Those
+    streams are derived only at the first tie.
     """
-    for retry in range(100):
-        if retry:
-            rng = _derived_rng(parts, retry)
+    for rng in itertools.chain([rng], _streams(parts, 1, 100)):
         x = gg_sample(m, model, rng)
         y = gg_sample(n, model, rng) if alt is None else mixture_sample(n, model, alt, rng)
         try:
@@ -288,6 +266,26 @@ _BLOCK_ELEMENTS = 2**14
 np.empty(2**17)
 
 
+def block_values(stats, xi, y, m: int, n: int, model=None, alts=()) -> np.ndarray:
+    """Values of the Statistics stats on a block of replicates, one row each:
+    xi holds their (rows, m+n) pooled X-origin indicators, y their (rows, n)
+    Y-samples.
+
+    A rank statistic gives one float column, its kernel's value per row, the
+    LRT one column per alternative in alts (lrt_stats on y and the model),
+    side by side in the order of stats.  The running X-count
+    np.cumsum(xi, axis=-1) is taken once, when a rank statistic is selected,
+    and read by every rank kernel.  The kernels and lrt_stats are looked up
+    in `statistics` at call time, so a wrapper put there sees every call.
+    """
+    v = np.cumsum(xi, axis=-1) if any(s.rank for s in stats) else None
+    return np.hstack([
+        getattr(st, s.kernel)(xi, m, n, v).astype(float)[:, None] if s.rank
+        else st.lrt_stats(y, model, alts)
+        for s in stats
+    ])
+
+
 def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np.ndarray:
     """Values of tests on replicates k0 <= k < k1, row k - k0 for replicate k.
 
@@ -296,14 +294,11 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     (DATA only).  A RANK_NULL replicate shuffles m ones then n zeros.  A
     rank statistic gives one value, the LRT one value per alternative in
     lrt_alts, all on the same sample.  The replicates are drawn one by one
-    into blocks of rows, and each statistic is evaluated once per block;
+    into blocks of rows, and each block is scored by one block_values call;
     a block holds as many rows as keep a row-wide temporary within
-    _BLOCK_ELEMENTS (at least one).  When a rank test is selected, the
-    block's running X-count is taken once and every rank kernel reads it.
-    tests are names, so they pickle.
+    _BLOCK_ELEMENTS (at least one).  tests are names, so they pickle.
     """
     stats = [STATISTICS[t] for t in tests]
-    counted = any(s.rank for s in stats)
     widths = [1 if s.rank else len(lrt_alts) for s in stats]
     row = max(m + n if s.rank else len(lrt_alts) * n for s in stats)
     rows = max(1, min(_BLOCK_ELEMENTS // row, k1 - k0))
@@ -323,10 +318,7 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
                 y[i] = gg_sample(n, model, rng)
             else:
                 y[i], xi[i] = _draw_pooled(model, alt, m, n, [*parts, k], rng)
-        v = np.cumsum(xi[:b - a], axis=-1) if counted else None
-        out[a - k0:b - k0] = np.hstack(
-            [s.values(xi[:b - a], y[:b - a], m, n, model, lrt_alts, v) for s in stats]
-        )
+        out[a - k0:b - k0] = block_values(stats, xi[:b - a], y[:b - a], m, n, model, lrt_alts)
     return out
 
 
@@ -334,6 +326,14 @@ def _serial(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps) -> np.nda
     """reps replicates in this process, as one replicate_rows call; row i
     holds value i of every replicate."""
     return replicate_rows(kind, tests, model, alt, lrt_alts, m, n, seed_parts, 0, reps).T
+
+
+def _check_table_inputs(reps: int, seed: int) -> None:
+    """Refuse a Monte Carlo table of under 100 replicates or from a negative seed."""
+    if reps < 100:
+        raise ValueError("reps must be at least 100")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) -> list:
@@ -347,12 +347,9 @@ def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) 
     _serial is, and the power harness passes its own, which uses the run's
     pool.
     """
-    if reps < 100:
-        raise ValueError("reps must be at least 100")
+    _check_table_inputs(reps, seed)
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     stat = STATISTICS.get(statistic)
     if stat is None:
         raise ValueError(f"unknown statistic {statistic!r}")

@@ -70,10 +70,7 @@ def _check_writable(path: Path) -> None:
 
 def cmd_test(args) -> int:
     # the calibration flags are validated whether or not a table is simulated
-    if args.reps < 100:
-        raise ValueError("reps must be at least 100")
-    if args.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {args.seed}")
+    cal._check_table_inputs(args.reps, args.seed)
     # nonempty and finite: read_sample_file and dejitter refuse anything else
     x = read_sample_file(args.x)
     y = read_sample_file(args.y)
@@ -97,8 +94,8 @@ def cmd_test(args) -> int:
             )
         tables[table.statistic] = table
     report = {"m": m, "n": n, "tests": {}}
-    for stat in stats:
-        (value,) = stat.values(xi[None], y[None], m, n, model, [alt])[0].tolist()
+    values = cal.block_values(stats, xi[None], y[None], m, n, model, [alt])[0].tolist()
+    for stat, value in zip(stats, values):
         if stat.monte_carlo and stat.name not in tables:
             tables[stat.name] = cal.mc_null_table(
                 stat.name, m, n, args.reps, args.seed, model=None if stat.rank else (model, alt)

@@ -84,8 +84,7 @@ def detection_boundary_sparse(beta: float, gamma: float) -> float:
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    GGParams(gamma)  # refuses gamma as every model does
     if gamma <= 1.0:
         return 2.0 * beta - 1.0
     breakpoint_ = 1.0 - 2.0 ** (-gamma / (gamma - 1.0))
@@ -98,8 +97,7 @@ def detection_boundary_dense(beta: float, gamma: float) -> float:
     """Critical dense-shift exponent s below which the hypotheses merge."""
     if not (0.0 < beta < 0.5):
         raise ValueError(f"beta must lie in (0, 1/2), got {beta}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    GGParams(gamma)  # refuses gamma as every model does
     if gamma >= 0.5:
         return beta
     return 0.5 - (1.0 - 2.0 * beta) / (1.0 + 2.0 * gamma)
@@ -200,8 +198,8 @@ def lower_bound_integral(x_upper: float, p: GGParams, mu: float) -> float:
     quad does not converge (gamma = 0.3 at mu = 1e5, for one), raises
     ValueError.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValueError(f"mu must be a non-negative finite real, got {mu}")
     if math.isnan(x_upper):
         raise ValueError("x_upper must not be NaN")
     g, s = p.gamma, p.scale

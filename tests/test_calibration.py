@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -163,6 +164,29 @@ class TestDataRetry:
         assert got == [st.hc_from_indicator(xi, 40, 30), st.lrt_stat(y, NORMAL, self.alt)]
         assert len(calls) == 2
 
+    def test_retry_streams_derived_only_at_a_tie(self, monkeypatch):
+        seed_words, prefixes = cal._seed_words, []
+
+        def record(prefix, k0, k1):
+            prefixes.append((list(prefix), k0, k1))
+            return seed_words(prefix, k0, k1)
+
+        monkeypatch.setattr(cal, "_seed_words", record)
+        self.draw()
+        assert prefixes == [(self.parts[:3], 3, 4)]
+        pooled_indicator, calls = st.pooled_indicator, []
+
+        def tie_once(x, y):
+            calls.append(1)
+            if len(calls) == 1:
+                raise st.TiesError(0.0)
+            return pooled_indicator(x, y)
+
+        monkeypatch.setattr(st, "pooled_indicator", tie_once)
+        prefixes.clear()
+        self.draw()
+        assert prefixes == [(self.parts[:3], 3, 4), (self.parts, 1, 100)]
+
     def test_persistent_ties_raise(self, monkeypatch):
         calls = []
 
@@ -194,6 +218,17 @@ class TestBlockRows:
             return kernel(block, *args)
 
         monkeypatch.setattr(st, name, wrapper)
+
+    @staticmethod
+    def count_cumsum(monkeypatch, counts):
+        """Wrap np.cumsum; counts gets the shape of each array it is given."""
+        cumsum = np.cumsum
+
+        def counting(*args, **kwargs):
+            counts.append(args[0].shape)
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counting)
 
     @staticmethod
     def alone(kind, tests, model, alt, alts, m, n, parts, k0, k1):
@@ -271,21 +306,65 @@ class TestBlockRows:
         are selected, and each value is its kernel's on that row's indicator
         alone, bit for bit."""
         alt = MixtureAlt(0.1, 1.5)
-        cumsum, seen, counts = np.cumsum, [], []
-
-        def counting(*args, **kwargs):
-            counts.append(args[0].shape)
-            return cumsum(*args, **kwargs)
-
+        seen, counts = [], []
         with monkeypatch.context() as mp:
             self.record(mp, cal.STATISTICS[tests[0]].kernel, seen)
-            mp.setattr(np, "cumsum", counting)
+            self.count_cumsum(mp, counts)
             got = cal.replicate_rows(kind, tests, NORMAL, alt, [alt], m, n, [29, cal.TAG_POWER, 3],
                                      0, k1)
         assert counts == [b.shape for b in seen] and len(seen) == blocks
         kernels = [getattr(st, cal.STATISTICS[t].kernel) for t in tests]
         expected = [[f(xi, m, n) for f in kernels] for xi in np.concatenate(seen)]
         assert got.tobytes() == np.array(expected, dtype=float).tobytes()
+
+    # what the benchmark hooks in `statistics`: the rank kernels and the LRT
+    HOOKED = [cal.STATISTICS[t].kernel or "lrt_stats" for t in st.ALL_STATISTICS]
+
+    def test_wrappers_see_every_block(self, monkeypatch):
+        alt = MixtureAlt(0.1, 1.5)
+        seen = {name: [] for name in self.HOOKED}
+        with monkeypatch.context() as mp:
+            for name in self.HOOKED:
+                self.record(mp, name, seen[name])
+            cal.replicate_rows(cal.DATA, list(st.ALL_STATISTICS), NORMAL, alt, [alt],
+                               1200, 800, [23, cal.TAG_POWER, 1], 0, 20)
+        # 2**14 // (1200 + 800) = 8 rows a block
+        assert {k: [len(b) for b in v] for k, v in seen.items()} == {k: [8, 8, 4] for k in seen}
+
+    def test_one_count_per_test_call(self, monkeypatch, tmp_path, capsys):
+        """mixdetect test scores its one sample as one block: one running
+        X-count, read by every rank kernel, and one lrt_stats call, made
+        before the LRT table is simulated."""
+        from mixdetect.cli import main
+
+        m, n = 70, 50
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(m), rng.standard_normal(n)
+        (tmp_path / "x.txt").write_text("\n".join(map(repr, x.tolist())))
+        (tmp_path / "y.txt").write_text("\n".join(map(repr, y.tolist())))
+        # the HC table comes from a file, so the call simulates no rank table
+        table = save_null_table(mc_null_table(st.HC, m, n, 100, master_seed=0), tmp_path / "hc")
+        argv = ["test", "--x", str(tmp_path / "x.txt"), "--y", str(tmp_path / "y.txt"),
+                "--tests", "all", "--epsilon", "0.1", "--mu", "1.5", "--reps", "100",
+                "--table", str(table)]
+        seen, counts = {name: [] for name in self.HOOKED}, []
+        with monkeypatch.context() as mp:
+            for name in self.HOOKED:
+                self.record(mp, name, seen[name])
+            self.count_cumsum(mp, counts)
+            assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert counts == [(1, m + n)]
+        xi = st.pooled_indicator(x, y)
+        first, *table_blocks = seen.pop("lrt_stats")
+        assert first.tobytes() == y[None].tobytes()
+        assert sum(len(b) for b in table_blocks) == 100
+        for name, blocks in seen.items():
+            assert [b.tobytes() for b in blocks] == [xi[None].tobytes()]
+        for stat in cal.STATISTICS.values():
+            if stat.rank:
+                value = float(getattr(st, stat.kernel)(xi, m, n))
+                assert report["tests"][stat.name]["statistic"] == value
 
     def test_no_count_without_a_rank_test(self, monkeypatch):
         alt = MixtureAlt(0.1, 1.5)
@@ -376,12 +455,6 @@ class TestStreams:
             for got, want in zip(first_draws(rng), first_draws(oracle)):
                 np.testing.assert_array_equal(got, want)
 
-    def test_derived_rng_is_one_stream(self):
-        parts = [2**40 + 3, cal.TAG_POWER, 2, 11]
-        for rng, entropy in [(cal._derived_rng(parts), parts),
-                             (cal._derived_rng(parts, 3), [*parts, 3])]:
-            assert rng.bit_generator.state == numpy_stream(entropy).bit_generator.state
-
     def test_stream_set_after_a_buffered_half(self):
         # a uint32 draw leaves half of a 64-bit output buffered; the next
         # stream must not start from it
@@ -419,8 +492,8 @@ class TestStreams:
         lambda: next(cal._streams([1], 2**32, 2**32 + 1)),
         lambda: next(cal._streams([1], 0, 2**32 + 1)),
         lambda: next(cal._streams([1], -1, 2)),
-        lambda: cal._derived_rng([1, cal.TAG_POWER, 2**32]),
-        lambda: cal._derived_rng([1, cal.TAG_POWER, 0], 2**32),
+        lambda: next(cal._streams([1, cal.TAG_POWER, 0], 2**32 - 1, 2**32 + 1)),
+        lambda: next(cal._streams([1, cal.TAG_POWER, 2**32, 5], 1, 2**32 + 100)),
     ])
     def test_index_of_two_words_refused(self, call):
         with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*32\)"):

@@ -265,6 +265,15 @@ class TestCmdBoundary:
     def test_out_of_range_exit(self, capsys):
         assert main(["boundary", "--beta", "1.5", "--gamma", "2", "--regime", "sparse"]) == 1
 
+    @pytest.mark.parametrize("regime, beta", [("sparse", "0.6"), ("dense", "0.3")])
+    @pytest.mark.parametrize("gamma", ["inf", "0", "nan"])
+    def test_gamma_refused_as_by_a_model(self, capsys, regime, beta, gamma):
+        argv = ["boundary", "--beta", beta, "--gamma", gamma, "--regime", regime]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gamma must be a positive finite real, got {float(gamma)}\n"
+
 
 # the flags each diagnose condition reads, besides --gamma, --gg-scale and
 # --mu, and a valid value of each
@@ -316,6 +325,17 @@ class TestCmdDiagnose:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "mu=30.0" in lines[0]
+
+    @pytest.mark.parametrize("mu", ["inf", "nan", "-1"])
+    def test_lower_bound_mu_refused(self, capsys, monkeypatch, mu):
+        # refused before any integration
+        from mixdetect import theory
+
+        monkeypatch.setattr(theory, "quad_pieces", None)
+        assert main(["diagnose", "--condition", "lower-bound", "--mu", mu]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: mu must be a non-negative finite real, got {float(mu)}\n"
 
     @pytest.mark.filterwarnings("error")
     def test_lower_bound_not_converged(self, capsys):

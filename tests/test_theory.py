@@ -242,8 +242,10 @@ class TestLowerBoundIntegral:
             assert np.isfinite(val) and val >= 0.0
 
     def test_negative_mu_rejected(self):
-        with pytest.raises(ValueError):
-            lower_bound_integral(np.inf, NORMAL, -1.0)
+        # refused before any integration, with mu named
+        for mu in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"mu must be a non-negative finite real, got {mu}"):
+                lower_bound_integral(np.inf, NORMAL, mu)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mu", [26.5, 26.6])
