@@ -12,7 +12,9 @@ how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
 the power harness's, is built by _null_tables, and every simulated
 replicate is drawn by replicate_rows.  block_values scores a block of
 replicates, or mixdetect test's one sample, evaluating each statistic once
-and every rank kernel on the block's one running X-count.
+and every rank kernel on the block's one running X-count.  table_key
+defines a table's key once: NullTable.key, its file's fields and name
+(cache_key) and the matches of the harness cache and of test --table.
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
 as in rng_scheme 6; the seed words of a whole batch of streams are hashed
@@ -71,6 +73,26 @@ LRT_NULL = "lrt-null"  # the Y-sample from F only (the LRT ignores X)
 DATA = "data"  # X from F and Y from G, or from F when alt is None
 
 
+# a null table's key, in order: each field's name, tag in the file name, type
+# in the key and dtype in the file; a rank table's key is the first five
+_KEY_FIELDS = (
+    ("statistic", "", str, np.str_), ("m", "m", int, np.int64), ("n", "n", int, np.int64),
+    ("reps", "r", int, np.int64), ("seed", "s", int, np.int64),
+    ("gamma", "g", float, np.float64), ("scale", "sc", float, np.float64),
+    ("epsilon", "e", float, np.float64), ("mu", "mu", float, np.float64),
+)
+
+
+def table_key(statistic: str, m: int, n: int, reps: int, seed: int, model=None) -> tuple:
+    """What a null table is simulated for: (statistic, m, n, reps, seed), then an
+    LRT table's gamma, scale, epsilon and mu, given its model (GGParams, MixtureAlt)."""
+    key = (statistic, m, n, reps, seed)
+    if model is None:
+        return key
+    p, alt = model
+    return (*key, p.gamma, p.scale, alt.epsilon, alt.mu)
+
+
 @dataclass(frozen=True)
 class NullTable:
     """Sorted Monte Carlo draws of a statistic under H0.
@@ -101,13 +123,8 @@ class NullTable:
 
     @property
     def key(self) -> tuple:
-        """What the table was simulated for: (statistic, m, n, reps, seed),
-        followed for an LRT table by its gamma, scale, eps and mu."""
-        key = (self.statistic, self.m, self.n, self.reps, self.seed)
-        if self.model is None:
-            return key
-        p, alt = self.model
-        return (*key, p.gamma, p.scale, alt.epsilon, alt.mu)
+        """What the table was simulated for: its table_key."""
+        return table_key(self.statistic, self.m, self.n, self.reps, self.seed, self.model)
 
 
 @dataclass(frozen=True)
@@ -328,12 +345,29 @@ def _serial(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps) -> np.nda
     return replicate_rows(kind, tests, model, alt, lrt_alts, m, n, seed_parts, 0, reps).T
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a value that is not an integer: a float, a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(name: str, seed) -> None:
+    """Refuse a seed that is not an integer in [0, 2**63), the range of the
+    int64 a table file holds it in."""
+    _check_integer(name, seed)
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+    if seed >= 2**63:
+        raise ValueError(f"{name} must be below 2**63, got {seed}")
+
+
 def _check_table_inputs(reps: int, seed: int) -> None:
-    """Refuse a Monte Carlo table of under 100 replicates or from a negative seed."""
+    """Refuse a Monte Carlo table of under 100 replicates, or a reps or seed
+    that its file cannot hold."""
+    _check_integer("reps", reps)
     if reps < 100:
         raise ValueError("reps must be at least 100")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_seed("seed", seed)
 
 
 def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) -> list:
@@ -513,38 +547,23 @@ def npz_path(path) -> Path:
 
 
 def save_null_table(table: NullTable, path, force: bool = False) -> Path:
-    """Write a null-table cache file (bit-exact round trip, versioned).
-
-    An LRT file also holds gamma, scale, epsilon and mu.  Returns the path
+    """Write a null-table cache file (bit-exact round trip, versioned): its
+    version, its draws and the fields of its key.  Returns the path
     written, which ends in .npz.
     """
     path = npz_path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force=True to overwrite")
-    model = {}
-    if table.model is not None:
-        p, alt = table.model
-        model = dict(gamma=np.float64(p.gamma), scale=np.float64(p.scale),
-                     epsilon=np.float64(alt.epsilon), mu=np.float64(alt.mu))
-    np.savez(
-        path,
-        version=np.int64(CACHE_FORMAT_VERSION),
-        statistic=np.str_(table.statistic),
-        m=np.int64(table.m),
-        n=np.int64(table.n),
-        reps=np.int64(table.reps),
-        seed=np.int64(table.seed),
-        draws=table.draws,
-        **model,
-    )
+    fields = {name: dtype(v) for (name, _, _, dtype), v in zip(_KEY_FIELDS, table.key)}
+    np.savez(path, version=np.int64(CACHE_FORMAT_VERSION), draws=table.draws, **fields)
     return path
 
 
 def load_null_table(path) -> NullTable:
     """Read a cache file; ValueError unless it is intact and of this version.
 
-    An LRT file's gamma, scale, epsilon and mu come back as the table's
-    model.  Like save_null_table, it adds a missing .npz suffix to path.
+    The table is rebuilt from the fields of its key, an LRT file's model
+    included.  Like save_null_table, it adds a missing .npz suffix to path.
     """
     path = npz_path(path)
     try:
@@ -552,20 +571,10 @@ def load_null_table(path) -> NullTable:
             version = int(data["version"])
             if version != CACHE_FORMAT_VERSION:
                 raise ValueError(f"unsupported cache format version {version}")
-            statistic = str(data["statistic"])
-            model = None
-            if statistic == st.LRT:
-                model = (GGParams(float(data["gamma"]), float(data["scale"])),
-                         MixtureAlt(float(data["epsilon"]), float(data["mu"])))
-            table = NullTable(
-                statistic=statistic,
-                m=int(data["m"]),
-                n=int(data["n"]),
-                draws=data["draws"].copy(),
-                seed=int(data["seed"]),
-                model=model,
-            )
-            reps = int(data["reps"])
+            fields = _KEY_FIELDS if str(data["statistic"]) == st.LRT else _KEY_FIELDS[:5]
+            statistic, m, n, reps, seed, *model = [kind(data[name]) for name, _, kind, _ in fields]
+            model = (GGParams(*model[:2]), MixtureAlt(*model[2:])) if model else None
+            table = NullTable(statistic, m, n, data["draws"].copy(), seed, model)
     # EOFError: an empty file; TypeError: a bare .npy, or a field of the wrong shape or type
     except (KeyError, EOFError, TypeError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path} is not a null-table file: {e}") from None
@@ -575,9 +584,8 @@ def load_null_table(path) -> NullTable:
 
 
 def cache_key(statistic: str, m: int, n: int, reps: int, seed: int, model=None) -> str:
-    """The file name of a null table; an LRT name, given the table's model
-    (GGParams, MixtureAlt), also carries gamma, scale, eps and mu."""
-    if model is not None:
-        p, alt = model
-        statistic += f"_g{p.gamma!r}_sc{p.scale!r}_e{alt.epsilon!r}_mu{alt.mu!r}"
-    return f"{statistic}_m{m}_n{n}_r{reps}_s{seed}.npz"
+    """The file name of a null table: the fields of its key, each tagged, an LRT
+    table's model (GGParams, MixtureAlt) right after the statistic."""
+    key = table_key(statistic, m, n, reps, seed, model)
+    parts = [f"{tag}{v}" for (_, tag, _, _), v in zip(_KEY_FIELDS, key)]
+    return "_".join([*parts[:1], *parts[5:], *parts[1:5]]) + ".npz"

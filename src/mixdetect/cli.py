@@ -82,13 +82,12 @@ def cmd_test(args) -> int:
     model, alt = _model_and_alt(args, lrt=not all(s.rank for s in stats))
     tables = {}
     if args.table:
-        # the file serves the selected Monte Carlo test it was simulated for
+        # the file serves the selected Monte Carlo test that, simulated with
+        # the file's reps and seed, would give a table of the file's key
         table = cal.load_null_table(args.table)
-        if (
-            not any(s.monte_carlo and s.name == table.statistic for s in stats)
-            or (table.m, table.n) != (m, n)
-            or table.model not in (None, (model, alt))
-        ):
+        keys = [cal.table_key(s.name, m, n, table.reps, table.seed,
+                              None if s.rank else (model, alt)) for s in stats if s.monte_carlo]
+        if table.key not in keys:
             raise ValueError(
                 f"table {args.table} is for {table.key}; it matches no selected test here"
             )
@@ -219,7 +218,11 @@ def cmd_calibrate(args) -> int:
     # a bad --out fails now, not after simulating the table; a directory is
     # refused as given, before npz_path names a file beside it
     out = Path(args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed, model))
-    out = out if out.is_dir() else cal.npz_path(out)
+    if not out.is_dir():
+        # Path drops a trailing "/" or "/.", so the file name is read from the string
+        if args.out and os.path.basename(args.out) in ("", "."):
+            raise ValueError(f"cannot write {args.out}: it names no file")
+        out = cal.npz_path(out)
     _check_writable(out)
     if out.exists() and not args.force:
         raise ValueError(f"{out} exists; pass --force to overwrite")

@@ -69,17 +69,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("m", "n", "power_reps", "calib_reps", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            cal._check_integer(name, getattr(self, name))
         if self.n > self.m:
             raise ValueError(f"n must not exceed m, got n={self.n} m={self.m}")
         if self.m < 2 or self.n < 2:
             raise ValueError("m and n must be at least 2")
         if not (0.0 < self.level < 1.0):
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
+        cal._check_seed("master_seed", self.master_seed)
         if self.power_reps < 1:
             raise ValueError("power_reps must be positive")
         if self.calib_reps < 100:
@@ -193,7 +190,7 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> c
     for this (statistic, m, n, reps, seed); any other file is recomputed
     in the run's pool, as mc_null_table would compute it, and overwritten.
     """
-    key = (statistic, config.m, config.n, config.calib_reps, config.master_seed)
+    key = cal.table_key(statistic, config.m, config.n, config.calib_reps, config.master_seed)
     path = None if cache_dir is None else Path(cache_dir) / cal.cache_key(*key)
     if path is not None and path.exists():
         with contextlib.suppress(ValueError):
@@ -251,6 +248,7 @@ def _power_point(config, grid_idx, null, tables, pool):
 
 
 def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> PowerCurve:
+    cal._check_integer("threads", threads)
     if threads < 0:
         raise ValueError(f"threads must be at least 0 (0 = one per core), got {threads}")
     # a pool forks all its workers at once, so it gets at most one per core;

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,26 @@ class TestMcNullTable:
     def test_reps_floor(self):
         with pytest.raises(ValueError):
             mc_null_table(st.HC, 50, 50, 10, master_seed=0)
+
+    @pytest.mark.parametrize("reps, seed, message", [
+        (100, 0.5, "seed must be an integer, got 0.5"),
+        (100, 1.0, "seed must be an integer, got 1.0"),
+        (100, True, "seed must be an integer, got True"),
+        (100.0, 0, "reps must be an integer, got 100.0"),
+        (100, 2**63, f"seed must be below 2**63, got {2**63}"),
+    ])
+    def test_reps_and_seed_a_file_can_hold(self, monkeypatch, reps, seed, message):
+        # refused before anything is simulated, not stored under a key that
+        # names another seed or that its file cannot hold
+        monkeypatch.setattr(cal, "replicate_rows", None)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mc_null_table(st.HC, 5, 5, reps, seed)
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        # numpy integers are accepted, up to the largest seed an int64 holds
+        table = mc_null_table(st.HC, 5, 5, np.int64(100), np.uint64(2**63 - 1))
+        loaded = load_null_table(save_null_table(table, tmp_path / "t"))
+        assert loaded.key == table.key == (st.HC, 5, 5, 100, 2**63 - 1)
 
     def test_rank_stream(self):
         # replicate k: a shuffle of m ones and n zeros from the stream (seed, 101, k)

@@ -203,7 +203,8 @@ class TestCmdTest:
     @pytest.mark.parametrize("flag, value, message", [
         ("--reps", "99", "error: reps must be at least 100\n"),
         ("--seed", "-1", "error: seed must be non-negative, got -1\n"),
-    ], ids=["reps", "seed"])
+        ("--seed", str(2**63), f"error: seed must be below 2**63, got {2**63}\n"),
+    ], ids=["reps", "seed", "seed-2**63"])
     def test_calibration_flags_validated_on_every_run(
         self, tmp_path, capsys, tests, flag, value, message
     ):
@@ -566,6 +567,12 @@ class TestCmdCalibrate:
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: cannot write {plain}: it is a directory\n"
         assert not (tmp_path / "out.npz").exists()
+        # with no such directory, Path would read sub/ as sub and write sub.npz
+        for name in (f"{tmp_path}/sub/", f"{tmp_path}/sub/."):
+            args[-1] = name
+            assert main(args) == 1
+            assert capsys.readouterr().err == f"error: cannot write {name}: it names no file\n"
+            assert not (tmp_path / "sub.npz").exists() and not (tmp_path / "sub").exists()
 
     def test_lrt_default_names_carry_the_model(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1008,6 +1015,11 @@ class TestErrorBoundary:
             "calibrate": ["--statistic", "HC", "--m", "5", "--n", "5", "--reps", "100",
                           "--out", str(out) + ".npz"],
         }[command]
-        assert main([command, *argv, "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == f"error: {name} must be non-negative, got -1\n"
-        assert not out.exists() and not (tmp_path / "out.npz").exists()
+        if command == "power":
+            argv += ["--cache-dir", str(out)]
+        # a table file holds its seed as an int64, so 2**63 is refused too,
+        # before anything is simulated or written
+        for seed, rule in [("-1", "must be non-negative"), (str(2**63), "must be below 2**63")]:
+            assert main([command, *argv, "--seed", seed]) == 1
+            assert capsys.readouterr().err == f"error: {name} {rule}, got {seed}\n"
+            assert not out.exists() and not (tmp_path / "out.npz").exists()

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,9 +104,19 @@ class TestRunPowerGrid:
         b = run_power_grid(cfg, threads=3)
         assert a.to_csv() == b.to_csv()
 
-    def test_negative_threads_refused(self):
-        with pytest.raises(ValueError, match="threads"):
-            run_power_grid(small_config(), threads=-1)
+    def test_negative_threads_refused(self, monkeypatch):
+        # a float or a bool is no worker count either: 2.5 ran 2 workers,
+        # True none, and 1.5 failed in ProcessPoolExecutor
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", None)
+        for threads, message in [
+            (-1, "threads must be at least 0 (0 = one per core), got -1"),
+            (2.5, "threads must be an integer, got 2.5"),
+            (1.5, "threads must be an integer, got 1.5"),
+            (True, "threads must be an integer, got True"),
+        ]:
+            for run in (run_power_grid, run_null_level):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    run(small_config(), threads=threads)
 
     def test_boundary_marker(self):
         cfg = small_config()

@@ -1,12 +1,17 @@
-"""Every name that perfbench/run.py attaches to still resolves on the package.
+"""Every name that perfbench/run.py attaches to still resolves on the package,
+and every argument its hooks read is still where they read it.
 
 The benchmark hooks functions by (module, attribute); a hook whose name is
 gone attaches nowhere, and its per-layer metrics drop out of the report.
-The names are read from run.py's source, which is neither imported nor run.
+Its AFTER and REPLACE hooks read a call's arguments by position or keyword,
+through _arg(args, kwargs, pos, key); a parameter that moves is read from the
+wrong place (its _collect wrapper then silently records 0 reps).  The names
+and positions are read from run.py's source, which is neither imported nor run.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -43,3 +48,40 @@ def test_names_found():
 @pytest.mark.parametrize("module, attr", NAMES, ids=[f"{m}.{a}" for m, a in NAMES])
 def test_hooked_name_resolves(module, attr):
     assert hasattr(importlib.import_module(f"mixdetect.{module}"), attr)
+
+
+def read_arguments() -> list:
+    """(module, attribute, pos, key) of each _arg(args, kwargs, pos, key) call
+    in the function that run.py's AFTER or REPLACE maps a hooked attribute to."""
+    tree = ast.parse(RUN.read_text())
+    modules = {attr: module for module, attr in NAMES}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reads = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in (
+            "AFTER", "REPLACE"
+        ):
+            for attr, hook in zip(node.value.keys, node.value.values):
+                attr = ast.literal_eval(attr)
+                for call in ast.walk(functions[hook.id]):
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                        pos, key = (ast.literal_eval(a) for a in call.args[2:])
+                        reads.append((modules[attr], attr, pos, key))
+    return reads
+
+
+READS = read_arguments()
+
+
+def test_arguments_found():
+    assert ("experiments", "_collect", 8, "reps") in READS
+    assert ("calibration", "save_null_table", 1, "path") in READS
+    assert len(READS) >= 8
+
+
+@pytest.mark.parametrize(
+    "module, attr, pos, key", READS, ids=[f"{a}[{p}]={k}" for _, a, p, k in READS]
+)
+def test_read_argument_is_at_its_position(module, attr, pos, key):
+    fn = getattr(importlib.import_module(f"mixdetect.{module}"), attr)
+    assert list(inspect.signature(fn).parameters)[pos] == key
