@@ -17,7 +17,7 @@ defines a table's key once: NullTable.key, its file's fields and name
 (cache_key) and the matches of the harness cache and of test --table.
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
-as in rng_scheme 6; the seed words of a whole batch of streams are hashed
+as in rng_scheme 7; the seed words of a whole batch of streams are hashed
 in one vectorised pass (_seed_words), and numpy's PCG64 seeds each
 replicate's own generator from them, so no replicate builds a SeedSequence.
 
@@ -44,12 +44,15 @@ from .distributions import GGParams, MixtureAlt, gg_sample, mixture_sample
 
 # version of the null-table file format; files of another version are
 # refused (4: an LRT file also carries the gamma, scale, eps and mu it was
-# simulated for)
-CACHE_FORMAT_VERSION = 4
+# simulated for; 5: the draws of rng_scheme 7, which moved gamma = 1 LRT
+# tables; a scheme that moves a file's draws moves this version too)
+CACHE_FORMAT_VERSION = 5
 
 # version of the harness's seed streams and statistic values, recorded in
-# its JSON output; a change to either moves it (CHANGES.md records each scheme)
-RNG_SCHEME = 6
+# its JSON output; a change to either moves it (CHANGES.md records each
+# scheme).  7: gamma = 1 is drawn as scale * (E1 - E2), and a mixture sample
+# shifts its first K ~ Binomial(n, eps) draws, so only its multiset is iid
+RNG_SCHEME = 7
 
 _TINY_P = 1e-300
 _SQRT_HALF = math.sqrt(0.5)
@@ -109,6 +112,8 @@ class NullTable:
     model: tuple[GGParams, MixtureAlt] | None = None
 
     def __post_init__(self):
+        _check_sizes(self.m, self.n)
+        _check_seed("seed", self.seed)
         d = self.draws
         if d.ndim != 1 or not np.all(np.isfinite(d)):
             raise ValueError("null-table draws must be a finite 1-D array")
@@ -361,6 +366,14 @@ def _check_seed(name: str, seed) -> None:
         raise ValueError(f"{name} must be below 2**63, got {seed}")
 
 
+def _check_sizes(m: int, n: int) -> None:
+    """Refuse sample sizes that are not integers of at least 1."""
+    _check_integer("m", m)
+    _check_integer("n", n)
+    if m < 1 or n < 1:
+        raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
+
+
 def _check_table_inputs(reps: int, seed: int) -> None:
     """Refuse a Monte Carlo table of under 100 replicates, or a reps or seed
     that its file cannot hold."""
@@ -382,8 +395,7 @@ def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) 
     pool.
     """
     _check_table_inputs(reps, seed)
-    if m < 1 or n < 1:
-        raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
+    _check_sizes(m, n)
     stat = STATISTICS.get(statistic)
     if stat is None:
         raise ValueError(f"unknown statistic {statistic!r}")

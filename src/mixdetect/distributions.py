@@ -136,18 +136,17 @@ def gg_quantile(q, p: GGParams):
 def gg_sample(count: int, p: GGParams, rng: np.random.Generator) -> np.ndarray:
     """iid draws from the generalized Gaussian.
 
-    gamma = 2 is drawn as scale * standard_normal; any other gamma uses
-    |X/scale|**gamma / gamma ~ Gamma(1/gamma) with a uniform sign.  numpy
-    draws Gamma(1) by its standard exponential, so gamma = 1 calls that
-    directly: the same values and stream position, without the power.
+    gamma = 2 is drawn as scale * standard_normal, and gamma = 1 (Laplace)
+    as scale * (E1 - E2), E1 and E2 two standard_exponential(count) draws
+    in that order (Devroye 1986, ch. IX).  Any other gamma uses
+    |X/scale|**gamma / gamma ~ Gamma(1/gamma) with a uniform sign.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if p.gamma == 2.0:
         return p.scale * rng.standard_normal(count)
     if p.gamma == 1.0:
-        w = rng.standard_exponential(count)
-        return (rng.integers(0, 2, size=count) * 2 - 1) * p.scale * w
+        return p.scale * (rng.standard_exponential(count) - rng.standard_exponential(count))
     w = rng.gamma(1.0 / p.gamma, size=count)
     sign = rng.integers(0, 2, size=count) * 2 - 1
     return sign * p.scale * (p.gamma * w) ** (1.0 / p.gamma)
@@ -156,10 +155,16 @@ def gg_sample(count: int, p: GGParams, rng: np.random.Generator) -> np.ndarray:
 def mixture_sample(
     count: int, p: GGParams, alt: MixtureAlt, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draws from (1-eps)*F + eps*F(. - mu) by per-draw Bernoulli thinning."""
+    """Draws from (1-eps)*F + eps*F(. - mu): count draws from F, then one
+    K ~ Binomial(count, eps), and the first K draws carry the shift mu.
+
+    The output is exchangeable only as a multiset: it has the law of count
+    iid mixture draws once its order is forgotten, which is all that the
+    statistics here read (the ranks through the pooled order, the LRT as a
+    sum over the sample).
+    """
     base = gg_sample(count, p, rng)
-    contaminated = rng.random(count) < alt.epsilon
-    base[contaminated] += alt.mu
+    base[:rng.binomial(count, alt.epsilon)] += alt.mu
     return base
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -83,6 +84,34 @@ class TestMcNullTable:
         table = mc_null_table(st.HC, m, n, 100, master_seed=4)
         np.testing.assert_array_equal(table.draws, np.sort(expected))
 
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_data_stream(self, gamma):
+        # replicate k: X = F-sample of m, then the Y-sample's F-draws, then
+        # K ~ Binomial(n, eps) shifting its first K, all from the stream (*parts, k)
+        p, alt, m, n, parts = GGParams(gamma, 0.8), MixtureAlt(0.2, 1.5), 40, 30, [6, 201, 2]
+        tests = [st.LRT, st.HC, st.WILCOXON, st.KS, st.TAILRUN]
+        expected = []
+        for k in range(12):
+            rng = np.random.default_rng(np.random.SeedSequence([*parts, k]))
+            x, y = gg_sample(m, p, rng), gg_sample(n, p, rng)
+            y[:rng.binomial(n, alt.epsilon)] += alt.mu
+            xi = st.pooled_indicator(x, y)
+            expected.append([st.lrt_stat(y, p, alt)] + [
+                float(f(xi, m, n)) for f in (st.hc_from_indicator, st.wilcoxon_from_indicator,
+                                             st.ks_from_indicator, st.tailrun_from_indicator)
+            ])
+        got = cal.replicate_rows(cal.DATA, tests, p, alt, [alt], m, n, parts, 0, 12)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_lrt_table_at_gamma_one(self):
+        # the LRT null's Y-samples at gamma = 1 are scale * (E1 - E2); sha256
+        # of the draws as of rng_scheme 7 (numpy 2.4.6)
+        model = (GGParams.double_exponential_unit_variance(), MixtureAlt(0.1, 1.5))
+        table = mc_null_table(st.LRT, 30, 40, 200, master_seed=4, model=model)
+        assert hashlib.sha256(table.draws.tobytes()).hexdigest() == (
+            "be91ea9afe01fc670fd46d86dcf7aec458bf206bcc95b61c0920d25ea0e2dbc7"
+        )
+
     @pytest.mark.parametrize(
         "statistic, pmf",
         [(st.WILCOXON, wilcoxon_exact_null), (st.TAILRUN, tailrun_null_pmf)],
@@ -102,6 +131,20 @@ class TestMcNullTable:
     def test_empty_sample_refused(self, m, n):
         with pytest.raises(ValueError, match=f"m={m}, n={n}"):
             mc_null_table(st.HC, m, n, 200, master_seed=0)
+
+    @pytest.mark.parametrize("m, n, message", [
+        (True, 5, "m must be an integer, got True"),
+        (5.0, 5, "m must be an integer, got 5.0"),
+        (5, 4.5, "n must be an integer, got 4.5"),
+    ])
+    def test_sizes_must_be_integers(self, monkeypatch, m, n, message):
+        # refused before anything is simulated, not keyed with a bool or float
+        def fail(*args, **kwargs):
+            raise AssertionError("replicates drawn for sizes that are not integers")
+
+        monkeypatch.setattr(cal, "replicate_rows", fail)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mc_null_table(st.HC, m, n, 100, 0)
 
     @pytest.mark.parametrize("statistic, method", [
         (st.WILCOXON, "normal-approx"), (st.KS, "smirnov-limit"), (st.TAILRUN, "exact"),
@@ -755,6 +798,22 @@ class TestCacheRoundTrip:
         np.testing.assert_array_equal(loaded.draws, table.draws)
         assert loaded.draws.dtype == np.float64
 
+    @pytest.mark.parametrize("m, n, seed, message", [
+        (5, 5, 1.5, "seed must be an integer, got 1.5"),
+        (5.7, 5, 0, "m must be an integer, got 5.7"),
+        (5, "5", 0, "n must be an integer, got '5'"),
+        (True, 5, 0, "m must be an integer, got True"),
+        (0, 5, 0, "m and n must be at least 1, got m=0, n=5"),
+        (5, 5, -1, "seed must be non-negative, got -1"),
+        (5, 5, 2**63, f"seed must be below 2**63, got {2**63}"),
+    ])
+    def test_hand_built_key_a_file_can_hold(self, m, n, seed, message):
+        # a table is refused, not saved under a key that its file would read
+        # back as another (seed 1.5 as 1, m 5.7 as 5) or cannot hold (2**63)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NullTable(st.HC, m, n, np.arange(3.0), seed)
+        NullTable(st.HC, np.int64(5), 5, np.arange(3.0), np.uint64(2**63 - 1))
+
     def test_no_overwrite_without_force(self, tmp_path):
         table = mc_null_table(st.HC, 20, 20, 150, master_seed=1)
         path = tmp_path / "hc.npz"
@@ -863,7 +922,7 @@ class TestLoadChecks:
 
     def test_rejects_format_3(self, tmp_path):
         # format 3 files carry no model; an HC file of format 3 is refused too
-        assert cal.CACHE_FORMAT_VERSION == 4
+        assert cal.CACHE_FORMAT_VERSION == 5
         path = self.write(tmp_path / "v3.npz", [1.0, 2.0], version=3)
         with pytest.raises(ValueError, match="version 3"):
             load_null_table(path)

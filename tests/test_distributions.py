@@ -173,28 +173,30 @@ def gamma_route(count, p, rng):
 
 
 class TestSamplerRoutes:
-    """gamma = 2 is drawn directly; every other gamma by gamma variates."""
+    """gamma = 2 and gamma = 1 are drawn directly; every other gamma by gamma
+    variates."""
 
     def test_normal_route(self):
         p = GGParams(gamma=2.0, scale=1.7)
         got = gg_sample(1000, p, np.random.default_rng(21))
         np.testing.assert_array_equal(got, 1.7 * np.random.default_rng(21).standard_normal(1000))
 
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
     def test_gamma_route_kept(self, gamma):
         p = GGParams(gamma=gamma, scale=1.3)
         got = gg_sample(1000, p, np.random.default_rng(23))
         np.testing.assert_array_equal(got, gamma_route(1000, p, np.random.default_rng(23)))
 
-    @pytest.mark.parametrize("scale", [1.0, 1 / math.sqrt(2), 0.37, 4.5])
-    def test_exponential_route_is_the_gamma_route(self, scale):
-        # gamma = 1 draws standard exponentials, not Gamma(1) variates: the
-        # values and the stream position after them are the gamma route's
+    @pytest.mark.parametrize("scale", [1.0, 1 / math.sqrt(2), 0.37, 4.5, 1.3])
+    def test_exponential_difference_route(self, scale):
+        # gamma = 1 (Laplace) is scale * (E1 - E2), two standard exponential
+        # draws in that order: the values and the stream position after them
         p = GGParams(gamma=1.0, scale=scale)
         for seed in range(8):
-            rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
-            np.testing.assert_array_equal(gg_sample(2000, p, rng), gamma_route(2000, p, old))
-            assert rng.random() == old.random()
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            e1, e2 = ref.standard_exponential(2000), ref.standard_exponential(2000)
+            np.testing.assert_array_equal(gg_sample(2000, p, rng), scale * (e1 - e2))
+            assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("gamma, scale", [(2.0, 2.5), (1.0, 0.4)])
     def test_direct_route_fits_cdf(self, gamma, scale):
@@ -243,6 +245,37 @@ class TestMixture:
         )
         sd = math.sqrt(expected * (1 - expected) / count)
         assert abs(np.mean(draws > thr) - expected) < 4 * sd
+
+
+class TestContaminationCount:
+    """mixture_sample draws K ~ Binomial(count, eps) after the base sample
+    and shifts the first K draws."""
+
+    def test_first_k_shifted_after_the_base_draws(self):
+        alt = MixtureAlt(epsilon=0.3, mu=2.5)
+        for seed in range(8):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            base = gg_sample(50, NORMAL, ref)
+            base[:ref.binomial(50, alt.epsilon)] += alt.mu
+            np.testing.assert_array_equal(mixture_sample(50, NORMAL, alt, rng), base)
+            assert rng.random() == ref.random()
+
+    def test_count_is_binomial(self):
+        # mu = 1e6 sets the shifted draws apart, so K is read off each sample
+        count, reps, alt = 20, 20000, MixtureAlt(epsilon=0.15, mu=1e6)
+        rng = np.random.default_rng(31)
+        ks = np.empty(reps, dtype=int)
+        for i in range(reps):
+            shifted = mixture_sample(count, NORMAL, alt, rng) > alt.mu / 2
+            ks[i] = shifted.sum()
+            assert shifted[:ks[i]].all()
+        expected = reps * stats.binom.pmf(np.arange(count + 1), count, alt.epsilon)
+        observed = np.bincount(ks, minlength=count + 1)
+        # pool the upper tail where fewer than 5 counts are expected
+        cut = int(np.argmax(expected < 5))
+        observed = np.append(observed[:cut], observed[cut:].sum())
+        expected = np.append(expected[:cut], expected[cut:].sum())
+        assert stats.chisquare(observed, expected).pvalue > 0.001
 
 
 class TestCalibrations:
