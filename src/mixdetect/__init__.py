@@ -47,7 +47,6 @@ from .statistics import (
     TAILRUN,
     WILCOXON,
     TiesError,
-    TwoSample,
     dejitter,
     hc_from_indicator,
     hc_sup_form_from_indicator,

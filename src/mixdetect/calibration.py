@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import statistics as st
-from .distributions import GGParams, MixtureAlt, gg_sample, mixture_sample
+from .distributions import GGParams, MixtureAlt, check_integer, gg_sample, mixture_sample
 
 # version of the null-table file format; files of another version are
 # refused (4: an LRT file also carries the gamma, scale, eps and mu it was
@@ -182,9 +182,8 @@ _M32 = 2**32 - 1
 
 def _words(v) -> list[int]:
     """The little-endian 32-bit words SeedSequence reads an entropy int as."""
+    check_integer("stream entropy", v)
     v = int(v)
-    if v < 0:
-        raise ValueError(f"stream entropy must be non-negative, got {v}")
     words = [v & _M32]
     while v := v >> 32:
         words.append(v & _M32)
@@ -350,36 +349,24 @@ def _serial(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps) -> np.nda
     return replicate_rows(kind, tests, model, alt, lrt_alts, m, n, seed_parts, 0, reps).T
 
 
-def _check_integer(name: str, value) -> None:
-    """Refuse a value that is not an integer: a float, a string or a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_seed(name: str, seed) -> None:
     """Refuse a seed that is not an integer in [0, 2**63), the range of the
     int64 a table file holds it in."""
-    _check_integer(name, seed)
-    if seed < 0:
-        raise ValueError(f"{name} must be non-negative, got {seed}")
+    check_integer(name, seed)
     if seed >= 2**63:
         raise ValueError(f"{name} must be below 2**63, got {seed}")
 
 
 def _check_sizes(m: int, n: int) -> None:
     """Refuse sample sizes that are not integers of at least 1."""
-    _check_integer("m", m)
-    _check_integer("n", n)
-    if m < 1 or n < 1:
-        raise ValueError(f"m and n must be at least 1, got m={m}, n={n}")
+    check_integer("m", m, 1)
+    check_integer("n", n, 1)
 
 
 def _check_table_inputs(reps: int, seed: int) -> None:
     """Refuse a Monte Carlo table of under 100 replicates, or a reps or seed
     that its file cannot hold."""
-    _check_integer("reps", reps)
-    if reps < 100:
-        raise ValueError("reps must be at least 100")
+    check_integer("reps", reps, 100)
     _check_seed("seed", seed)
 
 
@@ -390,9 +377,9 @@ def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) 
     n Y-labels (tag TAG_CALIB_RANK).  The LRT draws its Y-sample from F = p
     (tag TAG_CALIB_LRT) and gives one table per alternative in alts, table
     i carrying the model (p, alts[i]).  A test whose p-value reads no table
-    is refused.  collect runs the replicates: it is called positionally as
-    _serial is, and the power harness passes its own, which uses the run's
-    pool.
+    is refused, and so are HC given a model and the LRT given none.  collect
+    runs the replicates: it is called positionally as _serial is, and the
+    power harness passes its own, which uses the run's pool.
     """
     _check_table_inputs(reps, seed)
     _check_sizes(m, n)
@@ -401,8 +388,10 @@ def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) 
         raise ValueError(f"unknown statistic {statistic!r}")
     if not stat.monte_carlo:
         raise ValueError(f"{statistic} reads no null table: its p-value uses the {stat.method} null")
-    if not stat.rank and p is None:
+    if not stat.rank and (p is None or not alts):
         raise ValueError("LRT calibration requires the model (GGParams, MixtureAlt)")
+    if stat.rank and (p is not None or alts):
+        raise ValueError(f"{statistic} is simulated on label arrangements; it reads no model")
     kind, tag = (RANK_NULL, TAG_CALIB_RANK) if stat.rank else (LRT_NULL, TAG_CALIB_LRT)
     columns = collect(kind, p, None, alts, m, n, [statistic], [seed, tag], reps)
     models = [(p, a) for a in alts] or [None]
@@ -465,10 +454,9 @@ def wilcoxon_pvalue(u, m: int, n: int) -> PValue:
 
 def wilcoxon_exact_null(m: int, n: int) -> np.ndarray:
     """Exact null pmf of U over {0, ..., mn} by the rank-sum recursion."""
+    _check_sizes(m, n)
     if m + n > 24:
         raise ValueError("exact enumeration limited to m + n <= 24")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
     # counts[i, j, u]: arrangements of i X's and j Y's with U = u
     top = m * n
     counts = np.zeros((m + 1, n + 1, top + 1))
@@ -528,8 +516,7 @@ def tailrun_pvalue(l: int, m: int, n: int) -> PValue:
 
 def tailrun_null_pmf(m: int, n: int) -> np.ndarray:
     """Exact null pmf of the tail run over {0, ..., n}."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    _check_sizes(m, n)
     sf = np.append(np.exp(_tailrun_log_sf(np.arange(n + 1), m, n)), 0.0)
     return sf[:-1] - sf[1:]
 
@@ -584,10 +571,16 @@ def load_null_table(path) -> NullTable:
             if version != CACHE_FORMAT_VERSION:
                 raise ValueError(f"unsupported cache format version {version}")
             fields = _KEY_FIELDS if str(data["statistic"]) == st.LRT else _KEY_FIELDS[:5]
-            statistic, m, n, reps, seed, *model = [kind(data[name]) for name, _, kind, _ in fields]
+            values = []
+            for name, _, kind, dtype in fields:
+                value = data[name]
+                if not np.issubdtype(value.dtype, dtype):
+                    raise TypeError(f"field {name} is {value.dtype}, not {dtype.__name__}")
+                values.append(kind(value))
+            statistic, m, n, reps, seed, *model = values
             model = (GGParams(*model[:2]), MixtureAlt(*model[2:])) if model else None
             table = NullTable(statistic, m, n, data["draws"].copy(), seed, model)
-    # EOFError: an empty file; TypeError: a bare .npy, or a field of the wrong shape or type
+    # EOFError: an empty file; TypeError: a bare .npy, or a field of the wrong shape or dtype
     except (KeyError, EOFError, TypeError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path} is not a null-table file: {e}") from None
     if table.reps != reps:

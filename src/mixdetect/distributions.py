@@ -23,6 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_integer(name: str, value, least: int = 0) -> None:
+    """Refuse a count, size, seed or thread count that is not an integer (a
+    bool, a float or a string) or is below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse a model parameter that is not a positive finite real; a bool
+    is refused, not read as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite real, got {value}")
+
+
 @dataclass(frozen=True)
 class GGParams:
     """Shape exponent and scale of a generalized Gaussian distribution."""
@@ -31,10 +47,8 @@ class GGParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be a positive finite real, got {self.scale}")
+        for name in ("gamma", "scale"):
+            _check_positive(name, getattr(self, name))
 
     @property
     def variance(self) -> float:
@@ -65,8 +79,7 @@ class MixtureAlt:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.5):
             raise ValueError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be a positive finite real, got {self.mu}")
+        _check_positive("mu", self.mu)
 
 
 def _check_finite(x):
@@ -141,8 +154,7 @@ def gg_sample(count: int, p: GGParams, rng: np.random.Generator) -> np.ndarray:
     in that order (Devroye 1986, ch. IX).  Any other gamma uses
     |X/scale|**gamma / gamma ~ Gamma(1/gamma) with a uniform sign.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    check_integer("count", count)
     if p.gamma == 2.0:
         return p.scale * rng.standard_normal(count)
     if p.gamma == 1.0:
@@ -174,8 +186,7 @@ def sparse_calibration(n: int, beta: float, r: float, gamma: float) -> MixtureAl
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_integer("n", n, 2)
     eps = n ** (-beta)
     if eps >= 0.5:
         raise ValueError(f"epsilon = n**-beta = {eps} >= 1/2; increase n or beta")
@@ -193,6 +204,5 @@ def dense_calibration(n: int, beta: float, s: float) -> MixtureAlt:
         raise ValueError(f"beta must lie in (0, 1/2), got {beta}")
     if not (0.0 < s <= 0.5):
         raise ValueError(f"s must lie in (0, 1/2], got {s}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_integer("n", n, 2)
     return MixtureAlt(epsilon=n ** (-beta), mu=n ** (s - 0.5))

@@ -33,7 +33,8 @@ import numpy as np
 from . import calibration as cal
 from . import statistics as st
 from . import theory
-from .distributions import GGParams, MixtureAlt, dense_calibration, sparse_calibration
+from .distributions import (GGParams, MixtureAlt, check_integer, dense_calibration,
+                            sparse_calibration)
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -68,19 +69,13 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("m", "n", "power_reps", "calib_reps", "master_seed"):
-            cal._check_integer(name, getattr(self, name))
+        for name, least in (("m", 2), ("n", 2), ("power_reps", 1), ("calib_reps", 100)):
+            check_integer(name, getattr(self, name), least)
+        cal._check_seed("master_seed", self.master_seed)
         if self.n > self.m:
             raise ValueError(f"n must not exceed m, got n={self.n} m={self.m}")
-        if self.m < 2 or self.n < 2:
-            raise ValueError("m and n must be at least 2")
         if not (0.0 < self.level < 1.0):
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        cal._check_seed("master_seed", self.master_seed)
-        if self.power_reps < 1:
-            raise ValueError("power_reps must be positive")
-        if self.calib_reps < 100:
-            raise ValueError("calib_reps must be at least 100")
         if self.regime not in (SPARSE, DENSE):
             raise ValueError(f"regime must be sparse or dense, got {self.regime!r}")
         st.check_tests(self.tests)
@@ -213,7 +208,7 @@ def _lrt_null_table(config: ScenarioConfig, statistic: str, pool) -> list:
     mc_null_table(statistic, ..., model=(model, alt_g)), its model included.
     """
     alts = [config.alt_for(g) for g in config.grid]
-    key = (statistic, config.m, config.n, config.calib_reps, config.master_seed)
+    key = cal.table_key(statistic, config.m, config.n, config.calib_reps, config.master_seed)
     return cal._null_tables(*key, config.model, alts, functools.partial(_collect, pool=pool))
 
 
@@ -248,9 +243,7 @@ def _power_point(config, grid_idx, null, tables, pool):
 
 
 def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> PowerCurve:
-    cal._check_integer("threads", threads)
-    if threads < 0:
-        raise ValueError(f"threads must be at least 0 (0 = one per core), got {threads}")
+    check_integer("threads", threads)  # 0 = one per core
     # a pool forks all its workers at once, so it gets at most one per core;
     # the output is the same at any worker count
     cores = os.cpu_count() or 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,30 +54,6 @@ class TiesError(ValueError):
         )
 
 
-@dataclass
-class TwoSample:
-    """Control sample x (from F) and test sample y (from G)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.x.size < 1 or self.y.size < 1:
-            raise ValueError("both samples must be nonempty")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("samples must contain only finite values")
-
-    @property
-    def m(self) -> int:
-        return self.x.size
-
-    @property
-    def n(self) -> int:
-        return self.y.size
-
-
 def dejitter(x, y):
     """Break ties deterministically, keeping every strict inequality.
 
@@ -112,10 +87,17 @@ def dejitter(x, y):
 def pooled_indicator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """X-origin indicator of the pooled sample in ascending order.
 
-    Raises TiesError naming the duplicated value if any pooled value repeats.
+    Refuses an empty sample or a NaN, which has no rank, and raises
+    TiesError naming the duplicated value if any pooled value repeats.
     """
+    xs, ys = np.sort(x), np.sort(y)
+    if xs.size == 0 or ys.size == 0:
+        raise ValueError("both samples must be nonempty")
+    # np.sort puts NaNs last, so a sample holds one only if its last value is
+    if math.isnan(xs[-1]) or math.isnan(ys[-1]):
+        raise ValueError("samples must not contain NaN")
     # sorted runs first: the stable argsort (timsort) then only merges the two
-    pooled = np.concatenate([np.sort(x), np.sort(y)])
+    pooled = np.concatenate([xs, ys])
     order = np.argsort(pooled, kind="stable")
     svals = pooled[order]
     dup = svals[1:] == svals[:-1]

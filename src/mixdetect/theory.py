@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GGParams, MixtureAlt, gg_cdf, gg_pdf, gg_survival
+from .distributions import GGParams, MixtureAlt, check_integer, gg_cdf, gg_pdf, gg_survival
 
 _YES_RATIO = 10.0
 _NO_RATIO = 0.1
@@ -58,11 +58,6 @@ def quad_pieces(fn, cuts, upper: float = np.inf, *, what: str) -> float:
             raise ValueError(f"{what} did not converge ({reason})")
         total += val
     return total
-
-
-def _check_size(name: str, value: int, least: int) -> None:
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _report(lhs: float, scale: float, where: float | None = None) -> ConditionReport:
@@ -120,7 +115,7 @@ def hc_conditions(
     true value, at most sqrt(n * eps * sf(t-mu) / eta), is lost below the
     float range.
     """
-    _check_size("n", n, 2)  # log n is the comparison scale
+    check_integer("n", n, 2)  # log n is the comparison scale
     if not (0.0 < eta <= 0.5):
         raise ValueError(f"eta must lie in (0, 1/2], got {eta}")
     eps, mu = alt.epsilon, alt.mu
@@ -141,7 +136,7 @@ def hc_conditions(
 
 def wilcoxon_condition(n: int, p: GGParams, alt: MixtureAlt) -> ConditionReport:
     """sqrt(n)*eps*(1/2 - integral of F(x - mu) dF(x)) against log n."""
-    _check_size("n", n, 2)
+    check_integer("n", n, 2)
     mu = alt.mu
     total = quad_pieces(
         lambda x: gg_cdf(x - mu, p) * gg_pdf(x, p),
@@ -159,7 +154,7 @@ def ks_condition(n: int, p: GGParams, alt: MixtureAlt) -> ConditionReport:
     since the base density is symmetric and decreasing in |x|, so the sup
     sits exactly at t = mu/2 for every mu.
     """
-    _check_size("n", n, 2)
+    check_integer("n", n, 2)
     t = alt.mu / 2
     gap = gg_survival(t - alt.mu, p) - gg_survival(t, p)
     return _report(math.sqrt(n) * alt.epsilon * gap, 1.0, where=t)
@@ -180,9 +175,9 @@ class TailRunCheck:
 def tailrun_condition(
     t: float, m: int, n: int, p: GGParams, alt: MixtureAlt, l: int
 ) -> TailRunCheck:
-    _check_size("m", m, 1)
-    _check_size("n", n, 1)
-    _check_size("l", l, 0)
+    check_integer("m", m, 1)
+    check_integer("n", n, 1)
+    check_integer("l", l)
     return TailRunCheck(
         tail_mass_x=m * gg_survival(t, p),
         run_margin=n * alt.epsilon * gg_survival(t - alt.mu, p) - 2.0 * l,

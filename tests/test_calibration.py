@@ -129,8 +129,21 @@ class TestMcNullTable:
 
     @pytest.mark.parametrize("m, n", [(0, 5), (3, 0)])
     def test_empty_sample_refused(self, m, n):
-        with pytest.raises(ValueError, match=f"m={m}, n={n}"):
+        name = "m" if m == 0 else "n"
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
             mc_null_table(st.HC, m, n, 200, master_seed=0)
+
+    def test_model_refused_for_a_rank_statistic(self, monkeypatch):
+        # refused before the replicate loop, not after it has run
+        monkeypatch.setattr(cal, "replicate_rows", None)
+        alt = MixtureAlt(0.1, 1.0)
+        message = "^HC is simulated on label arrangements; it reads no model$"
+        with pytest.raises(ValueError, match=message):
+            mc_null_table(st.HC, 50, 50, 100, 0, model=(NORMAL, alt))
+        with pytest.raises(ValueError, match=message):
+            cal._null_tables(st.HC, 50, 50, 100, 0, alts=[alt])
+        with pytest.raises(ValueError, match="^LRT calibration requires the model"):
+            cal._null_tables(st.LRT, 50, 50, 100, 0, NORMAL, alts=[])
 
     @pytest.mark.parametrize("m, n, message", [
         (True, 5, "m must be an integer, got True"),
@@ -803,8 +816,8 @@ class TestCacheRoundTrip:
         (5.7, 5, 0, "m must be an integer, got 5.7"),
         (5, "5", 0, "n must be an integer, got '5'"),
         (True, 5, 0, "m must be an integer, got True"),
-        (0, 5, 0, "m and n must be at least 1, got m=0, n=5"),
-        (5, 5, -1, "seed must be non-negative, got -1"),
+        (0, 5, 0, "m must be at least 1, got 0"),
+        (5, 5, -1, "seed must be at least 0, got -1"),
         (5, 5, 2**63, f"seed must be below 2**63, got {2**63}"),
     ])
     def test_hand_built_key_a_file_can_hold(self, m, n, seed, message):
@@ -936,9 +949,12 @@ class TestLoadChecks:
             load_null_table(path)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("damage", ["empty", "npy", "version", "m", "draws"])
+    @pytest.mark.parametrize("damage", ["empty", "npy", "version", "m", "draws",
+                                        "statistic", "n", "reps", "seed"])
     def test_rejects_a_file_that_is_no_table(self, tmp_path, damage):
-        # numpy raises EOFError on an empty file and TypeError on the others
+        # numpy raises EOFError on an empty file and TypeError on the others;
+        # a key field of another dtype is refused, where int() read n = 5.2
+        # as 5 and the file passed for a table of another key
         path = self.write(tmp_path / "odd.npz", [1.0, 2.0, 3.0])
         if damage == "empty":
             path.write_bytes(b"")
@@ -950,7 +966,8 @@ class TestLoadChecks:
             with np.load(path) as data:
                 fields = dict(data)
             fields[damage] = {"version": np.array([4, 4]), "m": np.array([5, 5]),
-                              "draws": np.array(["a", "b", "c"])}[damage]
+                              "draws": np.array(["a", "b", "c"]), "statistic": np.bytes_(b"HC"),
+                              "n": 5.2, "reps": 3.9, "seed": 0.4}[damage]
             np.savez(path, **fields)
         with pytest.raises(ValueError, match="not a null-table file"):
             load_null_table(path)

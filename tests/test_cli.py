@@ -201,8 +201,8 @@ class TestCmdTest:
 
     @pytest.mark.parametrize("tests", ["wilcoxon", "ks,tailrun", "hc", "table"])
     @pytest.mark.parametrize("flag, value, message", [
-        ("--reps", "99", "error: reps must be at least 100\n"),
-        ("--seed", "-1", "error: seed must be non-negative, got -1\n"),
+        ("--reps", "99", "error: reps must be at least 100, got 99\n"),
+        ("--seed", "-1", "error: seed must be at least 0, got -1\n"),
         ("--seed", str(2**63), f"error: seed must be below 2**63, got {2**63}\n"),
     ], ids=["reps", "seed", "seed-2**63"])
     def test_calibration_flags_validated_on_every_run(
@@ -658,8 +658,7 @@ class TestCmdCalibrate:
         out = tmp_path / "t.npz"
         args = ["calibrate", "--statistic", "HC", "--m", "3", "--n", "0", "--out", str(out)]
         assert main(args) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "n=0" in err
+        assert capsys.readouterr().err == "error: n must be at least 1, got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("model_args, message", [
@@ -754,7 +753,7 @@ class TestCmdPower:
     def test_reps_override_validated(self, tmp_path, capsys):
         args = ["power", "--preset", "normal-dense", "--scale", "0.001", "--out", str(tmp_path)]
         assert main(args + ["--reps", "0"]) == 1
-        assert "power_reps must be positive" in capsys.readouterr().err
+        assert "power_reps must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "normal-dense.csv").exists()
 
     def test_negative_threads_refused(self, tmp_path, capsys):
@@ -924,6 +923,19 @@ class TestCmdPower:
             f"error: invalid config: ValueError('{field} must be an integer, got {value!r}')\n")
         assert not out.exists()
 
+    def test_config_model_bool_refused(self, tmp_path, capsys):
+        from mixdetect import experiments as exp
+
+        # {"gamma": true} ran as gamma = 1 and was recorded as true
+        raw = {**exp.figure_config("normal-dense", 0.0004).to_dict(), "model": {"gamma": True}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["power", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config: ValueError('gamma must be a positive finite real, got True')\n")
+        assert not out.exists()
+
 
 class TestErrorBoundary:
     """Every failure is one 'error: ' line on stderr and exit status 1."""
@@ -1019,7 +1031,7 @@ class TestErrorBoundary:
             argv += ["--cache-dir", str(out)]
         # a table file holds its seed as an int64, so 2**63 is refused too,
         # before anything is simulated or written
-        for seed, rule in [("-1", "must be non-negative"), (str(2**63), "must be below 2**63")]:
+        for seed, rule in [("-1", "must be at least 0"), (str(2**63), "must be below 2**63")]:
             assert main([command, *argv, "--seed", seed]) == 1
             assert capsys.readouterr().err == f"error: {name} {rule}, got {seed}\n"
             assert not out.exists() and not (tmp_path / "out.npz").exists()

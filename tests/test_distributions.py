@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import integrate, special, stats
 from mixdetect import (
     GGParams,
     MixtureAlt,
+    ScenarioConfig,
     dense_calibration,
     gg_cdf,
     gg_pdf,
@@ -14,8 +16,12 @@ from mixdetect import (
     gg_sample,
     gg_survival,
     mixture_sample,
+    run_power_grid,
     sparse_calibration,
 )
+from mixdetect import calibration as cal
+from mixdetect import statistics as st
+from mixdetect import theory
 
 NORMAL = GGParams(gamma=2.0)
 
@@ -34,6 +40,18 @@ class TestValidation:
             sparse_calibration(100, beta=1.0, r=0.5, gamma=2.0)
         with pytest.raises(ValueError):
             dense_calibration(100, beta=0.2, s=0.51)
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), False])
+    def test_bools_refused(self, bad):
+        # True was taken as 1: a config model {"gamma": true} ran as gamma = 1
+        for name, make in [
+            ("gamma", lambda v: GGParams(gamma=v)),
+            ("scale", lambda v: GGParams(gamma=2.0, scale=v)),
+            ("mu", lambda v: MixtureAlt(epsilon=0.1, mu=v)),
+        ]:
+            message = f"^{name} must be a positive finite real, got {bad}$"
+            with pytest.raises(ValueError, match=message):
+                make(bad)
 
     def test_dense_param_accepts_half(self):
         dense_calibration(100, beta=0.2, s=0.5)
@@ -307,3 +325,54 @@ class TestCalibrations:
         a = sparse_calibration(500, beta=0.7, r=0.3, gamma=1.5)
         b = sparse_calibration(500, beta=0.7, r=0.3, gamma=1.5)
         assert (a.epsilon, a.mu) == (b.epsilon, b.mu)
+
+
+def _config(**changes):
+    fields = dict(model=NORMAL, m=50, n=50, regime="sparse", beta=0.6, grid=[0.5],
+                  power_reps=10, calib_reps=100)
+    return ScenarioConfig(**{**fields, **changes})
+
+
+ALT = MixtureAlt(epsilon=0.1, mu=1.0)
+# (name, least, call): every entry point that takes a count, size, reps, seed
+# or thread count, with the one argument under test as v
+INTEGER_ENTRY_POINTS = {
+    "mc_null_table-m": ("m", 1, lambda v: cal.mc_null_table(st.HC, v, 5, 100, 0)),
+    "mc_null_table-n": ("n", 1, lambda v: cal.mc_null_table(st.HC, 5, v, 100, 0)),
+    "mc_null_table-reps": ("reps", 100, lambda v: cal.mc_null_table(st.HC, 5, 5, v, 0)),
+    "mc_null_table-seed": ("seed", 0, lambda v: cal.mc_null_table(st.HC, 5, 5, 100, v)),
+    "ScenarioConfig-m": ("m", 2, lambda v: _config(m=v)),
+    "ScenarioConfig-n": ("n", 2, lambda v: _config(n=v)),
+    "ScenarioConfig-power_reps": ("power_reps", 1, lambda v: _config(power_reps=v)),
+    "ScenarioConfig-calib_reps": ("calib_reps", 100, lambda v: _config(calib_reps=v)),
+    "ScenarioConfig-master_seed": ("master_seed", 0, lambda v: _config(master_seed=v)),
+    "run_power_grid-threads": ("threads", 0, lambda v: run_power_grid(_config(), threads=v)),
+    "hc_conditions-n": ("n", 2, lambda v: theory.hc_conditions(1.0, v, NORMAL, ALT, 0.5)),
+    "wilcoxon_condition-n": ("n", 2, lambda v: theory.wilcoxon_condition(v, NORMAL, ALT)),
+    "ks_condition-n": ("n", 2, lambda v: theory.ks_condition(v, NORMAL, ALT)),
+    "tailrun_condition-m": ("m", 1, lambda v: theory.tailrun_condition(1.0, v, 5, NORMAL, ALT, 1)),
+    "tailrun_condition-n": ("n", 1, lambda v: theory.tailrun_condition(1.0, 5, v, NORMAL, ALT, 1)),
+    "tailrun_condition-l": ("l", 0, lambda v: theory.tailrun_condition(1.0, 5, 5, NORMAL, ALT, v)),
+    "gg_sample-count": ("count", 0, lambda v: gg_sample(v, NORMAL, np.random.default_rng(0))),
+    "sparse_calibration-n": ("n", 2, lambda v: sparse_calibration(v, 0.6, 0.5, 2.0)),
+    "dense_calibration-n": ("n", 2, lambda v: dense_calibration(v, 0.2, 0.3)),
+    "wilcoxon_exact_null-m": ("m", 1, lambda v: cal.wilcoxon_exact_null(v, 5)),
+    "wilcoxon_exact_null-n": ("n", 1, lambda v: cal.wilcoxon_exact_null(5, v)),
+    "tailrun_null_pmf-m": ("m", 1, lambda v: cal.tailrun_null_pmf(v, 5)),
+    "tailrun_null_pmf-n": ("n", 1, lambda v: cal.tailrun_null_pmf(5, v)),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_integer_rule(monkeypatch, entry):
+    # one rule and one message form everywhere, each refusal before anything
+    # is simulated
+    name, least, call = INTEGER_ENTRY_POINTS[entry]
+    monkeypatch.setattr(cal, "replicate_rows", None)
+    for bad, message in [
+        (True, f"{name} must be an integer, got True"),
+        (float(least + 1), f"{name} must be an integer, got {float(least + 1)!r}"),
+        (least - 1, f"{name} must be at least {least}, got {least - 1}"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)

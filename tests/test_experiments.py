@@ -109,7 +109,7 @@ class TestRunPowerGrid:
         # True none, and 1.5 failed in ProcessPoolExecutor
         monkeypatch.setattr(exp, "ProcessPoolExecutor", None)
         for threads, message in [
-            (-1, "threads must be at least 0 (0 = one per core), got -1"),
+            (-1, "threads must be at least 0, got -1"),
             (2.5, "threads must be an integer, got 2.5"),
             (1.5, "threads must be an integer, got 1.5"),
             (True, "threads must be an integer, got True"),

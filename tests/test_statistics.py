@@ -7,7 +7,6 @@ from mixdetect import (
     GGParams,
     MixtureAlt,
     TiesError,
-    TwoSample,
     dejitter,
     gg_sample,
     hc_from_indicator,
@@ -25,10 +24,18 @@ from mixdetect import statistics as st
 from mixdetect.calibration import ks_lambda
 
 
+class Pair:
+    """A control sample x and a test sample y as float arrays, of sizes m and n."""
+
+    def __init__(self, x, y):
+        self.x, self.y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        self.m, self.n = self.x.size, self.y.size
+
+
 def random_two_sample(rng, max_size=200):
     m = int(rng.integers(2, max_size + 1))
     n = int(rng.integers(2, max_size + 1))
-    return TwoSample(x=rng.normal(size=m), y=rng.normal(size=n))
+    return Pair(x=rng.normal(size=m), y=rng.normal(size=n))
 
 
 def on(kernel, ts):
@@ -43,11 +50,11 @@ def rank_profile(ts):
 
 class TestRankProfile:
     def test_singletons(self):
-        v = rank_profile(TwoSample(x=[0.3], y=[0.7]))
+        v = rank_profile(Pair(x=[0.3], y=[0.7]))
         np.testing.assert_array_equal(v, [1])
 
     def test_by_inspection(self):
-        v = rank_profile(TwoSample(x=[3, 4], y=[1, 2]))
+        v = rank_profile(Pair(x=[3, 4], y=[1, 2]))
         np.testing.assert_array_equal(v, [0, 0, 1])
 
     def test_brute_force(self):
@@ -77,13 +84,24 @@ class TestTies:
             pooled_indicator(np.array([1.0, 2.0]), np.array([2.0, 3.0]))
         assert exc.value.value == 2.0
 
+    @pytest.mark.parametrize("x, y, message", [
+        ([0.5, np.nan, 1.0], [2.0, 3.0], "samples must not contain NaN"),
+        ([0.5, 1.0], [np.nan, 2.0, 3.0], "samples must not contain NaN"),
+        ([], [2.0, 3.0], "both samples must be nonempty"),
+    ], ids=["nan-in-x", "nan-in-y", "empty"])
+    def test_refused_samples(self, x, y, message):
+        # a NaN has no rank: it was pooled last as if it were the largest value
+        with pytest.raises(ValueError, match=f"^{message}$") as exc:
+            pooled_indicator(np.array(x), np.array(y))
+        assert not isinstance(exc.value, TiesError)
+
     def test_within_sample_ties_raise(self):
         with pytest.raises(TiesError):
-            on(hc_from_indicator, TwoSample(x=[1.0, 1.0], y=[2.0, 3.0]))
+            on(hc_from_indicator, Pair(x=[1.0, 1.0], y=[2.0, 3.0]))
 
     def test_dejitter_breaks_ties(self):
         x, y = dejitter([1.0, 2.0], [2.0, 1.0])
-        on(hc_from_indicator, TwoSample(x=x, y=y))  # no TiesError
+        on(hc_from_indicator, Pair(x=x, y=y))  # no TiesError
         x2, y2 = dejitter([1.0, 2.0], [2.0, 1.0])
         np.testing.assert_array_equal(x, x2)
         np.testing.assert_array_equal(y, y2)
@@ -263,15 +281,15 @@ class TestKernelBlocks:
 
 class TestHigherCriticism:
     def test_singletons(self):
-        assert on(hc_from_indicator, TwoSample(x=[0.3], y=[0.7])) == pytest.approx(
+        assert on(hc_from_indicator, Pair(x=[0.3], y=[0.7])) == pytest.approx(
             math.sqrt(2), abs=1e-12
         )
-        assert on(hc_from_indicator, TwoSample(x=[0.7], y=[0.3])) == pytest.approx(
+        assert on(hc_from_indicator, Pair(x=[0.7], y=[0.3])) == pytest.approx(
             -math.sqrt(2), abs=1e-12
         )
 
     def test_hand_value_two_by_two(self):
-        ts = TwoSample(x=[1, 2], y=[3, 4])
+        ts = Pair(x=[1, 2], y=[3, 4])
         assert on(hc_from_indicator, ts) == pytest.approx(2.0, abs=1e-12)
         assert on(hc_sup_form_from_indicator, ts) == pytest.approx(2.0, abs=1e-12)
 
@@ -289,7 +307,7 @@ class TestHigherCriticism:
         rng = np.random.default_rng(9)
         for _ in range(50):
             ts = random_two_sample(rng, max_size=40)
-            swapped = TwoSample(x=ts.y, y=ts.x)
+            swapped = Pair(x=ts.y, y=ts.x)
             m, n, N = ts.m, ts.n, ts.m + ts.n
             pooled = np.sort(np.concatenate([ts.x, ts.y]))[:-1]
             fm = np.searchsorted(np.sort(ts.x), pooled, side="right") / m
@@ -304,9 +322,9 @@ class TestHigherCriticism:
 
 class TestWilcoxon:
     def test_extremes(self):
-        assert on(wilcoxon_from_indicator, TwoSample(x=[1, 2], y=[3, 4])) == 4
-        assert on(wilcoxon_from_indicator, TwoSample(x=[3, 4], y=[1, 2])) == 0
-        assert on(wilcoxon_from_indicator, TwoSample(x=[1, 3], y=[2, 4])) == 3
+        assert on(wilcoxon_from_indicator, Pair(x=[1, 2], y=[3, 4])) == 4
+        assert on(wilcoxon_from_indicator, Pair(x=[3, 4], y=[1, 2])) == 0
+        assert on(wilcoxon_from_indicator, Pair(x=[1, 3], y=[2, 4])) == 3
 
     def test_pair_count_brute_force(self):
         rng = np.random.default_rng(2)
@@ -343,10 +361,10 @@ class TestWilcoxon:
 
 class TestKolmogorovSmirnov:
     def test_separated(self):
-        assert on(ks_from_indicator, TwoSample(x=[1, 2], y=[3, 4])) == 1.0
+        assert on(ks_from_indicator, Pair(x=[1, 2], y=[3, 4])) == 1.0
 
     def test_sup_of_nonpositive_function_is_zero(self):
-        assert on(ks_from_indicator, TwoSample(x=[3, 4], y=[1, 2])) == 0.0
+        assert on(ks_from_indicator, Pair(x=[3, 4], y=[1, 2])) == 0.0
 
     def test_brute_force(self):
         rng = np.random.default_rng(4)
@@ -362,14 +380,14 @@ class TestKolmogorovSmirnov:
             assert on(ks_from_indicator, ts) == pytest.approx(brute, abs=1e-12)
 
     def test_scaled_value(self):
-        ts = TwoSample(x=[1, 2], y=[3, 4])
+        ts = Pair(x=[1, 2], y=[3, 4])
         assert ks_lambda(on(ks_from_indicator, ts), ts.m, ts.n) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTailRun:
     def test_cases(self):
-        assert on(tailrun_from_indicator, TwoSample(x=[1, 2], y=[3, 4])) == 2
-        assert on(tailrun_from_indicator, TwoSample(x=[4], y=[1, 2, 3])) == 0
+        assert on(tailrun_from_indicator, Pair(x=[1, 2], y=[3, 4])) == 2
+        assert on(tailrun_from_indicator, Pair(x=[4], y=[1, 2, 3])) == 0
 
     def test_brute_force(self):
         rng = np.random.default_rng(5)
@@ -637,7 +655,7 @@ class TestSharedProperties:
         rng = np.random.default_rng(6)
         for _ in range(30):
             ts = random_two_sample(rng, max_size=40)
-            shifted = TwoSample(x=ts.x, y=ts.y + 0.37)
+            shifted = Pair(x=ts.x, y=ts.y + 0.37)
             assert on(wilcoxon_from_indicator, shifted) >= on(wilcoxon_from_indicator, ts)
             assert on(ks_from_indicator, shifted) >= on(ks_from_indicator, ts)
             assert on(tailrun_from_indicator, shifted) >= on(tailrun_from_indicator, ts)
@@ -646,7 +664,7 @@ class TestSharedProperties:
         rng = np.random.default_rng(7)
         for _ in range(30):
             ts = random_two_sample(rng, max_size=60)
-            tf = TwoSample(x=ts.x**3 + ts.x, y=ts.y**3 + ts.y)
+            tf = Pair(x=ts.x**3 + ts.x, y=ts.y**3 + ts.y)
             assert on(hc_from_indicator, tf) == on(hc_from_indicator, ts)
             assert on(wilcoxon_from_indicator, tf) == on(wilcoxon_from_indicator, ts)
             assert on(ks_from_indicator, tf) == on(ks_from_indicator, ts)
@@ -656,7 +674,7 @@ class TestSharedProperties:
         import time
 
         rng = np.random.default_rng(8)
-        ts = TwoSample(x=rng.normal(size=10**5), y=rng.normal(size=10**5))
+        ts = Pair(x=rng.normal(size=10**5), y=rng.normal(size=10**5))
         t0 = time.time()
         on(hc_from_indicator, ts)
         on(wilcoxon_from_indicator, ts)
