@@ -100,8 +100,9 @@ def table_key(statistic: str, m: int, n: int, reps: int, seed: int, model=None) 
 class NullTable:
     """Sorted Monte Carlo draws of a statistic under H0.
 
-    model is the (GGParams, MixtureAlt) an LRT table was simulated for; a
-    rank table has none.
+    statistic is a test whose p-value reads a table (HC or the LRT); model
+    is the (GGParams, MixtureAlt) an LRT table was simulated for; a rank
+    table has none.
     """
 
     statistic: str
@@ -112,6 +113,7 @@ class NullTable:
     model: tuple[GGParams, MixtureAlt] | None = None
 
     def __post_init__(self):
+        _table_statistic(self.statistic)
         _check_sizes(self.m, self.n)
         _check_seed("seed", self.seed)
         d = self.draws
@@ -312,12 +314,13 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
 
     Replicate k draws from the stream (*parts, k); kind is RANK_NULL,
     LRT_NULL or DATA, and alt is the alternative the Y-sample is drawn from
-    (DATA only).  A RANK_NULL replicate shuffles m ones then n zeros.  A
-    rank statistic gives one value, the LRT one value per alternative in
-    lrt_alts, all on the same sample.  The replicates are drawn one by one
-    into blocks of rows, and each block is scored by one block_values call;
-    a block holds as many rows as keep a row-wide temporary within
-    _BLOCK_ELEMENTS (at least one).  tests are names, so they pickle.
+    (DATA only).  A RANK_NULL replicate shuffles its row of the block, which
+    is set to m ones then n zeros once per block.  A rank statistic gives one
+    value, the LRT one value per alternative in lrt_alts, all on the same
+    sample.  The replicates are drawn one by one into blocks of rows, and
+    each block is scored by one block_values call; a block holds as many
+    rows as keep a row-wide temporary within _BLOCK_ELEMENTS (at least one).
+    tests are names, so they pickle.
     """
     stats = [STATISTICS[t] for t in tests]
     widths = [1 if s.rank else len(lrt_alts) for s in stats]
@@ -331,9 +334,10 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     streams = _streams(parts, k0, k1)
     for a in range(k0, k1, rows):
         b = min(a + rows, k1)
+        if kind == RANK_NULL:
+            xi[:, :m], xi[:, m:] = 1, 0
         for i, (k, rng) in enumerate(zip(range(a, b), streams)):
             if kind == RANK_NULL:
-                xi[i, :m], xi[i, m:] = 1, 0
                 rng.shuffle(xi[i])  # the arrangement rng.permutation gives
             elif kind == LRT_NULL:
                 y[i] = gg_sample(n, model, rng)
@@ -370,6 +374,17 @@ def _check_table_inputs(reps: int, seed: int) -> None:
     _check_seed("seed", seed)
 
 
+def _table_statistic(statistic: str) -> Statistic:
+    """The test that a null table of statistic serves: an unknown name, or a
+    test whose p-value reads no table, is refused."""
+    stat = STATISTICS.get(statistic)
+    if stat is None:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if not stat.monte_carlo:
+        raise ValueError(f"{statistic} reads no null table: its p-value uses the {stat.method} null")
+    return stat
+
+
 def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) -> list:
     """Sorted null tables of statistic, from replicate k of (seed, tag, k).
 
@@ -383,11 +398,7 @@ def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) 
     """
     _check_table_inputs(reps, seed)
     _check_sizes(m, n)
-    stat = STATISTICS.get(statistic)
-    if stat is None:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    if not stat.monte_carlo:
-        raise ValueError(f"{statistic} reads no null table: its p-value uses the {stat.method} null")
+    stat = _table_statistic(statistic)
     if not stat.rank and (p is None or not alts):
         raise ValueError("LRT calibration requires the model (GGParams, MixtureAlt)")
     if stat.rank and (p is not None or alts):

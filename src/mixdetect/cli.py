@@ -7,12 +7,18 @@ experiments), boundary (closed-form detection boundaries), diagnose
 All data goes to stdout or --out files.  Every failure, a refused input or
 an unreadable or unwritable file, is one "error: ..." line on stderr with
 exit status 1.  Every randomized command takes an explicit --seed (default 0).
+
+The parser is built once per process, at main's first call, so a caller that
+runs many commands in one process pays for it once.  main looks a command's
+cmd_<command> up in this module at call time, so a wrapper put on one sees
+every later call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -242,7 +248,9 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="mixdetect",
         description="Two-sample sparse heterogeneous mixture detection toolkit",
@@ -271,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dejitter", action="store_true", help="break ties deterministically")
     add_model_args(p)
-    p.set_defaults(fn=cmd_test)
 
     p = sub.add_parser("power", help="run a power-curve experiment")
     p.add_argument("--config", default=None, help="JSON scenario config file")
@@ -284,13 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=None, help="override test level")
     p.add_argument("--threads", type=int, default=1, help="0 = auto; output-invariant")
     p.add_argument("--cache-dir", default=None, help="null-table cache directory")
-    p.set_defaults(fn=cmd_power)
 
     p = sub.add_parser("boundary", help="print a detection boundary value")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--regime", choices=("sparse", "dense"), required=True)
-    p.set_defaults(fn=cmd_boundary)
 
     p = sub.add_parser("diagnose", help="evaluate a power-condition diagnostic")
     p.add_argument(
@@ -308,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-upper", type=float, default=None,
                    help="upper integration limit (lower-bound; inf)")
     add_model_args(p)
-    p.set_defaults(fn=cmd_diagnose)
 
     p = sub.add_parser("calibrate", help="write a null-table cache file")
     p.add_argument("--statistic", required=True, help="HC or LRT, the Monte Carlo tests")
@@ -319,16 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (.npz)")
     p.add_argument("--force", action="store_true", help="overwrite existing file")
     add_model_args(p)
-    p.set_defaults(fn=cmd_calibrate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up at call time, so a wrapper put on cmd_<command> sees the call
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

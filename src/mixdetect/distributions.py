@@ -32,10 +32,17 @@ def check_integer(name: str, value, least: int = 0) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def check_real(name: str, value) -> None:
+    """Refuse a real-valued parameter that is not a real number (a bool, which
+    would be read as 0 or 1, a string or None); numpy reals pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_positive(name: str, value) -> None:
-    """Refuse a model parameter that is not a positive finite real; a bool
-    is refused, not read as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0):
+    """Refuse a model parameter that is not a positive finite real number."""
+    check_real(name, value)
+    if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite real, got {value}")
 
 
@@ -77,6 +84,7 @@ class MixtureAlt:
     mu: float
 
     def __post_init__(self):
+        check_real("epsilon", self.epsilon)
         if not (0.0 < self.epsilon < 0.5):
             raise ValueError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
         _check_positive("mu", self.mu)

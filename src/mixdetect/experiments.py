@@ -33,8 +33,8 @@ import numpy as np
 from . import calibration as cal
 from . import statistics as st
 from . import theory
-from .distributions import (GGParams, MixtureAlt, check_integer, dense_calibration,
-                            sparse_calibration)
+from .distributions import (GGParams, MixtureAlt, check_integer, check_real,
+                            dense_calibration, sparse_calibration)
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -72,6 +72,8 @@ class ScenarioConfig:
         for name, least in (("m", 2), ("n", 2), ("power_reps", 1), ("calib_reps", 100)):
             check_integer(name, getattr(self, name), least)
         cal._check_seed("master_seed", self.master_seed)
+        check_real("beta", self.beta)
+        check_real("level", self.level)
         if self.n > self.m:
             raise ValueError(f"n must not exceed m, got n={self.n} m={self.m}")
         if not (0.0 < self.level < 1.0):
@@ -81,6 +83,8 @@ class ScenarioConfig:
         st.check_tests(self.tests)
         if not self.grid:
             raise ValueError("grid must be nonempty")
+        for g in self.grid:
+            check_real("grid value", g)
         if any(b >= a for a, b in zip(self.grid[1:], self.grid[:-1])):
             raise ValueError("grid values must be strictly increasing")
         # the calibrations check the range of beta and of every grid value

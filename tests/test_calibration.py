@@ -827,6 +827,23 @@ class TestCacheRoundTrip:
             NullTable(st.HC, m, n, np.arange(3.0), seed)
         NullTable(st.HC, np.int64(5), 5, np.arange(3.0), np.uint64(2**63 - 1))
 
+    @pytest.mark.parametrize("statistic, message", [
+        ("FOO", "unknown statistic 'FOO'"),
+        (st.KS, "KS reads no null table: its p-value uses the smirnov-limit null"),
+    ])
+    def test_statistic_that_reads_no_table_refused(self, tmp_path, statistic, message):
+        # such a table was built, saved and loaded back under its key
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NullTable(statistic, 5, 5, np.arange(3.0), 0)
+        path = tmp_path / "t.npz"
+        np.savez(
+            path, version=np.int64(cal.CACHE_FORMAT_VERSION), statistic=np.str_(statistic),
+            m=np.int64(5), n=np.int64(5), reps=np.int64(3), seed=np.int64(0),
+            draws=np.arange(3.0),
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_null_table(path)
+
     def test_no_overwrite_without_force(self, tmp_path):
         table = mc_null_table(st.HC, 20, 20, 150, master_seed=1)
         path = tmp_path / "hc.npz"

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mixdetect.cli import main, read_sample_file
+from mixdetect.cli import build_parser, main, read_sample_file
 
 
 def write_samples(tmp_path, x, y):
@@ -227,6 +227,72 @@ class TestCmdTest:
         main(["test", "--x", xf, "--y", yf, "--tests", "ks,tailrun"])
         out = capsys.readouterr().out
         assert json.loads(json.dumps(json.loads(out))) == json.loads(out)
+
+    def test_table_of_a_statistic_that_reads_none_refused(self, tmp_path, capsys):
+        # a file keyed ('FOO', 3, 3, 3, 0) loaded as a table of that key
+        from mixdetect import calibration as cal
+
+        xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
+        path = tmp_path / "foo.npz"
+        np.savez(
+            path, version=np.int64(cal.CACHE_FORMAT_VERSION), statistic=np.str_("FOO"),
+            m=np.int64(3), n=np.int64(3), reps=np.int64(3), seed=np.int64(0),
+            draws=np.arange(3.0),
+        )
+        assert main(["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: unknown statistic 'FOO'\n")
+
+
+class TestParserReuse:
+    """main builds its parser once per process and parses every call afresh."""
+
+    @staticmethod
+    def argv(tmp_path):
+        rng = np.random.default_rng(8)
+        xf, yf = write_samples(tmp_path, rng.normal(size=20), rng.normal(size=30))
+        return ["test", "--x", xf, "--y", yf, "--tests", "all", "--reps", "200",
+                "--epsilon", "0.1", "--mu", "1.5"]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_identical_calls_print_identical_bytes(self, tmp_path, capsys):
+        argv = self.argv(tmp_path)
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == first
+
+    @pytest.mark.parametrize("rejected", [
+        ["--seed", "7", "--dejitter", "--gamma", "1", "--reps", "many"],
+        ["--tests", "hc", "--no-such-flag"],
+    ], ids=["bad_value", "unknown_flag"])
+    def test_rejected_call_leaves_the_next_unchanged(self, tmp_path, capsys, rejected):
+        # the rejected call sets flags before argparse stops at its last one
+        argv = self.argv(tmp_path)
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, *rejected])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv", [["-h"], ["test", "-h"], ["power", "--help"]])
+    def test_help_unchanged(self, capsys, monkeypatch, argv):
+        # as a parser built anew for each call printed it
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exit_:
+            build_parser.__wrapped__().parse_args(argv)
+        assert exit_.value.code == 0
+        expected = capsys.readouterr().out
+        assert expected.startswith("usage: mixdetect")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 0
+            assert capsys.readouterr().out == expected
 
 
 class TestPinnedTestOutput:
@@ -933,8 +999,31 @@ class TestCmdPower:
         out = tmp_path / "out"
         assert main(["power", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: invalid config: ValueError('gamma must be a positive finite real, got True')\n")
+            "error: invalid config: ValueError('gamma must be a real number, got True')\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", "2"), ("beta", "0.6"), ("level", "0.05"), ("grid", ["0.05", 0.1]),
+    ])
+    def test_config_real_fields(self, tmp_path, capsys, monkeypatch, field, value):
+        # a string here raised a TypeError that named no field
+        from mixdetect import experiments as exp
+
+        def fail(*args, **kwargs):
+            pytest.fail("the curve was simulated for a config with a string real field")
+
+        monkeypatch.setattr(exp, "run_power_grid", fail)
+        raw = exp.figure_config("normal-dense", 0.0004).to_dict()
+        if field == "gamma":
+            raw["model"] = {"gamma": value}
+        else:
+            raw[field] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["power", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        name, bad = ("grid value", value[0]) if field == "grid" else (field, value)
+        message = ValueError(f"{name} must be a real number, got {bad!r}")
+        assert capsys.readouterr() == ("", f"error: invalid config: {message!r}\n")
 
 
 class TestErrorBoundary:

@@ -49,9 +49,26 @@ class TestValidation:
             ("scale", lambda v: GGParams(gamma=2.0, scale=v)),
             ("mu", lambda v: MixtureAlt(epsilon=0.1, mu=v)),
         ]:
-            message = f"^{name} must be a positive finite real, got {bad}$"
-            with pytest.raises(ValueError, match=message):
+            message = f"{name} must be a real number, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 make(bad)
+
+    @pytest.mark.parametrize("bad", ["2", None, 1 + 0j, [2.0]])
+    def test_non_reals_refused(self, bad):
+        # a string raised a TypeError that named no field
+        for name, make in [
+            ("gamma", lambda v: GGParams(gamma=v)),
+            ("scale", lambda v: GGParams(gamma=2.0, scale=v)),
+            ("epsilon", lambda v: MixtureAlt(epsilon=v, mu=1.0)),
+            ("mu", lambda v: MixtureAlt(epsilon=0.1, mu=v)),
+        ]:
+            message = f"{name} must be a real number, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(bad)
+
+    def test_numpy_reals_accepted(self):
+        assert GGParams(np.float32(2.0), np.int64(1)).variance == pytest.approx(1.0)
+        assert MixtureAlt(np.float64(0.1), np.int32(2)).mu == 2
 
     def test_dense_param_accepts_half(self):
         dense_calibration(100, beta=0.2, s=0.5)

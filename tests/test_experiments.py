@@ -79,6 +79,17 @@ class TestConfigValidation:
                 small_config(**{name: bad})
         assert getattr(small_config(**{name: np.int64(value)}), name) == value
 
+    @pytest.mark.parametrize("name, value", [
+        ("beta", "0.6"), ("level", "0.05"), ("level", True), ("grid", [0.3, "0.5"]),
+    ])
+    def test_real_fields(self, name, value):
+        # a string raised a TypeError that named no field
+        field, bad = ("grid value", value[1]) if name == "grid" else (name, value)
+        message = f"{field} must be a real number, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{name: value})
+        assert small_config(beta=np.float64(0.6), level=np.float32(0.05)).beta == 0.6
+
     def test_dict_roundtrip(self):
         cfg = small_config()
         again = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))

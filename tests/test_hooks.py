@@ -1,5 +1,6 @@
-"""Every name that perfbench/run.py attaches to still resolves on the package,
-and every argument its hooks read is still where they read it.
+"""Checks that every name perfbench/run.py attaches to still resolves on the
+package, that every argument its hooks read is still where they read it, and
+that a hook on the cli module sees the calls of main made after it is attached.
 
 The benchmark hooks functions by (module, attribute); a hook whose name is
 gone attaches nowhere, and its per-layer metrics drop out of the report.
@@ -48,6 +49,30 @@ def test_names_found():
 @pytest.mark.parametrize("module, attr", NAMES, ids=[f"{m}.{a}" for m, a in NAMES])
 def test_hooked_name_resolves(module, attr):
     assert hasattr(importlib.import_module(f"mixdetect.{module}"), attr)
+
+
+CLI_NAMES = [attr for module, attr in NAMES if module == "cli"]
+
+
+def test_cli_names_found():
+    assert "cmd_test" in CLI_NAMES and "read_sample_file" in CLI_NAMES
+
+
+@pytest.mark.parametrize("attr", CLI_NAMES)
+def test_cli_hook_attached_after_a_call_sees_the_next(tmp_path, capsys, monkeypatch, attr):
+    # the benchmark attaches its cli spans after a warm-up call of main; a
+    # parser that bound cmd_test at that call would bypass the span
+    cli = importlib.import_module("mixdetect.cli")
+    x, y = tmp_path / "x.txt", tmp_path / "y.txt"
+    x.write_text("0.1\n0.4\n0.9\n")
+    y.write_text("0.2\n0.6\n1.3\n")
+    argv = ["test", "--x", str(x), "--y", str(y), "--tests", "ks,tailrun"]
+    assert cli.main(argv) == 0
+    seen = []
+    original = getattr(cli, attr)
+    monkeypatch.setattr(cli, attr, lambda *a, **k: seen.append(a) or original(*a, **k))
+    assert cli.main(argv) == 0
+    assert seen
 
 
 def read_arguments() -> list:
