@@ -570,7 +570,7 @@ def save_null_table(table: NullTable, path, force: bool = False) -> Path:
 
 
 def load_null_table(path) -> NullTable:
-    """Read a cache file; ValueError unless it is intact and of this version.
+    """Read a cache file; a ValueError naming path unless it is intact and of this version.
 
     The table is rebuilt from the fields of its key, an LRT file's model
     included.  Like save_null_table, it adds a missing .npz suffix to path.
@@ -591,11 +591,13 @@ def load_null_table(path) -> NullTable:
             statistic, m, n, reps, seed, *model = values
             model = (GGParams(*model[:2]), MixtureAlt(*model[2:])) if model else None
             table = NullTable(statistic, m, n, data["draws"].copy(), seed, model)
+            if table.reps != reps:
+                raise ValueError(f"{table.reps} draws but reps = {reps}")
     # EOFError: an empty file; TypeError: a bare .npy, or a field of the wrong shape or dtype
     except (KeyError, EOFError, TypeError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path} is not a null-table file: {e}") from None
-    if table.reps != reps:
-        raise ValueError(f"{table.reps} draws but reps = {reps}")
+    except ValueError as e:  # another version, or a table NullTable refuses
+        raise ValueError(f"{path}: {e}") from None
     return table
 
 

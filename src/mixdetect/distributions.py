@@ -32,18 +32,18 @@ def check_integer(name: str, value, least: int = 0) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-def check_real(name: str, value) -> None:
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
+               closed: str = "()") -> None:
     """Refuse a real-valued parameter that is not a real number (a bool, which
-    would be read as 0 or 1, a string or None); numpy reals pass."""
+    would be read as 0 or 1, a string or None; numpy reals pass) or lies
+    outside the interval from low to high, whose ends closed gives as "()",
+    "(]", "[)" or "[]".  NaN lies in no interval."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def _check_positive(name: str, value) -> None:
-    """Refuse a model parameter that is not a positive finite real number."""
-    check_real(name, value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite real, got {value}")
+    above = low <= value if closed[0] == "[" else low < value
+    below = value <= high if closed[1] == "]" else value < high
+    if not (above and below):
+        raise ValueError(f"{name} must lie in {closed[0]}{low:g}, {high:g}{closed[1]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class GGParams:
 
     def __post_init__(self):
         for name in ("gamma", "scale"):
-            _check_positive(name, getattr(self, name))
+            check_real(name, getattr(self, name), 0)
 
     @property
     def variance(self) -> float:
@@ -84,10 +84,8 @@ class MixtureAlt:
     mu: float
 
     def __post_init__(self):
-        check_real("epsilon", self.epsilon)
-        if not (0.0 < self.epsilon < 0.5):
-            raise ValueError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
-        _check_positive("mu", self.mu)
+        check_real("epsilon", self.epsilon, 0, 0.5)
+        check_real("mu", self.mu, 0)
 
 
 def _check_finite(x):
@@ -190,10 +188,9 @@ def mixture_sample(
 
 def sparse_calibration(n: int, beta: float, r: float, gamma: float) -> MixtureAlt:
     """Sparse-regime epsilon = n**-beta, mu = (gamma*r*log n)**(1/gamma)."""
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"r must lie in (0, 1), got {r}")
+    check_real("beta", beta, 0, 1)
+    check_real("r", r, 0, 1)
+    check_real("gamma", gamma, 0)
     check_integer("n", n, 2)
     eps = n ** (-beta)
     if eps >= 0.5:
@@ -208,9 +205,7 @@ def dense_calibration(n: int, beta: float, s: float) -> MixtureAlt:
     s = 1/2 (constant shift mu = 1) is accepted as the closure of the range
     since the experiment grids include it.
     """
-    if not (0.0 < beta < 0.5):
-        raise ValueError(f"beta must lie in (0, 1/2), got {beta}")
-    if not (0.0 < s <= 0.5):
-        raise ValueError(f"s must lie in (0, 1/2], got {s}")
+    check_real("beta", beta, 0, 0.5)
+    check_real("s", s, 0, 0.5, "(]")
     check_integer("n", n, 2)
     return MixtureAlt(epsilon=n ** (-beta), mu=n ** (s - 0.5))

@@ -72,22 +72,19 @@ class ScenarioConfig:
         for name, least in (("m", 2), ("n", 2), ("power_reps", 1), ("calib_reps", 100)):
             check_integer(name, getattr(self, name), least)
         cal._check_seed("master_seed", self.master_seed)
-        check_real("beta", self.beta)
-        check_real("level", self.level)
+        check_real("level", self.level, 0, 1)
         if self.n > self.m:
             raise ValueError(f"n must not exceed m, got n={self.n} m={self.m}")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if self.regime not in (SPARSE, DENSE):
             raise ValueError(f"regime must be sparse or dense, got {self.regime!r}")
         st.check_tests(self.tests)
         if not self.grid:
             raise ValueError("grid must be nonempty")
-        for g in self.grid:
-            check_real("grid value", g)
+        for g in self.grid:  # ordered below; each calibration checks its range
+            check_real("grid value", g, closed="[]")
         if any(b >= a for a, b in zip(self.grid[1:], self.grid[:-1])):
             raise ValueError("grid values must be strictly increasing")
-        # the calibrations check the range of beta and of every grid value
+        # the calibrations check beta and every grid value
         for g in self.grid:
             self.alt_for(g)
 
@@ -305,8 +302,7 @@ def figure_config(figure: str, scale: float = 1.0) -> ScenarioConfig:
     """
     if figure not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure {figure!r}; choose from {FIGURE_PRESETS}")
-    if not (0.0 < scale <= 1.0):
-        raise ValueError(f"scale must lie in (0, 1], got {scale}")
+    check_real("scale", scale, 0, 1, "(]")
     mn = max(2, round(1e5 * scale))
     model, regime, beta, grid = _PRESETS[figure]
     return ScenarioConfig(

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GGParams, MixtureAlt, check_integer, gg_cdf, gg_pdf, gg_survival
+from .distributions import (GGParams, MixtureAlt, check_integer, check_real, gg_cdf, gg_pdf,
+                            gg_survival)
 
 _YES_RATIO = 10.0
 _NO_RATIO = 0.1
@@ -77,9 +78,8 @@ def detection_boundary_sparse(beta: float, gamma: float) -> float:
     Quoted for the sparse regime 1/2 < beta < 1; evaluates for any beta in
     (0, 1).
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    GGParams(gamma)  # refuses gamma as every model does
+    check_real("beta", beta, 0, 1)
+    check_real("gamma", gamma, 0)
     if gamma <= 1.0:
         return 2.0 * beta - 1.0
     breakpoint_ = 1.0 - 2.0 ** (-gamma / (gamma - 1.0))
@@ -90,9 +90,8 @@ def detection_boundary_sparse(beta: float, gamma: float) -> float:
 
 def detection_boundary_dense(beta: float, gamma: float) -> float:
     """Critical dense-shift exponent s below which the hypotheses merge."""
-    if not (0.0 < beta < 0.5):
-        raise ValueError(f"beta must lie in (0, 1/2), got {beta}")
-    GGParams(gamma)  # refuses gamma as every model does
+    check_real("beta", beta, 0, 0.5)
+    check_real("gamma", gamma, 0)
     if gamma >= 0.5:
         return beta
     return 0.5 - (1.0 - 2.0 * beta) / (1.0 + 2.0 * gamma)
@@ -115,9 +114,9 @@ def hc_conditions(
     true value, at most sqrt(n * eps * sf(t-mu) / eta), is lost below the
     float range.
     """
+    check_real("t", t)
     check_integer("n", n, 2)  # log n is the comparison scale
-    if not (0.0 < eta <= 0.5):
-        raise ValueError(f"eta must lie in (0, 1/2], got {eta}")
+    check_real("eta", eta, 0, 0.5, "(]")
     eps, mu = alt.epsilon, alt.mu
     logn = math.log(n)
     sf_t = gg_survival(t, p)
@@ -175,6 +174,7 @@ class TailRunCheck:
 def tailrun_condition(
     t: float, m: int, n: int, p: GGParams, alt: MixtureAlt, l: int
 ) -> TailRunCheck:
+    check_real("t", t)
     check_integer("m", m, 1)
     check_integer("n", n, 1)
     check_integer("l", l)
@@ -193,10 +193,8 @@ def lower_bound_integral(x_upper: float, p: GGParams, mu: float) -> float:
     quad does not converge (gamma = 0.3 at mu = 1e5, for one), raises
     ValueError.
     """
-    if not (math.isfinite(mu) and mu >= 0):
-        raise ValueError(f"mu must be a non-negative finite real, got {mu}")
-    if math.isnan(x_upper):
-        raise ValueError("x_upper must not be NaN")
+    check_real("mu", mu, 0, closed="[)")
+    check_real("x_upper", x_upper, closed="[]")
     g, s = p.gamma, p.scale
 
     def integrand(x):

@@ -841,7 +841,7 @@ class TestCacheRoundTrip:
             m=np.int64(5), n=np.int64(5), reps=np.int64(3), seed=np.int64(0),
             draws=np.arange(3.0),
         )
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_null_table(path)
 
     def test_no_overwrite_without_force(self, tmp_path):

@@ -174,10 +174,10 @@ class TestCmdTest:
 
     @pytest.mark.parametrize("model_args, message", [
         (["--mu", "-1", "--epsilon", "0.9", "--gamma", "-2"],
-         "gamma must be a positive finite real, got -2.0"),
-        (["--gg-scale", "0"], "scale must be a positive finite real, got 0.0"),
-        (["--epsilon", "0.9", "--mu", "1"], "epsilon must lie in (0, 1/2), got 0.9"),
-        (["--epsilon", "0.1", "--mu", "-1"], "mu must be a positive finite real, got -1.0"),
+         "gamma must lie in (0, inf), got -2.0"),
+        (["--gg-scale", "0"], "scale must lie in (0, inf), got 0.0"),
+        (["--epsilon", "0.9", "--mu", "1"], "epsilon must lie in (0, 0.5), got 0.9"),
+        (["--epsilon", "0.1", "--mu", "-1"], "mu must lie in (0, inf), got -1.0"),
         (["--mu", "1"], "this operation requires --epsilon and --mu"),
     ], ids=["gamma", "gg_scale", "epsilon", "mu", "mu_alone"])
     def test_unread_model_args_validated(self, tmp_path, capsys, model_args, message):
@@ -240,7 +240,25 @@ class TestCmdTest:
             draws=np.arange(3.0),
         )
         assert main(["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", str(path)]) == 1
-        assert capsys.readouterr() == ("", "error: unknown statistic 'FOO'\n")
+        assert capsys.readouterr() == ("", f"error: {path}: unknown statistic 'FOO'\n")
+
+    @pytest.mark.parametrize("version, draws, message", [
+        (None, [0.3, 0.1, 0.2], "null-table draws must be sorted"),
+        (4, [0.1, 0.2, 0.3], "unsupported cache format version 4"),
+    ], ids=["unsorted", "format-4"])
+    def test_table_refusal_names_the_file(self, tmp_path, capsys, version, draws, message):
+        # both errors used to name no file
+        from mixdetect import calibration as cal
+
+        xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
+        path = tmp_path / "t.npz"
+        np.savez(
+            path, version=np.int64(version or cal.CACHE_FORMAT_VERSION), statistic=np.str_("HC"),
+            m=np.int64(3), n=np.int64(3), reps=np.int64(3), seed=np.int64(0),
+            draws=np.array(draws),
+        )
+        assert main(["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 class TestParserReuse:
@@ -339,7 +357,7 @@ class TestCmdBoundary:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: gamma must be a positive finite real, got {float(gamma)}\n"
+        assert captured.err == f"error: gamma must lie in (0, inf), got {float(gamma)}\n"
 
 
 # the flags each diagnose condition reads, besides --gamma, --gg-scale and
@@ -402,7 +420,7 @@ class TestCmdDiagnose:
         assert main(["diagnose", "--condition", "lower-bound", "--mu", mu]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: mu must be a non-negative finite real, got {float(mu)}\n"
+        assert captured.err == f"error: mu must lie in [0, inf), got {float(mu)}\n"
 
     @pytest.mark.filterwarnings("error")
     def test_lower_bound_not_converged(self, capsys):
@@ -729,10 +747,10 @@ class TestCmdCalibrate:
 
     @pytest.mark.parametrize("model_args, message", [
         (["--mu", "-1", "--epsilon", "0.9", "--gamma", "-2"],
-         "gamma must be a positive finite real, got -2.0"),
-        (["--gg-scale", "0"], "scale must be a positive finite real, got 0.0"),
-        (["--epsilon", "0.9", "--mu", "1"], "epsilon must lie in (0, 1/2), got 0.9"),
-        (["--epsilon", "0.1", "--mu", "-1"], "mu must be a positive finite real, got -1.0"),
+         "gamma must lie in (0, inf), got -2.0"),
+        (["--gg-scale", "0"], "scale must lie in (0, inf), got 0.0"),
+        (["--epsilon", "0.9", "--mu", "1"], "epsilon must lie in (0, 0.5), got 0.9"),
+        (["--epsilon", "0.1", "--mu", "-1"], "mu must lie in (0, inf), got -1.0"),
         (["--mu", "1"], "this operation requires --epsilon and --mu"),
     ], ids=["gamma", "gg_scale", "epsilon", "mu", "mu_alone"])
     def test_unread_model_args_validated(self, tmp_path, capsys, monkeypatch, model_args,

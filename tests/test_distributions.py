@@ -1,15 +1,19 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import mixdetect
 from mixdetect import (
     GGParams,
     MixtureAlt,
     ScenarioConfig,
     dense_calibration,
+    figure_config,
     gg_cdf,
     gg_pdf,
     gg_quantile,
@@ -393,3 +397,87 @@ def test_integer_rule(monkeypatch, entry):
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(bad)
+
+
+# (name, interval, call, in-range numpy value): every entry point that takes a
+# real parameter, with the one argument under test as v
+REAL_ENTRY_POINTS = {
+    "GGParams-gamma": ("gamma", "(0, inf)", lambda v: GGParams(gamma=v), np.float32(1.5)),
+    "GGParams-scale": ("scale", "(0, inf)", lambda v: GGParams(2.0, v), np.int64(3)),
+    "MixtureAlt-epsilon": ("epsilon", "(0, 0.5)", lambda v: MixtureAlt(v, 1.0), np.float64(0.1)),
+    "MixtureAlt-mu": ("mu", "(0, inf)", lambda v: MixtureAlt(0.1, v), np.float32(2.0)),
+    "sparse_calibration-beta": ("beta", "(0, 1)", lambda v: sparse_calibration(100, v, 0.4, 2.0),
+                                np.float64(0.6)),
+    "sparse_calibration-r": ("r", "(0, 1)", lambda v: sparse_calibration(100, 0.6, v, 2.0),
+                             np.float32(0.4)),
+    # gamma = 0 raised ZeroDivisionError, and gamma = -1 blamed mu
+    "sparse_calibration-gamma": ("gamma", "(0, inf)",
+                                 lambda v: sparse_calibration(100, 0.6, 0.4, v), np.int64(1)),
+    "dense_calibration-beta": ("beta", "(0, 0.5)", lambda v: dense_calibration(100, v, 0.3),
+                               np.float64(0.2)),
+    "dense_calibration-s": ("s", "(0, 0.5]", lambda v: dense_calibration(100, 0.2, v),
+                            np.float64(0.5)),
+    "detection_boundary_sparse-beta": ("beta", "(0, 1)",
+                                       lambda v: theory.detection_boundary_sparse(v, 2.0),
+                                       np.float64(0.6)),
+    "detection_boundary_sparse-gamma": ("gamma", "(0, inf)",
+                                        lambda v: theory.detection_boundary_sparse(0.6, v),
+                                        np.float32(0.5)),
+    "detection_boundary_dense-beta": ("beta", "(0, 0.5)",
+                                      lambda v: theory.detection_boundary_dense(v, 2.0),
+                                      np.float64(0.3)),
+    "detection_boundary_dense-gamma": ("gamma", "(0, inf)",
+                                       lambda v: theory.detection_boundary_dense(0.3, v),
+                                       np.float64(0.25)),
+    "hc_conditions-t": ("t", "(-inf, inf)",
+                        lambda v: theory.hc_conditions(v, 100, NORMAL, ALT, 0.5), np.float64(1.0)),
+    "hc_conditions-eta": ("eta", "(0, 0.5]",
+                          lambda v: theory.hc_conditions(1.0, 100, NORMAL, ALT, v),
+                          np.float32(0.5)),
+    "tailrun_condition-t": ("t", "(-inf, inf)",
+                            lambda v: theory.tailrun_condition(v, 5, 5, NORMAL, ALT, 1),
+                            np.int64(-2)),
+    "lower_bound_integral-mu": ("mu", "[0, inf)",
+                                lambda v: theory.lower_bound_integral(0.0, NORMAL, v), np.int64(0)),
+    "lower_bound_integral-x_upper": ("x_upper", "[-inf, inf]",
+                                     lambda v: theory.lower_bound_integral(v, NORMAL, 1.0),
+                                     np.float64(-np.inf)),
+    "ScenarioConfig-level": ("level", "(0, 1)", lambda v: _config(level=v), np.float32(0.05)),
+    "figure_config-scale": ("scale", "(0, 1]", lambda v: figure_config("normal-dense", v),
+                            np.float64(0.001)),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
+def test_real_rule(entry):
+    # one rule and one message form everywhere: a string, a bool, NaN and each
+    # end that the interval leaves out are refused, naming the parameter
+    name, interval, call, good = REAL_ENTRY_POINTS[entry]
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    cases = [("0.3", f"{name} must be a real number, got '0.3'"),
+             (True, f"{name} must be a real number, got True"),
+             (math.nan, f"{name} must lie in {interval}, got nan")]
+    cases += [(end, f"{name} must lie in {interval}, got {end}")
+              for end, bracket in ((low, interval[0]), (high, interval[-1])) if bracket in "()"]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
+    call(good)
+
+
+def test_real_rule_has_one_copy():
+    # an interval message written anywhere but check_real is a second copy of
+    # the rule; the array-domain checks test arrays, not one parameter
+    allowed = {"check_real", "_streams", "wilcoxon_pvalues", "tailrun_pvalues", "PValue"}
+    literals = ("must lie in", "positive finite real", "non-negative finite real")
+    found = []
+    for path in sorted(Path(mixdetect.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        spans = [(node.lineno, node.end_lineno, node.name) for node in ast.parse(source).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            if any(text in line for text in literals):
+                where = next((nm for a, b, nm in spans if a <= lineno <= b), None)
+                if where not in allowed:
+                    found.append(f"{path.name}:{lineno} ({where})")
+    assert found == []

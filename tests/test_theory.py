@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,7 +245,7 @@ class TestLowerBoundIntegral:
     def test_negative_mu_rejected(self):
         # refused before any integration, with mu named
         for mu in (-1.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match=f"mu must be a non-negative finite real, got {mu}"):
+            with pytest.raises(ValueError, match=re.escape(f"mu must lie in [0, inf), got {mu}")):
                 lower_bound_integral(np.inf, NORMAL, mu)
 
     @pytest.mark.filterwarnings("error")
