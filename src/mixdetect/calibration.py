@@ -5,7 +5,8 @@ limiting distributions for Wilcoxon and one-sided KS, and the exact negative
 hypergeometric null for the tail run.  A rank statistic depends on the data
 only through the pooled ordering, which under H0 (continuous data) is a
 uniformly random arrangement of m X-labels and n Y-labels, so its null
-table is simulated by shuffling those labels.
+table is simulated on such arrangements: the X-labels sit on the m smallest
+of m + n iid uniform keys.
 
 STATISTICS is the one table of the five tests: how each is computed and
 how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
@@ -17,7 +18,7 @@ defines a table's key once: NullTable.key, its file's fields and name
 (cache_key) and the matches of the harness cache and of test --table.
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
-as in rng_scheme 7; the seed words of a whole batch of streams are hashed
+as in rng_scheme 8; the seed words of a whole batch of streams are hashed
 in one vectorised pass (_seed_words), and numpy's PCG64 seeds each
 replicate's own generator from them, so no replicate builds a SeedSequence.
 
@@ -45,14 +46,17 @@ from .distributions import GGParams, MixtureAlt, check_integer, gg_sample, mixtu
 # version of the null-table file format; files of another version are
 # refused (4: an LRT file also carries the gamma, scale, eps and mu it was
 # simulated for; 5: the draws of rng_scheme 7, which moved gamma = 1 LRT
-# tables; a scheme that moves a file's draws moves this version too)
-CACHE_FORMAT_VERSION = 5
+# tables; 6: those of rng_scheme 8, which moved every HC table; a scheme
+# that moves a file's draws moves this version too)
+CACHE_FORMAT_VERSION = 6
 
 # version of the harness's seed streams and statistic values, recorded in
 # its JSON output; a change to either moves it (CHANGES.md records each
 # scheme).  7: gamma = 1 is drawn as scale * (E1 - E2), and a mixture sample
-# shifts its first K ~ Binomial(n, eps) draws, so only its multiset is iid
-RNG_SCHEME = 7
+# shifts its first K ~ Binomial(n, eps) draws, so only its multiset is iid;
+# 8: a rank-null replicate is the m smallest of m + n uniform keys, a tie
+# redrawn from the retry streams, in place of a shuffle of the labels
+RNG_SCHEME = 8
 
 _TINY_P = 1e-300
 _SQRT_HALF = math.sqrt(0.5)
@@ -71,7 +75,7 @@ TAG_POWER = 201
 TAG_NULL = 202
 
 # what one replicate samples
-RANK_NULL = "rank-null"  # the indicator only: a shuffle of m ones and n zeros
+RANK_NULL = "rank-null"  # the indicator only: ones on the m smallest of m + n keys
 LRT_NULL = "lrt-null"  # the Y-sample from F only (the LRT ignores X)
 DATA = "data"  # X from F and Y from G, or from F when alt is None
 
@@ -309,40 +313,56 @@ def block_values(stats, xi, y, m: int, n: int, model=None, alts=()) -> np.ndarra
     ])
 
 
+def _smallest_keys(keys, xi, m: int) -> np.ndarray:
+    """Set each row of xi to 1 on its row of keys' m smallest, 0 elsewhere, by
+    one np.partition; returns the rows whose m-th smallest key is tied."""
+    np.less_equal(keys, np.partition(keys, m - 1, axis=-1)[:, m - 1:m], out=xi)
+    return np.flatnonzero(xi.sum(axis=-1) != m)
+
+
 def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np.ndarray:
     """Values of tests on replicates k0 <= k < k1, row k - k0 for replicate k.
 
     Replicate k draws from the stream (*parts, k); kind is RANK_NULL,
     LRT_NULL or DATA, and alt is the alternative the Y-sample is drawn from
-    (DATA only).  A RANK_NULL replicate shuffles its row of the block, which
-    is set to m ones then n zeros once per block.  A rank statistic gives one
-    value, the LRT one value per alternative in lrt_alts, all on the same
-    sample.  The replicates are drawn one by one into blocks of rows, and
-    each block is scored by one block_values call; a block holds as many
-    rows as keep a row-wide temporary within _BLOCK_ELEMENTS (at least one).
-    tests are names, so they pickle.
+    (DATA only).  A RANK_NULL replicate draws m + n uniform keys and puts its
+    X-labels on the m smallest; a replicate whose m-th smallest key is tied
+    is redrawn from the stream (*parts, k, retry), retry = 1, 2, ..., 99 in
+    turn, as a tied DATA replicate is.  A rank statistic gives one value, the
+    LRT one value per alternative in lrt_alts, all on the same sample.  The
+    replicates are drawn one by one into blocks of rows, and each block is
+    scored by one block_values call; a block holds as many rows as keep a
+    row-wide temporary within _BLOCK_ELEMENTS (at least one).  tests are
+    names, so they pickle.
     """
     stats = [STATISTICS[t] for t in tests]
     widths = [1 if s.rank else len(lrt_alts) for s in stats]
     row = max(m + n if s.rank else len(lrt_alts) * n for s in stats)
     rows = max(1, min(_BLOCK_ELEMENTS // row, k1 - k0))
-    # the block's pooled indicators and Y-samples; a null replicate leaves
-    # the one its kind does not draw empty
+    # the block's pooled indicators and Y-samples, and a rank null's keys;
+    # a replicate leaves what its kind does not draw empty
     xi = np.empty((rows, 0 if kind == LRT_NULL else m + n), dtype=np.int64)
     y = np.empty((rows, 0 if kind == RANK_NULL else n))
+    keys = np.empty((rows, m + n if kind == RANK_NULL else 0))
     out = np.empty((k1 - k0, sum(widths)))
     streams = _streams(parts, k0, k1)
     for a in range(k0, k1, rows):
         b = min(a + rows, k1)
-        if kind == RANK_NULL:
-            xi[:, :m], xi[:, m:] = 1, 0
         for i, (k, rng) in enumerate(zip(range(a, b), streams)):
             if kind == RANK_NULL:
-                rng.shuffle(xi[i])  # the arrangement rng.permutation gives
+                rng.random(out=keys[i])
             elif kind == LRT_NULL:
                 y[i] = gg_sample(n, model, rng)
             else:
                 y[i], xi[i] = _draw_pooled(model, alt, m, n, [*parts, k], rng)
+        if kind == RANK_NULL:
+            for i in _smallest_keys(keys[:b - a], xi[:b - a], m):
+                for rng in _streams([*parts, a + i], 1, 100):
+                    rng.random(out=keys[i])
+                    if not _smallest_keys(keys[i:i + 1], xi[i:i + 1], m).size:
+                        break
+                else:
+                    raise st.TiesError("persistent ties in rank-null keys")
         out[a - k0:b - k0] = block_values(stats, xi[:b - a], y[:b - a], m, n, model, lrt_alts)
     return out
 

@@ -196,6 +196,8 @@ def sparse_calibration(n: int, beta: float, r: float, gamma: float) -> MixtureAl
     if eps >= 0.5:
         raise ValueError(f"epsilon = n**-beta = {eps} >= 1/2; increase n or beta")
     mu = (gamma * r * math.log(n)) ** (1.0 / gamma)
+    # a gamma near 0 underflows mu to 0, a huge one overflows it
+    check_real(f"at gamma = {gamma}, mu = (gamma * r * log n)**(1/gamma)", mu, 0)
     return MixtureAlt(epsilon=eps, mu=mu)
 
 

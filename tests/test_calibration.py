@@ -74,12 +74,14 @@ class TestMcNullTable:
         assert loaded.key == table.key == (st.HC, 5, 5, 100, 2**63 - 1)
 
     def test_rank_stream(self):
-        # replicate k: a shuffle of m ones and n zeros from the stream (seed, 101, k)
+        # replicate k: X-labels on the m smallest of m + n uniform keys drawn
+        # from the stream (seed, 101, k)
         m, n = 12, 9
         expected = []
         for k in range(100):
-            rng = np.random.default_rng(np.random.SeedSequence([4, 101, k]))
-            xi = rng.permutation(np.repeat(np.array([1, 0], dtype=np.int64), [m, n]))
+            keys = numpy_stream([4, 101, k]).random(m + n)
+            xi = np.zeros(m + n, dtype=np.int64)
+            xi[np.argsort(keys)[:m]] = 1
             expected.append(st.hc_from_indicator(xi, m, n))
         table = mc_null_table(st.HC, m, n, 100, master_seed=4)
         np.testing.assert_array_equal(table.draws, np.sort(expected))
@@ -112,20 +114,41 @@ class TestMcNullTable:
             "be91ea9afe01fc670fd46d86dcf7aec458bf206bcc95b61c0920d25ea0e2dbc7"
         )
 
+    @pytest.mark.parametrize("m, n", [(5, 3), (3, 5)])
     @pytest.mark.parametrize(
         "statistic, pmf",
         [(st.WILCOXON, wilcoxon_exact_null), (st.TAILRUN, tailrun_null_pmf)],
     )
-    def test_rank_null_law(self, statistic, pmf):
-        # the label shuffle a rank table is simulated on follows the exact
-        # law; m != n, so swapped X/Y labels would change the tail-run law
-        m, n, reps = 5, 3, 20000
+    def test_rank_null_law(self, statistic, pmf, m, n):
+        # the label arrangements a rank table is simulated on follow the
+        # exact law; m != n, so swapped X/Y labels would change the tail-run law
+        reps = 20000
         draws = cal.replicate_rows(cal.RANK_NULL, [statistic], None, None, (), m, n,
                                    [21, cal.TAG_CALIB_RANK], 0, reps)
         expected = pmf(m, n)
         observed = np.bincount(draws[:, 0].astype(int), minlength=expected.size)
         assert observed.size == expected.size
         assert stats.chisquare(observed, reps * expected).pvalue > 0.001
+
+    @pytest.mark.parametrize("m, n", [(6, 4), (4, 6)])
+    def test_hc_null_law_by_enumeration(self, m, n):
+        # HC on every one of the C(m+n, m) equally likely arrangements gives
+        # its exact null law; each simulated value is one of those values
+        arrangements = []
+        for positions in itertools.combinations(range(m + n), m):
+            xi = np.zeros(m + n, dtype=np.int64)
+            xi[list(positions)] = 1
+            arrangements.append(xi)
+        exact = st.hc_from_indicator(np.array(arrangements), m, n)
+        values, counts = np.unique(exact, return_counts=True)
+        reps = 20000
+        draws = cal.replicate_rows(cal.RANK_NULL, [st.HC], None, None, (), m, n,
+                                   [22, cal.TAG_CALIB_RANK], 0, reps)[:, 0]
+        index = np.searchsorted(values, draws)
+        assert np.array_equal(values[np.minimum(index, values.size - 1)], draws)
+        observed = np.bincount(index, minlength=values.size)
+        expected = reps * counts / math.comb(m + n, m)
+        assert stats.chisquare(observed, expected).pvalue > 0.001
 
     @pytest.mark.parametrize("m, n", [(0, 5), (3, 0)])
     def test_empty_sample_refused(self, m, n):
@@ -275,6 +298,66 @@ class TestDataRetry:
         with pytest.raises(st.TiesError, match="persistent"):
             self.draw()
         assert len(calls) == 100
+
+
+class TiedKeys:
+    """A stream whose key draws tie the m-th smallest key with the next."""
+
+    def __init__(self, rng, m, draws):
+        self.rng, self.m, self.draws = rng, m, draws
+
+    def random(self, out):
+        self.rng.random(out=out)
+        order = np.argsort(out)
+        out[order[self.m]] = out[order[self.m - 1]]
+        self.draws.append(out.copy())
+
+
+class TestRankRetry:
+    """A rank-null replicate whose m-th smallest key is tied is redrawn from
+    the stream (*parts, k, retry)."""
+
+    parts, m, n = [9, cal.TAG_CALIB_RANK], 7, 5
+
+    @staticmethod
+    def expected(entropy, m, n):
+        """HC on the X-labels at the m smallest of the stream's m + n keys."""
+        xi = np.zeros(m + n, dtype=np.int64)
+        xi[np.argsort(numpy_stream(entropy).random(m + n))[:m]] = 1
+        return st.hc_from_indicator(xi, m, n)
+
+    def tie(self, monkeypatch, tied):
+        """Make the streams for which tied(prefix, k) holds draw tied keys;
+        returns the list of their draws and that of the prefixes derived."""
+        streams, draws, prefixes = cal._streams, [], []
+
+        def crafted(prefix, k0, k1):
+            prefixes.append(list(prefix))
+            for k, rng in zip(range(k0, k1), streams(prefix, k0, k1)):
+                yield TiedKeys(rng, self.m, draws) if tied(list(prefix), k) else rng
+
+        monkeypatch.setattr(cal, "_streams", crafted)
+        return draws, prefixes
+
+    def test_tie_redrawn_from_the_retry_stream(self, monkeypatch):
+        # replicate 4 of a 7-row block ties; only it is redrawn, from (*parts, 4, 1)
+        m, n = self.m, self.n
+        draws, prefixes = self.tie(monkeypatch, lambda prefix, k: prefix == self.parts and k == 4)
+        got = cal.replicate_rows(cal.RANK_NULL, [st.HC], None, None, (), m, n, self.parts, 0, 7)
+        [keys] = draws
+        assert np.sum(keys <= np.sort(keys)[m - 1]) == m + 1
+        assert prefixes == [self.parts, [*self.parts, 4]]
+        expected = [self.expected([*self.parts, k], m, n) for k in range(7)]
+        expected[4] = self.expected([*self.parts, 4, 1], m, n)
+        assert got[:, 0].tolist() == expected
+
+    def test_persistent_ties_raise(self, monkeypatch):
+        # replicate 2 and each of its 99 retry streams tie
+        draws, _ = self.tie(monkeypatch, lambda prefix, k: [*prefix, k][:3] == [*self.parts, 2])
+        with pytest.raises(st.TiesError, match="persistent ties in rank-null keys"):
+            cal.replicate_rows(cal.RANK_NULL, [st.HC], None, None, (), self.m, self.n,
+                               self.parts, 0, 5)
+        assert len(draws) == 100
 
 
 class TestBlockRows:
@@ -951,11 +1034,13 @@ class TestLoadChecks:
             load_null_table(path)
 
     def test_rejects_format_3(self, tmp_path):
-        # format 3 files carry no model; an HC file of format 3 is refused too
-        assert cal.CACHE_FORMAT_VERSION == 5
-        path = self.write(tmp_path / "v3.npz", [1.0, 2.0], version=3)
-        with pytest.raises(ValueError, match="version 3"):
-            load_null_table(path)
+        # format 3 files carry no model; an HC file of format 3 is refused too,
+        # and so is one of format 5, which holds the label shuffles of rng_scheme 7
+        assert cal.CACHE_FORMAT_VERSION == 6
+        for version in (3, 5):
+            path = self.write(tmp_path / f"v{version}.npz", [1.0, 2.0], version=version)
+            with pytest.raises(ValueError, match=f"version {version}"):
+                load_null_table(path)
 
     @pytest.mark.filterwarnings("error")
     def test_truncated_file_closes_its_handle(self, tmp_path):

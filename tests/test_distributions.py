@@ -329,6 +329,15 @@ class TestCalibrations:
         assert alt.epsilon == pytest.approx(10 ** (-3.2), rel=1e-12)
         assert alt.mu == pytest.approx(0.3 * math.log(10**4), rel=1e-12)
 
+    @pytest.mark.parametrize("gamma, mu", [(1e-300, "0.0"), (1e308, "inf")])
+    def test_sparse_mu_out_of_range_names_gamma(self, gamma, mu):
+        # mu underflows to 0 or overflows to inf; the message was MixtureAlt's
+        # `mu must lie in (0, inf), got ...`, which named no gamma
+        message = (f"at gamma = {gamma}, mu = (gamma * r * log n)**(1/gamma) "
+                   f"must lie in (0, inf), got {mu}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sparse_calibration(100, beta=0.6, r=0.4, gamma=gamma)
+
     def test_sparse_epsilon_too_large(self):
         with pytest.raises(ValueError):
             sparse_calibration(2, beta=0.1, r=0.5, gamma=2.0)
