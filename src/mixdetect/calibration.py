@@ -17,8 +17,8 @@ and every rank kernel on the block's one running X-count.  table_key
 defines a table's key once: NullTable.key, its file's fields and name
 (cache_key) and the matches of the harness cache and of test --table.
 
-Replicate k draws from numpy's stream SeedSequence([seed, tag, (g,) k]),
-as in rng_scheme 8; the seed words of a whole batch of streams are hashed
+Replicate k draws from numpy's stream SeedSequence([seed, tag, k]), as in
+rng_scheme 9; the seed words of a whole batch of streams are hashed
 in one vectorised pass (_seed_words), and numpy's PCG64 seeds each
 replicate's own generator from them, so no replicate builds a SeedSequence.
 
@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import statistics as st
-from .distributions import GGParams, MixtureAlt, check_integer, gg_sample, mixture_sample
+from .distributions import GGParams, MixtureAlt, check_integer, gg_sample
 
 # version of the null-table file format; files of another version are
 # refused (4: an LRT file also carries the gamma, scale, eps and mu it was
@@ -55,8 +55,11 @@ CACHE_FORMAT_VERSION = 6
 # scheme).  7: gamma = 1 is drawn as scale * (E1 - E2), and a mixture sample
 # shifts its first K ~ Binomial(n, eps) draws, so only its multiset is iid;
 # 8: a rank-null replicate is the m smallest of m + n uniform keys, a tie
-# redrawn from the retry streams, in place of a shuffle of the labels
-RNG_SCHEME = 8
+# redrawn from the retry streams, in place of a shuffle of the labels;
+# 9: a power replicate's X, Y-base and K serve every grid point (common
+# random numbers), from a stream with no grid index, and a tie at any point
+# redraws the whole replicate
+RNG_SCHEME = 9
 
 _TINY_P = 1e-300
 _SQRT_HALF = math.sqrt(0.5)
@@ -67,8 +70,8 @@ SMIRNOV_LIMIT = "smirnov-limit"
 EXACT = "exact"
 
 # purpose tags of the seed streams: replicate k of a stream draws from
-# SeedSequence([master_seed, tag, *index, k]), so calibration draws never
-# overlap power draws
+# SeedSequence([master_seed, tag, k]), so calibration draws never overlap
+# power draws
 TAG_CALIB_RANK = 101
 TAG_CALIB_LRT = 102
 TAG_POWER = 201
@@ -77,7 +80,7 @@ TAG_NULL = 202
 # what one replicate samples
 RANK_NULL = "rank-null"  # the indicator only: ones on the m smallest of m + n keys
 LRT_NULL = "lrt-null"  # the Y-sample from F only (the LRT ignores X)
-DATA = "data"  # X from F and Y from G, or from F when alt is None
+DATA = "data"  # X from F and Y from G at every alternative, or from F when alt is None
 
 
 # a null table's key, in order: each field's name, tag in the file name, type
@@ -260,21 +263,41 @@ def _streams(prefix, k0: int, k1: int):
             yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def _draw_pooled(model, alt, m, n, parts, rng):
-    """The Y-sample and pooled X-origin indicator of simulated data.
+def _persistent_ties(stream) -> st.TiesError:
+    """The error for a replicate whose own stream and every retry stream tied."""
+    return st.TiesError(None, (
+        f"replicate {stream[-1]} drew ties from its stream {stream} and from each of "
+        f"the 99 retry streams {[*stream, 1]} to {[*stream, 99]}"
+    ))
 
-    The first draw is from rng, the stream `parts`; a float tie is redrawn
-    from the stream (*parts, retry), retry = 1, 2, ..., 99 in turn.  Those
-    streams are derived only at the first tie.
+
+def _draw_data(model, alt, mus, m, n, stream, rng):
+    """X, the Y-sample's base and, unless alt is None, K ~ Binomial(n,
+    alt.epsilon), drawn as mixture_sample draws them, once for every shift
+    in mus: Y at mus[g] is the base with its first K values raised by mus[g].
+
+    Returns the base, K, the X-origin indicator of X pooled with the base's
+    other n - K values, and per shift the positions its K raised values take
+    in the pooled sample of m + n.  The first draw is from rng, the stream
+    `stream`; a tie among the pooled values at any shift redraws everything
+    from (*stream, retry), retry = 1, ..., 99 in turn, derived at the first tie.
     """
-    for rng in itertools.chain([rng], _streams(parts, 1, 100)):
+    for rng in itertools.chain([rng], _streams(stream, 1, 100)):
         x = gg_sample(m, model, rng)
-        y = gg_sample(n, model, rng) if alt is None else mixture_sample(n, model, alt, rng)
-        try:
-            return y, st.pooled_indicator(x, y)
-        except st.TiesError:
-            continue
-    raise st.TiesError("persistent ties in simulated continuous data")
+        base = gg_sample(n, model, rng)
+        k = 0 if alt is None else rng.binomial(n, alt.epsilon)
+        # sorted runs first: the stable argsort (timsort) only merges them
+        pooled = np.concatenate([np.sort(x), np.sort(base[k:])])
+        order = np.argsort(pooled, kind="stable")
+        values = pooled[order]
+        # a shift keeps the sorted raised values sorted; row g is Y's at mus[g]
+        raised = np.sort(base[:k]) + np.reshape(mus, (-1, 1))
+        at = np.searchsorted(values, raised)
+        if not ((values[1:] == values[:-1]).any()
+                or (raised[:, 1:] == raised[:, :-1]).any()
+                or (values[np.minimum(at, values.size - 1)] == raised).any()):
+            return base, k, order < m, at + np.arange(k)
+    raise _persistent_ties(stream)
 
 
 # the most elements a block of replicates puts in one row-wide temporary
@@ -324,47 +347,79 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     """Values of tests on replicates k0 <= k < k1, row k - k0 for replicate k.
 
     Replicate k draws from the stream (*parts, k); kind is RANK_NULL,
-    LRT_NULL or DATA, and alt is the alternative the Y-sample is drawn from
-    (DATA only).  A RANK_NULL replicate draws m + n uniform keys and puts its
-    X-labels on the m smallest; a replicate whose m-th smallest key is tied
-    is redrawn from the stream (*parts, k, retry), retry = 1, 2, ..., 99 in
-    turn, as a tied DATA replicate is.  A rank statistic gives one value, the
-    LRT one value per alternative in lrt_alts, all on the same sample.  The
-    replicates are drawn one by one into blocks of rows, and each block is
-    scored by one block_values call; a block holds as many rows as keep a
-    row-wide temporary within _BLOCK_ELEMENTS (at least one).  tests are
-    names, so they pickle.
+    LRT_NULL or DATA.  A RANK_NULL replicate puts its X-labels on the m
+    smallest of m + n uniform keys; a tied m-th smallest key is redrawn from
+    the stream (*parts, k, retry), retry = 1, 2, ..., 99 in turn, as a tied
+    DATA replicate is.  A DATA replicate draws X and a Y-base from F once
+    (_draw_data); with alt given also one K ~ Binomial(n, alt.epsilon), and
+    its Y-sample at each alternative in lrt_alts (each of alt's epsilon) is
+    the base with its first K values shifted by that mu: mixture_sample's
+    draw at lrt_alts = [alt].
+
+    A row holds one group of values per alternative in lrt_alts (one when
+    there is none): those of tests in order, the LRT's at that alternative;
+    where one sample serves every alternative, the rank values repeat from
+    group to group.  Replicates are drawn one by one into blocks that keep
+    a row-wide temporary within _BLOCK_ELEMENTS (at least one row), and a
+    block is scored by one block_values call per distinct sample.  tests
+    are names, so they pickle.
     """
     stats = [STATISTICS[t] for t in tests]
-    widths = [1 if s.rank else len(lrt_alts) for s in stats]
-    row = max(m + n if s.rank else len(lrt_alts) * n for s in stats)
+    # the alternatives of each distinct Y-sample of a replicate
+    if kind == DATA and alt is not None:
+        if not lrt_alts or any(a.epsilon != alt.epsilon for a in lrt_alts):
+            raise ValueError("DATA drawn from alt needs alternatives, each with alt's epsilon")
+        scored, mus = [[a] for a in lrt_alts], [a.mu for a in lrt_alts]
+    else:
+        scored, mus = [lrt_alts], []
+    # block_values gives a rank test one column and the LRT one per
+    # alternative of the call; group g of the call's values takes take[g]
+    span = len(scored[0]) or 1
+    offsets = list(itertools.accumulate([0] + [1 if s.rank else span for s in stats]))
+    take = [[o + (0 if s.rank else g) for s, o in zip(stats, offsets)] for g in range(span)]
+    row = max(m + n if s.rank else span * n for s in stats)
     rows = max(1, min(_BLOCK_ELEMENTS // row, k1 - k0))
     # the block's pooled indicators and Y-samples, and a rank null's keys;
     # a replicate leaves what its kind does not draw empty
     xi = np.empty((rows, 0 if kind == LRT_NULL else m + n), dtype=np.int64)
     y = np.empty((rows, 0 if kind == RANK_NULL else n))
     keys = np.empty((rows, m + n if kind == RANK_NULL else 0))
-    out = np.empty((k1 - k0, sum(widths)))
+    unraised = np.empty(m + n, dtype=bool)  # a DATA row: all but its raised values
+    out = np.empty((k1 - k0, len(scored) * span, len(stats)))
     streams = _streams(parts, k0, k1)
     for a in range(k0, k1, rows):
         b = min(a + rows, k1)
-        for i, (k, rng) in enumerate(zip(range(a, b), streams)):
-            if kind == RANK_NULL:
-                rng.random(out=keys[i])
-            elif kind == LRT_NULL:
-                y[i] = gg_sample(n, model, rng)
-            else:
-                y[i], xi[i] = _draw_pooled(model, alt, m, n, [*parts, k], rng)
+        block = zip(range(a, b), streams)
         if kind == RANK_NULL:
-            for i in _smallest_keys(keys[:b - a], xi[:b - a], m):
+            for i, (k, rng) in enumerate(block):
+                rng.random(out=keys[i])
+            for i in _smallest_keys(keys[:b - a], xi[:b - a], m).tolist():
                 for rng in _streams([*parts, a + i], 1, 100):
                     rng.random(out=keys[i])
                     if not _smallest_keys(keys[i:i + 1], xi[i:i + 1], m).size:
                         break
                 else:
-                    raise st.TiesError("persistent ties in rank-null keys")
-        out[a - k0:b - k0] = block_values(stats, xi[:b - a], y[:b - a], m, n, model, lrt_alts)
-    return out
+                    raise _persistent_ties([*parts, a + i])
+        elif kind == LRT_NULL:
+            for i, (k, rng) in enumerate(block):
+                y[i] = gg_sample(n, model, rng)
+        else:
+            draws = [_draw_data(model, alt, mus, m, n, [*parts, k], rng) for k, rng in block]
+        for c, alts in enumerate(scored):
+            if kind == DATA:
+                for i, (base, k, labels, raised) in enumerate(draws):
+                    y[i] = base
+                    if k:
+                        y[i, :k] += mus[c]
+                        unraised[:] = True
+                        unraised[raised[c]] = False
+                        xi[i, unraised] = labels
+                        xi[i, raised[c]] = 0
+                    else:
+                        xi[i] = labels
+            values = block_values(stats, xi[:b - a], y[:b - a], m, n, model, alts)
+            out[a - k0:b - k0, c * span:(c + 1) * span] = values[:, take]
+    return out.reshape(k1 - k0, -1)
 
 
 def _serial(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps) -> np.ndarray:

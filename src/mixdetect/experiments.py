@@ -3,15 +3,20 @@
 Calibrates null tables, simulates alternatives over a sparse (r) or dense
 (s) parameter grid, and reports empirical power with binomial confidence
 half-widths.  Every replicate draws from an rng-stream derived from
-(master seed, purpose tag, grid index, replicate index) for the power
-replicates, or (master seed, purpose tag, replicate index) for the null
-tables; _collect maps calibration.replicate_rows, which evaluates each
-statistic once per block of replicates, over one contiguous batch of them
-per worker, in the run's one process pool if threads > 1, so results are
-byte-identical at any worker count.  The null tables come from
-mc_null_table's builder, run through _collect: one HC table and one LRT
-pass per run, whose replicate k draws one Y-sample and has the LRT
-evaluated on it at every grid point's alternative.
+(master seed, purpose tag, replicate index); _collect maps
+calibration.replicate_rows, which evaluates each statistic once per block
+of replicates, over one contiguous batch of them per worker, in the run's
+one process pool if threads > 1, so results are byte-identical at any
+worker count.  A run makes at most three passes through _collect.  The
+null tables come from mc_null_table's builder: one HC table, and one LRT
+pass whose replicate k draws one Y-sample and has the LRT evaluated on it
+at every grid point's alternative.  The power pass draws replicate k's X,
+Y-base and K ~ Binomial(n, eps) once for the whole grid (eps is the same
+at every point; only mu moves), and scores grid point g on the base with
+its first K values shifted by mu_g: common random numbers, so the points
+of one curve are correlated and each rank test's reject count never falls
+along the grid.  _power_point turns one point's values into its rejection
+rates.
 """
 
 from __future__ import annotations
@@ -218,17 +223,13 @@ def _pvalues_for(test, values, m, n, table):
     return cal.STATISTICS[test].pvalues(values, m, n, table)
 
 
-def _power_point(config, grid_idx, null, tables, pool):
-    """Rejection rates of every test at one grid point; under H0 if null.
+def _power_point(config, grid_idx, tables, columns):
+    """Rejection rates of every test at one grid point.
 
-    tables maps each Monte-Carlo test to its null table at this grid point.
+    tables maps each Monte-Carlo test to its null table at this grid point;
+    columns holds each test's replicate values there, in the order of
+    config.tests.
     """
-    alt = config.alt_for(config.grid[grid_idx])
-    seed_parts = [config.master_seed, cal.TAG_NULL if null else cal.TAG_POWER, grid_idx]
-    columns = _collect(
-        cal.DATA, config.model, None if null else alt, [alt], config.m, config.n,
-        config.tests, seed_parts, config.power_reps, pool,
-    )
     per_test = {}
     for test, values in zip(config.tests, columns):
         pvals = _pvalues_for(test, values, config.m, config.n, tables.get(test))
@@ -262,8 +263,17 @@ def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> Po
                 per_point = _lrt_null_table(config, s.name, pool)
             for point, table in zip(tables, per_point):
                 point[s.name] = table
+        # the power pass: replicate k's draws serve every grid point; point
+        # g's values are rows g * len(tests) onwards, in the order of tests
+        alts = [config.alt_for(g) for g in config.grid]
+        columns = _collect(
+            cal.DATA, config.model, None if null else alts[0], alts, config.m, config.n,
+            config.tests, [config.master_seed, cal.TAG_NULL if null else cal.TAG_POWER],
+            config.power_reps, pool,
+        )
+        width = len(config.tests)
         points = [
-            _power_point(config, gi, null, tables[gi], pool)
+            _power_point(config, gi, tables[gi], columns[gi * width:(gi + 1) * width])
             for gi in range(len(config.grid))
         ]
     return PowerCurve(
@@ -286,8 +296,9 @@ def run_null_level(
 ) -> PowerCurve:
     """Empirical size under H0: both samples from F, same calibration path.
 
-    The LRT statistic is still evaluated at each grid point's (eps, mu),
-    since its definition needs an alternative.
+    Replicate k's one pair of samples serves every grid point, so each rank
+    test's row repeats along the grid.  The LRT is still evaluated at each
+    grid point's (eps, mu), since its definition needs an alternative.
     """
     return _run_grid(config, threads, cache_dir, null=True)
 

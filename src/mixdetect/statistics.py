@@ -44,14 +44,18 @@ _EXP_SAFE = 700.0
 
 
 class TiesError(ValueError):
-    """A value appears more than once in the pooled samples."""
+    """A value appears more than once in the pooled samples.
 
-    def __init__(self, value):
+    value is the tied value; a simulation whose every redraw of a replicate
+    tied gives value None and its own message.
+    """
+
+    def __init__(self, value, message=None):
         self.value = value
-        super().__init__(
+        super().__init__(message or (
             f"tied value {value!r} in the pooled sample; continuous data expected "
             "(use dejitter for file input with rounded values)"
-        )
+        ))
 
 
 def dejitter(x, y):

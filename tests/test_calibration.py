@@ -235,34 +235,95 @@ class TestMcNullTable:
         assert res.pvalue > 0.001
 
 
+def craft_streams(monkeypatch, tied, wrap):
+    """Make each stream (prefix, k) for which tied(prefix, k) holds draw
+    through wrap(rng); returns the list of the prefixes derived."""
+    streams, prefixes = cal._streams, []
+
+    def crafted(prefix, k0, k1):
+        prefixes.append(list(prefix))
+        for k, rng in zip(range(k0, k1), streams(prefix, k0, k1)):
+            yield wrap(rng) if tied(list(prefix), k) else rng
+
+    monkeypatch.setattr(cal, "_streams", crafted)
+    return prefixes
+
+
+class TiedData:
+    """A stream whose data draw (X of m, then the Y-base of n, from N(0, 1))
+    makes X's first value equal the base's first value raised by mu, and
+    raises at least that value: K >= 1.  draws gets each (x, base, K)."""
+
+    def __init__(self, rng, m, n, mu, draws):
+        self.rng, self.m, self.n, self.mu, self.draws = rng, m, n, mu, draws
+        self.base = None
+
+    def standard_normal(self, count):
+        if self.base is None:
+            x, self.base = self.rng.standard_normal(self.m), self.rng.standard_normal(self.n)
+            x[0] = self.base[0] + self.mu
+            self.draws.append([x, self.base])
+            return x
+        return self.base
+
+    def binomial(self, n, p):
+        k = max(1, self.rng.binomial(n, p))
+        self.draws[-1].append(k)
+        return k
+
+
+def tied_points(x, base, k, alts):
+    """The alternatives at which the pooled sample of x and base, its first k
+    values raised by the alternative's mu, holds a tie."""
+    tied = []
+    for a in alts:
+        y = base.copy()
+        y[:k] += a.mu
+        try:
+            st.pooled_indicator(x, y)
+        except st.TiesError:
+            tied.append(a)
+    return tied
+
+
+def persistent_ties(stream):
+    """The whole message of a TiesError after every retry of stream tied."""
+    return (f"^{re.escape(f'replicate {stream[-1]} drew ties from its stream {stream}')} "
+            f"and from each of the 99 retry streams "
+            f"{re.escape(str([*stream, 1]))} to {re.escape(str([*stream, 99]))}$")
+
+
 class TestDataRetry:
     """A tied data replicate is redrawn from the stream (*parts, retry)."""
 
-    parts = [9, cal.TAG_POWER, 0, 3]  # replicate 3 of grid point 0
+    parts = [9, cal.TAG_POWER, 3]  # replicate 3
     alt = MixtureAlt(epsilon=0.2, mu=1.5)
 
     def draw(self):
         (row,) = cal.replicate_rows(cal.DATA, [st.HC, st.LRT], NORMAL, self.alt, [self.alt],
-                                    40, 30, self.parts[:3], 3, 4).tolist()
+                                    40, 30, self.parts[:2], 3, 4).tolist()
         return row
 
+    def tie(self, monkeypatch, retries):
+        """Make replicate 3's first draw and its first `retries` retries tie;
+        returns the draws made and the prefixes derived."""
+        draws = []
+        prefixes = craft_streams(
+            monkeypatch,
+            lambda prefix, k: [*prefix, k] == self.parts or prefix == self.parts and k <= retries,
+            lambda rng: TiedData(rng, 40, 30, self.alt.mu, draws),
+        )
+        return draws, prefixes
+
     def test_tie_restarts_from_the_retry_stream(self, monkeypatch):
-        pooled_indicator = st.pooled_indicator
-        calls = []
-
-        def tie_once(x, y):
-            calls.append(1)
-            if len(calls) == 1:
-                raise st.TiesError(0.0)
-            return pooled_indicator(x, y)
-
-        monkeypatch.setattr(st, "pooled_indicator", tie_once)
+        draws, _ = self.tie(monkeypatch, 0)
         got = self.draw()
+        [(x, base, k)] = draws
+        assert tied_points(x, base, k, [self.alt]) == [self.alt]
         rng = np.random.default_rng(np.random.SeedSequence([*self.parts, 1]))
         x, y = gg_sample(40, NORMAL, rng), mixture_sample(30, NORMAL, self.alt, rng)
-        xi = pooled_indicator(x, y)
+        xi = st.pooled_indicator(x, y)
         assert got == [st.hc_from_indicator(xi, 40, 30), st.lrt_stat(y, NORMAL, self.alt)]
-        assert len(calls) == 2
 
     def test_retry_streams_derived_only_at_a_tie(self, monkeypatch):
         seed_words, prefixes = cal._seed_words, []
@@ -273,31 +334,54 @@ class TestDataRetry:
 
         monkeypatch.setattr(cal, "_seed_words", record)
         self.draw()
-        assert prefixes == [(self.parts[:3], 3, 4)]
-        pooled_indicator, calls = st.pooled_indicator, []
-
-        def tie_once(x, y):
-            calls.append(1)
-            if len(calls) == 1:
-                raise st.TiesError(0.0)
-            return pooled_indicator(x, y)
-
-        monkeypatch.setattr(st, "pooled_indicator", tie_once)
+        assert prefixes == [(self.parts[:2], 3, 4)]
+        self.tie(monkeypatch, 0)
         prefixes.clear()
         self.draw()
-        assert prefixes == [(self.parts[:3], 3, 4), (self.parts, 1, 100)]
+        assert prefixes == [(self.parts[:2], 3, 4), (self.parts, 1, 100)]
 
     def test_persistent_ties_raise(self, monkeypatch):
-        calls = []
-
-        def always_tied(x, y):
-            calls.append(1)
-            raise st.TiesError(0.0)
-
-        monkeypatch.setattr(st, "pooled_indicator", always_tied)
-        with pytest.raises(st.TiesError, match="persistent"):
+        draws, _ = self.tie(monkeypatch, 99)
+        with pytest.raises(st.TiesError, match=persistent_ties(self.parts)) as exc:
             self.draw()
-        assert len(calls) == 100
+        assert exc.value.value is None
+        assert len(draws) == 100
+
+    @pytest.mark.parametrize("g", [0, 2])
+    def test_tie_at_one_grid_point_redraws_every_point(self, monkeypatch, g):
+        # replicate 3 of 6 ties at grid point g alone; every point of it comes
+        # from (*parts, 3, 1), and no other replicate derives retry streams
+        parts, m, n = [9, cal.TAG_POWER], 40, 30
+        alts = [MixtureAlt(0.2, mu) for mu in (0.5, 1.25, 2.0)]
+        tests = list(st.ALL_STATISTICS)
+        clean = cal.replicate_rows(cal.DATA, tests, NORMAL, alts[0], alts, m, n, parts, 0, 6)
+        retry = cal.replicate_rows(cal.DATA, tests, NORMAL, alts[0], alts, m, n,
+                                   [*parts, 3], 1, 2)
+        draws = []
+        prefixes = craft_streams(monkeypatch, lambda prefix, k: [*prefix, k] == [*parts, 3],
+                                 lambda rng: TiedData(rng, m, n, alts[g].mu, draws))
+        got = cal.replicate_rows(cal.DATA, tests, NORMAL, alts[0], alts, m, n, parts, 0, 6)
+        [(x, base, k)] = draws
+        assert tied_points(x, base, k, alts) == [alts[g]]
+        assert prefixes == [parts, [*parts, 3]]
+        assert got[3].tobytes() == retry[0].tobytes()
+        assert np.delete(got, 3, axis=0).tobytes() == np.delete(clean, 3, axis=0).tobytes()
+        monkeypatch.undo()
+        width = len(tests)
+        for h, a in enumerate(alts):
+            point = cal.replicate_rows(cal.DATA, tests, NORMAL, a, [a], m, n, [*parts, 3], 1, 2)
+            assert got[3, h * width:(h + 1) * width].tobytes() == point[0].tobytes()
+
+
+@pytest.mark.parametrize("alts", [[], [MixtureAlt(0.2, 1.0), MixtureAlt(0.1, 2.0)]])
+def test_data_alternatives_share_one_epsilon(monkeypatch, alts):
+    # one K ~ Binomial(n, eps) serves every alternative, so a DATA replicate
+    # drawn from alt refuses alternatives of another eps, or none, unsimulated
+    monkeypatch.setattr(cal, "_streams", None)
+    message = "^DATA drawn from alt needs alternatives, each with alt's epsilon$"
+    with pytest.raises(ValueError, match=message):
+        cal.replicate_rows(cal.DATA, [st.HC], NORMAL, MixtureAlt(0.2, 1.0), alts, 5, 5,
+                           [1, cal.TAG_POWER], 0, 3)
 
 
 class TiedKeys:
@@ -329,15 +413,8 @@ class TestRankRetry:
     def tie(self, monkeypatch, tied):
         """Make the streams for which tied(prefix, k) holds draw tied keys;
         returns the list of their draws and that of the prefixes derived."""
-        streams, draws, prefixes = cal._streams, [], []
-
-        def crafted(prefix, k0, k1):
-            prefixes.append(list(prefix))
-            for k, rng in zip(range(k0, k1), streams(prefix, k0, k1)):
-                yield TiedKeys(rng, self.m, draws) if tied(list(prefix), k) else rng
-
-        monkeypatch.setattr(cal, "_streams", crafted)
-        return draws, prefixes
+        draws = []
+        return draws, craft_streams(monkeypatch, tied, lambda rng: TiedKeys(rng, self.m, draws))
 
     def test_tie_redrawn_from_the_retry_stream(self, monkeypatch):
         # replicate 4 of a 7-row block ties; only it is redrawn, from (*parts, 4, 1)
@@ -354,9 +431,10 @@ class TestRankRetry:
     def test_persistent_ties_raise(self, monkeypatch):
         # replicate 2 and each of its 99 retry streams tie
         draws, _ = self.tie(monkeypatch, lambda prefix, k: [*prefix, k][:3] == [*self.parts, 2])
-        with pytest.raises(st.TiesError, match="persistent ties in rank-null keys"):
+        with pytest.raises(st.TiesError, match=persistent_ties([*self.parts, 2])) as exc:
             cal.replicate_rows(cal.RANK_NULL, [st.HC], None, None, (), self.m, self.n,
                                self.parts, 0, 5)
+        assert exc.value.value is None
         assert len(draws) == 100
 
 
@@ -536,26 +614,18 @@ class TestBlockRows:
 
     def test_tie_retry_inside_a_block(self, monkeypatch):
         # the first draw of replicate 4 ties; it is redrawn from (*parts, 4, 1)
-        parts, alt, m, n = [7, cal.TAG_POWER, 2], MixtureAlt(0.2, 1.5), 40, 30
+        parts, alt, m, n = [7, cal.TAG_POWER], MixtureAlt(0.2, 1.5), 40, 30
         tests = [st.HC, st.LRT]
-        pooled_indicator = st.pooled_indicator
-        calls = []
-
-        def tie_on_fifth(x, y):
-            calls.append(1)
-            if len(calls) == 5:
-                raise st.TiesError(0.0)
-            return pooled_indicator(x, y)
-
-        seen = []
+        seen, draws = [], []
         with monkeypatch.context() as mp:
-            mp.setattr(st, "pooled_indicator", tie_on_fifth)
+            craft_streams(mp, lambda prefix, k: [*prefix, k] == [*parts, 4],
+                          lambda rng: TiedData(rng, m, n, alt.mu, draws))
             self.record(mp, "hc_from_indicator", seen)
             got = cal.replicate_rows(cal.DATA, tests, NORMAL, alt, [alt], m, n, parts, 0, 9)
-        assert len(calls) == 10 and [len(b) for b in seen] == [9]
+        assert len(draws) == 1 and [len(b) for b in seen] == [9]
         rng = np.random.default_rng(np.random.SeedSequence([*parts, 4, 1]))
         x, y = gg_sample(m, NORMAL, rng), mixture_sample(n, NORMAL, alt, rng)
-        xi = pooled_indicator(x, y)
+        xi = st.pooled_indicator(x, y)
         expected = self.alone(cal.DATA, tests, NORMAL, alt, [alt], m, n, parts, 0, 9)
         expected[4] = [st.hc_from_indicator(xi, m, n), st.lrt_stat(y, NORMAL, alt)]
         assert got.tobytes() == expected.tobytes()

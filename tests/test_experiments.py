@@ -226,12 +226,14 @@ class TestPinnedOutput:
     """CSV digests of a small all-test curve, recorded with numpy 2.4.6.
 
     A change that alters the random streams on purpose updates them; the
-    current ones are those of rng_scheme 8, where a rank-null replicate is
-    the m smallest of m + n uniform keys, a tie redrawn from the retry
-    streams, in place of a label shuffle.  Every digest here reads an HC
-    table, so all moved at scheme 8; the LRT tables did not.  At scheme 7 a
-    mixture sample came to shift its first K ~ Binomial(n, eps) draws (so
-    only its multiset is iid) and gamma = 1 to be drawn as scale * (E1 - E2).
+    current ones are those of rng_scheme 9, where a power replicate's X,
+    Y-base and K serve every grid point, drawn from a stream with no grid
+    index.  Every CSV digest moved at scheme 9, and no null table did.  At
+    scheme 8 a rank-null replicate came to be the m smallest of m + n uniform
+    keys, which moved every digest here, since each reads an HC table; at
+    scheme 7 a mixture sample came to shift its first K ~ Binomial(n, eps)
+    draws (so only its multiset is iid) and gamma = 1 to be drawn as
+    scale * (E1 - E2).
     """
 
     @staticmethod
@@ -240,19 +242,19 @@ class TestPinnedOutput:
 
     def test_power_grid(self):
         assert self.digest(run_power_grid(pinned_config())) == (
-            "bd7a470d05290b13daffd8277289eda8764030dc424b36e3f42c419bfa6c27c3"
+            "0d5e45e357ecc5ed206d0fe27c01e8f067b0bdb313f2a0170438a3826834d056"
         )
 
     def test_power_grid_multiword_seed(self):
         # a master seed of 2**40 + 3 enters the entropy as two words
         cfg = dataclasses.replace(pinned_config(), master_seed=2**40 + 3)
         assert self.digest(run_power_grid(cfg)) == (
-            "8306d020ceae55c950e1046d870019ab973f9e127ab80e51a32f881beac3f0a8"
+            "554abd14843bcef3c83427053c35ad68acb6a20552367c655d3c57dc6e473a4d"
         )
 
     def test_null_level(self):
         assert self.digest(run_null_level(pinned_config())) == (
-            "4112b1159bc33c0bfc2d532d0dffb676ba439e1fb83021cc392cf0611313354c"
+            "cf84dbfe9de7c1e95945d15439c7d10e0fe40bc11db737a36a1c9a948d757401"
         )
 
     def test_sparse_rank_power_grid(self):
@@ -263,7 +265,7 @@ class TestPinnedOutput:
             tests=[st.HC, st.WILCOXON, st.KS, st.TAILRUN],
         )
         assert self.digest(run_power_grid(cfg)) == (
-            "2059ba5e3e982b00de3ab98578aff898f96365a286cd35c63471512d2230bd3b"
+            "0f276ff38bbe6a74efdf147e3a2582d5541ba9077e2e4cca1b5571274ab334f0"
         )
 
     @pytest.mark.parametrize("run", [run_power_grid, run_null_level])
@@ -277,9 +279,9 @@ class TestPinnedOutput:
         seen = {}
         power_point = exp._power_point
 
-        def spy(config, grid_idx, null, tables, threads):
+        def spy(config, grid_idx, tables, columns):
             seen[grid_idx] = tables
-            return power_point(config, grid_idx, null, tables, threads)
+            return power_point(config, grid_idx, tables, columns)
 
         monkeypatch.setattr(exp, "_power_point", spy)
         run(pinned_config())
@@ -306,9 +308,9 @@ class TestLrtNullTables:
         seen = {}
         power_point = exp._power_point
 
-        def spy(config, grid_idx, null, tables, threads):
+        def spy(config, grid_idx, tables, columns):
             seen[grid_idx] = tables
-            return power_point(config, grid_idx, null, tables, threads)
+            return power_point(config, grid_idx, tables, columns)
 
         monkeypatch.setattr(exp, "_power_point", spy)
         run(cfg, threads=threads)
@@ -348,7 +350,7 @@ class TestLrtNullTables:
 
     def test_rng_scheme_recorded(self):
         sidecar = run_power_grid(self.config(tests=[st.KS])).to_json_dict()
-        assert sidecar["rng_scheme"] == cal.RNG_SCHEME == 8
+        assert sidecar["rng_scheme"] == cal.RNG_SCHEME == 9
         assert "rng_scheme" not in sidecar["config"]
         assert ScenarioConfig.from_dict(sidecar["config"]).tests == [st.KS]
 
@@ -443,10 +445,10 @@ class TestBatches:
         calls = spy_batches(monkeypatch)
         cfg = self.config()
         csv = run_power_grid(cfg, threads=threads).to_csv()
-        # the LRT pass, the HC table, then each grid point's power replicates
+        # the LRT pass, the HC table, then the power pass over every grid point
         expected = [(cal.LRT_NULL, (5, cal.TAG_CALIB_LRT)),
-                    (cal.RANK_NULL, (5, cal.TAG_CALIB_RANK))]
-        expected += [(cal.DATA, (5, cal.TAG_POWER, g)) for g in range(3)]
+                    (cal.RANK_NULL, (5, cal.TAG_CALIB_RANK)),
+                    (cal.DATA, (5, cal.TAG_POWER))]
         assert [[(t[0], tuple(t[7])) for t in tasks] for tasks in calls] == [
             [e] * threads for e in expected
         ]
@@ -460,7 +462,7 @@ class TestBatches:
         cfg = self.config(power_reps=1)
         two = run_power_grid(cfg, threads=2).to_csv()
         data = [[(t[8], t[9]) for t in tasks] for tasks in calls if tasks[0][0] == cal.DATA]
-        assert data == [[(0, 1)]] * 3
+        assert data == [[(0, 1)]]
         assert two == run_power_grid(cfg, threads=1).to_csv()
 
     def test_hc_cache_hit_draws_no_rank_null_batch(self, monkeypatch, tmp_path):
@@ -468,4 +470,79 @@ class TestBatches:
         first = run_power_grid(cfg, cache_dir=tmp_path).to_csv()
         calls = spy_batches(monkeypatch)
         assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == first
-        assert [t[0] for tasks in calls for t in tasks] == [cal.DATA] * 3
+        assert [t[0] for tasks in calls for t in tasks] == [cal.DATA]
+
+
+def spy_points(monkeypatch):
+    """Record the columns each _power_point call receives, by grid index."""
+    seen = {}
+    power_point = exp._power_point
+
+    def spy(config, grid_idx, tables, columns):
+        seen[grid_idx] = columns.copy()
+        return power_point(config, grid_idx, tables, columns)
+
+    monkeypatch.setattr(exp, "_power_point", spy)
+    return seen
+
+
+RANK_TESTS = [st.HC, st.WILCOXON, st.KS, st.TAILRUN]
+
+
+class TestPowerPass:
+    """One pass draws each replicate's X, Y-base and K once for the whole grid
+    (common random numbers across the grid points)."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("run", [run_power_grid, run_null_level])
+    @pytest.mark.parametrize("preset", ["normal-dense", "dexp-moderate"])  # gamma = 2, 1
+    def test_each_point_is_its_own_draw(self, monkeypatch, preset, run, threads):
+        # grid point g of the pass is, bit for bit, replicate_rows at alt_g
+        # alone on the same streams; a null run draws Y from F at every point
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)
+        base = figure_config(preset, scale=0.002)
+        cfg = dataclasses.replace(base, calib_reps=150, power_reps=12, master_seed=7)
+        seen = spy_points(monkeypatch)
+        run(cfg, threads=threads)
+        null = run is run_null_level
+        parts = [cfg.master_seed, cal.TAG_NULL if null else cal.TAG_POWER]
+        assert sorted(seen) == list(range(len(cfg.grid)))
+        for g, value in enumerate(cfg.grid):
+            alt = cfg.alt_for(value)
+            expected = cal.replicate_rows(cal.DATA, cfg.tests, cfg.model, None if null else alt,
+                                          [alt], cfg.m, cfg.n, parts, 0, cfg.power_reps)
+            assert seen[g].shape == (len(cfg.tests), cfg.power_reps)
+            assert seen[g].tobytes() == expected.T.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("preset", ["dexp-moderate", "normal-dense"])
+    def test_rank_curves_never_fall(self, monkeypatch, preset, threads):
+        # a larger mu only lowers X's ranks, so every rank statistic, and so
+        # every reject count, is non-decreasing along the grid; at seed 0 each
+        # of these curves fell somewhere under rng_scheme 8
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)
+        base = figure_config(preset, scale=0.003)
+        cfg = dataclasses.replace(base, tests=RANK_TESTS, calib_reps=200, power_reps=40,
+                                  master_seed=0)
+        curve = run_power_grid(cfg, threads=threads)
+        for test in cfg.tests:
+            counts = [pt.per_test[test]["reject_count"] for pt in curve.points]
+            assert counts == sorted(counts), (test, counts)
+        assert curve.points[-1].per_test[st.HC]["reject_count"] > 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_null_level_repeats_rank_rows(self, monkeypatch, threads):
+        # a null replicate's one sample serves every grid point: its rank
+        # values repeat, and only the LRT is taken at each point's alternative
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)
+        base = figure_config("dexp-moderate", scale=0.002)
+        cfg = dataclasses.replace(base, calib_reps=150, power_reps=30, master_seed=3)
+        seen = spy_points(monkeypatch)
+        curve = run_null_level(cfg, threads=threads)
+        rank = [i for i, t in enumerate(cfg.tests) if t in RANK_TESTS]
+        lrt = cfg.tests.index(st.LRT)
+        for g in seen:
+            assert seen[g][rank].tobytes() == seen[0][rank].tobytes()
+        assert len({seen[g][lrt].tobytes() for g in seen}) == len(cfg.grid)
+        for test in RANK_TESTS:
+            assert len({json.dumps(pt.per_test[test]) for pt in curve.points}) == 1
