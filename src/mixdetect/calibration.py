@@ -1,12 +1,14 @@
 """Null distributions and p-values.
 
-Monte Carlo tables for the higher criticism and likelihood-ratio statistics,
-limiting distributions for Wilcoxon and one-sided KS, and the exact negative
-hypergeometric null for the tail run.  A rank statistic depends on the data
-only through the pooled ordering, which under H0 (continuous data) is a
-uniformly random arrangement of m X-labels and n Y-labels, so its null
-table is simulated on such arrangements: the X-labels sit on the m smallest
-of m + n iid uniform keys.
+A Monte Carlo table for higher criticism, the likelihood-ratio statistic's
+null by one lattice convolution (lrt_null), limiting distributions for
+Wilcoxon and one-sided KS, and the exact negative hypergeometric null for
+the tail run.  A rank statistic depends on the data only through the pooled
+ordering, which under H0 (continuous data) is a uniformly random arrangement
+of m X-labels and n Y-labels, so its null table is simulated on such
+arrangements: the X-labels sit on the m smallest of m + n iid uniform keys.
+The LRT is a sum of n iid terms under H0, so its null law is computed, not
+simulated; it reads no table file, seed or replicate count.
 
 STATISTICS is the one table of the five tests: how each is computed and
 how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
@@ -15,18 +17,20 @@ replicate is drawn by replicate_rows.  block_values scores a block of
 replicates, or mixdetect test's one sample, evaluating each statistic once
 and every rank kernel on the block's one running X-count.  table_key
 defines a table's key once: NullTable.key, its file's fields and name
-(cache_key) and the matches of the harness cache and of test --table.
+(cache_key) and the match of the harness cache and of test --table.
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, k]), as in
-rng_scheme 9; the seed words of a whole batch of streams are hashed
+rng_scheme 10; the seed words of a whole batch of streams are hashed
 in one vectorised pass (_seed_words), and numpy's PCG64 seeds each
 replicate's own generator from them, so no replicate builds a SeedSequence.
 
-The module loads no SciPy: the Wilcoxon p-value is the normal upper tail
-0.5 * erfc(z / sqrt(2)) from math.erfc, and the tail-run p-value
+The module loads no SciPy at import: the Wilcoxon p-value is the normal
+upper tail 0.5 * erfc(z / sqrt(2)) from math.erfc, and the tail-run p-value
 C(n, l) / C(m+n, l) is summed in log space from math.lgamma, once per
-distinct l.  At import it allocates and frees one 1 MiB array, so that the
-replicate loop's temporaries reuse glibc's heap (see _BLOCK_ELEMENTS).
+distinct l.  lrt_null loads numpy.fft when it runs, and scipy.special only
+for a gamma other than 1 and 2.  At import the module allocates and frees
+one 1 MiB array, so that the replicate loop's temporaries reuse glibc's
+heap (see _BLOCK_ELEMENTS).
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ from .distributions import GGParams, MixtureAlt, check_integer, gg_sample
 # refused (4: an LRT file also carries the gamma, scale, eps and mu it was
 # simulated for; 5: the draws of rng_scheme 7, which moved gamma = 1 LRT
 # tables; 6: those of rng_scheme 8, which moved every HC table; a scheme
-# that moves a file's draws moves this version too)
+# that moves a file's draws moves this version too).  Since rng_scheme 10
+# only HC has table files; a format-6 LRT file is refused as a table of a
+# statistic that reads none.
 CACHE_FORMAT_VERSION = 6
 
 # version of the harness's seed streams and statistic values, recorded in
@@ -58,8 +64,9 @@ CACHE_FORMAT_VERSION = 6
 # redrawn from the retry streams, in place of a shuffle of the labels;
 # 9: a power replicate's X, Y-base and K serve every grid point (common
 # random numbers), from a stream with no grid index, and a tie at any point
-# redraws the whole replicate
-RNG_SCHEME = 9
+# redraws the whole replicate; 10: the LRT's null is computed (lrt_null),
+# so the stream (seed, 102, k) of its simulated tables is no longer drawn
+RNG_SCHEME = 10
 
 _TINY_P = 1e-300
 _SQRT_HALF = math.sqrt(0.5)
@@ -68,48 +75,38 @@ MONTE_CARLO = "monte-carlo"
 NORMAL_APPROX = "normal-approx"
 SMIRNOV_LIMIT = "smirnov-limit"
 EXACT = "exact"
+LATTICE = "lattice-convolution"
 
 # purpose tags of the seed streams: replicate k of a stream draws from
 # SeedSequence([master_seed, tag, k]), so calibration draws never overlap
 # power draws
 TAG_CALIB_RANK = 101
-TAG_CALIB_LRT = 102
 TAG_POWER = 201
 TAG_NULL = 202
 
 # what one replicate samples
 RANK_NULL = "rank-null"  # the indicator only: ones on the m smallest of m + n keys
-LRT_NULL = "lrt-null"  # the Y-sample from F only (the LRT ignores X)
 DATA = "data"  # X from F and Y from G at every alternative, or from F when alt is None
 
 
 # a null table's key, in order: each field's name, tag in the file name, type
-# in the key and dtype in the file; a rank table's key is the first five
+# in the key and dtype in the file
 _KEY_FIELDS = (
     ("statistic", "", str, np.str_), ("m", "m", int, np.int64), ("n", "n", int, np.int64),
     ("reps", "r", int, np.int64), ("seed", "s", int, np.int64),
-    ("gamma", "g", float, np.float64), ("scale", "sc", float, np.float64),
-    ("epsilon", "e", float, np.float64), ("mu", "mu", float, np.float64),
 )
 
 
-def table_key(statistic: str, m: int, n: int, reps: int, seed: int, model=None) -> tuple:
-    """What a null table is simulated for: (statistic, m, n, reps, seed), then an
-    LRT table's gamma, scale, epsilon and mu, given its model (GGParams, MixtureAlt)."""
-    key = (statistic, m, n, reps, seed)
-    if model is None:
-        return key
-    p, alt = model
-    return (*key, p.gamma, p.scale, alt.epsilon, alt.mu)
+def table_key(statistic: str, m: int, n: int, reps: int, seed: int) -> tuple:
+    """What a null table is simulated for: (statistic, m, n, reps, seed)."""
+    return (statistic, m, n, reps, seed)
 
 
 @dataclass(frozen=True)
 class NullTable:
     """Sorted Monte Carlo draws of a statistic under H0.
 
-    statistic is a test whose p-value reads a table (HC or the LRT); model
-    is the (GGParams, MixtureAlt) an LRT table was simulated for; a rank
-    table has none.
+    statistic is a test whose p-value reads a table (HC).
     """
 
     statistic: str
@@ -117,7 +114,6 @@ class NullTable:
     n: int
     draws: np.ndarray
     seed: int
-    model: tuple[GGParams, MixtureAlt] | None = None
 
     def __post_init__(self):
         _table_statistic(self.statistic)
@@ -128,8 +124,6 @@ class NullTable:
             raise ValueError("null-table draws must be a finite 1-D array")
         if np.any(d[1:] < d[:-1]):
             raise ValueError("null-table draws must be sorted")
-        if (self.model is None) == (self.statistic == st.LRT):
-            raise ValueError("an LRT table, and only an LRT table, carries its model")
 
     @property
     def reps(self) -> int:
@@ -138,13 +132,13 @@ class NullTable:
     @property
     def key(self) -> tuple:
         """What the table was simulated for: its table_key."""
-        return table_key(self.statistic, self.m, self.n, self.reps, self.seed, self.model)
+        return table_key(self.statistic, self.m, self.n, self.reps, self.seed)
 
 
 @dataclass(frozen=True)
 class PValue:
     p: float
-    method: str  # monte-carlo | normal-approx | smirnov-limit | exact
+    method: str  # monte-carlo | lattice-convolution | normal-approx | smirnov-limit | exact
 
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0):
@@ -159,9 +153,9 @@ class Statistic:
     of pooled X-origin indicators, which block_values calls.  The LRT has no
     rank kernel: one lrt_stats call on the Y-samples and the model gives its
     value at every alternative of every replicate of a block.  pvalues(values,
-    m, n, table) maps an array of statistic values to p-values; a Monte-Carlo
-    test needs its null table.  extra(value, m, n) gives further fields for a
-    test report.
+    m, n, table) maps an array of statistic values to p-values; HC needs its
+    Monte Carlo null table, and the LRT its LatticeNull (lrt_null) in that
+    place.  extra(value, m, n) gives further fields for a test report.
     """
 
     name: str
@@ -346,11 +340,11 @@ def _smallest_keys(keys, xi, m: int) -> np.ndarray:
 def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np.ndarray:
     """Values of tests on replicates k0 <= k < k1, row k - k0 for replicate k.
 
-    Replicate k draws from the stream (*parts, k); kind is RANK_NULL,
-    LRT_NULL or DATA.  A RANK_NULL replicate puts its X-labels on the m
-    smallest of m + n uniform keys; a tied m-th smallest key is redrawn from
-    the stream (*parts, k, retry), retry = 1, 2, ..., 99 in turn, as a tied
-    DATA replicate is.  A DATA replicate draws X and a Y-base from F once
+    Replicate k draws from the stream (*parts, k); kind is RANK_NULL or
+    DATA.  A RANK_NULL replicate puts its X-labels on the m smallest of
+    m + n uniform keys; a tied m-th smallest key is redrawn from the stream
+    (*parts, k, retry), retry = 1, 2, ..., 99 in turn, as a tied DATA
+    replicate is.  A DATA replicate draws X and a Y-base from F once
     (_draw_data); with alt given also one K ~ Binomial(n, alt.epsilon), and
     its Y-sample at each alternative in lrt_alts (each of alt's epsilon) is
     the base with its first K values shifted by that mu: mixture_sample's
@@ -373,19 +367,22 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     else:
         scored, mus = [lrt_alts], []
     # block_values gives a rank test one column and the LRT one per
-    # alternative of the call; group g of the call's values takes take[g]
-    span = len(scored[0]) or 1
+    # alternative of the call; with more than one alternative, group g of
+    # the call's values takes the columns take[g], and otherwise all of
+    # them, in order
+    span, width = len(scored[0]) or 1, len(stats)
     offsets = list(itertools.accumulate([0] + [1 if s.rank else span for s in stats]))
-    take = [[o + (0 if s.rank else g) for s, o in zip(stats, offsets)] for g in range(span)]
+    take = np.array([o + (0 if s.rank else g) for g in range(span)
+                     for s, o in zip(stats, offsets)]) if span > 1 else slice(None)
     row = max(m + n if s.rank else span * n for s in stats)
     rows = max(1, min(_BLOCK_ELEMENTS // row, k1 - k0))
     # the block's pooled indicators and Y-samples, and a rank null's keys;
     # a replicate leaves what its kind does not draw empty
-    xi = np.empty((rows, 0 if kind == LRT_NULL else m + n), dtype=np.int64)
+    xi = np.empty((rows, m + n), dtype=np.int64)
     y = np.empty((rows, 0 if kind == RANK_NULL else n))
     keys = np.empty((rows, m + n if kind == RANK_NULL else 0))
     unraised = np.empty(m + n, dtype=bool)  # a DATA row: all but its raised values
-    out = np.empty((k1 - k0, len(scored) * span, len(stats)))
+    out = np.empty((k1 - k0, len(scored) * span * width))
     streams = _streams(parts, k0, k1)
     for a in range(k0, k1, rows):
         b = min(a + rows, k1)
@@ -400,9 +397,6 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
                         break
                 else:
                     raise _persistent_ties([*parts, a + i])
-        elif kind == LRT_NULL:
-            for i, (k, rng) in enumerate(block):
-                y[i] = gg_sample(n, model, rng)
         else:
             draws = [_draw_data(model, alt, mus, m, n, [*parts, k], rng) for k, rng in block]
         for c, alts in enumerate(scored):
@@ -418,8 +412,8 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
                     else:
                         xi[i] = labels
             values = block_values(stats, xi[:b - a], y[:b - a], m, n, model, alts)
-            out[a - k0:b - k0, c * span:(c + 1) * span] = values[:, take]
-    return out.reshape(k1 - k0, -1)
+            out[a - k0:b - k0, c * span * width:(c + 1) * span * width] = values[:, take]
+    return out
 
 
 def _serial(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps) -> np.ndarray:
@@ -460,50 +454,198 @@ def _table_statistic(statistic: str) -> Statistic:
     return stat
 
 
-def _null_tables(statistic, m, n, reps, seed, p=None, alts=(), collect=_serial) -> list:
+def _null_tables(statistic, m, n, reps, seed, collect=_serial) -> list:
     """Sorted null tables of statistic, from replicate k of (seed, tag, k).
 
     HC gives one table, simulated on random arrangements of m X-labels and
-    n Y-labels (tag TAG_CALIB_RANK).  The LRT draws its Y-sample from F = p
-    (tag TAG_CALIB_LRT) and gives one table per alternative in alts, table
-    i carrying the model (p, alts[i]).  A test whose p-value reads no table
-    is refused, and so are HC given a model and the LRT given none.  collect
-    runs the replicates: it is called positionally as _serial is, and the
-    power harness passes its own, which uses the run's pool.
+    n Y-labels (tag TAG_CALIB_RANK).  A test whose p-value reads no table,
+    the LRT included, is refused.  collect runs the replicates: it is
+    called positionally as _serial is, and the power harness passes its
+    own, which uses the run's pool.
     """
     _check_table_inputs(reps, seed)
     _check_sizes(m, n)
-    stat = _table_statistic(statistic)
-    if not stat.rank and (p is None or not alts):
-        raise ValueError("LRT calibration requires the model (GGParams, MixtureAlt)")
-    if stat.rank and (p is not None or alts):
-        raise ValueError(f"{statistic} is simulated on label arrangements; it reads no model")
-    kind, tag = (RANK_NULL, TAG_CALIB_RANK) if stat.rank else (LRT_NULL, TAG_CALIB_LRT)
-    columns = collect(kind, p, None, alts, m, n, [statistic], [seed, tag], reps)
-    models = [(p, a) for a in alts] or [None]
-    return [NullTable(statistic, m, n, np.sort(draws), seed, model)
-            for draws, model in zip(columns, models)]
+    _table_statistic(statistic)
+    columns = collect(RANK_NULL, None, None, (), m, n, [statistic], [seed, TAG_CALIB_RANK], reps)
+    return [NullTable(statistic, m, n, np.sort(draws), seed) for draws in columns]
 
 
-def mc_null_table(
-    statistic: str,
-    m: int,
-    n: int,
-    reps: int,
-    master_seed: int,
-    model: tuple[GGParams, MixtureAlt] | None = None,
-) -> NullTable:
-    """Simulate the null distribution of a statistic.
+def mc_null_table(statistic: str, m: int, n: int, reps: int, master_seed: int) -> NullTable:
+    """Simulate the null distribution of a statistic on random label arrangements.
 
     The one-table case of the power harness's builder, so a table equals
-    the harness's for the same (statistic, m, n, reps, seed): HC is
-    simulated on random label arrangements, the LRT, which needs the model
-    (GGParams, MixtureAlt), on Y-samples from F.  WILCOXON, KS and TAILRUN
-    read no table and are refused.
+    the harness's for the same (statistic, m, n, reps, seed).  Only HC reads
+    a table: WILCOXON, KS, TAILRUN and the LRT (lrt_null) are refused.
     """
-    p, alt = model or (None, None)
-    (table,) = _null_tables(statistic, m, n, reps, master_seed, p, [alt] if model else [])
+    (table,) = _null_tables(statistic, m, n, reps, master_seed)
     return table
+
+
+# The LRT's null on a lattice (lrt_null).  F is cut into _LRT_CELLS cells
+# over [-A, A] * scale (_lattice_term), A the first of
+# (40 gamma)**(1/gamma) * 1.25**i whose two F-tails, times n, are below
+# _LRT_TAIL; a cell next to 0 may hold at most _LRT_MAX_CELL of F.  The
+# lattice step is sd(T) / _LRT_STEPS, and the transform's window holds
+# +-_LRT_WIDTH sd of the sum, doubled while too much mass sits at its edges,
+# up to _LRT_MAX_LENGTH points.  Measured (BENCH_pr32_lattice_lrt.json): of
+# 1000 to 8000 cells and sd/5 to sd/20, 4000 cells and sd/10 put p-values
+# within 5e-4 of a 128000-cell, sd/40 lattice at the normal-dense,
+# normal-verysparse and dexp-moderate grids (n = 2000 and 10**4) for the
+# least CPU; a window of +-8 sd in place of +-30 moves no p-value by more
+# than the floor, with a quarter of the transform's memory.  _LRT_FLOOR, the
+# smallest p-value, is over 40 times the inverse transform's total
+# negative mass at those grids up to n = 10**5.
+_LRT_CELLS = 4000
+_LRT_STEPS = 10
+_LRT_WIDTH = 8
+_LRT_FLOOR = 1e-9
+_LRT_TAIL = _LRT_FLOOR / 1000
+_LRT_MAX_CELL = 0.05
+_LRT_MAX_LENGTH = 2**22
+
+
+@dataclass(frozen=True)
+class LatticeNull:
+    """The LRT's null survival function on the lattice of step h.
+
+    sf[i] = P0(S - shift >= (start + i) * h) for the statistic S of n
+    Y-draws from F, where shift = n * log1p(-eps) is the constant part of S,
+    at the points where it lies between _LRT_FLOOR and 1 - _LRT_FLOOR, with
+    one point more at each end: 1 below them and _LRT_FLOOR above.
+    """
+
+    h: float
+    start: int
+    shift: float
+    sf: np.ndarray
+
+
+def _upper_tail(z: np.ndarray, gamma: float) -> np.ndarray:
+    """P(Z > z), z >= 0, for Z standard generalized Gaussian of shape gamma."""
+    if gamma == 2.0:
+        return np.array([0.5 * math.erfc(v * _SQRT_HALF) for v in z.tolist()])
+    if gamma == 1.0:
+        return 0.5 * np.exp(-z)
+    from scipy import special
+
+    return 0.5 * special.gammaincc(1.0 / gamma, z**gamma / gamma)
+
+
+def _lattice_term(p: GGParams, alt: MixtureAlt, n: int):
+    """One term of the LRT under F as cells: their masses and the term's
+    value at each cell's midpoint, by lrt_terms (without log1p(-eps)).
+
+    The cell edges are +-scale * sinh(v), v on an even grid, so cells are
+    about scale * dv wide near 0 and dv of their place in the tails.  The
+    cell holding c = mu / scale is cut at c: lr = log(f(y - mu)/f(y)) has a
+    kink or cusp at 0 and at c unless gamma = 2, and a cell edge there keeps
+    the midpoint rule second order.  F's tails beyond the cells go to the
+    outermost ones.
+    """
+    a = max((40.0 * p.gamma) ** (1.0 / p.gamma), 1.0)
+    for _ in range(400):
+        if 2 * n * _upper_tail(np.array([a]), p.gamma)[0] <= _LRT_TAIL:
+            break
+        a *= 1.25
+    edges = np.sinh(np.linspace(0.0, math.asinh(a), _LRT_CELLS // 2 + 1))
+    tail = _upper_tail(edges, p.gamma)
+    if 2 * n * tail[-1] > _LRT_TAIL or tail[0] - tail[1] > _LRT_MAX_CELL:
+        raise ValueError(f"the LRT's null has no lattice at gamma = {p.gamma}: F's "
+                         f"tails or its mass near 0 do not fit {_LRT_CELLS} cells")
+    c = alt.mu / p.scale
+    i = int(np.searchsorted(edges, c))  # the first edge at or above c
+    cut, cut_tail = edges, tail
+    if i < edges.size and edges[i] != c:
+        cut = np.insert(edges, i, c)
+        cut_tail = np.insert(tail, i, _upper_tail(np.array([c]), p.gamma))
+    left, right = np.diff(tail[::-1]), -np.diff(cut_tail)
+    left[0] += tail[-1]
+    right[-1] += tail[-1]
+    mid = np.concatenate([-(edges[1:] + edges[:-1])[::-1], cut[1:] + cut[:-1]]) / 2
+    return np.concatenate([left, right]), st.lrt_terms(p.scale * mid, p, (alt,))[0]
+
+
+def _nth_power(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """spectrum**n by repeated squaring, in place of numpy's complex power,
+    which took 6 ms at 2**16 points; spectrum is overwritten."""
+    power = np.ones_like(spectrum)
+    while True:
+        if n & 1:
+            power *= spectrum
+        n >>= 1
+        if not n:
+            return power
+        spectrum *= spectrum
+
+
+def lrt_null(p: GGParams, alt: MixtureAlt, n: int) -> LatticeNull:
+    """The null law of the LRT of n Y-draws from F at alt, by one lattice
+    convolution (the FFT method for aggregate laws, Embrechts & Frei 2009).
+
+    The statistic is S = sum_i T(Y_i), and under H0 the Y_i are iid F, so
+    its law is the n-fold convolution of one term's.  The term is F cut into
+    cells (_lattice_term), each cell's mass split between the two lattice
+    points around its value so that the cell keeps its mean (Gerber 1982);
+    the sum's pmf is irfft(rfft(pmf, L)**n, L), the power by repeated
+    squaring, recentred on n times the term's mean.  A window whose edges,
+    or a term whose mass beyond a quarter window, hold more than
+    _LRT_FLOOR / 10 is doubled; past _LRT_MAX_LENGTH points it is refused.
+    numpy.fft is imported here, so only a run that reads this law loads it.
+    """
+    import numpy.fft as fft
+
+    check_integer("n", n, 1)
+    mass, terms = _lattice_term(p, alt, n)
+    mean = float(mass @ terms)
+    sd = math.sqrt(float(mass @ (terms - mean) ** 2))
+    h = sd / _LRT_STEPS
+    if not h > 0.0:
+        raise ValueError(f"the LRT at {alt} has no spread under F: its null is one point")
+    u = terms / h
+    j = np.floor(u)
+    up = mass * (u - j)
+    ref = round(mean / h)  # a term's index is taken relative to ref
+    rel = (j - ref).astype(np.int64)
+    centre = round(n * mean / h)
+    length = 1 << math.ceil(math.log2(2 * _LRT_WIDTH * _LRT_STEPS * math.sqrt(n)))
+    while length <= _LRT_MAX_LENGTH:
+        if n * mass[np.abs(rel) >= length // 4].sum() <= _LRT_FLOOR / 10:
+            pmf = np.bincount(rel % length, mass - up, length)
+            pmf += np.bincount((rel + 1) % length, up, length)
+            pmf = fft.irfft(_nth_power(fft.rfft(pmf), n), length)
+            start = centre - length // 2
+            # entry t holds P(sum of rel = t mod length); the window's entry i
+            # is the sum n * ref + rel = start + i
+            pmf = np.roll(pmf, (n * ref - start) % length)
+            edge = length // 16
+            if pmf[:edge].sum() + pmf[-edge:].sum() <= _LRT_FLOOR / 10:
+                sf = np.cumsum(pmf[::-1])[::-1]
+                # only the points whose survival lies between the floor and
+                # 1 - floor are kept, and one at each end, set to 1 and the
+                # floor: the edge check leaves window points beyond both
+                inside = np.flatnonzero((sf > _LRT_FLOOR) & (sf < 1.0 - _LRT_FLOOR))
+                a, b = inside[0] - 1, inside[-1] + 2
+                sf = sf[a:b].copy()
+                sf[0], sf[-1] = 1.0, _LRT_FLOOR
+                shift = n * math.log1p(-alt.epsilon)
+                return LatticeNull(h, start + int(a), shift, sf)
+        length *= 2
+    raise ValueError(
+        f"the LRT's null at {alt}, n = {n} needs a lattice of more than "
+        f"{_LRT_MAX_LENGTH} points"
+    )
+
+
+def lattice_pvalues(values, null: LatticeNull) -> np.ndarray:
+    """P0(S >= value) at the first lattice point at or above each value: 1
+    below the points null keeps, _LRT_FLOOR above them."""
+    i = np.array(values, dtype=float)
+    i -= null.shift
+    i /= null.h
+    np.ceil(i, out=i)
+    i -= null.start
+    np.clip(i, 0, null.sf.size - 1, out=i)
+    return null.sf[i.astype(np.intp)]
 
 
 def mc_pvalues(values, table: NullTable) -> np.ndarray:
@@ -612,7 +754,7 @@ def tailrun_null_pmf(m: int, n: int) -> np.ndarray:
 STATISTICS = {
     s.name: s
     for s in (
-        Statistic(st.LRT, None, lambda v, m, n, t: mc_pvalues(v, t), MONTE_CARLO),
+        Statistic(st.LRT, None, lambda v, m, n, t: lattice_pvalues(v, t), LATTICE),
         Statistic(st.HC, "hc_from_indicator", lambda v, m, n, t: mc_pvalues(v, t), MONTE_CARLO),
         Statistic(st.WILCOXON, "wilcoxon_from_indicator",
                   lambda v, m, n, t: wilcoxon_pvalues(v, m, n), NORMAL_APPROX),
@@ -647,8 +789,8 @@ def save_null_table(table: NullTable, path, force: bool = False) -> Path:
 def load_null_table(path) -> NullTable:
     """Read a cache file; a ValueError naming path unless it is intact and of this version.
 
-    The table is rebuilt from the fields of its key, an LRT file's model
-    included.  Like save_null_table, it adds a missing .npz suffix to path.
+    The table is rebuilt from the fields of its key.  Like
+    save_null_table, it adds a missing .npz suffix to path.
     """
     path = npz_path(path)
     try:
@@ -656,29 +798,26 @@ def load_null_table(path) -> NullTable:
             version = int(data["version"])
             if version != CACHE_FORMAT_VERSION:
                 raise ValueError(f"unsupported cache format version {version}")
-            fields = _KEY_FIELDS if str(data["statistic"]) == st.LRT else _KEY_FIELDS[:5]
             values = []
-            for name, _, kind, dtype in fields:
+            for name, _, kind, dtype in _KEY_FIELDS:
                 value = data[name]
                 if not np.issubdtype(value.dtype, dtype):
                     raise TypeError(f"field {name} is {value.dtype}, not {dtype.__name__}")
                 values.append(kind(value))
-            statistic, m, n, reps, seed, *model = values
-            model = (GGParams(*model[:2]), MixtureAlt(*model[2:])) if model else None
-            table = NullTable(statistic, m, n, data["draws"].copy(), seed, model)
+            statistic, m, n, reps, seed = values
+            table = NullTable(statistic, m, n, data["draws"].copy(), seed)
             if table.reps != reps:
                 raise ValueError(f"{table.reps} draws but reps = {reps}")
     # EOFError: an empty file; TypeError: a bare .npy, or a field of the wrong shape or dtype
     except (KeyError, EOFError, TypeError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path} is not a null-table file: {e}") from None
-    except ValueError as e:  # another version, or a table NullTable refuses
+    # another version, or a table NullTable refuses (an LRT file among them)
+    except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     return table
 
 
-def cache_key(statistic: str, m: int, n: int, reps: int, seed: int, model=None) -> str:
-    """The file name of a null table: the fields of its key, each tagged, an LRT
-    table's model (GGParams, MixtureAlt) right after the statistic."""
-    key = table_key(statistic, m, n, reps, seed, model)
-    parts = [f"{tag}{v}" for (_, tag, _, _), v in zip(_KEY_FIELDS, key)]
-    return "_".join([*parts[:1], *parts[5:], *parts[1:5]]) + ".npz"
+def cache_key(statistic: str, m: int, n: int, reps: int, seed: int) -> str:
+    """The file name of a null table: the fields of its key, each tagged."""
+    key = table_key(statistic, m, n, reps, seed)
+    return "_".join(f"{tag}{v}" for (_, tag, _, _), v in zip(_KEY_FIELDS, key)) + ".npz"

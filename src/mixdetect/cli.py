@@ -88,11 +88,11 @@ def cmd_test(args) -> int:
     model, alt = _model_and_alt(args, lrt=not all(s.rank for s in stats))
     tables = {}
     if args.table:
-        # the file serves the selected Monte Carlo test that, simulated with
-        # the file's reps and seed, would give a table of the file's key
+        # the file serves the selected Monte Carlo test (HC) that, simulated
+        # with the file's reps and seed, would give a table of the file's key
         table = cal.load_null_table(args.table)
-        keys = [cal.table_key(s.name, m, n, table.reps, table.seed,
-                              None if s.rank else (model, alt)) for s in stats if s.monte_carlo]
+        keys = [cal.table_key(s.name, m, n, table.reps, table.seed)
+                for s in stats if s.monte_carlo]
         if table.key not in keys:
             raise ValueError(
                 f"table {args.table} is for {table.key}; it matches no selected test here"
@@ -102,9 +102,9 @@ def cmd_test(args) -> int:
     values = cal.block_values(stats, xi[None], y[None], m, n, model, [alt])[0].tolist()
     for stat, value in zip(stats, values):
         if stat.monte_carlo and stat.name not in tables:
-            tables[stat.name] = cal.mc_null_table(
-                stat.name, m, n, args.reps, args.seed, model=None if stat.rank else (model, alt)
-            )
+            tables[stat.name] = cal.mc_null_table(stat.name, m, n, args.reps, args.seed)
+        elif not stat.rank:
+            tables[stat.name] = cal.lrt_null(model, alt, n)
         pv = stat.pvalue(value, m, n, tables.get(stat.name))
         row = {"statistic": value, "pvalue": pv.p, "method": pv.method}
         if stat.extra is not None:
@@ -219,11 +219,13 @@ def cmd_diagnose(args) -> int:
 
 def cmd_calibrate(args) -> int:
     statistic = args.statistic.upper()
-    p, alt = _model_and_alt(args, lrt=statistic == st.LRT)
-    model = (p, alt) if statistic == st.LRT else None
+    # an unknown statistic, or one whose p-value reads no table (the LRT
+    # among them), is refused first
+    cal._table_statistic(statistic)
+    _model_and_alt(args, lrt=False)  # read by no table, but validated
     # a bad --out fails now, not after simulating the table; a directory is
     # refused as given, before npz_path names a file beside it
-    out = Path(args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed, model))
+    out = Path(args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed))
     if not out.is_dir():
         # Path drops a trailing "/" or "/.", so the file name is read from the string
         if args.out and os.path.basename(args.out) in ("", "."):
@@ -232,8 +234,7 @@ def cmd_calibrate(args) -> int:
     _check_writable(out)
     if out.exists() and not args.force:
         raise ValueError(f"{out} exists; pass --force to overwrite")
-    # an unknown statistic, or one whose p-value reads no table, is refused here
-    table = cal.mc_null_table(statistic, args.m, args.n, args.reps, args.seed, model=model)
+    table = cal.mc_null_table(statistic, args.m, args.n, args.reps, args.seed)
     out = cal.save_null_table(table, out, force=args.force)
     q = {lev: float(np.quantile(table.draws, lev)) for lev in (0.90, 0.95, 0.99)}
     print(
@@ -274,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--table",
         default=None,
-        help="null-table file from calibrate, read by the selected HC or LRT test it "
-        "was simulated for; its m and n, and an LRT table's model, must match the run's",
+        help="null-table file from calibrate, read by the selected HC test; its m and n "
+        "must match the run's",
     )
     p.add_argument("--dejitter", action="store_true", help="break ties deterministically")
     add_model_args(p)
@@ -315,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p)
 
     p = sub.add_parser("calibrate", help="write a null-table cache file")
-    p.add_argument("--statistic", required=True, help="HC or LRT, the Monte Carlo tests")
+    p.add_argument("--statistic", required=True,
+                   help="HC, the one test with a Monte Carlo table (the LRT's null is computed)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=4000)

@@ -7,16 +7,16 @@ half-widths.  Every replicate draws from an rng-stream derived from
 calibration.replicate_rows, which evaluates each statistic once per block
 of replicates, over one contiguous batch of them per worker, in the run's
 one process pool if threads > 1, so results are byte-identical at any
-worker count.  A run makes at most three passes through _collect.  The
-null tables come from mc_null_table's builder: one HC table, and one LRT
-pass whose replicate k draws one Y-sample and has the LRT evaluated on it
-at every grid point's alternative.  The power pass draws replicate k's X,
-Y-base and K ~ Binomial(n, eps) once for the whole grid (eps is the same
-at every point; only mu moves), and scores grid point g on the base with
-its first K values shifted by mu_g: common random numbers, so the points
-of one curve are correlated and each rank test's reject count never falls
-along the grid.  _power_point turns one point's values into its rejection
-rates.
+worker count.  A run makes at most two passes through _collect: the HC
+table, from mc_null_table's builder, and the power pass.  The LRT's null
+at each grid point is computed in this process before the power pass, by
+one lattice convolution (calibration.lrt_null), and draws nothing.  The
+power pass draws replicate k's X, Y-base and K ~ Binomial(n, eps) once for
+the whole grid (eps is the same at every point; only mu moves), and scores
+grid point g on the base with its first K values shifted by mu_g: common
+random numbers, so the points of one curve are correlated and each rank
+test's reject count never falls along the grid.  _power_point turns one
+point's values into its rejection rates.
 """
 
 from __future__ import annotations
@@ -205,17 +205,12 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> c
     return table
 
 
-def _lrt_null_table(config: ScenarioConfig, statistic: str, pool) -> list:
-    """Null tables of a model-based statistic (the LRT), one per grid point.
-
-    One pass in the run's pool: replicate k draws one Y-sample and the
-    statistic is evaluated on it at every grid point's alternative, each
-    value bit for bit lrt_stat's, so table g equals
-    mc_null_table(statistic, ..., model=(model, alt_g)), its model included.
-    """
-    alts = [config.alt_for(g) for g in config.grid]
-    key = cal.table_key(statistic, config.m, config.n, config.calib_reps, config.master_seed)
-    return cal._null_tables(*key, config.model, alts, functools.partial(_collect, pool=pool))
+def _lrt_null_table(config: ScenarioConfig, statistic: str) -> list:
+    """The null laws of the model-based statistic (the LRT), one per grid
+    point: calibration.lrt_null at each point's alternative, computed here,
+    before the power pass; nothing is drawn.  statistic names the LRT, as
+    _hc_null_table's names HC; the benchmark reads config from this call."""
+    return [cal.lrt_null(config.model, config.alt_for(g), config.n) for g in config.grid]
 
 
 def _pvalues_for(test, values, m, n, table):
@@ -226,9 +221,9 @@ def _pvalues_for(test, values, m, n, table):
 def _power_point(config, grid_idx, tables, columns):
     """Rejection rates of every test at one grid point.
 
-    tables maps each Monte-Carlo test to its null table at this grid point;
-    columns holds each test's replicate values there, in the order of
-    config.tests.
+    tables maps HC to its null table and the LRT to its lattice null at
+    this grid point; columns holds each test's replicate values there, in
+    the order of config.tests.
     """
     per_test = {}
     for test, values in zip(config.tests, columns):
@@ -255,12 +250,12 @@ def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> Po
         pool = None if executor is None else _Pool(executor, threads)
         tables = [{} for _ in config.grid]  # per grid point: test -> null table
         for s in (cal.STATISTICS[t] for t in config.tests):
-            if not s.monte_carlo:
-                continue
-            if s.rank:
+            if s.monte_carlo:
                 per_point = [_hc_null_table(config, s.name, cache_dir, pool)] * len(config.grid)
+            elif not s.rank:
+                per_point = _lrt_null_table(config, s.name)
             else:
-                per_point = _lrt_null_table(config, s.name, pool)
+                continue
             for point, table in zip(tables, per_point):
                 point[s.name] = table
         # the power pass: replicate k's draws serve every grid point; point

@@ -220,19 +220,12 @@ def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
     (len(alts),) array, element i the value at alts[i], and a (rows, n)
     block of Y-samples a (rows, len(alts)) array, one row per sample (an
     empty one for a block of no rows).  Each term
-    log((1-eps) + eps * f(y-mu)/f(y)), of a (..., len(alts), n) array, is
-    written log1p(-eps) + log1p(eps/(1-eps) * exp(lr)),
-    lr = log(f(y-mu)/f(y)), and the constant n * log1p(-eps) is added once
-    per sum.  For gamma = 2 lr is the affine c*z - c^2/2 (z = y/scale,
-    c = mu/scale), taken as y * (c/scale) - c^2/2 and exact far in the tail;
-    other gamma take (|z|^gamma - |z - c|^gamma)/gamma, with |z|^gamma
-    shared by every alternative.  Only when some lr exceeds _EXP_SAFE, where
-    exp(lr) could overflow, is lr clamped and each large term set to
-    logaddexp(0, log(eps/(1-eps)) + lr), the same value in log space, so
-    tiny eps and huge density ratios are both handled stably; the clamp
-    leaves every other term as it was.  Each (sample, alternative) is summed
-    whole, along the last axis, so every value is bit for bit the one its
-    Y-sample gives alone at that alternative alone.
+    log((1-eps) + eps * f(y-mu)/f(y)) is written log1p(-eps) +
+    log1p(eps/(1-eps) * exp(lr)), lr = log(f(y-mu)/f(y)): lrt_terms gives
+    the second part, and the constant n * log1p(-eps) is added once per
+    sum.  Each (sample, alternative) is summed whole, along the last axis,
+    so every value is bit for bit the one its Y-sample gives alone at that
+    alternative alone.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] == 0:
@@ -242,7 +235,27 @@ def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
         raise ValueError("alts must be nonempty")
     if y.shape[0] == 0:
         return np.empty((0, len(alts)))
-    lr_consts, odds, log_odds, n_log1p_eps = _lrt_constants(p, alts, y.shape[-1])
+    totals = lrt_terms(y, p, alts).sum(axis=-1)
+    totals += _lrt_constants(p, alts, y.shape[-1])[3]
+    if not np.isfinite(totals).all():
+        raise FloatingPointError("non-finite likelihood ratio term")
+    return totals
+
+
+def lrt_terms(y, p: GGParams, alts: tuple) -> np.ndarray:
+    """log1p(eps/(1-eps) * exp(lr)) at every value of y, a (..., len(alts), n)
+    array: the terms of lrt_stats without their constant log1p(-eps).
+
+    For gamma = 2 lr is the affine c*z - c^2/2 (z = y/scale, c = mu/scale),
+    taken as y * (c/scale) - c^2/2 and exact far in the tail; other gamma
+    take (|z|^gamma - |z - c|^gamma)/gamma, with |z|^gamma shared by every
+    alternative.  Only when some lr exceeds _EXP_SAFE, where exp(lr) could
+    overflow, is lr clamped and each large term set to logaddexp(0,
+    log(eps/(1-eps)) + lr), the same value in log space, so tiny eps and
+    huge density ratios are both handled stably; the clamp leaves every
+    other term as it was.
+    """
+    lr_consts, odds, log_odds, _ = _lrt_constants(p, alts, y.shape[-1])
     y = y[..., None, :]
     if p.gamma == 2.0:
         slope, offset = lr_consts
@@ -267,11 +280,7 @@ def lrt_stats(y, p: GGParams, alts) -> np.ndarray:
     np.log1p(lr, out=lr)
     if big is not None:
         lr[big] = big_terms
-    totals = lr.sum(axis=-1)
-    totals += n_log1p_eps
-    if not np.isfinite(totals).all():
-        raise FloatingPointError("non-finite likelihood ratio term")
-    return totals
+    return lr
 
 
 def lrt_stat(y, p: GGParams, alt: MixtureAlt) -> float:

@@ -46,7 +46,9 @@ class TestMcNullTable:
         assert abs(qa - qb) < 0.15
 
     def test_lrt_requires_model(self):
-        with pytest.raises(ValueError):
+        # the LRT's null needs the model, which lrt_null reads; it has no table
+        with pytest.raises(ValueError, match="^LRT reads no null table: its p-value uses the "
+                                             "lattice-convolution null$"):
             mc_null_table(st.LRT, 50, 50, 200, master_seed=0)
 
     def test_reps_floor(self):
@@ -106,12 +108,12 @@ class TestMcNullTable:
         assert got.tobytes() == np.array(expected).tobytes()
 
     def test_lrt_table_at_gamma_one(self):
-        # the LRT null's Y-samples at gamma = 1 are scale * (E1 - E2); sha256
-        # of the draws as of rng_scheme 7 (numpy 2.4.6)
-        model = (GGParams.double_exponential_unit_variance(), MixtureAlt(0.1, 1.5))
-        table = mc_null_table(st.LRT, 30, 40, 200, master_seed=4, model=model)
-        assert hashlib.sha256(table.draws.tobytes()).hexdigest() == (
-            "be91ea9afe01fc670fd46d86dcf7aec458bf206bcc95b61c0920d25ea0e2dbc7"
+        # the LRT's null at gamma = 1, whose F-cells come from the closed-form
+        # tail 0.5 * exp(-z); sha256 of the lattice survival function as of
+        # rng_scheme 10 (numpy 2.4.6; the draws of a simulated table before)
+        null = cal.lrt_null(GGParams.double_exponential_unit_variance(), MixtureAlt(0.1, 1.5), 40)
+        assert hashlib.sha256(null.sf.tobytes()).hexdigest() == (
+            "2d6f4a2bf2cc8acec4453283c4ca8ec5187bb35367b6b0fac20f239a05c92f1d"
         )
 
     @pytest.mark.parametrize("m, n", [(5, 3), (3, 5)])
@@ -157,16 +159,14 @@ class TestMcNullTable:
             mc_null_table(st.HC, m, n, 200, master_seed=0)
 
     def test_model_refused_for_a_rank_statistic(self, monkeypatch):
-        # refused before the replicate loop, not after it has run
+        # a table is simulated on label arrangements and reads no model; the
+        # LRT, the one test with a model, is refused before the replicate loop
         monkeypatch.setattr(cal, "replicate_rows", None)
         alt = MixtureAlt(0.1, 1.0)
-        message = "^HC is simulated on label arrangements; it reads no model$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(TypeError):
             mc_null_table(st.HC, 50, 50, 100, 0, model=(NORMAL, alt))
-        with pytest.raises(ValueError, match=message):
-            cal._null_tables(st.HC, 50, 50, 100, 0, alts=[alt])
-        with pytest.raises(ValueError, match="^LRT calibration requires the model"):
-            cal._null_tables(st.LRT, 50, 50, 100, 0, NORMAL, alts=[])
+        with pytest.raises(ValueError, match="^LRT reads no null table"):
+            cal._null_tables(st.LRT, 50, 50, 100, 0)
 
     @pytest.mark.parametrize("m, n, message", [
         (True, 5, "m must be an integer, got True"),
@@ -202,24 +202,26 @@ class TestMcNullTable:
             calls.append((args, kwargs))
             return cal._serial(*args, **kwargs)
 
-        alts = [MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 2.0)]
-        tables = cal._null_tables(st.LRT, 20, 15, 100, 4, NORMAL, alts, collect)
+        (table,) = cal._null_tables(st.HC, 20, 15, 100, 4, collect)
         [(args, kwargs)] = calls
-        assert kwargs == {} and args[0] == cal.LRT_NULL and args[8] == 100
-        for alt, table in zip(alts, tables):
-            expected = mc_null_table(st.LRT, 20, 15, 100, 4, model=(NORMAL, alt))
-            assert table.key == expected.key
-            np.testing.assert_array_equal(table.draws, expected.draws)
+        assert kwargs == {} and args[0] == cal.RANK_NULL and args[8] == 100
+        expected = mc_null_table(st.HC, 20, 15, 100, 4)
+        assert table.key == expected.key
+        np.testing.assert_array_equal(table.draws, expected.draws)
 
-    def test_lrt_stream(self):
-        # replicate k: the Y-sample from F, drawn from the stream (seed, 102, k)
-        alt = MixtureAlt(epsilon=0.1, mu=2.0)
-        expected = []
-        for k in range(100):
-            rng = np.random.default_rng(np.random.SeedSequence([4, 102, k]))
-            expected.append(st.lrt_stat(gg_sample(30, NORMAL, rng), NORMAL, alt))
-        table = mc_null_table(st.LRT, 30, 30, 100, master_seed=4, model=(NORMAL, alt))
-        np.testing.assert_array_equal(table.draws, np.sort(expected))
+    def test_lrt_stream(self, monkeypatch):
+        # the LRT's null draws from no stream: a run of the LRT alone derives
+        # only its power replicates' streams, (seed, 201, k)
+        from mixdetect import ScenarioConfig, run_power_grid
+
+        prefixes = []
+        seed_words = cal._seed_words
+        monkeypatch.setattr(cal, "_seed_words", lambda prefix, *a: prefixes.append(list(prefix))
+                            or seed_words(prefix, *a))
+        run_power_grid(ScenarioConfig(model=NORMAL, m=60, n=60, regime="dense", beta=0.2,
+                                      grid=[0.3, 0.5], tests=[st.LRT], power_reps=5,
+                                      calib_reps=100, master_seed=4))
+        assert prefixes == [[4, cal.TAG_POWER]]
 
     def test_distribution_freeness(self):
         # same (m, n): uniform-data table vs gaussian-data table agree in law
@@ -495,9 +497,11 @@ class TestBlockRows:
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_lrt_null(self, monkeypatch, gamma):
-        # three alternatives at n = 700: 2**14 // 2100 = 7 rows a block
+        # a null block scored at three alternatives at n = 700 (each row one
+        # group per alternative: HC, then the LRT there): 2**14 // 2100 = 7
+        # rows a block
         alts = [MixtureAlt(0.01, 0.5), MixtureAlt(0.1, 2.0), MixtureAlt(1e-15, 3.0)]
-        self.check(monkeypatch, "lrt_stats", [7, 7, 3], cal.LRT_NULL, [st.LRT],
+        self.check(monkeypatch, "lrt_stats", [7, 7, 3], cal.DATA, [st.HC, st.LRT],
                    GGParams(gamma, 0.8), None, alts, 900, 700, 0, 17)
 
     @pytest.mark.parametrize("gamma", GAMMAS)
@@ -571,8 +575,8 @@ class TestBlockRows:
 
     def test_one_count_per_test_call(self, monkeypatch, tmp_path, capsys):
         """mixdetect test scores its one sample as one block: one running
-        X-count, read by every rank kernel, and one lrt_stats call, made
-        before the LRT table is simulated."""
+        X-count, read by every rank kernel, and one lrt_stats call; the LRT's
+        null is lrt_null's, whose one cumulative sum is over its lattice."""
         from mixdetect.cli import main
 
         m, n = 70, 50
@@ -592,11 +596,10 @@ class TestBlockRows:
             self.count_cumsum(mp, counts)
             assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        assert counts == [(1, m + n)]
+        # the block's count, then lrt_null's one sum over its 1-D window
+        assert counts[0] == (1, m + n) and [len(c) for c in counts[1:]] == [1]
         xi = st.pooled_indicator(x, y)
-        first, *table_blocks = seen.pop("lrt_stats")
-        assert first.tobytes() == y[None].tobytes()
-        assert sum(len(b) for b in table_blocks) == 100
+        assert [b.tobytes() for b in seen.pop("lrt_stats")] == [y[None].tobytes()]
         for name, blocks in seen.items():
             assert [b.tobytes() for b in blocks] == [xi[None].tobytes()]
         for stat in cal.STATISTICS.values():
@@ -657,7 +660,7 @@ class TestStreams:
         [5, cal.TAG_CALIB_RANK],  # 3 words: a null table
         [5, cal.TAG_POWER, 3],  # 4 words: a power point
         [5, cal.TAG_POWER, 3, 17],  # 5 words: a tie retry of replicate 17
-        [2**40 + 3, cal.TAG_CALIB_LRT],  # a two-word master seed
+        [2**40 + 3, cal.TAG_NULL],  # a two-word master seed
         [2**70 + 3, cal.TAG_POWER, 9, 4],  # a three-word one, 7 words in all
         [0],
         [],
@@ -712,9 +715,9 @@ class TestStreams:
 
     def test_batches_longer_than_a_chunk(self):
         # states are derived 1024 at a time; the seam must not show
-        rngs = cal._streams([6, cal.TAG_CALIB_LRT], 1000, 2100)
+        rngs = cal._streams([6, cal.TAG_CALIB_RANK], 1000, 2100)
         for k, rng in zip(range(1000, 2100), rngs):
-            want = numpy_stream([6, cal.TAG_CALIB_LRT, k]).bit_generator.state
+            want = numpy_stream([6, cal.TAG_CALIB_RANK, k]).bit_generator.state
             assert rng.bit_generator.state == want
         assert next(rngs, None) is None
 
@@ -744,7 +747,172 @@ class TestStreams:
         curve = run_power_grid(config)
         assert [pt.grid_value for pt in curve.points] == [0.3, 0.5]
         mc_null_table(st.HC, 20, 15, 100, master_seed=1)
-        mc_null_table(st.LRT, 20, 15, 100, master_seed=1, model=(NORMAL, MixtureAlt(0.1, 1.0)))
+
+
+class TestLatticeNull:
+    """lrt_null: the LRT's null law by one lattice convolution."""
+
+    NORMAL_300 = (NORMAL, MixtureAlt(300 ** -0.6, math.sqrt(0.8 * math.log(300))))
+    DEXP = GGParams.double_exponential_unit_variance()
+    @staticmethod
+    def halving_tolerance(n):
+        """The most that halving the lattice step may move a p-value at n.
+
+        The p-value is read at the first lattice point at or above the
+        value, so it can move by one step's mass, at most about
+        0.4 / (_LRT_STEPS * sqrt(n)) for a sum near normal; halving the step
+        moved none by more than 0.12 / (_LRT_STEPS * sqrt(n)) here."""
+        return 0.2 / (cal._LRT_STEPS * math.sqrt(n))
+
+    @staticmethod
+    def quadrature_mean(p, alt):
+        """E[log1p(eps/(1-eps) * f(Y - mu)/f(Y))], Y ~ F, by quadrature, with
+        the log density ratio in closed form."""
+        from scipy import integrate
+
+        from mixdetect import gg_pdf
+
+        odds, g, c = alt.epsilon / (1 - alt.epsilon), p.gamma, alt.mu / p.scale
+
+        def term(y):
+            z = y / p.scale
+            lr = (abs(z) ** g - abs(z - c) ** g) / g
+            return math.log1p(odds * math.exp(lr)) * gg_pdf(y, p)
+
+        lim = (12.0 if g == 2.0 else 45.0) * p.scale
+        value, _ = integrate.quad(term, -lim, lim, points=[0.0, alt.mu], limit=500,
+                                  epsabs=1e-15, epsrel=1e-12)
+        return value
+
+    @staticmethod
+    def monte_carlo(p, alt, n, reps, seed):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([
+            st.lrt_stats(gg_sample(n * 1000, p, rng).reshape(1000, n), p, [alt])[:, 0]
+            for _ in range(reps // 1000)
+        ])
+
+    @pytest.mark.parametrize("p, alt, n", [
+        (NORMAL, MixtureAlt(0.05, 1.5), 300),
+        (NORMAL, MixtureAlt(0.004, 3.0), 2000),
+        (DEXP, MixtureAlt(0.05, 1.5), 300),
+        (DEXP, MixtureAlt(0.2, 0.3), 50),
+    ], ids=["normal", "normal-sparse", "dexp", "dexp-dense"])
+    def test_term_mean_by_quadrature(self, p, alt, n):
+        # the cells' mean, which the mean-preserving split keeps, and the
+        # mean of the n-fold sum's pmf over n, both against quadrature
+        mass, terms = cal._lattice_term(p, alt, n)
+        mean = mass @ terms
+        sd = math.sqrt(mass @ (terms - mean) ** 2)
+        expected = self.quadrature_mean(p, alt)
+        null = cal.lrt_null(p, alt, n)
+        summed = null.h * (null.start + null.sf[1:].sum()) / n
+        assert abs(mean - expected) < 1e-5 * sd
+        assert abs(summed - expected) < 1e-5 * sd
+
+    @pytest.mark.parametrize("p, alt, n", [
+        (*NORMAL_300, 300), (NORMAL, MixtureAlt(0.16, 0.3), 2000),
+        (DEXP, MixtureAlt(300 ** -0.6, 1.0), 300),
+    ], ids=["normal", "normal-dense", "dexp"])
+    def test_halving_h(self, monkeypatch, p, alt, n):
+        coarse = cal.lrt_null(p, alt, n)
+        values = coarse.shift + coarse.h * (coarse.start + np.linspace(0, coarse.sf.size, 4001))
+        tolerance = self.halving_tolerance(n)
+        monkeypatch.setattr(cal, "_LRT_STEPS", 2 * cal._LRT_STEPS)
+        fine = cal.lrt_null(p, alt, n)
+        assert fine.h == coarse.h / 2
+        moved = np.abs(cal.lattice_pvalues(values, fine) - cal.lattice_pvalues(values, coarse))
+        assert moved.max() < tolerance
+
+    @pytest.mark.parametrize("p, alt", [
+        NORMAL_300, (DEXP, MixtureAlt(300 ** -0.6, 1.0)), (GGParams(3.0), MixtureAlt(0.1, 1.0)),
+    ], ids=["gamma-2", "gamma-1", "gamma-3"])
+    def test_against_monte_carlo(self, p, alt):
+        # 40 000 null LRTs at n = 300: at each tail's Monte Carlo quantile the
+        # lattice p-value lies within 4 standard errors, plus the mass of the
+        # one lattice step that reading it at a lattice point may skip
+        n, reps = 300, 40_000
+        draws = np.sort(self.monte_carlo(p, alt, n, reps, [32, int(p.gamma)]))
+        null = cal.lrt_null(p, alt, n)
+        for tail in (0.5, 0.1, 0.05, 0.01, 0.001):
+            value = draws[int(reps * (1 - tail))]
+            observed = np.mean(draws >= value)
+            se = math.sqrt(observed * (1 - observed) / reps)
+            got, below = cal.lattice_pvalues([value, value - null.h], null)
+            assert abs(got - observed) < 4 * se + (below - got), (tail, got, observed)
+
+    @pytest.mark.parametrize("p, alt", [
+        (NORMAL, MixtureAlt(0.1, 1.5)), (DEXP, MixtureAlt(0.2, 1.0)),
+    ], ids=["gamma-2", "gamma-1"])
+    def test_super_uniform(self, p, alt):
+        # 50 000 null samples of n = 20: at each level the rejection rate
+        # stays within 3 binomial standard errors above it
+        n, reps = 20, 50_000
+        draws = self.monte_carlo(p, alt, n, reps, [33])
+        pvalues = cal.lattice_pvalues(draws, cal.lrt_null(p, alt, n))
+        for level in (0.01, 0.05, 0.1):
+            rate = np.mean(pvalues <= level)
+            assert rate < level + 3 * math.sqrt(level * (1 - level) / reps), (level, rate)
+
+    def test_floor(self, monkeypatch):
+        # the smallest p-value is _LRT_FLOOR, over 10 times the most negative
+        # mass the inverse transform returned at n = 10**4 and 10**5; the
+        # points kept lie strictly between it and 1 - _LRT_FLOOR, but for
+        # one at each end, 1 and the floor
+        negative = []
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a: negative.append(
+            -np.minimum(irfft(*a), 0).sum()) or irfft(*a))
+        for n in (10**4, 10**5):
+            for alt in (MixtureAlt(n ** -0.2, n ** -0.1), MixtureAlt(n ** -0.8, 3.0)):
+                null = cal.lrt_null(NORMAL, alt, n)
+                assert (null.sf[0], null.sf[-1]) == (1.0, cal._LRT_FLOOR)
+                inner = null.sf[1:-1]
+                assert cal._LRT_FLOOR < inner.min() < inner.max() < 1 - cal._LRT_FLOOR
+                top = null.shift + null.h * (null.start + null.sf.size - 1)
+                assert cal.lattice_pvalues([top, 1e300], null).tolist() == [cal._LRT_FLOOR] * 2
+                assert cal.lattice_pvalues(top - null.h, null) == inner[-1]
+        assert 10 * max(negative) < cal._LRT_FLOOR
+        assert cal.lattice_pvalues(-1e300, null) == 1.0
+
+    def test_window_widened(self, monkeypatch):
+        # at +-1 sd (1024 points at n = 2000) the window holds too much mass
+        # at its edges: it is doubled until it does not, and gives the
+        # default's p-values
+        p, alt, n = NORMAL, MixtureAlt(0.16, 0.3), 2000
+        default = cal.lrt_null(p, alt, n)
+        values = default.shift + default.h * np.arange(default.start - 2,
+                                                       default.start + default.sf.size + 2)
+        lengths = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda x: lengths.append(x.size) or rfft(x))
+        monkeypatch.setattr(cal, "_LRT_WIDTH", 1)
+        widened = cal.lrt_null(p, alt, n)
+        assert len(lengths) > 1 and lengths == [1024 * 2**i for i in range(len(lengths))]
+        np.testing.assert_allclose(cal.lattice_pvalues(values, widened),
+                                   cal.lattice_pvalues(values, default), rtol=0, atol=1e-12)
+
+    def test_window_refused(self, monkeypatch):
+        monkeypatch.setattr(cal, "_LRT_MAX_LENGTH", 2**8)
+        with pytest.raises(ValueError, match="needs a lattice of more than 256 points$"):
+            cal.lrt_null(*self.NORMAL_300, 300)
+
+    def test_tails_beyond_the_cells_refused(self):
+        # at gamma = 0.1, F's tails reach past any A the search tries
+        with pytest.raises(ValueError, match="^the LRT's null has no lattice at gamma = 0.1"):
+            cal.lrt_null(GGParams(0.1), MixtureAlt(0.1, 1.0), 100)
+
+    def test_no_spread_refused(self):
+        # mu so small that every term rounds to log1p(odds): S is one point
+        with pytest.raises(ValueError, match="has no spread under F"):
+            cal.lrt_null(NORMAL, MixtureAlt(0.1, 1e-300), 100)
+
+    def test_pvalues_fall_with_the_value(self):
+        null = cal.lrt_null(*self.NORMAL_300, 300)
+        values = null.shift + null.h * np.linspace(null.start - 5, null.start + null.sf.size, 999)
+        p = cal.lattice_pvalues(values, null)
+        assert p[0] == 1.0 and p[-1] == cal._LRT_FLOOR
+        assert np.all(np.diff(p) <= 0)
 
 
 class TestMcPvalue:
@@ -820,7 +988,7 @@ class TestStatisticTable:
     def test_order_and_methods(self):
         assert tuple(cal.STATISTICS) == st.ALL_STATISTICS
         assert [s.method for s in cal.STATISTICS.values()] == [
-            "monte-carlo", "monte-carlo", "normal-approx", "smirnov-limit", "exact",
+            "lattice-convolution", "monte-carlo", "normal-approx", "smirnov-limit", "exact",
         ]
         assert [s.name for s in cal.STATISTICS.values() if not s.rank] == [st.LRT]
 
@@ -1022,51 +1190,49 @@ class TestCacheRoundTrip:
 
 
 class TestLrtTableModel:
-    """An LRT table carries the model it was simulated for, in its key and file."""
+    """LRT tables, which carried their model in their key and file, are gone:
+    the LRT's null is lrt_null's.  Each check here replaces one on them."""
 
-    MODEL = GGParams(gamma=1.5, scale=0.8)
-
-    def table(self, mu):
-        return mc_null_table(st.LRT, 30, 25, 100, master_seed=2,
-                             model=(self.MODEL, MixtureAlt(0.1, mu)))
-
-    def test_round_trip(self, tmp_path):
-        table = self.table(1.0)
-        assert table.key == (st.LRT, 30, 25, 100, 2, 1.5, 0.8, 0.1, 1.0)
-        loaded = load_null_table(save_null_table(table, tmp_path / "lrt"))
-        assert loaded.model == table.model and loaded.key == table.key
-        np.testing.assert_array_equal(loaded.draws, table.draws)
-
-    def test_another_mu_is_not_a_match(self, tmp_path):
-        # a file simulated for mu = 3 under the name a mu = 1 table would get
-        wanted = self.table(1.0)
-        path = save_null_table(self.table(3.0), tmp_path / "lrt_mu1.npz")
-        loaded = load_null_table(path)
-        assert loaded.key != wanted.key
-        assert loaded.key[:-1] == wanted.key[:-1] and loaded.model[1].mu == 3.0
-
-    def test_model_only_on_lrt_tables(self):
-        draws = np.arange(3.0)
-        with pytest.raises(ValueError, match="model"):
-            NullTable(st.LRT, 5, 5, draws, 0)
-        with pytest.raises(ValueError, match="model"):
-            NullTable(st.HC, 5, 5, draws, 0, model=(NORMAL, MixtureAlt(0.1, 1.0)))
-
-    def test_cache_key_names_the_model(self):
-        table = self.table(1.0)
-        assert cal.cache_key(*table.key[:5], table.model) == (
-            "LRT_g1.5_sc0.8_e0.1_mu1.0_m30_n25_r100_s2.npz"
-        )
-        assert cal.cache_key(st.HC, 1000, 1000, 4000, 0) == "HC_m1000_n1000_r4000_s0.npz"
-
-    def test_lrt_file_without_model_refused(self, tmp_path):
-        path = tmp_path / "lrt.npz"
+    def lrt_file(self, path, mu=1.0, model=True):
+        """An LRT file as calibrate wrote it up to rng_scheme 9 (format 6)."""
+        fields = dict(gamma=np.float64(1.5), scale=np.float64(0.8), epsilon=np.float64(0.1),
+                      mu=np.float64(mu)) if model else {}
         np.savez(
             path, version=np.int64(cal.CACHE_FORMAT_VERSION), statistic=np.str_(st.LRT),
-            m=np.int64(5), n=np.int64(5), reps=np.int64(3), seed=np.int64(0),
-            draws=np.arange(3.0),
+            m=np.int64(30), n=np.int64(25), reps=np.int64(3), seed=np.int64(2),
+            draws=np.arange(3.0), **fields,
         )
-        with pytest.raises(ValueError, match="not a null-table file"):
+        return path
+
+    def test_round_trip(self, tmp_path):
+        # no LRT table can be built, so none is saved
+        with pytest.raises(ValueError, match="^LRT reads no null table"):
+            NullTable(st.LRT, 30, 25, np.arange(3.0), 2)
+
+    def test_another_mu_is_not_a_match(self, tmp_path):
+        # an LRT file is refused, by name, whatever alternative it was for
+        for mu in (1.0, 3.0):
+            path = self.lrt_file(tmp_path / f"lrt_mu{mu}.npz", mu)
+            message = (f"{path}: LRT reads no null table: its p-value uses the "
+                       "lattice-convolution null")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_null_table(path)
+
+    def test_model_only_on_lrt_tables(self):
+        # no table carries a model
+        with pytest.raises(TypeError):
+            NullTable(st.HC, 5, 5, np.arange(3.0), 0, model=(NORMAL, MixtureAlt(0.1, 1.0)))
+        assert [f[0] for f in cal._KEY_FIELDS] == ["statistic", "m", "n", "reps", "seed"]
+
+    def test_cache_key_names_the_model(self):
+        # a file name holds the five fields of a table's key, and no model
+        assert cal.cache_key(st.HC, 1000, 1000, 4000, 0) == "HC_m1000_n1000_r4000_s0.npz"
+        with pytest.raises(TypeError):
+            cal.cache_key(st.HC, 1000, 1000, 4000, 0, (NORMAL, MixtureAlt(0.1, 1.0)))
+
+    def test_lrt_file_without_model_refused(self, tmp_path):
+        path = self.lrt_file(tmp_path / "lrt.npz", model=False)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: LRT reads no null table"):
             load_null_table(path)
 
 

@@ -107,9 +107,14 @@ class TestCmdTest:
         model = (GGParams(2.0), MixtureAlt(0.1, 1.5))
         row = report["tests"]["LRT"]
         assert row["statistic"] == lrt_stat(read_sample_file(yf), *model)
-        table = cal.mc_null_table("LRT", 20, 30, 200, 3, model=model)
-        assert row["pvalue"] == cal.mc_pvalue(row["statistic"], table).p
-        assert row["method"] == "monte-carlo"
+        null = cal.lrt_null(*model, 30)
+        assert row["pvalue"] == float(cal.lattice_pvalues(row["statistic"], null))
+        assert row["method"] == "lattice-convolution"
+        # the LRT reads no table, seed or reps
+        argv[argv.index("--seed") + 1] = "4"
+        argv[argv.index("--reps") + 1] = "300"
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["tests"]["LRT"] == row
 
     def test_lrt_requires_the_alternative(self, tmp_path, capsys):
         xf, yf = write_samples(tmp_path, [0.1, 0.4, 0.9], [0.2, 0.6, 1.3])
@@ -120,15 +125,23 @@ class TestCmdTest:
 
     @staticmethod
     def stored_table(tmp_path, statistic, m=20, n=30, mu=1.5):
-        """A 500-rep table file of statistic, written as calibrate writes it."""
-        from mixdetect import GGParams, MixtureAlt
+        """A 500-rep table file of statistic, written as calibrate writes it;
+        an LRT file as calibrate wrote it up to rng_scheme 9 (format 6, with
+        its model)."""
         from mixdetect import calibration as cal
 
-        model = (GGParams(2.0), MixtureAlt(0.1, mu)) if statistic == "LRT" else None
-        table = cal.mc_null_table(statistic, m, n, 500, 5, model=model)
-        return cal.save_null_table(table, tmp_path / "stored.npz")
+        path = tmp_path / "stored.npz"
+        if statistic == "LRT":
+            np.savez(
+                path, version=np.int64(6), draws=np.linspace(-1.0, 1.0, 500),
+                statistic=np.str_("LRT"), m=np.int64(m), n=np.int64(n), reps=np.int64(500),
+                seed=np.int64(5), gamma=np.float64(2.0), scale=np.float64(1.0),
+                epsilon=np.float64(0.1), mu=np.float64(mu),
+            )
+            return path
+        return cal.save_null_table(cal.mc_null_table(statistic, m, n, 500, 5), path)
 
-    @pytest.mark.parametrize("statistic", ["HC", "LRT"])
+    @pytest.mark.parametrize("statistic", ["HC"])
     def test_stored_table_used(self, tmp_path, capsys, monkeypatch, statistic):
         from mixdetect import calibration as cal
 
@@ -143,7 +156,7 @@ class TestCmdTest:
         argv = ["test", "--x", xf, "--y", yf, "--tests", "lrt,hc,ks", "--reps", "200",
                 "--table", str(path), *self.MODEL_ARGS]
         assert main(argv) == 0
-        assert simulated == [{"HC": "LRT", "LRT": "HC"}[statistic]]
+        assert simulated == []  # the LRT's null is computed, not simulated
         row = json.loads(capsys.readouterr().out)["tests"][statistic]
         stored = cal.load_null_table(path)
         assert row["pvalue"] == cal.mc_pvalue(row["statistic"], stored).p
@@ -151,10 +164,10 @@ class TestCmdTest:
         assert row["pvalue"] * 501 == pytest.approx(round(row["pvalue"] * 501), abs=1e-9)
 
     @pytest.mark.parametrize("statistic, tests, table_args", [
-        ("LRT", "lrt", {"mu": 2.0}),  # another alternative than --mu 1.5
+        ("LRT", "lrt", {"mu": 2.0}),  # an LRT file of format 6, for any alternative
         ("HC", "hc", {"n": 31}),  # another sample size
         ("HC", "wilcoxon,ks,lrt", {}),  # no selected test reads an HC table
-        ("LRT", "hc,tailrun", {}),  # nor an LRT one
+        ("LRT", "hc,tailrun", {}),  # an LRT file, whatever the tests
     ], ids=["another_mu", "another_n", "hc_table_unread", "lrt_table_unread"])
     def test_stored_table_refused(self, tmp_path, capsys, statistic, tests, table_args):
         from mixdetect import load_null_table
@@ -167,6 +180,13 @@ class TestCmdTest:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        if statistic == "LRT":
+            # the LRT reads no table: the file is refused by name, as it loads
+            assert captured.err == (
+                f"error: {path}: LRT reads no null table: its p-value uses the "
+                "lattice-convolution null\n"
+            )
+            return
         assert captured.err == (
             f"error: table {path} is for {load_null_table(path).key}; "
             "it matches no selected test here\n"
@@ -314,14 +334,15 @@ class TestParserReuse:
 
 
 class TestPinnedTestOutput:
-    """sha256 of `test --tests all` stdout on fixed 300 x 300 files (rng_scheme 8,
+    """sha256 of `test --tests all` stdout on fixed 300 x 300 files (rng_scheme 10,
     numpy 2.4.6); the master seed 2**40 + 3 takes two entropy words.  The
-    Wilcoxon p-value's digits come from the C library's erfc (glibc here),
-    through math.erfc."""
+    Wilcoxon p-value's digits, and the LRT's lattice null at gamma = 2, come
+    from the C library's erfc (glibc here), through math.erfc, and the
+    LRT's also from numpy's FFT."""
 
     @pytest.mark.parametrize("seed, digest", [
-        (0, "864151d41959230f5366ac3bc7962f2fdabb379b52eea189fb3bc00ce2dccc7e"),
-        (2**40 + 3, "ace908987ee443f269ca300f013c99efba37849480d69ad35fa825af67802550"),
+        (0, "2b6d1919891d3bbbcdf0b831d29ef79466921d49af1ce93c46527e0e7f1a3e95"),
+        (2**40 + 3, "44cdd9297c5464c0af59d272fbbb16415c7d8e4835ac1301f68bcdddd59355b2"),
     ], ids=["seed-0", "seed-two-words"])
     def test_all_tests(self, tmp_path, capsys, seed, digest):
         rng = np.random.default_rng(2021)
@@ -658,26 +679,24 @@ class TestCmdCalibrate:
             assert capsys.readouterr().err == f"error: cannot write {name}: it names no file\n"
             assert not (tmp_path / "sub.npz").exists() and not (tmp_path / "sub").exists()
 
-    def test_lrt_default_names_carry_the_model(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("model_args", [[], ["--mu", "1"], ["--epsilon", "0.1", "--mu", "1"]])
+    def test_lrt_refused_before_the_model_flags(self, tmp_path, capsys, monkeypatch, model_args):
+        # the LRT's null is computed by mixdetect test and the harness; no
+        # file is written, and the refusal comes before any --epsilon/--mu demand
         monkeypatch.chdir(tmp_path)
-        args = [
-            "calibrate", "--statistic", "LRT", "--m", "5", "--n", "50",
-            "--reps", "100", "--seed", "0", "--epsilon", "0.1",
-        ]
-        paths = []
-        for mu in ("1", "3"):
-            assert main(args + ["--mu", mu]) == 0
-            paths.append(json.loads(capsys.readouterr().out)["path"])
-        assert paths[0] != paths[1]
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(paths)
+        args = ["calibrate", "--statistic", "lrt", "--m", "5", "--n", "50", *model_args]
+        assert main(args) == 1
+        assert capsys.readouterr() == (
+            "", "error: LRT reads no null table: its p-value uses the lattice-convolution null\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_default_names(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         base = ["calibrate", "--m", "5", "--n", "50", "--reps", "100"]
         assert main([*base, "--statistic", "HC"]) == 0
-        assert main([*base, "--statistic", "LRT", "--epsilon", "0.1", "--mu", "1"]) == 0
         paths = [json.loads(line)["path"] for line in capsys.readouterr().out.splitlines()]
-        assert paths == ["HC_m5_n50_r100_s0.npz", "LRT_g2.0_sc1.0_e0.1_mu1.0_m5_n50_r100_s0.npz"]
+        assert paths == ["HC_m5_n50_r100_s0.npz"]
 
     def test_path_without_suffix(self, tmp_path, capsys):
         args = [
@@ -710,7 +729,10 @@ class TestCmdCalibrate:
         np.testing.assert_array_equal(load_null_table(out).draws, cached.draws)
 
     def test_lrt_matches_the_harness(self, tmp_path, capsys):
-        from mixdetect import GGParams, ScenarioConfig, load_null_table
+        # mixdetect test's LRT p-value reads the null the harness reads at
+        # the grid point of the same alternative
+        from mixdetect import GGParams, ScenarioConfig
+        from mixdetect import calibration as cal
         from mixdetect.experiments import _lrt_null_table
 
         cfg = ScenarioConfig(
@@ -718,17 +740,14 @@ class TestCmdCalibrate:
             grid=[0.1, 0.3, 0.5], tests=["LRT"], power_reps=1, calib_reps=150,
             master_seed=3,
         )
-        harness = _lrt_null_table(cfg, "LRT", None)
-        for g, table in zip(cfg.grid, harness):
+        rng = np.random.default_rng(8)
+        xf, yf = write_samples(tmp_path, rng.normal(size=50), 0.3 + rng.normal(size=40))
+        for g, null in zip(cfg.grid, _lrt_null_table(cfg, "LRT")):
             alt = cfg.alt_for(g)
-            out = tmp_path / f"lrt_{g}.npz"
-            assert main([
-                "calibrate", "--statistic", "LRT", "--m", "50", "--n", "40",
-                "--reps", "150", "--seed", "3", "--epsilon", repr(alt.epsilon),
-                "--mu", repr(alt.mu), "--out", str(out),
-            ]) == 0
-            np.testing.assert_array_equal(load_null_table(out).draws, table.draws)
-            assert load_null_table(out).key == table.key
+            assert main(["test", "--x", xf, "--y", yf, "--tests", "lrt",
+                         "--epsilon", repr(alt.epsilon), "--mu", repr(alt.mu)]) == 0
+            row = json.loads(capsys.readouterr().out)["tests"]["LRT"]
+            assert row["pvalue"] == float(cal.lattice_pvalues(row["statistic"], null))
 
     def test_missing_out_directory(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.npz"

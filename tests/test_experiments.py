@@ -226,9 +226,12 @@ class TestPinnedOutput:
     """CSV digests of a small all-test curve, recorded with numpy 2.4.6.
 
     A change that alters the random streams on purpose updates them; the
-    current ones are those of rng_scheme 9, where a power replicate's X,
-    Y-base and K serve every grid point, drawn from a stream with no grid
-    index.  Every CSV digest moved at scheme 9, and no null table did.  At
+    current ones are those of rng_scheme 10, where the LRT's null is
+    computed by lrt_null in place of a Monte Carlo table: the LRT rows of
+    the power-grid digests moved (the null-level CSV kept its bytes), and the
+    HC table and the rank-only curve did not.  At scheme 9 a power
+    replicate's X, Y-base and K came to serve every grid point, drawn from a
+    stream with no grid index; every CSV digest moved, and no null table.  At
     scheme 8 a rank-null replicate came to be the m smallest of m + n uniform
     keys, which moved every digest here, since each reads an HC table; at
     scheme 7 a mixture sample came to shift its first K ~ Binomial(n, eps)
@@ -242,14 +245,14 @@ class TestPinnedOutput:
 
     def test_power_grid(self):
         assert self.digest(run_power_grid(pinned_config())) == (
-            "0d5e45e357ecc5ed206d0fe27c01e8f067b0bdb313f2a0170438a3826834d056"
+            "a840613fb8b714799ceeaf31d06be0ec84d76df265b9cdc85899dc3b2d7f7239"
         )
 
     def test_power_grid_multiword_seed(self):
         # a master seed of 2**40 + 3 enters the entropy as two words
         cfg = dataclasses.replace(pinned_config(), master_seed=2**40 + 3)
         assert self.digest(run_power_grid(cfg)) == (
-            "554abd14843bcef3c83427053c35ad68acb6a20552367c655d3c57dc6e473a4d"
+            "d0830b2a2617011aa4dfeffce6ff512e80e0b9068d565f93bfdbc353662ecf21"
         )
 
     def test_null_level(self):
@@ -270,12 +273,11 @@ class TestPinnedOutput:
 
     @pytest.mark.parametrize("run", [run_power_grid, run_null_level])
     def test_null_tables(self, monkeypatch, run):
-        # the reject counts of 20 power replicates can hide a changed null
-        # stream, so the tables' draws are pinned too; the HC entry moved
-        # alone at rng_scheme 8 (the m smallest of m + n uniform keys in
-        # place of a label shuffle), since rank nulls never call gg_sample;
-        # at rng_scheme 5 only the LRT entries moved (the gamma = 2 log
-        # density ratio's last bits)
+        # the reject counts of 20 power replicates can hide a changed null,
+        # so the HC table's draws and each grid point's lattice survival
+        # function are pinned too; the LRT entries became lrt_null's at
+        # rng_scheme 10; the HC entry moved alone at rng_scheme 8 (the m
+        # smallest of m + n uniform keys in place of a label shuffle)
         seen = {}
         power_point = exp._power_point
 
@@ -285,18 +287,19 @@ class TestPinnedOutput:
 
         monkeypatch.setattr(exp, "_power_point", spy)
         run(pinned_config())
-        tables = [seen[0][st.HC]] + [seen[g][st.LRT] for g in sorted(seen)]
-        digests = [hashlib.sha256(t.draws.tobytes()).hexdigest() for t in tables]
+        arrays = [seen[0][st.HC].draws] + [seen[g][st.LRT].sf for g in sorted(seen)]
+        digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
         assert digests == [
             "e7a6c81463afc4fe5e45641a9991a24933ed6d8576a5878d55587d02b73bc2b6",
-            "efe9639c7fbba6e6ee5290bf19e46850cde10337a14f94d3aa3f6a6ff151ec0b",
-            "5b706131afc07a94f6c920618d374464f729d7e3861d5e6d45973017ba4473df",
-            "330744c39733055dff6933a27973cdae10624cb7fb43129c61df29324314c35f",
+            "2f0b3ad3047137bce40a17e0fa4dae9d73edfd6040c430bdbce8c72a3e65d99d",
+            "891b999627f1613a9bed7a24bcb5632390af1859d61102361ba6c292b24d0cad",
+            "4d72ac7cbf336c4c519129220e69c5da1bb7eb7c2bd652538890e5b999d8af63",
         ]
 
 
 class TestLrtNullTables:
-    """The harness's LRT null table at each grid point is mc_null_table's."""
+    """The harness's null at each grid point is mc_null_table's for HC and
+    lrt_null's for the LRT."""
 
     def config(self, tests=(st.LRT, st.HC)):
         return small_config(
@@ -324,11 +327,12 @@ class TestLrtNullTables:
         key = (cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
         hc = cal.mc_null_table(st.HC, *key)
         for g, point in zip(cfg.grid, tables):
-            lrt = cal.mc_null_table(st.LRT, *key, model=(cfg.model, cfg.alt_for(g)))
-            for expected in (lrt, hc):
-                table = point[expected.statistic]
-                assert table.key == expected.key
-                np.testing.assert_array_equal(table.draws, expected.draws)
+            assert point[st.HC].key == hc.key
+            np.testing.assert_array_equal(point[st.HC].draws, hc.draws)
+            lrt = cal.lrt_null(cfg.model, cfg.alt_for(g), cfg.n)
+            assert (point[st.LRT].h, point[st.LRT].start, point[st.LRT].shift) == (
+                lrt.h, lrt.start, lrt.shift)
+            assert point[st.LRT].sf.tobytes() == lrt.sf.tobytes()
 
     @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
     def test_one_pool_per_run(self, monkeypatch, threads, pools):
@@ -350,7 +354,7 @@ class TestLrtNullTables:
 
     def test_rng_scheme_recorded(self):
         sidecar = run_power_grid(self.config(tests=[st.KS])).to_json_dict()
-        assert sidecar["rng_scheme"] == cal.RNG_SCHEME == 9
+        assert sidecar["rng_scheme"] == cal.RNG_SCHEME == 10
         assert "rng_scheme" not in sidecar["config"]
         assert ScenarioConfig.from_dict(sidecar["config"]).tests == [st.KS]
 
@@ -445,9 +449,9 @@ class TestBatches:
         calls = spy_batches(monkeypatch)
         cfg = self.config()
         csv = run_power_grid(cfg, threads=threads).to_csv()
-        # the LRT pass, the HC table, then the power pass over every grid point
-        expected = [(cal.LRT_NULL, (5, cal.TAG_CALIB_LRT)),
-                    (cal.RANK_NULL, (5, cal.TAG_CALIB_RANK)),
+        # the HC table, then the power pass over every grid point; the
+        # LRT's null draws nothing
+        expected = [(cal.RANK_NULL, (5, cal.TAG_CALIB_RANK)),
                     (cal.DATA, (5, cal.TAG_POWER))]
         assert [[(t[0], tuple(t[7])) for t in tasks] for tasks in calls] == [
             [e] * threads for e in expected

@@ -1,11 +1,16 @@
-"""SciPy is loaded only by `diagnose`, and the replicate loop reuses the heap.
+"""SciPy is loaded only by `diagnose` and by the LRT at a gamma other than 1
+and 2, and the replicate loop reuses the heap.
 
-`import mixdetect` and the commands boundary, calibrate, test and power load
-no SciPy module.  Only `diagnose` imports `scipy.special`, and only
-`diagnose --condition wilcoxon|lower-bound` integrates: `scipy.integrate`
-pulls in `scipy.optimize`, `scipy.sparse` and `scipy.linalg`.  The checks
-run in a fresh interpreter, since this one has imported everything the
-other tests use.
+`import mixdetect` loads no SciPy module and not numpy.fft.  The commands
+boundary, calibrate, test and power load no SciPy module at gamma = 1 or 2,
+the LRT included: its lattice null (calibration.lrt_null) takes F's tails
+from math.erfc at gamma = 2 and in closed form at gamma = 1, and loads
+numpy.fft when it runs.  Only an LRT at another gamma imports
+`scipy.special` (for the incomplete gamma function), and so does `diagnose`;
+only `diagnose --condition wilcoxon|lower-bound` integrates:
+`scipy.integrate` pulls in `scipy.optimize`, `scipy.sparse` and
+`scipy.linalg`.  The checks run in a fresh interpreter, since this one has
+imported everything the other tests use.
 """
 
 import json
@@ -35,14 +40,21 @@ def run(*argv):
     return out.getvalue()
 
 x, y, table, out = sys.argv[1:]
-report = {"import": loaded()}
+report = {"import": loaded(), "fft": "numpy.fft" in sys.modules}
 run("boundary", "--beta", "0.7", "--gamma", "2", "--regime", "sparse")
 run("calibrate", "--statistic", "hc", "--m", "20", "--n", "20", "--reps", "100",
     "--out", table)
 run("test", "--x", x, "--y", y, "--tests", "all", "--reps", "100",
     "--epsilon", "0.1", "--mu", "1")
+run("test", "--x", x, "--y", y, "--tests", "all", "--reps", "100",
+    "--epsilon", "0.1", "--mu", "1", "--gamma", "1")
 run("power", "--preset", "normal-dense", "--scale", "0.0005", "--reps", "2", "--out", out)
+run("power", "--preset", "dexp-moderate", "--scale", "0.0005", "--reps", "2", "--out", out)
 report["commands"] = loaded()
+report["fft_after"] = "numpy.fft" in sys.modules
+run("test", "--x", x, "--y", y, "--tests", "lrt", "--epsilon", "0.1", "--mu", "1",
+    "--gamma", "1.5")
+report["lrt_other_gamma"] = loaded()
 run("diagnose", "--condition", "ks", "--n", "1000", "--epsilon", "0.1", "--mu", "1")
 report["diagnose_ks"] = loaded()
 report["diagnose"] = run(
@@ -88,8 +100,10 @@ def test_only_diagnose_loads_quadrature(tmp_path):
         path.write_text("\n".join(map(str, rng.standard_normal(20).tolist())))
         files.append(str(path))
     report = run_child(CHILD, *files, str(tmp_path / "hc.npz"), str(tmp_path / "out"))
-    assert report["import"] == []
-    assert report["commands"] == []
+    assert report["import"] == [] and not report["fft"]
+    assert report["commands"] == [] and report["fft_after"]
+    assert "scipy.special" in report["lrt_other_gamma"]
+    assert "scipy.integrate" not in report["lrt_other_gamma"]
     assert "scipy.special" in report["diagnose_ks"]
     assert "scipy.integrate" not in report["diagnose_ks"]
     assert {"scipy.integrate", "scipy.optimize"} <= set(report["after_diagnose"])

@@ -642,11 +642,13 @@ class TestLrtStats:
     def test_replicate_equals_lrt_stat(self, gamma):
         p = GGParams(gamma)
         alts = [MixtureAlt(0.05 * i, 0.4 * i) for i in range(1, 6)]
-        # replicate 7 of the stream (3, TAG_CALIB_LRT)
-        parts = [3, cal.TAG_CALIB_LRT, 7]
-        (got,) = cal.replicate_rows(cal.LRT_NULL, [st.LRT], p, None, alts, 50, 40,
+        # replicate 7 of the null stream (3, TAG_NULL): X of 50, then Y of 40
+        parts = [3, cal.TAG_NULL, 7]
+        (got,) = cal.replicate_rows(cal.DATA, [st.LRT], p, None, alts, 50, 40,
                                     parts[:2], 7, 8).tolist()
-        y = gg_sample(40, p, np.random.default_rng(np.random.SeedSequence(parts)))
+        rng = np.random.default_rng(np.random.SeedSequence(parts))
+        gg_sample(50, p, rng)
+        y = gg_sample(40, p, rng)
         assert got == [lrt_stat(y, p, a) for a in alts]
 
 
