@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import statistics as st
-from .distributions import GGParams, MixtureAlt, check_integer, gg_sample
+from .distributions import GGParams, MixtureAlt, check_integer, gg_sample, gg_survival
 
 # version of the null-table file format; files of another version are
 # refused (4: an LRT file also carries the gamma, scale, eps and mu it was
@@ -483,13 +483,14 @@ def mc_null_table(statistic: str, m: int, n: int, reps: int, master_seed: int) -
 
 # The LRT's null on a lattice (lrt_null).  F is cut into _LRT_CELLS cells
 # over [-A, A] * scale (_lattice_term), A the first of
-# (40 gamma)**(1/gamma) * 1.25**i whose two F-tails, times n, are below
-# _LRT_TAIL; a cell next to 0 may hold at most _LRT_MAX_CELL of F.  The
-# lattice step is sd(T) / _LRT_STEPS, and the transform's window holds
-# +-_LRT_WIDTH sd of the sum, doubled while too much mass sits at its edges,
-# up to _LRT_MAX_LENGTH points.  Measured (BENCH_pr32_lattice_lrt.json): of
-# 1000 to 8000 cells and sd/5 to sd/20, 4000 cells and sd/10 put p-values
-# within 5e-4 of a 128000-cell, sd/40 lattice at the normal-dense,
+# (40 gamma)**(1/gamma) * 1.25**i, i < 400, whose two F-tails, times n, are
+# below _LRT_TAIL; none is found below gamma = 0.008 at n = 10**5 (0.0055
+# at n = 2), and the LRT is refused there.  The lattice step
+# is sd(T) / _LRT_STEPS, and the transform's window holds +-_LRT_WIDTH sd of
+# the sum, doubled while too much mass sits at its edges, up to
+# _LRT_MAX_LENGTH points.  Measured (BENCH_pr32_lattice_lrt.json): of 1000
+# to 8000 cells and sd/5 to sd/20, 4000 cells and sd/10 put p-values within
+# 5e-4 of a 128000-cell, sd/40 lattice at the normal-dense,
 # normal-verysparse and dexp-moderate grids (n = 2000 and 10**4) for the
 # least CPU; a window of +-8 sd in place of +-30 moves no p-value by more
 # than the floor, with a quarter of the transform's memory.  _LRT_FLOOR, the
@@ -500,7 +501,6 @@ _LRT_STEPS = 10
 _LRT_WIDTH = 8
 _LRT_FLOOR = 1e-9
 _LRT_TAIL = _LRT_FLOOR / 1000
-_LRT_MAX_CELL = 0.05
 _LRT_MAX_LENGTH = 2**22
 
 
@@ -520,44 +520,49 @@ class LatticeNull:
     sf: np.ndarray
 
 
-def _upper_tail(z: np.ndarray, gamma: float) -> np.ndarray:
-    """P(Z > z), z >= 0, for Z standard generalized Gaussian of shape gamma."""
-    if gamma == 2.0:
-        return np.array([0.5 * math.erfc(v * _SQRT_HALF) for v in z.tolist()])
-    if gamma == 1.0:
-        return 0.5 * np.exp(-z)
-    from scipy import special
-
-    return 0.5 * special.gammaincc(1.0 / gamma, z**gamma / gamma)
-
-
 def _lattice_term(p: GGParams, alt: MixtureAlt, n: int):
     """One term of the LRT under F as cells: their masses and the term's
     value at each cell's midpoint, by lrt_terms (without log1p(-eps)).
 
     The cell edges are +-scale * sinh(v), v on an even grid, so cells are
-    about scale * dv wide near 0 and dv of their place in the tails.  The
-    cell holding c = mu / scale is cut at c: lr = log(f(y - mu)/f(y)) has a
-    kink or cusp at 0 and at c unless gamma = 2, and a cell edge there keeps
-    the midpoint rule second order.  F's tails beyond the cells go to the
-    outermost ones.
+    about scale * dv wide near 0 and dv of their place in the tails.  Below
+    gamma = 1, F's density peaks sharply at 0, and the grid is even in
+    asinh(w) for w = z**gamma / gamma in place of z, whose law is
+    Gamma(1/gamma): cells near 0 hold a tiny share of F however small gamma
+    is.  lr = log(f(y - mu)/f(y)) has a kink or cusp at 0 and at
+    c = mu / scale unless gamma = 2.  The cell holding c is cut at c, which
+    keeps the midpoint rule second order at a kink; below gamma = 1 the
+    right side's edges also include c -+ each edge, so cells shrink towards
+    c as they do towards 0.  F's tails beyond the cells go to the outermost
+    ones.
     """
+    unit = GGParams(p.gamma)
     a = max((40.0 * p.gamma) ** (1.0 / p.gamma), 1.0)
     for _ in range(400):
-        if 2 * n * _upper_tail(np.array([a]), p.gamma)[0] <= _LRT_TAIL:
+        if 2 * n * gg_survival(a, unit) <= _LRT_TAIL:
             break
         a *= 1.25
-    edges = np.sinh(np.linspace(0.0, math.asinh(a), _LRT_CELLS // 2 + 1))
-    tail = _upper_tail(edges, p.gamma)
-    if 2 * n * tail[-1] > _LRT_TAIL or tail[0] - tail[1] > _LRT_MAX_CELL:
-        raise ValueError(f"the LRT's null has no lattice at gamma = {p.gamma}: F's "
-                         f"tails or its mass near 0 do not fit {_LRT_CELLS} cells")
+    else:
+        raise ValueError(f"the LRT's null has no lattice at gamma = {p.gamma}: "
+                         f"F's tails reach past {a:.3g}")
     c = alt.mu / p.scale
-    i = int(np.searchsorted(edges, c))  # the first edge at or above c
-    cut, cut_tail = edges, tail
-    if i < edges.size and edges[i] != c:
-        cut = np.insert(edges, i, c)
-        cut_tail = np.insert(tail, i, _upper_tail(np.array([c]), p.gamma))
+    if p.gamma >= 1.0:
+        edges = np.sinh(np.linspace(0.0, math.asinh(a), _LRT_CELLS // 2 + 1))
+        tail = gg_survival(edges, unit)
+        i = int(np.searchsorted(edges, c))  # the first edge at or above c
+        cut, cut_tail = edges, tail
+        if i < edges.size and edges[i] != c:
+            cut = np.insert(edges, i, c)
+            cut_tail = np.insert(tail, i, gg_survival(c, unit))
+    else:
+        w = np.sinh(np.linspace(0.0, math.asinh(a**p.gamma / p.gamma), _LRT_CELLS // 2 + 1))
+        edges = (p.gamma * w) ** (1.0 / p.gamma)
+        tail = gg_survival(edges, unit)
+        # lr's cusp at c is as sharp as F's at 0, so the right side's cells
+        # are refined towards c in the same way
+        near_c = np.concatenate([c - edges, c + edges])
+        cut = np.union1d(edges, near_c[(near_c > 0.0) & (near_c < edges[-1])])
+        cut_tail = gg_survival(cut, unit)
     left, right = np.diff(tail[::-1]), -np.diff(cut_tail)
     left[0] += tail[-1]
     right[-1] += tail[-1]
@@ -612,7 +617,11 @@ def lrt_null(p: GGParams, alt: MixtureAlt, n: int) -> LatticeNull:
         if n * mass[np.abs(rel) >= length // 4].sum() <= _LRT_FLOOR / 10:
             pmf = np.bincount(rel % length, mass - up, length)
             pmf += np.bincount((rel + 1) % length, up, length)
-            pmf = fft.irfft(_nth_power(fft.rfft(pmf), n), length)
+            spectrum = fft.rfft(pmf)
+            # the cells' total is 1 up to rounding, which the n-th power
+            # would grow n-fold: the term's spectrum is scaled to total 1
+            spectrum /= spectrum[0].real
+            pmf = fft.irfft(_nth_power(spectrum, n), length)
             start = centre - length // 2
             # entry t holds P(sum of rel = t mod length); the window's entry i
             # is the sum n * ref + rel = start + i
@@ -624,7 +633,10 @@ def lrt_null(p: GGParams, alt: MixtureAlt, n: int) -> LatticeNull:
                 # 1 - floor are kept, and one at each end, set to 1 and the
                 # floor: the edge check leaves window points beyond both
                 inside = np.flatnonzero((sf > _LRT_FLOOR) & (sf < 1.0 - _LRT_FLOOR))
-                a, b = inside[0] - 1, inside[-1] + 2
+                if not inside.size:
+                    raise ValueError(f"the LRT at {alt} has no spread under F at n = {n}: "
+                                     f"its null is one lattice point")
+                a, b = max(inside[0] - 1, 0), inside[-1] + 2
                 sf = sf[a:b].copy()
                 sf[0], sf[-1] = 1.0, _LRT_FLOOR
                 shift = n * math.log1p(-alt.epsilon)
@@ -639,12 +651,15 @@ def lrt_null(p: GGParams, alt: MixtureAlt, n: int) -> LatticeNull:
 def lattice_pvalues(values, null: LatticeNull) -> np.ndarray:
     """P0(S >= value) at the first lattice point at or above each value: 1
     below the points null keeps, _LRT_FLOOR above them."""
+    # np.maximum and np.minimum in place of np.clip, which costs more than
+    # the rest on a power point's few values
     i = np.array(values, dtype=float)
     i -= null.shift
     i /= null.h
     np.ceil(i, out=i)
     i -= null.start
-    np.clip(i, 0, null.sf.size - 1, out=i)
+    np.maximum(i, 0, out=i)
+    np.minimum(i, null.sf.size - 1, out=i)
     return null.sf[i.astype(np.intp)]
 
 

@@ -222,7 +222,6 @@ def cmd_calibrate(args) -> int:
     # an unknown statistic, or one whose p-value reads no table (the LRT
     # among them), is refused first
     cal._table_statistic(statistic)
-    _model_and_alt(args, lrt=False)  # read by no table, but validated
     # a bad --out fails now, not after simulating the table; a directory is
     # refused as given, before npz_path names a file beside it
     out = Path(args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed))
@@ -324,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (.npz)")
     p.add_argument("--force", action="store_true", help="overwrite existing file")
-    add_model_args(p)
 
     return parser
 

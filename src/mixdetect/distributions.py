@@ -12,7 +12,8 @@ with a positive shift mu.
 
 The functions that need Gamma or the incomplete gamma import scipy.special
 when called, so that importing the package, sampling and every command but
-diagnose load no SciPy.
+diagnose load no SciPy; gg_survival needs it only at a gamma other than 1
+and 2.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def check_integer(name: str, value, least: int = 0) -> None:
@@ -124,17 +127,26 @@ def gg_survival(x, p: GGParams):
     """Survival function 1 - CDF, full relative precision in the upper tail.
 
     Uses the complementary incomplete gamma directly for x >= 0 instead of
-    subtracting the CDF from 1.
+    subtracting the CDF from 1.  gamma = 2 is 0.5 * erfc(z / sqrt(2)), by
+    math.erfc per value, and gamma = 1 is 0.5 * exp(-|z|) (or 1 minus it),
+    so only another gamma imports scipy.special.
     """
-    from scipy import special
-
     x = _check_finite(x)
     z = x / p.scale
-    a = np.abs(z) ** p.gamma / p.gamma
-    inv_g = 1.0 / p.gamma
-    upper = 0.5 * special.gammaincc(inv_g, a)  # x >= 0 branch
-    lower = 0.5 + 0.5 * special.gammainc(inv_g, a)  # x < 0 branch
-    out = np.where(z >= 0, upper, lower)
+    if p.gamma == 2.0:
+        out = np.array([0.5 * math.erfc(v * _SQRT_HALF) for v in z.ravel().tolist()])
+        out = out.reshape(z.shape)
+    elif p.gamma == 1.0:
+        upper = 0.5 * np.exp(-np.abs(z))
+        out = np.where(z >= 0, upper, 1.0 - upper)
+    else:
+        from scipy import special
+
+        a = np.abs(z) ** p.gamma / p.gamma
+        inv_g = 1.0 / p.gamma
+        upper = 0.5 * special.gammaincc(inv_g, a)  # x >= 0 branch
+        lower = 0.5 + 0.5 * special.gammainc(inv_g, a)  # x < 0 branch
+        out = np.where(z >= 0, upper, lower)
     return out if out.ndim else float(out)
 
 

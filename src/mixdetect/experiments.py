@@ -9,7 +9,7 @@ of replicates, over one contiguous batch of them per worker, in the run's
 one process pool if threads > 1, so results are byte-identical at any
 worker count.  A run makes at most two passes through _collect: the HC
 table, from mc_null_table's builder, and the power pass.  The LRT's null
-at each grid point is computed in this process before the power pass, by
+at each grid point is computed in this process after the power pass, by
 one lattice convolution (calibration.lrt_null), and draws nothing.  The
 power pass draws replicate k's X, Y-base and K ~ Binomial(n, eps) once for
 the whole grid (eps is the same at every point; only mu moves), and scores
@@ -208,7 +208,7 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> c
 def _lrt_null_table(config: ScenarioConfig, statistic: str) -> list:
     """The null laws of the model-based statistic (the LRT), one per grid
     point: calibration.lrt_null at each point's alternative, computed here,
-    before the power pass; nothing is drawn.  statistic names the LRT, as
+    after the power pass; nothing is drawn.  statistic names the LRT, as
     _hc_null_table's names HC; the benchmark reads config from this call."""
     return [cal.lrt_null(config.model, config.alt_for(g), config.n) for g in config.grid]
 
@@ -249,15 +249,12 @@ def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> Po
     with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as executor:
         pool = None if executor is None else _Pool(executor, threads)
         tables = [{} for _ in config.grid]  # per grid point: test -> null table
-        for s in (cal.STATISTICS[t] for t in config.tests):
+        stats = [cal.STATISTICS[t] for t in config.tests]
+        for s in stats:
             if s.monte_carlo:
-                per_point = [_hc_null_table(config, s.name, cache_dir, pool)] * len(config.grid)
-            elif not s.rank:
-                per_point = _lrt_null_table(config, s.name)
-            else:
-                continue
-            for point, table in zip(tables, per_point):
-                point[s.name] = table
+                table = _hc_null_table(config, s.name, cache_dir, pool)
+                for point in tables:
+                    point[s.name] = table
         # the power pass: replicate k's draws serve every grid point; point
         # g's values are rows g * len(tests) onwards, in the order of tests
         alts = [config.alt_for(g) for g in config.grid]
@@ -266,6 +263,16 @@ def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> Po
             config.tests, [config.master_seed, cal.TAG_NULL if null else cal.TAG_POWER],
             config.power_reps, pool,
         )
+        # the LRT's nulls come after the power pass: built before it, the
+        # lattices' freed memory was still shared copy-on-write with the
+        # pool's workers, forked later, and _power_point's first writes to
+        # it faulted (1.4 minor faults per p-value call against 0.8 built
+        # after; dense-all-t2's median op CPU +11 % over the parent's built
+        # before, +2 % built after, BENCH_pr32_lattice_lrt.json)
+        for s in stats:
+            if not s.rank:
+                for point, null in zip(tables, _lrt_null_table(config, s.name)):
+                    point[s.name] = null
         width = len(config.tests)
         points = [
             _power_point(config, gi, tables[gi], columns[gi * width:(gi + 1) * width])

@@ -113,7 +113,7 @@ class TestMcNullTable:
         # rng_scheme 10 (numpy 2.4.6; the draws of a simulated table before)
         null = cal.lrt_null(GGParams.double_exponential_unit_variance(), MixtureAlt(0.1, 1.5), 40)
         assert hashlib.sha256(null.sf.tobytes()).hexdigest() == (
-            "2d6f4a2bf2cc8acec4453283c4ca8ec5187bb35367b6b0fac20f239a05c92f1d"
+            "119c53ca8ba80091292e444bfc51f975145492b648e7136e0880ae09ef193752"
         )
 
     @pytest.mark.parametrize("m, n", [(5, 3), (3, 5)])
@@ -813,7 +813,9 @@ class TestLatticeNull:
     @pytest.mark.parametrize("p, alt, n", [
         (*NORMAL_300, 300), (NORMAL, MixtureAlt(0.16, 0.3), 2000),
         (DEXP, MixtureAlt(300 ** -0.6, 1.0), 300),
-    ], ids=["normal", "normal-dense", "dexp"])
+        (GGParams(0.5), MixtureAlt(300 ** -0.6, 1.0), 300),
+        (GGParams(0.2), MixtureAlt(0.05, 1.0), 300), (GGParams(0.1), MixtureAlt(0.05, 1.0), 300),
+    ], ids=["normal", "normal-dense", "dexp", "gamma-0.5", "gamma-0.2", "gamma-0.1"])
     def test_halving_h(self, monkeypatch, p, alt, n):
         coarse = cal.lrt_null(p, alt, n)
         values = coarse.shift + coarse.h * (coarse.start + np.linspace(0, coarse.sf.size, 4001))
@@ -826,11 +828,15 @@ class TestLatticeNull:
 
     @pytest.mark.parametrize("p, alt", [
         NORMAL_300, (DEXP, MixtureAlt(300 ** -0.6, 1.0)), (GGParams(3.0), MixtureAlt(0.1, 1.0)),
-    ], ids=["gamma-2", "gamma-1", "gamma-3"])
+        (GGParams(0.5), MixtureAlt(300 ** -0.6, 1.0)), (GGParams(0.2), MixtureAlt(0.05, 1.0)),
+        (GGParams(0.1), MixtureAlt(0.05, 1.0)),
+    ], ids=["gamma-2", "gamma-1", "gamma-3", "gamma-0.5", "gamma-0.2", "gamma-0.1"])
     def test_against_monte_carlo(self, p, alt):
         # 40 000 null LRTs at n = 300: at each tail's Monte Carlo quantile the
         # lattice p-value lies within 4 standard errors, plus the mass of the
-        # one lattice step that reading it at a lattice point may skip
+        # one lattice step that reading it at a lattice point may skip.
+        # Below gamma = 1 the term has a cusp at 0 and at mu, where the cells
+        # are refined (_lattice_term)
         n, reps = 300, 40_000
         draws = np.sort(self.monte_carlo(p, alt, n, reps, [32, int(p.gamma)]))
         null = cal.lrt_null(p, alt, n)
@@ -898,9 +904,34 @@ class TestLatticeNull:
             cal.lrt_null(*self.NORMAL_300, 300)
 
     def test_tails_beyond_the_cells_refused(self):
-        # at gamma = 0.1, F's tails reach past any A the search tries
-        with pytest.raises(ValueError, match="^the LRT's null has no lattice at gamma = 0.1"):
-            cal.lrt_null(GGParams(0.1), MixtureAlt(0.1, 1.0), 100)
+        # at gamma = 0.005, F's tails reach past any A the search tries
+        with pytest.raises(ValueError, match="^the LRT's null has no lattice at gamma = 0.005: "
+                                             "F's tails reach past 5.81e"):
+            cal.lrt_null(GGParams(0.005), MixtureAlt(0.1, 1.0), 100)
+
+    def test_small_gamma_cells(self):
+        # at gamma = 0.05 one sinh-even cell next to 0 would hold about 10 % of
+        # F; on the grid even in asinh(z**gamma / gamma), and refined towards
+        # c = mu, no cell holds 0.3 %, and the cells keep F's total mass
+        mass, _ = cal._lattice_term(GGParams(0.05), MixtureAlt(0.1, 1.0), 100)
+        assert mass.max() < 0.003
+        assert abs(mass.sum() - 1.0) < 1e-12
+
+    def test_large_n(self):
+        # at n = 10**7, gamma = 1 the cells' total, 1 up to rounding, raised
+        # to the n-th power drifted below 1 - _LRT_FLOOR; the term's spectrum
+        # is scaled to total 1, so the sum's survival still starts at 1
+        alt = MixtureAlt(1e7 ** -0.6, math.sqrt(0.8 * math.log(1e7)))
+        null = cal.lrt_null(GGParams(1.0), alt, 10**7)
+        assert (null.sf[0], null.sf[-1]) == (1.0, cal._LRT_FLOOR)
+        assert 1 - cal._LRT_FLOOR > null.sf[1] > null.sf[2]
+
+    def test_one_point_refused(self, monkeypatch):
+        # with a floor above every survival point but the first, no point
+        # lies strictly inside: refused, not an empty array
+        monkeypatch.setattr(cal, "_LRT_FLOOR", 0.5 - 1e-12)
+        with pytest.raises(ValueError, match="its null is one lattice point"):
+            cal.lrt_null(*self.NORMAL_300, 300)
 
     def test_no_spread_refused(self):
         # mu so small that every term rounds to log1p(odds): S is one point

@@ -293,7 +293,7 @@ class TestPinnedOutput:
             "e7a6c81463afc4fe5e45641a9991a24933ed6d8576a5878d55587d02b73bc2b6",
             "2f0b3ad3047137bce40a17e0fa4dae9d73edfd6040c430bdbce8c72a3e65d99d",
             "891b999627f1613a9bed7a24bcb5632390af1859d61102361ba6c292b24d0cad",
-            "4d72ac7cbf336c4c519129220e69c5da1bb7eb7c2bd652538890e5b999d8af63",
+            "0be46aa04b6b49aef08e7c663cfbecc3cedd0f91bf96acee9530c5738c33c142",
         ]
 
 
