@@ -15,7 +15,10 @@ how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
 the power harness's, is built by _null_tables, and every simulated
 replicate is drawn by replicate_rows.  block_values scores a block of
 replicates, or mixdetect test's one sample, evaluating each statistic once
-and every rank kernel on the block's one running X-count.  table_key
+and every rank kernel on the block's one running X-count: the cumulative
+sum of its indicators, or for a power block at each grid point one
+np.repeat of its replicates' counts over their unraised values
+(_data_counts), with no indicator built.  table_key
 defines a table's key once: NullTable.key, its file's fields and name
 (cache_key) and the match of the harness cache and of test --table.
 
@@ -149,8 +152,9 @@ class PValue:
 class Statistic:
     """One test: its statistic and its p-value.
 
-    kernel names the rank kernel in `statistics`, f(xi, m, n, v) on a block
-    of pooled X-origin indicators, which block_values calls.  The LRT has no
+    kernel names the rank kernel in `statistics`, f(xi, m, n, v), which
+    block_values calls on a block's running X-counts v (and its pooled
+    X-origin indicators xi, or None where it has none).  The LRT has no
     rank kernel: one lrt_stats call on the Y-samples and the model gives its
     value at every alternative of every replicate of a block.  pvalues(values,
     m, n, table) maps an array of statistic values to p-values; HC needs its
@@ -271,10 +275,11 @@ def _draw_data(model, alt, mus, m, n, stream, rng):
     in mus: Y at mus[g] is the base with its first K values raised by mus[g].
 
     Returns the base, K, the X-origin indicator of X pooled with the base's
-    other n - K values, and per shift the positions its K raised values take
-    in the pooled sample of m + n.  The first draw is from rng, the stream
-    `stream`; a tie among the pooled values at any shift redraws everything
-    from (*stream, retry), retry = 1, ..., 99 in turn, derived at the first tie.
+    other n - K values (the unraised values), and a (len(mus), K) array:
+    per shift, the number of unraised values below each raised value, in
+    ascending order.  The first draw is from rng, the stream `stream`; a tie
+    among the pooled values at any shift redraws everything from
+    (*stream, retry), retry = 1, ..., 99 in turn, derived at the first tie.
     """
     for rng in itertools.chain([rng], _streams(stream, 1, 100)):
         x = gg_sample(m, model, rng)
@@ -290,8 +295,34 @@ def _draw_data(model, alt, mus, m, n, stream, rng):
         if not ((values[1:] == values[:-1]).any()
                 or (raised[:, 1:] == raised[:, :-1]).any()
                 or (values[np.minimum(at, values.size - 1)] == raised).any()):
-            return base, k, order < m, at + np.arange(k)
+            return base, k, order < m, at
     raise _persistent_ties(stream)
+
+
+def _data_counts(draws, m: int, n: int):
+    """The running X-counts of a block of DATA draws (_draw_data's), a
+    (rows, m+n) array per shift in turn, their integers those of np.cumsum
+    of the pooled indicators.
+
+    A replicate's count over its unraised values, c = [0, *np.cumsum(labels)],
+    is taken once: c[i] is the count after the i smallest of them, and also
+    after each raised value with i unraised values below it (its place), so
+    at a shift the running count is
+    np.repeat(c, 1 + np.bincount(places, minlength=c.size))[1:].  The rows'
+    c lie end to end, so a shift takes one np.repeat for the block, and
+    none when no row raises a value.  With no shift (alt None) it gives one
+    array, the rows' c.
+    """
+    starts = list(itertools.accumulate([0] + [m + n + 1 - k for _, k, _, _ in draws]))
+    counts = np.zeros(starts[-1], dtype=np.int64)
+    for (_, k, labels, _), s in zip(draws, starts):
+        np.cumsum(labels, out=counts[s + 1:s + m + n + 1 - k])
+    places = np.concatenate([at + s for (*_, at), s in zip(draws, starts)], axis=-1)
+    for shift in places if len(places) else [places]:
+        v = counts
+        if shift.size:
+            v = np.repeat(counts, np.bincount(shift, minlength=counts.size) + 1)
+        yield v.reshape(len(draws), m + n + 1)[:, 1:]
 
 
 # the most elements a block of replicates puts in one row-wide temporary
@@ -310,19 +341,21 @@ _BLOCK_ELEMENTS = 2**14
 np.empty(2**17)
 
 
-def block_values(stats, xi, y, m: int, n: int, model=None, alts=()) -> np.ndarray:
+def block_values(stats, xi, y, m: int, n: int, model=None, alts=(), v=None) -> np.ndarray:
     """Values of the Statistics stats on a block of replicates, one row each:
-    xi holds their (rows, m+n) pooled X-origin indicators, y their (rows, n)
-    Y-samples.
+    xi holds their (rows, m+n) pooled X-origin indicators, or v their running
+    X-counts np.cumsum(xi, axis=-1), and y their (rows, n) Y-samples.
 
     A rank statistic gives one float column, its kernel's value per row, the
     LRT one column per alternative in alts (lrt_stats on y and the model),
-    side by side in the order of stats.  The running X-count
-    np.cumsum(xi, axis=-1) is taken once, when a rank statistic is selected,
-    and read by every rank kernel.  The kernels and lrt_stats are looked up
-    in `statistics` at call time, so a wrapper put there sees every call.
+    side by side in the order of stats.  Every rank kernel reads the one
+    count v, taken from xi once when it is not given and a rank statistic
+    is selected; each is passed xi too, which is None when v is given.  The
+    kernels and lrt_stats are looked up in `statistics` at call time, so a
+    wrapper put there sees every call.
     """
-    v = np.cumsum(xi, axis=-1) if any(s.rank for s in stats) else None
+    if v is None and any(s.rank for s in stats):
+        v = np.cumsum(xi, axis=-1)
     return np.hstack([
         getattr(st, s.kernel)(xi, m, n, v).astype(float)[:, None] if s.rank
         else st.lrt_stats(y, model, alts)
@@ -355,10 +388,15 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     where one sample serves every alternative, the rank values repeat from
     group to group.  Replicates are drawn one by one into blocks that keep
     a row-wide temporary within _BLOCK_ELEMENTS (at least one row), and a
-    block is scored by one block_values call per distinct sample.  tests
-    are names, so they pickle.
+    block is scored by one block_values call per distinct sample.
+
+    A RANK_NULL block's running X-count is the cumulative sum of its
+    indicators, a DATA block's is built from each replicate's draw
+    (_data_counts) at every alternative.  Counts are built only for a rank
+    test, and Y-samples only for the LRT.  tests are names, so they pickle.
     """
     stats = [STATISTICS[t] for t in tests]
+    rank, lrt = any(s.rank for s in stats), not all(s.rank for s in stats)
     # the alternatives of each distinct Y-sample of a replicate
     if kind == DATA and alt is not None:
         if not lrt_alts or any(a.epsilon != alt.epsilon for a in lrt_alts):
@@ -376,17 +414,17 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
                      for s, o in zip(stats, offsets)]) if span > 1 else slice(None)
     row = max(m + n if s.rank else span * n for s in stats)
     rows = max(1, min(_BLOCK_ELEMENTS // row, k1 - k0))
-    # the block's pooled indicators and Y-samples, and a rank null's keys;
-    # a replicate leaves what its kind does not draw empty
-    xi = np.empty((rows, m + n), dtype=np.int64)
-    y = np.empty((rows, 0 if kind == RANK_NULL else n))
+    # a rank null's keys and indicators, and the LRT's Y-samples of a DATA
+    # block; what a replicate does not draw or score is left empty
     keys = np.empty((rows, m + n if kind == RANK_NULL else 0))
-    unraised = np.empty(m + n, dtype=bool)  # a DATA row: all but its raised values
+    xi = np.empty((rows, m + n if kind == RANK_NULL else 0), dtype=np.int64)
+    y = np.empty((rows, n if kind == DATA and lrt else 0))
     out = np.empty((k1 - k0, len(scored) * span * width))
     streams = _streams(parts, k0, k1)
     for a in range(k0, k1, rows):
         b = min(a + rows, k1)
         block = zip(range(a, b), streams)
+        counts = None  # a DATA block's running X-counts, per alternative
         if kind == RANK_NULL:
             for i, (k, rng) in enumerate(block):
                 rng.random(out=keys[i])
@@ -399,20 +437,18 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
                     raise _persistent_ties([*parts, a + i])
         else:
             draws = [_draw_data(model, alt, mus, m, n, [*parts, k], rng) for k, rng in block]
-        for c, alts in enumerate(scored):
-            if kind == DATA:
-                for i, (base, k, labels, raised) in enumerate(draws):
+            if lrt:
+                for i, (base, _, _, _) in enumerate(draws):
                     y[i] = base
-                    if k:
-                        y[i, :k] += mus[c]
-                        unraised[:] = True
-                        unraised[raised[c]] = False
-                        xi[i, unraised] = labels
-                        xi[i, raised[c]] = 0
-                    else:
-                        xi[i] = labels
-            values = block_values(stats, xi[:b - a], y[:b - a], m, n, model, alts)
-            out[a - k0:b - k0, c * span * width:(c + 1) * span * width] = values[:, take]
+            counts = _data_counts(draws, m, n) if rank else None
+        for g, alts in enumerate(scored):
+            v = None if counts is None else next(counts)
+            if kind == DATA and lrt and mus:
+                for i, (base, k, _, _) in enumerate(draws):
+                    np.add(base[:k], mus[g], out=y[i, :k])
+            values = block_values(stats, xi[:b - a] if v is None else None, y[:b - a],
+                                  m, n, model, alts, v)
+            out[a - k0:b - k0, g * span * width:(g + 1) * span * width] = values[:, take]
     return out
 
 

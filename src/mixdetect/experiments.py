@@ -15,8 +15,11 @@ power pass draws replicate k's X, Y-base and K ~ Binomial(n, eps) once for
 the whole grid (eps is the same at every point; only mu moves), and scores
 grid point g on the base with its first K values shifted by mu_g: common
 random numbers, so the points of one curve are correlated and each rank
-test's reject count never falls along the grid.  _power_point turns one
-point's values into its rejection rates.
+test's reject count never falls along the grid.  The running X-count of
+X pooled with the base's last n - K values, which no shift moves, is taken
+once per replicate, and point g's is built from it by one np.repeat that
+places the K shifted values (calibration._data_counts).  _power_point
+turns one point's values into its rejection rates.
 """
 
 from __future__ import annotations

@@ -139,9 +139,9 @@ def _value(v):
 
 # Each rank kernel f(xi, m, n, v=None) works along the last axis: xi is one
 # sorted X-origin indicator, or a (rows, m+n) block of them with one value per
-# row.  HC, Wilcoxon and KS read the running X-count v = np.cumsum(xi, axis=-1),
-# which a block's kernels share; a kernel given none takes its own, and the
-# tail run reads xi.
+# row.  HC, Wilcoxon, KS and the tail run read only the running X-count
+# v = np.cumsum(xi, axis=-1), which a block's kernels share: given v, a
+# kernel reads no xi (it may be None), and given none, it takes its own.
 def hc_from_indicator(xi: np.ndarray, m: int, n: int, v=None):
     """Rank-form higher criticism from the sorted X-origin indicator."""
     e0, sd0, c = _hc_null_moments(m, n)
@@ -184,9 +184,13 @@ def ks_from_indicator(xi: np.ndarray, m: int, n: int, v=None):
 
 
 def tailrun_from_indicator(xi: np.ndarray, m: int, n: int, v=None):
-    """Run of Y-origin values at the top of the pooled ordering."""
-    # first X-origin from the top; x nonempty
-    return _value(np.argmax(xi[..., ::-1], axis=-1))
+    """Run of Y-origin values at the top of the pooled ordering.
+
+    The count first reaches m at the last X-origin value, which has
+    #(v < m) values below it, so the run is m + n - 1 - #(v < m); x nonempty.
+    """
+    v = np.cumsum(xi, axis=-1) if v is None else v
+    return _value(m + n - 1 - np.argmax(v == m, axis=-1))
 
 
 # The per-alternative constants of lrt_stats at sample size n: (k, 1)

@@ -450,11 +450,13 @@ class TestBlockRows:
 
     @staticmethod
     def record(monkeypatch, name, seen):
-        """Wrap the kernel `name` of statistics; seen gets a copy of each block."""
+        """Wrap the kernel `name` of statistics; seen gets a copy of each
+        block: its first argument, or the running X-counts of a DATA block,
+        which a rank kernel is given in place of indicators."""
         kernel = getattr(st, name)
 
         def wrapper(block, *args):
-            seen.append(block.copy())
+            seen.append((args[2] if block is None else block).copy())
             return kernel(block, *args)
 
         monkeypatch.setattr(st, name, wrapper)
@@ -506,10 +508,11 @@ class TestBlockRows:
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_data(self, monkeypatch, gamma):
-        # 2**14 // (1200 + 800) = 8 rows a block
-        alt = MixtureAlt(0.1, 1.5)
-        self.check(monkeypatch, "ks_from_indicator", [8, 8, 4], cal.DATA,
-                   [st.LRT, *self.RANK], GGParams(gamma), alt, [alt], 1200, 800, 0, 20)
+        # 2**14 // (1200 + 800) = 8 rows a block, scored at each of two
+        # alternatives in turn
+        alts = [MixtureAlt(0.1, 1.5), MixtureAlt(0.1, 4.0)]
+        self.check(monkeypatch, "ks_from_indicator", [8, 8, 8, 8, 4, 4], cal.DATA,
+                   [st.LRT, *self.RANK], GGParams(gamma), alts[0], alts, 1200, 800, 0, 20)
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_overflow_in_some_rows(self, monkeypatch, gamma):
@@ -546,32 +549,44 @@ class TestBlockRows:
     def test_one_count_per_block(self, monkeypatch, tests, kind, m, n, k1, blocks):
         """The running X-count is taken once per block, whatever rank tests
         are selected, and each value is its kernel's on that row's indicator
-        alone, bit for bit."""
-        alt = MixtureAlt(0.1, 1.5)
+        alone, bit for bit.  A rank-null block's count is np.cumsum of its
+        indicators; a DATA block takes no cumulative sum of a block, only
+        one per replicate, over its unraised values, and its counts are
+        those of its replicates' pooled indicators."""
+        alt, parts = MixtureAlt(0.1, 1.5), [29, cal.TAG_POWER, 3]
         seen, counts = [], []
         with monkeypatch.context() as mp:
             self.record(mp, cal.STATISTICS[tests[0]].kernel, seen)
             self.count_cumsum(mp, counts)
-            got = cal.replicate_rows(kind, tests, NORMAL, alt, [alt], m, n, [29, cal.TAG_POWER, 3],
-                                     0, k1)
-        assert counts == [b.shape for b in seen] and len(seen) == blocks
+            got = cal.replicate_rows(kind, tests, NORMAL, alt, [alt], m, n, parts, 0, k1)
+        assert len(seen) == blocks
+        if kind == cal.RANK_NULL:
+            assert counts == [b.shape for b in seen]
+            indicators = np.concatenate(seen)
+        else:
+            assert len(counts) == k1 and all(len(shape) == 1 for shape in counts)
+            indicators = np.array([data_indicator(NORMAL, alt, m, n, [*parts, k])
+                                   for k in range(k1)])
+            assert np.concatenate(seen).tobytes() == np.cumsum(indicators, axis=-1).tobytes()
         kernels = [getattr(st, cal.STATISTICS[t].kernel) for t in tests]
-        expected = [[f(xi, m, n) for f in kernels] for xi in np.concatenate(seen)]
+        expected = [[f(xi, m, n) for f in kernels] for xi in indicators]
         assert got.tobytes() == np.array(expected, dtype=float).tobytes()
 
     # what the benchmark hooks in `statistics`: the rank kernels and the LRT
     HOOKED = [cal.STATISTICS[t].kernel or "lrt_stats" for t in st.ALL_STATISTICS]
 
     def test_wrappers_see_every_block(self, monkeypatch):
-        alt = MixtureAlt(0.1, 1.5)
+        # each hooked function is called once per block and alternative
+        alts = [MixtureAlt(0.1, mu) for mu in (0.5, 1.5, 2.5)]
         seen = {name: [] for name in self.HOOKED}
         with monkeypatch.context() as mp:
             for name in self.HOOKED:
                 self.record(mp, name, seen[name])
-            cal.replicate_rows(cal.DATA, list(st.ALL_STATISTICS), NORMAL, alt, [alt],
+            cal.replicate_rows(cal.DATA, list(st.ALL_STATISTICS), NORMAL, alts[0], alts,
                                1200, 800, [23, cal.TAG_POWER, 1], 0, 20)
         # 2**14 // (1200 + 800) = 8 rows a block
-        assert {k: [len(b) for b in v] for k, v in seen.items()} == {k: [8, 8, 4] for k in seen}
+        rows = [8] * 3 + [8] * 3 + [4] * 3
+        assert {k: [len(b) for b in v] for k, v in seen.items()} == {k: rows for k in seen}
 
     def test_one_count_per_test_call(self, monkeypatch, tmp_path, capsys):
         """mixdetect test scores its one sample as one block: one running
@@ -608,12 +623,33 @@ class TestBlockRows:
                 assert report["tests"][stat.name]["statistic"] == value
 
     def test_no_count_without_a_rank_test(self, monkeypatch):
-        alt = MixtureAlt(0.1, 1.5)
+        # no running X-count is built, by a cumulative sum or a repeat
+        alts = [MixtureAlt(0.1, 1.5), MixtureAlt(0.1, 2.5)]
+        args = (NORMAL, alts[0], alts, 50, 40, [29, cal.TAG_POWER, 3], 0, 5)
         with monkeypatch.context() as mp:
-            mp.setattr(np, "cumsum", None)
-            got = cal.replicate_rows(cal.DATA, [st.LRT], NORMAL, alt, [alt], 50, 40,
-                                     [29, cal.TAG_POWER, 3], 0, 5)
-        assert got.shape == (5, 1)
+            for name in ("cumsum", "repeat", "bincount"):
+                mp.setattr(np, name, None)
+            got = cal.replicate_rows(cal.DATA, [st.LRT], *args)
+        assert got.shape == (5, 2)
+        with_rank = cal.replicate_rows(cal.DATA, [st.LRT, st.TAILRUN], *args)
+        assert got.tobytes() == with_rank[:, [0, 2]].tobytes()
+
+    def test_no_y_sample_without_the_lrt(self, monkeypatch):
+        # with each Y-base replaced by an object numpy cannot read, a pass
+        # of the rank tests is unchanged, and one with the LRT fails
+        alts = [MixtureAlt(0.1, 1.5), MixtureAlt(0.1, 2.5)]
+        args = (NORMAL, alts[0], alts, 50, 40, [29, cal.TAG_POWER, 3], 0, 5)
+        expected = cal.replicate_rows(cal.DATA, self.RANK, *args)
+        draw = cal._draw_data
+
+        def no_base(*draw_args):
+            return (object(), *draw(*draw_args)[1:])
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cal, "_draw_data", no_base)
+            assert cal.replicate_rows(cal.DATA, self.RANK, *args).tobytes() == expected.tobytes()
+            with pytest.raises(TypeError):
+                cal.replicate_rows(cal.DATA, [st.LRT, *self.RANK], *args)
 
     def test_tie_retry_inside_a_block(self, monkeypatch):
         # the first draw of replicate 4 ties; it is redrawn from (*parts, 4, 1)
@@ -629,6 +665,8 @@ class TestBlockRows:
         rng = np.random.default_rng(np.random.SeedSequence([*parts, 4, 1]))
         x, y = gg_sample(m, NORMAL, rng), mixture_sample(n, NORMAL, alt, rng)
         xi = st.pooled_indicator(x, y)
+        # the retried row's running X-count is its redraw's
+        assert seen[0][4].tolist() == np.cumsum(xi).tolist()
         expected = self.alone(cal.DATA, tests, NORMAL, alt, [alt], m, n, parts, 0, 9)
         expected[4] = [st.hc_from_indicator(xi, m, n), st.lrt_stat(y, NORMAL, alt)]
         assert got.tobytes() == expected.tobytes()
@@ -639,6 +677,86 @@ class TestBlockRows:
 def numpy_stream(entropy):
     """The oracle: numpy's own seeding of the stream SeedSequence(entropy)."""
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def data_indicator(model, alt, m, n, stream):
+    """The pooled X-origin indicator of a DATA replicate's first draw from
+    stream at alt: X drawn by gg_sample, then Y by mixture_sample, on the
+    same stream."""
+    rng = numpy_stream(stream)
+    x = gg_sample(m, model, rng)
+    return st.pooled_indicator(x, mixture_sample(n, model, alt, rng))
+
+
+class TestDataCounts:
+    """_data_counts gives a DATA block's running X-counts at each shift, the
+    integers np.cumsum gives on the pooled indicators there."""
+
+    @staticmethod
+    def counts(rows, m, n):
+        """_data_counts on hand-built draws: per row its unraised values'
+        labels and, per shift, its raised values' places."""
+        draws = []
+        for labels, places in rows:
+            places = np.array(places, dtype=np.intp).reshape(len(places), -1)
+            draws.append((None, places.shape[1], np.array(labels, dtype=bool), places))
+        return [v.copy() for v in cal._data_counts(draws, m, n)]
+
+    @pytest.mark.parametrize("rows, indicators", [
+        # K = 0: the count of the unraised values alone
+        ([([1, 0, 0, 1, 1], [[]])], [[[1, 0, 0, 1, 1]]]),
+        # three raised values at one place, after two unraised values
+        ([([1, 0, 1, 1], [[2, 2, 2]])], [[[1, 0, 0, 0, 0, 1, 1]]]),
+        # raised values below every unraised value
+        ([([1, 1, 0], [[0, 0]])], [[[0, 0, 1, 1, 0]]]),
+        # two shifts: at the second, each raised value has passed an X
+        ([([1, 0, 1], [[0, 2], [1, 3]])], [[[0, 1, 0, 0, 1]], [[1, 0, 0, 1, 0]]]),
+        # a block of two rows end to end, one with K = 1 and one with K = 0
+        ([([1, 0, 1, 1], [[3]]), ([1, 1, 0, 1, 0], [[]])],
+         [[[1, 0, 1, 0, 1], [1, 1, 0, 1, 0]]]),
+    ], ids=["k0", "one-place", "below", "two-shifts", "block"])
+    def test_hand_built(self, rows, indicators):
+        m = sum(rows[0][0])
+        n = len(indicators[0][0]) - m
+        got = self.counts(rows, m, n)
+        assert [v.tolist() for v in got] == [np.cumsum(xi, axis=-1).tolist() for xi in indicators]
+
+    def test_above_every_value_lengthens_the_tail_run(self):
+        # Y, X, X, Y and then the K = 3 raised values on top
+        (v,) = self.counts([([0, 1, 1, 0], [[4, 4, 4]])], 2, 5)
+        assert v[0].tolist() == np.cumsum([0, 1, 1, 0, 0, 0, 0]).tolist()
+        assert st.tailrun_from_indicator(None, 2, 5, v[0]) == 1 + 3
+
+    def test_no_shift(self):
+        # a null draw (alt None) raises nothing and gives one count
+        labels = np.array([0, 1, 1, 0, 1], dtype=bool)
+        got = list(cal._data_counts([(None, 0, labels, np.empty((0, 0), np.intp))], 3, 2))
+        assert [v.tolist() for v in got] == [[np.cumsum(labels).tolist()]]
+
+    @pytest.mark.parametrize("m, n", [(60, 40), (50, 50)])
+    def test_random_draws(self, m, n):
+        parts = [11, cal.TAG_POWER]
+        alts = [MixtureAlt(0.3, mu) for mu in (0.2, 1.0, 3.0)]
+        draws = [cal._draw_data(NORMAL, alts[0], [a.mu for a in alts], m, n, [*parts, k],
+                                numpy_stream([*parts, k])) for k in range(6)]
+        assert len({k for _, k, _, _ in draws}) > 1
+        got = [v.copy() for v in cal._data_counts(draws, m, n)]
+        assert len(got) == len(alts)
+        for g, v in enumerate(got):
+            expected = [np.cumsum(data_indicator(NORMAL, alts[g], m, n, [*parts, k]))
+                        for k in range(6)]
+            assert v.tolist() == np.array(expected).tolist()
+
+    def test_tied_draw_redrawn_from_the_retry_stream(self):
+        stream, alt, m, n = [9, cal.TAG_POWER, 3], MixtureAlt(0.2, 1.5), 40, 30
+        draws = []
+        tied = TiedData(numpy_stream(stream), m, n, alt.mu, draws)
+        draw = cal._draw_data(NORMAL, alt, [alt.mu], m, n, stream, tied)
+        [(x, base, k)] = draws
+        assert tied_points(x, base, k, [alt]) == [alt]
+        (v,) = cal._data_counts([draw], m, n)
+        xi = data_indicator(NORMAL, alt, m, n, [*stream, 1])
+        assert v[0].tolist() == np.cumsum(xi).tolist()
 
 
 def first_draws(rng):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -402,6 +403,21 @@ class TestTailRun:
                     break
                 run += 1
             assert on(tailrun_from_indicator, ts) == run
+
+    @pytest.mark.parametrize("m, n", [(4, 3), (1, 5), (5, 1)])
+    def test_count_form_by_enumeration(self, m, n):
+        """Over every arrangement, the run read from the running X-count is
+        the first X-origin value from the top of the indicator."""
+        block = np.zeros((math.comb(m + n, m), m + n), dtype=np.int64)
+        for row, xs in zip(block, itertools.combinations(range(m + n), m)):
+            row[list(xs)] = 1
+        oracle = np.argmax(block[..., ::-1], axis=-1)
+        assert tailrun_from_indicator(block, m, n).tolist() == oracle.tolist()
+        counts = np.cumsum(block, axis=-1)
+        assert tailrun_from_indicator(None, m, n, counts).tolist() == oracle.tolist()
+        for xi, v, run in zip(block, counts, oracle.tolist()):
+            for got in (tailrun_from_indicator(xi, m, n), tailrun_from_indicator(None, m, n, v)):
+                assert type(got) is int and got == run
 
 
 class TestLrt:
