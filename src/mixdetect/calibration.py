@@ -11,14 +11,14 @@ The LRT is a sum of n iid terms under H0, so its null law is computed, not
 simulated; it reads no table file, seed or replicate count.
 
 STATISTICS is the one table of the five tests: how each is computed and
-how its p-value is found.  Every Monte Carlo null table, mc_null_table's or
-the power harness's, is built by _null_tables, and every simulated
+how its p-value is found.  Every Monte Carlo null table, the library's or
+the power harness's, is built by mc_null_table, and every simulated
 replicate is drawn by replicate_rows.  block_values scores a block of
-replicates, or mixdetect test's one sample, evaluating each statistic once
-and every rank kernel on the block's one running X-count: the cumulative
-sum of its indicators, or for a power block at each grid point one
-np.repeat of its replicates' counts over their unraised values
-(_data_counts), with no indicator built.  table_key
+replicates at one alternative, or mixdetect test's one sample, evaluating
+each statistic once and every rank kernel on the block's one running
+X-count: the cumulative sum of its indicators, or for a DATA block at each
+alternative one np.repeat of its replicates' counts over their unraised
+values (_data_counts), with no indicator built.  table_key
 defines a table's key once: NullTable.key, its file's fields and name
 (cache_key) and the match of the harness cache and of test --table.
 
@@ -155,8 +155,8 @@ class Statistic:
     kernel names the rank kernel in `statistics`, f(xi, m, n, v), which
     block_values calls on a block's running X-counts v (and its pooled
     X-origin indicators xi, or None where it has none).  The LRT has no
-    rank kernel: one lrt_stats call on the Y-samples and the model gives its
-    value at every alternative of every replicate of a block.  pvalues(values,
+    rank kernel: one lrt_stats call on a block's Y-samples, the model and
+    one alternative gives its value on every replicate.  pvalues(values,
     m, n, table) maps an array of statistic values to p-values; HC needs its
     Monte Carlo null table, and the LRT its LatticeNull (lrt_null) in that
     place.  extra(value, m, n) gives further fields for a test report.
@@ -310,15 +310,14 @@ def _data_counts(draws, m: int, n: int):
     at a shift the running count is
     np.repeat(c, 1 + np.bincount(places, minlength=c.size))[1:].  The rows'
     c lie end to end, so a shift takes one np.repeat for the block, and
-    none when no row raises a value.  With no shift (alt None) it gives one
-    array, the rows' c.
+    none when no row raises a value, as at every shift of a null draw (K = 0).
     """
     starts = list(itertools.accumulate([0] + [m + n + 1 - k for _, k, _, _ in draws]))
     counts = np.zeros(starts[-1], dtype=np.int64)
     for (_, k, labels, _), s in zip(draws, starts):
         np.cumsum(labels, out=counts[s + 1:s + m + n + 1 - k])
     places = np.concatenate([at + s for (*_, at), s in zip(draws, starts)], axis=-1)
-    for shift in places if len(places) else [places]:
+    for shift in places:
         v = counts
         if shift.size:
             v = np.repeat(counts, np.bincount(shift, minlength=counts.size) + 1)
@@ -326,7 +325,7 @@ def _data_counts(draws, m: int, n: int):
 
 
 # the most elements a block of replicates puts in one row-wide temporary
-# (m+n per row for a rank statistic, n per alternative for the LRT); of the
+# (m+n per row with a rank statistic, else n for the LRT's Y-sample); of the
 # budgets 2**12 to 2**16, 2**14 (128 KiB of float64) took the least CPU
 # summed over test-cli-, sparse- and dense-sized calls on a 2-vCPU Linux VM
 _BLOCK_ELEMENTS = 2**14
@@ -341,14 +340,14 @@ _BLOCK_ELEMENTS = 2**14
 np.empty(2**17)
 
 
-def block_values(stats, xi, y, m: int, n: int, model=None, alts=(), v=None) -> np.ndarray:
+def block_values(stats, xi, y, m: int, n: int, model=None, alt=None, v=None) -> np.ndarray:
     """Values of the Statistics stats on a block of replicates, one row each:
     xi holds their (rows, m+n) pooled X-origin indicators, or v their running
     X-counts np.cumsum(xi, axis=-1), and y their (rows, n) Y-samples.
 
-    A rank statistic gives one float column, its kernel's value per row, the
-    LRT one column per alternative in alts (lrt_stats on y and the model),
-    side by side in the order of stats.  Every rank kernel reads the one
+    Each statistic gives one float column, in the order of stats: a rank
+    statistic its kernel's value per row, the LRT lrt_stats' on y and the
+    model at the one alternative alt.  Every rank kernel reads the one
     count v, taken from xi once when it is not given and a rank statistic
     is selected; each is passed xi too, which is None when v is given.  The
     kernels and lrt_stats are looked up in `statistics` at call time, so a
@@ -358,7 +357,7 @@ def block_values(stats, xi, y, m: int, n: int, model=None, alts=(), v=None) -> n
         v = np.cumsum(xi, axis=-1)
     return np.hstack([
         getattr(st, s.kernel)(xi, m, n, v).astype(float)[:, None] if s.rank
-        else st.lrt_stats(y, model, alts)
+        else st.lrt_stats(y, model, [alt])
         for s in stats
     ])
 
@@ -378,17 +377,18 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     m + n uniform keys; a tied m-th smallest key is redrawn from the stream
     (*parts, k, retry), retry = 1, 2, ..., 99 in turn, as a tied DATA
     replicate is.  A DATA replicate draws X and a Y-base from F once
-    (_draw_data); with alt given also one K ~ Binomial(n, alt.epsilon), and
+    (_draw_data) and, with alt given, one K ~ Binomial(n, alt.epsilon);
     its Y-sample at each alternative in lrt_alts (each of alt's epsilon) is
     the base with its first K values shifted by that mu: mixture_sample's
-    draw at lrt_alts = [alt].
+    draw at lrt_alts = [alt].  With alt None, K = 0, so every alternative
+    scores the base itself.
 
-    A row holds one group of values per alternative in lrt_alts (one when
-    there is none): those of tests in order, the LRT's at that alternative;
-    where one sample serves every alternative, the rank values repeat from
-    group to group.  Replicates are drawn one by one into blocks that keep
-    a row-wide temporary within _BLOCK_ELEMENTS (at least one row), and a
-    block is scored by one block_values call per distinct sample.
+    A RANK_NULL row holds the values of tests in order; a DATA row holds one
+    such group per alternative in lrt_alts, scored on that alternative's
+    Y-sample, the LRT's value at that alternative.  Replicates are drawn one
+    by one into blocks that keep a row-wide temporary (m + n values with a
+    rank test, else n) within _BLOCK_ELEMENTS (at least one row), and a
+    block is scored by one block_values call per group.
 
     A RANK_NULL block's running X-count is the cumulative sum of its
     indicators, a DATA block's is built from each replicate's draw
@@ -397,29 +397,20 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     """
     stats = [STATISTICS[t] for t in tests]
     rank, lrt = any(s.rank for s in stats), not all(s.rank for s in stats)
-    # the alternatives of each distinct Y-sample of a replicate
-    if kind == DATA and alt is not None:
-        if not lrt_alts or any(a.epsilon != alt.epsilon for a in lrt_alts):
+    if kind == DATA:
+        if alt is not None and (not lrt_alts or any(a.epsilon != alt.epsilon for a in lrt_alts)):
             raise ValueError("DATA drawn from alt needs alternatives, each with alt's epsilon")
-        scored, mus = [[a] for a in lrt_alts], [a.mu for a in lrt_alts]
-    else:
-        scored, mus = [lrt_alts], []
-    # block_values gives a rank test one column and the LRT one per
-    # alternative of the call; with more than one alternative, group g of
-    # the call's values takes the columns take[g], and otherwise all of
-    # them, in order
-    span, width = len(scored[0]) or 1, len(stats)
-    offsets = list(itertools.accumulate([0] + [1 if s.rank else span for s in stats]))
-    take = np.array([o + (0 if s.rank else g) for g in range(span)
-                     for s, o in zip(stats, offsets)]) if span > 1 else slice(None)
-    row = max(m + n if s.rank else span * n for s in stats)
-    rows = max(1, min(_BLOCK_ELEMENTS // row, k1 - k0))
+        if not lrt_alts:
+            raise ValueError("DATA drawn under H0 needs at least one alternative to score")
+    groups, width = lrt_alts if kind == DATA else [None], len(stats)
+    mus = [a.mu for a in lrt_alts]
+    rows = max(1, min(_BLOCK_ELEMENTS // (m + n if rank else n), k1 - k0))
     # a rank null's keys and indicators, and the LRT's Y-samples of a DATA
     # block; what a replicate does not draw or score is left empty
     keys = np.empty((rows, m + n if kind == RANK_NULL else 0))
     xi = np.empty((rows, m + n if kind == RANK_NULL else 0), dtype=np.int64)
     y = np.empty((rows, n if kind == DATA and lrt else 0))
-    out = np.empty((k1 - k0, len(scored) * span * width))
+    out = np.empty((k1 - k0, len(groups) * width))
     streams = _streams(parts, k0, k1)
     for a in range(k0, k1, rows):
         b = min(a + rows, k1)
@@ -441,18 +432,17 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
                 for i, (base, _, _, _) in enumerate(draws):
                     y[i] = base
             counts = _data_counts(draws, m, n) if rank else None
-        for g, alts in enumerate(scored):
+        for g, group_alt in enumerate(groups):
             v = None if counts is None else next(counts)
-            if kind == DATA and lrt and mus:
+            if kind == DATA and lrt:
                 for i, (base, k, _, _) in enumerate(draws):
-                    np.add(base[:k], mus[g], out=y[i, :k])
-            values = block_values(stats, xi[:b - a] if v is None else None, y[:b - a],
-                                  m, n, model, alts, v)
-            out[a - k0:b - k0, g * span * width:(g + 1) * span * width] = values[:, take]
+                    np.add(base[:k], group_alt.mu, out=y[i, :k])
+            out[a - k0:b - k0, g * width:(g + 1) * width] = block_values(
+                stats, xi[:b - a] if v is None else None, y[:b - a], m, n, model, group_alt, v)
     return out
 
 
-def _serial(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps) -> np.ndarray:
+def _serial(kind, tests, model, alt, lrt_alts, m, n, seed_parts, reps) -> np.ndarray:
     """reps replicates in this process, as one replicate_rows call; row i
     holds value i of every replicate."""
     return replicate_rows(kind, tests, model, alt, lrt_alts, m, n, seed_parts, 0, reps).T
@@ -490,31 +480,23 @@ def _table_statistic(statistic: str) -> Statistic:
     return stat
 
 
-def _null_tables(statistic, m, n, reps, seed, collect=_serial) -> list:
-    """Sorted null tables of statistic, from replicate k of (seed, tag, k).
+def mc_null_table(statistic: str, m: int, n: int, reps: int, master_seed: int,
+                  collect=_serial) -> NullTable:
+    """The sorted null table of a statistic, from replicate k of (master_seed, tag, k).
 
-    HC gives one table, simulated on random arrangements of m X-labels and
-    n Y-labels (tag TAG_CALIB_RANK).  A test whose p-value reads no table,
-    the LRT included, is refused.  collect runs the replicates: it is
-    called positionally as _serial is, and the power harness passes its
-    own, which uses the run's pool.
+    Only HC reads a table, simulated on random arrangements of m X-labels
+    and n Y-labels (tag TAG_CALIB_RANK): WILCOXON, KS, TAILRUN and the LRT
+    (lrt_null) are refused.  collect runs the replicates: it is called
+    positionally as _serial is, and the power harness passes its own, which
+    uses the run's pool, so a table equals the harness's for the same
+    (statistic, m, n, reps, seed).
     """
-    _check_table_inputs(reps, seed)
+    _check_table_inputs(reps, master_seed)
     _check_sizes(m, n)
     _table_statistic(statistic)
-    columns = collect(RANK_NULL, None, None, (), m, n, [statistic], [seed, TAG_CALIB_RANK], reps)
-    return [NullTable(statistic, m, n, np.sort(draws), seed) for draws in columns]
-
-
-def mc_null_table(statistic: str, m: int, n: int, reps: int, master_seed: int) -> NullTable:
-    """Simulate the null distribution of a statistic on random label arrangements.
-
-    The one-table case of the power harness's builder, so a table equals
-    the harness's for the same (statistic, m, n, reps, seed).  Only HC reads
-    a table: WILCOXON, KS, TAILRUN and the LRT (lrt_null) are refused.
-    """
-    (table,) = _null_tables(statistic, m, n, reps, master_seed)
-    return table
+    (draws,) = collect(RANK_NULL, [statistic], None, None, (), m, n,
+                       [master_seed, TAG_CALIB_RANK], reps)
+    return NullTable(statistic, m, n, np.sort(draws), master_seed)
 
 
 # The LRT's null on a lattice (lrt_null).  F is cut into _LRT_CELLS cells

@@ -31,7 +31,7 @@ from . import calibration as cal
 from . import experiments as exp
 from . import statistics as st
 from . import theory
-from .distributions import GGParams, MixtureAlt
+from .distributions import GGParams, MixtureAlt, check_integer
 
 
 def read_sample_file(path) -> np.ndarray:
@@ -99,7 +99,7 @@ def cmd_test(args) -> int:
             )
         tables[table.statistic] = table
     report = {"m": m, "n": n, "tests": {}}
-    values = cal.block_values(stats, xi[None], y[None], m, n, model, [alt])[0].tolist()
+    values = cal.block_values(stats, xi[None], y[None], m, n, model, alt)[0].tolist()
     for stat, value in zip(stats, values):
         if stat.monte_carlo and stat.name not in tables:
             tables[stat.name] = cal.mc_null_table(stat.name, m, n, args.reps, args.seed)
@@ -145,7 +145,9 @@ def cmd_power(args) -> int:
     config = dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if v is not None}
     )
-    # a bad --out or --cache-dir fails now, not after simulating the curve
+    # a bad --threads, --out or --cache-dir fails now, not after simulating
+    # the curve, and a refused thread count makes no directory
+    check_integer("threads", args.threads)
     for directory in [d for d in (args.out, args.cache_dir) if d is not None]:
         Path(directory).mkdir(parents=True, exist_ok=True)
     for suffix in (".csv", ".json"):

@@ -8,9 +8,9 @@ calibration.replicate_rows, which evaluates each statistic once per block
 of replicates, over one contiguous batch of them per worker, in the run's
 one process pool if threads > 1, so results are byte-identical at any
 worker count.  A run makes at most two passes through _collect: the HC
-table, from mc_null_table's builder, and the power pass.  The LRT's null
-at each grid point is computed in this process after the power pass, by
-one lattice convolution (calibration.lrt_null), and draws nothing.  The
+table, built by calibration.mc_null_table, and the power pass.  The LRT's
+null at each grid point is computed in this process after the power pass,
+by one lattice convolution (calibration.lrt_null), and draws nothing.  The
 power pass draws replicate k's X, Y-base and K ~ Binomial(n, eps) once for
 the whole grid (eps is the same at every point; only mu moves), and scores
 grid point g on the base with its first K values shifted by mu_g: common
@@ -170,11 +170,12 @@ def _run_batches(tasks, pool):
     return list(mapper(cal.replicate_rows, *zip(*tasks)))
 
 
-def _collect(kind, model, alt, lrt_alts, m, n, tests, seed_parts, reps, pool):
+def _collect(kind, tests, model, alt, lrt_alts, m, n, seed_parts, reps, pool):
     """Run reps replicates: one batch when serial, one per worker in the run's pool.
 
-    Every null-table and power replicate of a run goes through here.  Returns
-    a 2-D array whose row i holds value i of every replicate (see
+    Every null-table and power replicate of a run goes through here; the
+    arguments are replicate_rows', with reps in place of its replicate range.
+    Returns a 2-D array whose row i holds value i of every replicate (see
     calibration.replicate_rows for the values of a replicate), in replicate
     order.
     """
@@ -192,7 +193,7 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> c
 
     A file in cache_dir is used only if it loads cleanly and was simulated
     for this (statistic, m, n, reps, seed); any other file is recomputed
-    in the run's pool, as mc_null_table would compute it, and overwritten.
+    by mc_null_table, in the run's pool, and overwritten.
     """
     key = cal.table_key(statistic, config.m, config.n, config.calib_reps, config.master_seed)
     path = None if cache_dir is None else Path(cache_dir) / cal.cache_key(*key)
@@ -201,18 +202,17 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> c
             table = cal.load_null_table(path)
             if table.key == key:
                 return table
-    (table,) = cal._null_tables(*key, collect=functools.partial(_collect, pool=pool))
+    table = cal.mc_null_table(*key, collect=functools.partial(_collect, pool=pool))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         cal.save_null_table(table, path, force=True)
     return table
 
 
-def _lrt_null_table(config: ScenarioConfig, statistic: str) -> list:
-    """The null laws of the model-based statistic (the LRT), one per grid
-    point: calibration.lrt_null at each point's alternative, computed here,
-    after the power pass; nothing is drawn.  statistic names the LRT, as
-    _hc_null_table's names HC; the benchmark reads config from this call."""
+def _lrt_null_table(config: ScenarioConfig) -> list:
+    """The LRT's null laws, one per grid point: calibration.lrt_null at each
+    point's alternative, computed here, after the power pass; nothing is
+    drawn.  The benchmark reads config from this call."""
     return [cal.lrt_null(config.model, config.alt_for(g), config.n) for g in config.grid]
 
 
@@ -251,19 +251,14 @@ def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> Po
     # the run's only pool, if any; leaving the block joins its workers
     with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as executor:
         pool = None if executor is None else _Pool(executor, threads)
-        tables = [{} for _ in config.grid]  # per grid point: test -> null table
-        stats = [cal.STATISTICS[t] for t in config.tests]
-        for s in stats:
-            if s.monte_carlo:
-                table = _hc_null_table(config, s.name, cache_dir, pool)
-                for point in tables:
-                    point[s.name] = table
+        hc = _hc_null_table(config, st.HC, cache_dir, pool) if st.HC in config.tests else None
         # the power pass: replicate k's draws serve every grid point; point
-        # g's values are rows g * len(tests) onwards, in the order of tests
+        # g's values are rows g * len(tests) onwards, in the order of tests.
+        # A null run raises nothing, so each point scores the Y-base itself
         alts = [config.alt_for(g) for g in config.grid]
         columns = _collect(
-            cal.DATA, config.model, None if null else alts[0], alts, config.m, config.n,
-            config.tests, [config.master_seed, cal.TAG_NULL if null else cal.TAG_POWER],
+            cal.DATA, config.tests, config.model, None if null else alts[0], alts,
+            config.m, config.n, [config.master_seed, cal.TAG_NULL if null else cal.TAG_POWER],
             config.power_reps, pool,
         )
         # the LRT's nulls come after the power pass: built before it, the
@@ -272,13 +267,11 @@ def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> Po
         # it faulted (1.4 minor faults per p-value call against 0.8 built
         # after; dense-all-t2's median op CPU +11 % over the parent's built
         # before, +2 % built after, BENCH_pr32_lattice_lrt.json)
-        for s in stats:
-            if not s.rank:
-                for point, null in zip(tables, _lrt_null_table(config, s.name)):
-                    point[s.name] = null
+        lrt = _lrt_null_table(config) if st.LRT in config.tests else [None] * len(alts)
         width = len(config.tests)
         points = [
-            _power_point(config, gi, tables[gi], columns[gi * width:(gi + 1) * width])
+            _power_point(config, gi, {st.HC: hc, st.LRT: lrt[gi]},
+                         columns[gi * width:(gi + 1) * width])
             for gi in range(len(config.grid))
         ]
     return PowerCurve(
@@ -301,9 +294,11 @@ def run_null_level(
 ) -> PowerCurve:
     """Empirical size under H0: both samples from F, same calibration path.
 
-    Replicate k's one pair of samples serves every grid point, so each rank
-    test's row repeats along the grid.  The LRT is still evaluated at each
-    grid point's (eps, mu), since its definition needs an alternative.
+    Replicate k's one pair of samples serves every grid point as a shift
+    that raises nothing, so each rank test's row repeats along the grid,
+    though every point is scored on its own, at about a power run's cost.
+    The LRT is evaluated at each grid point's (eps, mu), since its
+    definition needs an alternative.
     """
     return _run_grid(config, threads, cache_dir, null=True)
 

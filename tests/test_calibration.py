@@ -166,7 +166,7 @@ class TestMcNullTable:
         with pytest.raises(TypeError):
             mc_null_table(st.HC, 50, 50, 100, 0, model=(NORMAL, alt))
         with pytest.raises(ValueError, match="^LRT reads no null table"):
-            cal._null_tables(st.LRT, 50, 50, 100, 0)
+            mc_null_table(st.LRT, 50, 50, 100, 0)
 
     @pytest.mark.parametrize("m, n, message", [
         (True, 5, "m must be an integer, got True"),
@@ -202,7 +202,7 @@ class TestMcNullTable:
             calls.append((args, kwargs))
             return cal._serial(*args, **kwargs)
 
-        (table,) = cal._null_tables(st.HC, 20, 15, 100, 4, collect)
+        table = mc_null_table(st.HC, 20, 15, 100, 4, collect)
         [(args, kwargs)] = calls
         assert kwargs == {} and args[0] == cal.RANK_NULL and args[8] == 100
         expected = mc_null_table(st.HC, 20, 15, 100, 4)
@@ -386,6 +386,15 @@ def test_data_alternatives_share_one_epsilon(monkeypatch, alts):
                            [1, cal.TAG_POWER], 0, 3)
 
 
+def test_data_under_h0_needs_an_alternative(monkeypatch):
+    # each alternative scores its own group, so a null DATA call with none
+    # would score nothing; it is refused before anything is drawn
+    monkeypatch.setattr(cal, "_streams", None)
+    message = "^DATA drawn under H0 needs at least one alternative to score$"
+    with pytest.raises(ValueError, match=message):
+        cal.replicate_rows(cal.DATA, [st.HC], NORMAL, None, (), 5, 5, [1, cal.TAG_NULL], 0, 3)
+
+
 class TiedKeys:
     """A stream whose key draws tie the m-th smallest key with the next."""
 
@@ -500,10 +509,10 @@ class TestBlockRows:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_lrt_null(self, monkeypatch, gamma):
         # a null block scored at three alternatives at n = 700 (each row one
-        # group per alternative: HC, then the LRT there): 2**14 // 2100 = 7
-        # rows a block
+        # group per alternative: HC, then the LRT there), one lrt_stats call
+        # per block and alternative: 2**14 // (900 + 700) = 10 rows a block
         alts = [MixtureAlt(0.01, 0.5), MixtureAlt(0.1, 2.0), MixtureAlt(1e-15, 3.0)]
-        self.check(monkeypatch, "lrt_stats", [7, 7, 3], cal.DATA, [st.HC, st.LRT],
+        self.check(monkeypatch, "lrt_stats", [10, 10, 10, 7, 7, 7], cal.DATA, [st.HC, st.LRT],
                    GGParams(gamma, 0.8), None, alts, 900, 700, 0, 17)
 
     @pytest.mark.parametrize("gamma", GAMMAS)
@@ -728,9 +737,10 @@ class TestDataCounts:
         assert st.tailrun_from_indicator(None, 2, 5, v[0]) == 1 + 3
 
     def test_no_shift(self):
-        # a null draw (alt None) raises nothing and gives one count
+        # a null draw (alt None) raises nothing at its one shift: its count
+        # is that of its unraised values alone
         labels = np.array([0, 1, 1, 0, 1], dtype=bool)
-        got = list(cal._data_counts([(None, 0, labels, np.empty((0, 0), np.intp))], 3, 2))
+        got = list(cal._data_counts([(None, 0, labels, np.empty((1, 0), np.intp))], 3, 2))
         assert [v.tolist() for v in got] == [[np.cumsum(labels).tolist()]]
 
     @pytest.mark.parametrize("m, n", [(60, 40), (50, 50)])

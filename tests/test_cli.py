@@ -740,7 +740,7 @@ class TestCmdCalibrate:
         )
         rng = np.random.default_rng(8)
         xf, yf = write_samples(tmp_path, rng.normal(size=50), 0.3 + rng.normal(size=40))
-        for g, null in zip(cfg.grid, _lrt_null_table(cfg, "LRT")):
+        for g, null in zip(cfg.grid, _lrt_null_table(cfg)):
             alt = cfg.alt_for(g)
             assert main(["test", "--x", xf, "--y", yf, "--tests", "lrt",
                          "--epsilon", repr(alt.epsilon), "--mu", repr(alt.mu)]) == 0
@@ -862,6 +862,15 @@ class TestCmdPower:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "threads" in err
         assert not (tmp_path / "normal-dense.csv").exists()
+
+    def test_refused_threads_makes_no_directory(self, tmp_path, capsys, monkeypatch):
+        # the thread count is checked before --out or --cache-dir is made
+        monkeypatch.chdir(tmp_path)
+        args = ["power", "--preset", "normal-dense", "--scale", "0.001",
+                "--threads", "-1", "--out", "o", "--cache-dir", "c"]
+        assert main(args) == 1
+        assert "threads must be at least 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_threads_capped_at_the_cores(self, tmp_path, monkeypatch, cores):
