@@ -155,11 +155,12 @@ class Statistic:
     kernel names the rank kernel in `statistics`, f(xi, m, n, v), which
     block_values calls on a block's running X-counts v (and its pooled
     X-origin indicators xi, or None where it has none).  The LRT has no
-    rank kernel: one lrt_stats call on a block's Y-samples, the model and
-    one alternative gives its value on every replicate.  pvalues(values,
-    m, n, table) maps an array of statistic values to p-values; HC needs its
-    Monte Carlo null table, and the LRT its LatticeNull (lrt_null) in that
-    place.  extra(value, m, n) gives further fields for a test report.
+    rank kernel: lrt_stats on a block's Y-samples at the model and the one
+    alternative gives its value per replicate, as a kernel does.
+    pvalues(values, m, n, table) maps an array of statistic values to
+    p-values; HC needs its Monte Carlo null table, and the LRT its
+    LatticeNull (lrt_null) in that place.  extra(value, m, n) gives further
+    fields for a test report.
     """
 
     name: str
@@ -355,11 +356,10 @@ def block_values(stats, xi, y, m: int, n: int, model=None, alt=None, v=None) -> 
     """
     if v is None and any(s.rank for s in stats):
         v = np.cumsum(xi, axis=-1)
-    return np.hstack([
-        getattr(st, s.kernel)(xi, m, n, v).astype(float)[:, None] if s.rank
-        else st.lrt_stats(y, model, [alt])
+    return np.column_stack([
+        getattr(st, s.kernel)(xi, m, n, v) if s.rank else st.lrt_stats(y, model, alt)
         for s in stats
-    ])
+    ]).astype(float, copy=False)
 
 
 def _smallest_keys(keys, xi, m: int) -> np.ndarray:
@@ -500,7 +500,7 @@ def mc_null_table(statistic: str, m: int, n: int, reps: int, master_seed: int,
 
 
 # The LRT's null on a lattice (lrt_null).  F is cut into _LRT_CELLS cells
-# over [-A, A] * scale (_lattice_term), A the first of
+# over [-A, A] * scale (_lattice_term), A (_lattice_reach) the first of
 # (40 gamma)**(1/gamma) * 1.25**i, i < 400, whose two F-tails, times n, are
 # below _LRT_TAIL; none is found below gamma = 0.008 at n = 10**5 (0.0055
 # at n = 2), and the LRT is refused there.  The lattice step
@@ -538,6 +538,19 @@ class LatticeNull:
     sf: np.ndarray
 
 
+def _lattice_reach(gamma: float, n: int) -> float:
+    """A, the reach of the LRT's lattice cells in units of scale, at F's
+    shape gamma and n Y-draws; refused where the search finds none."""
+    unit = GGParams(gamma)
+    a = max((40.0 * gamma) ** (1.0 / gamma), 1.0)
+    for _ in range(400):
+        if 2 * n * gg_survival(a, unit) <= _LRT_TAIL:
+            return a
+        a *= 1.25
+    raise ValueError(f"the LRT's null has no lattice at gamma = {gamma}: "
+                     f"F's tails reach past {a:.3g}")
+
+
 def _lattice_term(p: GGParams, alt: MixtureAlt, n: int):
     """One term of the LRT under F as cells: their masses and the term's
     value at each cell's midpoint, by lrt_terms (without log1p(-eps)).
@@ -555,14 +568,7 @@ def _lattice_term(p: GGParams, alt: MixtureAlt, n: int):
     ones.
     """
     unit = GGParams(p.gamma)
-    a = max((40.0 * p.gamma) ** (1.0 / p.gamma), 1.0)
-    for _ in range(400):
-        if 2 * n * gg_survival(a, unit) <= _LRT_TAIL:
-            break
-        a *= 1.25
-    else:
-        raise ValueError(f"the LRT's null has no lattice at gamma = {p.gamma}: "
-                         f"F's tails reach past {a:.3g}")
+    a = _lattice_reach(p.gamma, n)
     c = alt.mu / p.scale
     if p.gamma >= 1.0:
         edges = np.sinh(np.linspace(0.0, math.asinh(a), _LRT_CELLS // 2 + 1))
@@ -585,7 +591,7 @@ def _lattice_term(p: GGParams, alt: MixtureAlt, n: int):
     left[0] += tail[-1]
     right[-1] += tail[-1]
     mid = np.concatenate([-(edges[1:] + edges[:-1])[::-1], cut[1:] + cut[:-1]]) / 2
-    return np.concatenate([left, right]), st.lrt_terms(p.scale * mid, p, (alt,))[0]
+    return np.concatenate([left, right]), st.lrt_terms(p.scale * mid, p, alt)
 
 
 def _nth_power(spectrum: np.ndarray, n: int) -> np.ndarray:

@@ -95,6 +95,8 @@ class ScenarioConfig:
         # the calibrations check beta and every grid value
         for g in self.grid:
             self.alt_for(g)
+        if st.LRT in self.tests:  # refused now, not after the power pass
+            cal._lattice_reach(self.model.gamma, self.n)
 
     def alt_for(self, grid_value: float) -> MixtureAlt:
         if self.regime == SPARSE:

@@ -916,7 +916,7 @@ class TestLatticeNull:
     def monte_carlo(p, alt, n, reps, seed):
         rng = np.random.default_rng(seed)
         return np.concatenate([
-            st.lrt_stats(gg_sample(n * 1000, p, rng).reshape(1000, n), p, [alt])[:, 0]
+            st.lrt_stats(gg_sample(n * 1000, p, rng).reshape(1000, n), p, alt)
             for _ in range(reps // 1000)
         ])
 

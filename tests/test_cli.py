@@ -872,6 +872,19 @@ class TestCmdPower:
         assert "threads must be at least 0, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_lrt_without_a_lattice_makes_no_directory(self, tmp_path, capsys, monkeypatch):
+        # the config is refused when read, before --out is made or a
+        # replicate drawn
+        monkeypatch.chdir(tmp_path)
+        config = {"model": {"gamma": 0.005, "scale": 1.0}, "m": 2000, "n": 2000,
+                  "regime": "dense", "beta": 0.2, "grid": [0.25, 0.5], "power_reps": 200}
+        (tmp_path / "lrt.json").write_text(json.dumps(config))
+        assert main(["power", "--config", "lrt.json", "--out", "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ") and err.count("\n") == 1
+        assert "the LRT's null has no lattice at gamma = 0.005: " in err
+        assert [p.name for p in tmp_path.iterdir()] == ["lrt.json"]
+
     @pytest.mark.parametrize("cores", [1, 2])
     def test_threads_capped_at_the_cores(self, tmp_path, monkeypatch, cores):
         from mixdetect import experiments as exp

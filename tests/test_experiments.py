@@ -90,6 +90,16 @@ class TestConfigValidation:
             small_config(**{name: value})
         assert small_config(beta=np.float64(0.6), level=np.float32(0.05)).beta == 0.6
 
+    def test_lrt_without_a_lattice_refused(self):
+        # at gamma = 0.005 the LRT's null has no lattice: the config is
+        # refused when built, not after its power pass; without the LRT it
+        # stands
+        dense = dict(model=GGParams(0.005), regime=DENSE, beta=0.2, grid=[0.25, 0.5])
+        with pytest.raises(ValueError, match="^the LRT's null has no lattice at gamma = 0.005: "
+                                             "F's tails reach past 5.81e"):
+            small_config(**dense)
+        small_config(**dense, tests=["HC", "WILCOXON"])
+
     def test_dict_roundtrip(self):
         cfg = small_config()
         again = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))

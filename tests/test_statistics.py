@@ -561,7 +561,7 @@ def scheme6_lrt(y, p, alt):
 
 
 class TestLrtStats:
-    """lrt_stats row by row against scheme6_lrt, bit for bit."""
+    """lrt_stats, one alternative per call, against scheme6_lrt, bit for bit."""
 
     GAMMAS = [0.5, 1.0, 1.5, 2.0, 3.0]
 
@@ -571,38 +571,35 @@ class TestLrtStats:
 
     @staticmethod
     def check(y, p, alts):
-        got = lrt_stats(y, p, alts)
-        assert got.shape == (len(alts),)
-        for value, alt in zip(got.tolist(), alts):
-            assert value == scheme6_lrt(y, p, alt)
-            assert lrt_stat(y, p, alt) == value
+        for alt in alts:
+            got = lrt_stats(y, p, alt)
+            assert type(got) is float and got == scheme6_lrt(y, p, alt)
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_rows_bitwise(self, gamma):
         rng = np.random.default_rng(int(gamma * 10) + 40)
         p = GGParams(gamma=gamma, scale=0.8)
         for n in (1, 7, 2000):
-            # ten alternatives, the first at eps = 1e-15; each also alone
+            # ten alternatives, the first at eps = 1e-15
             eps = [1e-15, *rng.uniform(1e-4, 0.4, size=9)]
             alts = [MixtureAlt(float(e), float(mu))
                     for e, mu in zip(eps, rng.uniform(0.05, 4.0, size=10))]
             for y in (gg_sample(n, p, rng), mixture_sample(n, p, alts[-1], rng)):
                 assert self.overflowing(y, p, alts) == 0
                 self.check(y, p, alts)
-                for alt in alts:
-                    self.check(y, p, [alt])
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_overflow_rows(self, gamma):
         # lr at y = mu is (mu/scale)^gamma / gamma, which passes 700 at
-        # mu = edge; no row, every row and some rows take the overflow branch
+        # mu = edge; the small alternatives never take the overflow branch,
+        # the large ones always do
         p = GGParams(gamma=gamma)
         edge = (700.0 * gamma) ** (1.0 / gamma)
         small = [MixtureAlt(0.1, 1.0), MixtureAlt(1e-15, 2.0)]
         large = [MixtureAlt(0.01, 1.05 * edge), MixtureAlt(1e-15, 1.1 * edge),
                  MixtureAlt(0.3, 1.2 * edge)]
         y = np.linspace(-5.0, 1.25 * edge, 2001)
-        for alts, rows in ((small, 0), (large, 3), (small + large, 3), (large[::-1] + small, 3)):
+        for alts, rows in ((small, 0), (large, 3)):
             assert self.overflowing(y, p, alts) == rows
             # the clamp keeps exp from overflowing
             with np.errstate(over="raise", invalid="raise"):
@@ -618,41 +615,43 @@ class TestLrtStats:
         y = gg_sample(300, p, np.random.default_rng(16)).reshape(6, 50)
         y[[1, 4], 7] = alts[0].mu
         assert [self.overflowing(row, p, alts) for row in y] == [0, 1, 0, 0, 1, 0]
-        got = lrt_stats(y, p, alts)
-        assert got.shape == (6, 2)
-        for row, values in zip(y, got.tolist()):
-            assert values == [scheme6_lrt(row, p, a) for a in alts]
-            assert values == lrt_stats(row, p, alts).tolist()
+        for alt in alts:
+            got = lrt_stats(y, p, alt)
+            assert got.shape == (6,)
+            assert got.tolist() == [scheme6_lrt(row, p, alt) for row in y]
+            assert got.tolist() == [lrt_stats(row, p, alt) for row in y]
+
+    def test_lrt_stat_is_lrt_stats(self):
+        # one function under two names: the benchmark's statistics.lrt_stat
+        # span wraps every object named lrt_stat, so it times the LRT's
+        # block calls through lrt_stats only while the two are one
+        assert st.lrt_stat is st.lrt_stats
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_lrt_stat_on_a_block(self, gamma):
+        p, alt = GGParams(gamma), MixtureAlt(0.1, 1.0)
+        y = gg_sample(200, p, np.random.default_rng(17)).reshape(4, 50)
+        got = lrt_stat(y, p, alt)
+        assert got.shape == (4,)
+        assert got.tobytes() == np.array([lrt_stat(row, p, alt) for row in y]).tobytes()
 
     def test_empty_or_not_1d_rejected(self):
-        alts = [MixtureAlt(0.1, 1.0)]
         for y in (np.array([]), np.ones((2, 0)), np.ones((2, 3, 4))):
             with pytest.raises(ValueError):
-                lrt_stats(y, GGParams(2.0), alts)
-        with pytest.raises(ValueError):
-            lrt_stats(np.ones(3), GGParams(2.0), [])
+                lrt_stats(y, GGParams(2.0), MixtureAlt(0.1, 1.0))
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_zero_row_block(self, gamma):
-        alts = [MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 3.0)]
-        out = lrt_stats(np.empty((0, 5)), GGParams(gamma), alts)
-        assert out.shape == (0, 2) and out.dtype == np.float64
+        out = lrt_stats(np.empty((0, 5)), GGParams(gamma), MixtureAlt(0.1, 1.0))
+        assert out.shape == (0,) and out.dtype == np.float64
         assert hc_from_indicator(np.empty((0, 5)), 2, 3).shape == (0,)
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_non_finite_total_raises(self, gamma):
-        alts = [MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 3.0)]
-        for y in ([0.0, np.inf], [np.nan, 1.0]):
-            with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
-                lrt_stats(np.array(y), GGParams(gamma), alts)
-
-    def test_constants_read_only(self):
-        lr_consts, odds, log_odds, n_log1p_eps = st._lrt_constants(
-            GGParams(2.0), (MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 3.0)), 5
-        )
-        for arr in (*lr_consts, odds, log_odds, n_log1p_eps):
-            with pytest.raises(ValueError):
-                arr[0] = 99.0
+        for alt in (MixtureAlt(0.1, 1.0), MixtureAlt(0.2, 3.0)):
+            for y in ([0.0, np.inf], [np.nan, 1.0]):
+                with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+                    lrt_stats(np.array(y), GGParams(gamma), alt)
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_replicate_equals_lrt_stat(self, gamma):
