@@ -11,16 +11,17 @@ The LRT is a sum of n iid terms under H0, so its null law is computed, not
 simulated; it reads no table file, seed or replicate count.
 
 STATISTICS is the one table of the five tests: how each is computed and
-how its p-value is found.  Every Monte Carlo null table, the library's or
-the power harness's, is built by mc_null_table, and every simulated
-replicate is drawn by replicate_rows.  block_values scores a block of
-replicates at one alternative, or mixdetect test's one sample, evaluating
-each statistic once and every rank kernel on the block's one running
-X-count: the cumulative sum of its indicators, or for a DATA block at each
-alternative one np.repeat of its replicates' counts over their unraised
-values (_data_counts), with no indicator built.  table_key
-defines a table's key once: NullTable.key, its file's fields and name
-(cache_key) and the match of the harness cache and of test --table.
+how its p-value is found, and null_for the one place that chooses the null
+that p-value reads, for mixdetect test and the power harness alike.  Every
+Monte Carlo null table, the library's or the power harness's, is built by
+mc_null_table, and every simulated replicate is drawn by replicate_rows.
+block_values scores a block of replicates at one alternative, or mixdetect
+test's one sample, evaluating each statistic once and every rank kernel on
+the block's one running X-count: the cumulative sum of its indicators, or
+for a DATA block at each alternative one np.repeat of its replicates'
+counts over their unraised values (_data_counts), with no indicator built.
+table_key defines a table's key once: NullTable.key, its file's fields and
+name (cache_key) and the match of the harness cache and of test --table.
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, k]), as in
 rng_scheme 10; the seed words of a whole batch of streams are hashed
@@ -158,9 +159,9 @@ class Statistic:
     rank kernel: lrt_stats on a block's Y-samples at the model and the one
     alternative gives its value per replicate, as a kernel does.
     pvalues(values, m, n, table) maps an array of statistic values to
-    p-values; HC needs its Monte Carlo null table, and the LRT its
-    LatticeNull (lrt_null) in that place.  extra(value, m, n) gives further
-    fields for a test report.
+    p-values; table is the null that null_for gives the test: HC's Monte
+    Carlo null table, the LRT's LatticeNull, None for the others.
+    extra(value, m, n) gives further fields for a test report.
     """
 
     name: str
@@ -172,10 +173,6 @@ class Statistic:
     @property
     def rank(self) -> bool:
         return self.kernel is not None
-
-    @property
-    def monte_carlo(self) -> bool:
-        return self.method == MONTE_CARLO
 
     def pvalue(self, value: float, m: int, n: int, table=None) -> PValue:
         p = self.pvalues(np.asarray(value, dtype=float), m, n, table)
@@ -369,7 +366,7 @@ def _smallest_keys(keys, xi, m: int) -> np.ndarray:
     return np.flatnonzero(xi.sum(axis=-1) != m)
 
 
-def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np.ndarray:
+def replicate_rows(kind, tests, model, alt, alts, m, n, parts, k0, k1) -> np.ndarray:
     """Values of tests on replicates k0 <= k < k1, row k - k0 for replicate k.
 
     Replicate k draws from the stream (*parts, k); kind is RANK_NULL or
@@ -378,14 +375,14 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     (*parts, k, retry), retry = 1, 2, ..., 99 in turn, as a tied DATA
     replicate is.  A DATA replicate draws X and a Y-base from F once
     (_draw_data) and, with alt given, one K ~ Binomial(n, alt.epsilon);
-    its Y-sample at each alternative in lrt_alts (each of alt's epsilon) is
+    its Y-sample at each alternative in alts (each of alt's epsilon) is
     the base with its first K values shifted by that mu: mixture_sample's
-    draw at lrt_alts = [alt].  With alt None, K = 0, so every alternative
+    draw at alts = [alt].  With alt None, K = 0, so every alternative
     scores the base itself.
 
     A RANK_NULL row holds the values of tests in order; a DATA row holds one
-    such group per alternative in lrt_alts, scored on that alternative's
-    Y-sample, the LRT's value at that alternative.  Replicates are drawn one
+    such group per alternative in alts: every test scored on that
+    alternative's Y-sample, the LRT at that alternative.  Replicates are drawn one
     by one into blocks that keep a row-wide temporary (m + n values with a
     rank test, else n) within _BLOCK_ELEMENTS (at least one row), and a
     block is scored by one block_values call per group.
@@ -398,12 +395,12 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     stats = [STATISTICS[t] for t in tests]
     rank, lrt = any(s.rank for s in stats), not all(s.rank for s in stats)
     if kind == DATA:
-        if alt is not None and (not lrt_alts or any(a.epsilon != alt.epsilon for a in lrt_alts)):
+        if alt is not None and (not alts or any(a.epsilon != alt.epsilon for a in alts)):
             raise ValueError("DATA drawn from alt needs alternatives, each with alt's epsilon")
-        if not lrt_alts:
+        if not alts:
             raise ValueError("DATA drawn under H0 needs at least one alternative to score")
-    groups, width = lrt_alts if kind == DATA else [None], len(stats)
-    mus = [a.mu for a in lrt_alts]
+    groups, width = alts if kind == DATA else [None], len(stats)
+    mus = [a.mu for a in alts]
     rows = max(1, min(_BLOCK_ELEMENTS // (m + n if rank else n), k1 - k0))
     # a rank null's keys and indicators, and the LRT's Y-samples of a DATA
     # block; what a replicate does not draw or score is left empty
@@ -442,10 +439,10 @@ def replicate_rows(kind, tests, model, alt, lrt_alts, m, n, parts, k0, k1) -> np
     return out
 
 
-def _serial(kind, tests, model, alt, lrt_alts, m, n, seed_parts, reps) -> np.ndarray:
+def _serial(kind, tests, model, alt, alts, m, n, seed_parts, reps) -> np.ndarray:
     """reps replicates in this process, as one replicate_rows call; row i
     holds value i of every replicate."""
-    return replicate_rows(kind, tests, model, alt, lrt_alts, m, n, seed_parts, 0, reps).T
+    return replicate_rows(kind, tests, model, alt, alts, m, n, seed_parts, 0, reps).T
 
 
 def _check_seed(name: str, seed) -> None:
@@ -475,7 +472,7 @@ def _table_statistic(statistic: str) -> Statistic:
     stat = STATISTICS.get(statistic)
     if stat is None:
         raise ValueError(f"unknown statistic {statistic!r}")
-    if not stat.monte_carlo:
+    if stat.method != MONTE_CARLO:
         raise ValueError(f"{statistic} reads no null table: its p-value uses the {stat.method} null")
     return stat
 
@@ -804,6 +801,15 @@ STATISTICS = {
                   lambda v, m, n, t: tailrun_pvalues(v, m, n), EXACT),
     )
 }
+
+
+def null_for(statistic: str, m: int, n: int, model, alt, table=None, reps=None, seed=None):
+    """The null that STATISTICS[statistic].pvalues reads, chosen here alone:
+    HC's table (mc_null_table's at reps and seed unless table is given), the
+    LRT's lattice law at model and alt (lrt_null), None for the closed forms."""
+    if statistic == st.HC:
+        return mc_null_table(st.HC, m, n, reps, seed) if table is None else table
+    return lrt_null(model, alt, n) if statistic == st.LRT else None
 
 
 def npz_path(path) -> Path:

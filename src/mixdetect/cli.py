@@ -83,29 +83,25 @@ def cmd_test(args) -> int:
     if args.dejitter:
         x, y = st.dejitter(x, y)
     xi = st.pooled_indicator(x, y)
-    stats = [cal.STATISTICS[t] for t in _parse_tests(args.tests)]
+    names = _parse_tests(args.tests)
+    stats = [cal.STATISTICS[t] for t in names]
     m, n = x.size, y.size
     model, alt = _model_and_alt(args, lrt=not all(s.rank for s in stats))
-    tables = {}
+    table = None
     if args.table:
-        # the file serves the selected Monte Carlo test (HC) that, simulated
-        # with the file's reps and seed, would give a table of the file's key
+        # the file serves a selected HC that, simulated with the file's reps
+        # and seed, would give a table of the file's key
         table = cal.load_null_table(args.table)
-        keys = [cal.table_key(s.name, m, n, table.reps, table.seed)
-                for s in stats if s.monte_carlo]
-        if table.key not in keys:
-            raise ValueError(
-                f"table {args.table} is for {table.key}; it matches no selected test here"
-            )
-        tables[table.statistic] = table
+        if st.HC not in names or table.key != cal.table_key(st.HC, m, n, table.reps, table.seed):
+            raise ValueError(f"table {args.table} is for {table.key}; "
+                             "it matches no selected test here")
     report = {"m": m, "n": n, "tests": {}}
-    values = cal.block_values(stats, xi[None], y[None], m, n, model, alt)[0].tolist()
+    # a Y-value whose LRT term overflows is refused by lrt_stats, without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = cal.block_values(stats, xi[None], y[None], m, n, model, alt)[0].tolist()
     for stat, value in zip(stats, values):
-        if stat.monte_carlo and stat.name not in tables:
-            tables[stat.name] = cal.mc_null_table(stat.name, m, n, args.reps, args.seed)
-        elif not stat.rank:
-            tables[stat.name] = cal.lrt_null(model, alt, n)
-        pv = stat.pvalue(value, m, n, tables.get(stat.name))
+        null = cal.null_for(stat.name, m, n, model, alt, table, args.reps, args.seed)
+        pv = stat.pvalue(value, m, n, null)
         row = {"statistic": value, "pvalue": pv.p, "method": pv.method}
         if stat.extra is not None:
             row.update(stat.extra(value, m, n))
@@ -334,7 +330,7 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a wrapper put on cmd_<command> sees the call
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -8,9 +8,9 @@ calibration.replicate_rows, which evaluates each statistic once per block
 of replicates, over one contiguous batch of them per worker, in the run's
 one process pool if threads > 1, so results are byte-identical at any
 worker count.  A run makes at most two passes through _collect: the HC
-table, built by calibration.mc_null_table, and the power pass.  The LRT's
-null at each grid point is computed in this process after the power pass,
-by one lattice convolution (calibration.lrt_null), and draws nothing.  The
+table, built by calibration.mc_null_table, and the power pass.  Each grid
+point's nulls come from calibration.null_for, in this process after the
+power pass; the LRT's is one lattice convolution and draws nothing.  The
 power pass draws replicate k's X, Y-base and K ~ Binomial(n, eps) once for
 the whole grid (eps is the same at every point; only mu moves), and scores
 grid point g on the base with its first K values shifted by mu_g: common
@@ -172,7 +172,7 @@ def _run_batches(tasks, pool):
     return list(mapper(cal.replicate_rows, *zip(*tasks)))
 
 
-def _collect(kind, tests, model, alt, lrt_alts, m, n, seed_parts, reps, pool):
+def _collect(kind, tests, model, alt, alts, m, n, seed_parts, reps, pool):
     """Run reps replicates: one batch when serial, one per worker in the run's pool.
 
     Every null-table and power replicate of a run goes through here; the
@@ -184,20 +184,20 @@ def _collect(kind, tests, model, alt, lrt_alts, m, n, seed_parts, reps, pool):
     n_batches = 1 if pool is None else min(reps, pool.workers)
     bounds = np.linspace(0, reps, n_batches + 1).astype(int)
     tasks = [
-        (kind, tests, model, alt, lrt_alts, m, n, seed_parts, int(a), int(b))
+        (kind, tests, model, alt, alts, m, n, seed_parts, int(a), int(b))
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
     return np.concatenate(_run_batches(tasks, pool)).T
 
 
-def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> cal.NullTable:
-    """The run's null table of a rank statistic with a Monte-Carlo null (HC).
+def _hc_null_table(config: ScenarioConfig, cache_dir, pool) -> cal.NullTable:
+    """The run's HC null table, the one test with a Monte-Carlo null.
 
     A file in cache_dir is used only if it loads cleanly and was simulated
-    for this (statistic, m, n, reps, seed); any other file is recomputed
-    by mc_null_table, in the run's pool, and overwritten.
+    for this (HC, m, n, reps, seed); any other file is recomputed by
+    mc_null_table, in the run's pool, and overwritten.
     """
-    key = cal.table_key(statistic, config.m, config.n, config.calib_reps, config.master_seed)
+    key = cal.table_key(st.HC, config.m, config.n, config.calib_reps, config.master_seed)
     path = None if cache_dir is None else Path(cache_dir) / cal.cache_key(*key)
     if path is not None and path.exists():
         with contextlib.suppress(ValueError):
@@ -211,11 +211,12 @@ def _hc_null_table(config: ScenarioConfig, statistic: str, cache_dir, pool) -> c
     return table
 
 
-def _lrt_null_table(config: ScenarioConfig) -> list:
-    """The LRT's null laws, one per grid point: calibration.lrt_null at each
-    point's alternative, computed here, after the power pass; nothing is
-    drawn.  The benchmark reads config from this call."""
-    return [cal.lrt_null(config.model, config.alt_for(g), config.n) for g in config.grid]
+def _lrt_null_table(config: ScenarioConfig, hc) -> list:
+    """Each grid point's {test: null} by calibration.null_for, HC's the table hc;
+    built after the power pass, it draws nothing.  It keeps the name it had when
+    it held the LRT's nulls alone, and config first: the benchmark hooks both."""
+    return [{t: cal.null_for(t, config.m, config.n, config.model, config.alt_for(g), hc)
+             for t in config.tests} for g in config.grid]
 
 
 def _pvalues_for(test, values, m, n, table):
@@ -226,13 +227,13 @@ def _pvalues_for(test, values, m, n, table):
 def _power_point(config, grid_idx, tables, columns):
     """Rejection rates of every test at one grid point.
 
-    tables maps HC to its null table and the LRT to its lattice null at
-    this grid point; columns holds each test's replicate values there, in
+    tables maps each test to its null at this grid point (_lrt_null_table);
+    columns holds each test's replicate values there, in
     the order of config.tests.
     """
     per_test = {}
     for test, values in zip(config.tests, columns):
-        pvals = _pvalues_for(test, values, config.m, config.n, tables.get(test))
+        pvals = _pvalues_for(test, values, config.m, config.n, tables[test])
         rejects = int(np.sum(pvals < config.level))
         power = rejects / config.power_reps
         ci = 1.96 * math.sqrt(power * (1.0 - power) / config.power_reps)
@@ -253,7 +254,7 @@ def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> Po
     # the run's only pool, if any; leaving the block joins its workers
     with ProcessPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as executor:
         pool = None if executor is None else _Pool(executor, threads)
-        hc = _hc_null_table(config, st.HC, cache_dir, pool) if st.HC in config.tests else None
+        hc = _hc_null_table(config, cache_dir, pool) if st.HC in config.tests else None
         # the power pass: replicate k's draws serve every grid point; point
         # g's values are rows g * len(tests) onwards, in the order of tests.
         # A null run raises nothing, so each point scores the Y-base itself
@@ -269,11 +270,10 @@ def _run_grid(config: ScenarioConfig, threads: int, cache_dir, null: bool) -> Po
         # it faulted (1.4 minor faults per p-value call against 0.8 built
         # after; dense-all-t2's median op CPU +11 % over the parent's built
         # before, +2 % built after, BENCH_pr32_lattice_lrt.json)
-        lrt = _lrt_null_table(config) if st.LRT in config.tests else [None] * len(alts)
+        nulls = _lrt_null_table(config, hc)
         width = len(config.tests)
         points = [
-            _power_point(config, gi, {st.HC: hc, st.LRT: lrt[gi]},
-                         columns[gi * width:(gi + 1) * width])
+            _power_point(config, gi, nulls[gi], columns[gi * width:(gi + 1) * width])
             for gi in range(len(config.grid))
         ]
     return PowerCurve(

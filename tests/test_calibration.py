@@ -1177,6 +1177,38 @@ class TestStatisticTable:
             cal.ks_pvalues(np.array([0.5, np.inf]))
 
 
+class TestNullFor:
+    """null_for gives each test the null its pvalues reads."""
+
+    m, n, alt = 30, 20, MixtureAlt(epsilon=0.2, mu=1.5)
+
+    def null(self, statistic, **kwargs):
+        return cal.null_for(statistic, self.m, self.n, NORMAL, self.alt, **kwargs)
+
+    def test_hc_given_table_as_is(self):
+        table = NullTable(statistic=st.HC, m=self.m, n=self.n, draws=np.linspace(0, 3, 150),
+                          seed=4)
+        assert self.null(st.HC, table=table, reps=200, seed=9) is table
+
+    def test_hc_simulated_without_table(self):
+        null = self.null(st.HC, reps=150, seed=7)
+        table = mc_null_table(st.HC, self.m, self.n, 150, 7)
+        assert null.key == table.key
+        assert null.draws.tobytes() == table.draws.tobytes()
+
+    def test_lrt_lattice_law(self):
+        null = self.null(st.LRT)
+        law = cal.lrt_null(NORMAL, self.alt, self.n)
+        assert (null.h, null.start, null.shift) == (law.h, law.start, law.shift)
+        assert null.sf.tobytes() == law.sf.tobytes()
+
+    @pytest.mark.parametrize("statistic", [st.WILCOXON, st.KS, st.TAILRUN])
+    def test_closed_forms_read_none(self, statistic):
+        table = NullTable(statistic=st.HC, m=self.m, n=self.n, draws=np.zeros(150), seed=0)
+        assert self.null(statistic) is None
+        assert self.null(statistic, table=table, reps=150, seed=0) is None
+
+
 class TestWilcoxonExactNull:
     def test_single_pair(self):
         pmf = wilcoxon_exact_null(1, 1)

@@ -740,7 +740,8 @@ class TestCmdCalibrate:
         )
         rng = np.random.default_rng(8)
         xf, yf = write_samples(tmp_path, rng.normal(size=50), 0.3 + rng.normal(size=40))
-        for g, null in zip(cfg.grid, _lrt_null_table(cfg)):
+        for g, nulls in zip(cfg.grid, _lrt_null_table(cfg, None)):
+            null = nulls["LRT"]
             alt = cfg.alt_for(g)
             assert main(["test", "--x", xf, "--y", yf, "--tests", "lrt",
                          "--epsilon", repr(alt.epsilon), "--mu", repr(alt.mu)]) == 0
@@ -1159,6 +1160,18 @@ class TestErrorBoundary:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert str(path) in lines[0]
+
+    @pytest.mark.parametrize("gamma", ["2", "3"])
+    def test_lrt_overflow(self, tmp_path, capsys, gamma):
+        # a Y-value whose LRT term overflows: numpy warns of nothing, and
+        # lrt_stats' FloatingPointError is the one error line
+        xf, yf = write_samples(tmp_path, [0.1, 0.5, -0.3], [1e308])
+        argv = ["test", "--x", xf, "--y", yf, "--tests", "lrt", "--gamma", gamma,
+                "--epsilon", "0.1", "--mu", "5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite likelihood ratio term\n"
 
     @pytest.mark.parametrize("command, name", [
         ("power", "master_seed"), ("test", "seed"), ("calibrate", "seed"),

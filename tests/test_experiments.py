@@ -344,6 +344,17 @@ class TestLrtNullTables:
                 lrt.h, lrt.start, lrt.shift)
             assert point[st.LRT].sf.tobytes() == lrt.sf.tobytes()
 
+    @pytest.mark.parametrize("tests", [st.ALL_STATISTICS, (st.WILCOXON, st.TAILRUN)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_selected_test_has_a_null(self, monkeypatch, tests, threads):
+        # each grid point's nulls are keyed by exactly the selected tests:
+        # a table or lattice law for HC and the LRT, None for the closed forms
+        cfg = self.config(tests)
+        for point in self.harness_tables(monkeypatch, run_power_grid, cfg, threads):
+            assert list(point) == list(tests)
+            for test, null in point.items():
+                assert (null is None) == (test not in (st.HC, st.LRT))
+
     @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
     def test_one_pool_per_run(self, monkeypatch, threads, pools):
         opened, joined = [], []
