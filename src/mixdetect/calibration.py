@@ -20,8 +20,10 @@ test's one sample, evaluating each statistic once and every rank kernel on
 the block's one running X-count: the cumulative sum of its indicators, or
 for a DATA block at each alternative one np.repeat of its replicates'
 counts over their unraised values (_data_counts), with no indicator built.
-table_key defines a table's key once: NullTable.key, its file's fields and
-name (cache_key) and the match of the harness cache and of test --table.
+HC is the one test with a Monte Carlo null table, so no table function
+takes a statistic; table_key defines a table's key, (HC, m, n, reps, seed),
+once: NullTable.key, its file's fields and name (cache_key) and the match
+of the harness cache.
 
 Replicate k draws from numpy's stream SeedSequence([seed, tag, k]), as in
 rng_scheme 10; the seed words of a whole batch of streams are hashed
@@ -101,26 +103,21 @@ _KEY_FIELDS = (
 )
 
 
-def table_key(statistic: str, m: int, n: int, reps: int, seed: int) -> tuple:
-    """What a null table is simulated for: (statistic, m, n, reps, seed)."""
-    return (statistic, m, n, reps, seed)
+def table_key(m: int, n: int, reps: int, seed: int) -> tuple:
+    """What a null table is simulated for: (HC, m, n, reps, seed)."""
+    return (st.HC, m, n, reps, seed)
 
 
 @dataclass(frozen=True)
 class NullTable:
-    """Sorted Monte Carlo draws of a statistic under H0.
+    """Sorted Monte Carlo draws of HC under H0."""
 
-    statistic is a test whose p-value reads a table (HC).
-    """
-
-    statistic: str
     m: int
     n: int
     draws: np.ndarray
     seed: int
 
     def __post_init__(self):
-        _table_statistic(self.statistic)
         _check_sizes(self.m, self.n)
         _check_seed("seed", self.seed)
         d = self.draws
@@ -136,7 +133,7 @@ class NullTable:
     @property
     def key(self) -> tuple:
         """What the table was simulated for: its table_key."""
-        return table_key(self.statistic, self.m, self.n, self.reps, self.seed)
+        return table_key(self.m, self.n, self.reps, self.seed)
 
 
 @dataclass(frozen=True)
@@ -466,34 +463,28 @@ def _check_table_inputs(reps: int, seed: int) -> None:
     _check_seed("seed", seed)
 
 
-def _table_statistic(statistic: str) -> Statistic:
-    """The test that a null table of statistic serves: an unknown name, or a
-    test whose p-value reads no table, is refused."""
+def _table_statistic(statistic: str) -> None:
+    """Refuse a table file's statistic unless it is HC, the one test with a table."""
     stat = STATISTICS.get(statistic)
     if stat is None:
         raise ValueError(f"unknown statistic {statistic!r}")
     if stat.method != MONTE_CARLO:
         raise ValueError(f"{statistic} reads no null table: its p-value uses the {stat.method} null")
-    return stat
 
 
-def mc_null_table(statistic: str, m: int, n: int, reps: int, master_seed: int,
-                  collect=_serial) -> NullTable:
-    """The sorted null table of a statistic, from replicate k of (master_seed, tag, k).
+def mc_null_table(m: int, n: int, reps: int, master_seed: int, collect=_serial) -> NullTable:
+    """HC's sorted null table, from replicate k of (master_seed, TAG_CALIB_RANK, k).
 
-    Only HC reads a table, simulated on random arrangements of m X-labels
-    and n Y-labels (tag TAG_CALIB_RANK): WILCOXON, KS, TAILRUN and the LRT
-    (lrt_null) are refused.  collect runs the replicates: it is called
-    positionally as _serial is, and the power harness passes its own, which
-    uses the run's pool, so a table equals the harness's for the same
-    (statistic, m, n, reps, seed).
+    Each replicate is a random arrangement of m X-labels and n Y-labels.
+    collect runs the replicates: it is called positionally as _serial is,
+    and the power harness passes its own, which uses the run's pool, so a
+    table equals the harness's for the same (m, n, reps, seed).
     """
     _check_table_inputs(reps, master_seed)
     _check_sizes(m, n)
-    _table_statistic(statistic)
-    (draws,) = collect(RANK_NULL, [statistic], None, None, (), m, n,
+    (draws,) = collect(RANK_NULL, [st.HC], None, None, (), m, n,
                        [master_seed, TAG_CALIB_RANK], reps)
-    return NullTable(statistic, m, n, np.sort(draws), master_seed)
+    return NullTable(m, n, np.sort(draws), master_seed)
 
 
 # The LRT's null on a lattice (lrt_null).  F is cut into _LRT_CELLS cells
@@ -808,7 +799,7 @@ def null_for(statistic: str, m: int, n: int, model, alt, table=None, reps=None, 
     HC's table (mc_null_table's at reps and seed unless table is given), the
     LRT's lattice law at model and alt (lrt_null), None for the closed forms."""
     if statistic == st.HC:
-        return mc_null_table(st.HC, m, n, reps, seed) if table is None else table
+        return mc_null_table(m, n, reps, seed) if table is None else table
     return lrt_null(model, alt, n) if statistic == st.LRT else None
 
 
@@ -834,8 +825,8 @@ def save_null_table(table: NullTable, path, force: bool = False) -> Path:
 def load_null_table(path) -> NullTable:
     """Read a cache file; a ValueError naming path unless it is intact and of this version.
 
-    The table is rebuilt from the fields of its key.  Like
-    save_null_table, it adds a missing .npz suffix to path.
+    The table is rebuilt from the fields of its key, whose statistic must be
+    HC.  Like save_null_table, it adds a missing .npz suffix to path.
     """
     path = npz_path(path)
     try:
@@ -850,19 +841,20 @@ def load_null_table(path) -> NullTable:
                     raise TypeError(f"field {name} is {value.dtype}, not {dtype.__name__}")
                 values.append(kind(value))
             statistic, m, n, reps, seed = values
-            table = NullTable(statistic, m, n, data["draws"].copy(), seed)
+            _table_statistic(statistic)
+            table = NullTable(m, n, data["draws"].copy(), seed)
             if table.reps != reps:
                 raise ValueError(f"{table.reps} draws but reps = {reps}")
     # EOFError: an empty file; TypeError: a bare .npy, or a field of the wrong shape or dtype
     except (KeyError, EOFError, TypeError, zipfile.BadZipFile) as e:
         raise ValueError(f"{path} is not a null-table file: {e}") from None
-    # another version, or a table NullTable refuses (an LRT file among them)
+    # another version, a statistic other than HC, or a table NullTable refuses
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     return table
 
 
-def cache_key(statistic: str, m: int, n: int, reps: int, seed: int) -> str:
+def cache_key(m: int, n: int, reps: int, seed: int) -> str:
     """The file name of a null table: the fields of its key, each tagged."""
-    key = table_key(statistic, m, n, reps, seed)
+    key = table_key(m, n, reps, seed)
     return "_".join(f"{tag}{v}" for (_, tag, _, _), v in zip(_KEY_FIELDS, key)) + ".npz"

@@ -2,7 +2,7 @@
 
 Subcommands: test (run tests on two sample files), power (power-curve
 experiments), boundary (closed-form detection boundaries), diagnose
-(power-condition diagnostics), calibrate (null-table cache files).
+(power-condition diagnostics), calibrate (HC's null-table cache files).
 
 All data goes to stdout or --out files.  Every failure, a refused input or
 an unreadable or unwritable file, is one "error: ..." line on stderr with
@@ -89,12 +89,12 @@ def cmd_test(args) -> int:
     model, alt = _model_and_alt(args, lrt=not all(s.rank for s in stats))
     table = None
     if args.table:
-        # the file serves a selected HC that, simulated with the file's reps
-        # and seed, would give a table of the file's key
         table = cal.load_null_table(args.table)
-        if st.HC not in names or table.key != cal.table_key(st.HC, m, n, table.reps, table.seed):
-            raise ValueError(f"table {args.table} is for {table.key}; "
-                             "it matches no selected test here")
+        if st.HC not in names:
+            raise ValueError(f"table {args.table} is HC's null table, and HC is not selected")
+        if (table.m, table.n) != (m, n):
+            raise ValueError(f"table {args.table} is for (m, n) = ({table.m}, {table.n}); "
+                             f"the samples' are ({m}, {n})")
     report = {"m": m, "n": n, "tests": {}}
     # a Y-value whose LRT term overflows is refused by lrt_stats, without numpy's warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -141,13 +141,15 @@ def cmd_power(args) -> int:
     config = dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if v is not None}
     )
-    # a bad --threads, --out or --cache-dir fails now, not after simulating
-    # the curve, and a refused thread count makes no directory
+    # a bad --threads, --out, --stem or --cache-dir fails now, not after simulating
+    # the curve; a refused thread count or stem makes no directory (only --out is made)
     check_integer("threads", args.threads)
+    out = Path(args.out)
+    for path in [out / f"{stem}{suffix}" for suffix in (".csv", ".json")]:
+        if out.is_dir() or path.parent != out:
+            _check_writable(path)
     for directory in [d for d in (args.out, args.cache_dir) if d is not None]:
         Path(directory).mkdir(parents=True, exist_ok=True)
-    for suffix in (".csv", ".json"):
-        _check_writable(Path(args.out) / f"{stem}{suffix}")
     curve = exp.run_power_grid(config, threads=args.threads, cache_dir=args.cache_dir)
     if args.preset:
         notes = {**curve.notes, **exp.figure_notes(args.preset, scale)}
@@ -216,13 +218,9 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    statistic = args.statistic.upper()
-    # an unknown statistic, or one whose p-value reads no table (the LRT
-    # among them), is refused first
-    cal._table_statistic(statistic)
     # a bad --out fails now, not after simulating the table; a directory is
     # refused as given, before npz_path names a file beside it
-    out = Path(args.out or cal.cache_key(statistic, args.m, args.n, args.reps, args.seed))
+    out = Path(args.out or cal.cache_key(args.m, args.n, args.reps, args.seed))
     if not out.is_dir():
         # Path drops a trailing "/" or "/.", so the file name is read from the string
         if args.out and os.path.basename(args.out) in ("", "."):
@@ -231,7 +229,7 @@ def cmd_calibrate(args) -> int:
     _check_writable(out)
     if out.exists() and not args.force:
         raise ValueError(f"{out} exists; pass --force to overwrite")
-    table = cal.mc_null_table(statistic, args.m, args.n, args.reps, args.seed)
+    table = cal.mc_null_table(args.m, args.n, args.reps, args.seed)
     out = cal.save_null_table(table, out, force=args.force)
     q = {lev: float(np.quantile(table.draws, lev)) for lev in (0.90, 0.95, 0.99)}
     print(
@@ -312,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upper integration limit (lower-bound; inf)")
     add_model_args(p)
 
-    p = sub.add_parser("calibrate", help="write a null-table cache file")
-    p.add_argument("--statistic", required=True,
-                   help="HC, the one test with a Monte Carlo table (the LRT's null is computed)")
+    p = sub.add_parser("calibrate", help="write HC's null-table cache file", description=(
+        "Write HC's Monte Carlo null table, the one simulated null, for test --table "
+        "and power --cache-dir."))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=4000)

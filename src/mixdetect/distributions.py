@@ -198,15 +198,20 @@ def mixture_sample(
     return base
 
 
+def _calibrated_epsilon(n: int, beta: float) -> float:
+    """epsilon = n**-beta of both calibrations, refused unless below 1/2."""
+    check_integer("n", n, 2)
+    if (eps := n ** (-beta)) >= 0.5:
+        raise ValueError(f"epsilon = n**-beta = {eps} >= 1/2; increase n or beta")
+    return eps
+
+
 def sparse_calibration(n: int, beta: float, r: float, gamma: float) -> MixtureAlt:
     """Sparse-regime epsilon = n**-beta, mu = (gamma*r*log n)**(1/gamma)."""
     check_real("beta", beta, 0, 1)
     check_real("r", r, 0, 1)
     check_real("gamma", gamma, 0)
-    check_integer("n", n, 2)
-    eps = n ** (-beta)
-    if eps >= 0.5:
-        raise ValueError(f"epsilon = n**-beta = {eps} >= 1/2; increase n or beta")
+    eps = _calibrated_epsilon(n, beta)
     mu = (gamma * r * math.log(n)) ** (1.0 / gamma)
     # a gamma near 0 underflows mu to 0, a huge one overflows it
     check_real(f"at gamma = {gamma}, mu = (gamma * r * log n)**(1/gamma)", mu, 0)
@@ -221,5 +226,4 @@ def dense_calibration(n: int, beta: float, s: float) -> MixtureAlt:
     """
     check_real("beta", beta, 0, 0.5)
     check_real("s", s, 0, 0.5, "(]")
-    check_integer("n", n, 2)
-    return MixtureAlt(epsilon=n ** (-beta), mu=n ** (s - 0.5))
+    return MixtureAlt(epsilon=_calibrated_epsilon(n, beta), mu=n ** (s - 0.5))

@@ -194,17 +194,17 @@ def _hc_null_table(config: ScenarioConfig, cache_dir, pool) -> cal.NullTable:
     """The run's HC null table, the one test with a Monte-Carlo null.
 
     A file in cache_dir is used only if it loads cleanly and was simulated
-    for this (HC, m, n, reps, seed); any other file is recomputed by
+    for this (m, n, reps, seed); any other file is recomputed by
     mc_null_table, in the run's pool, and overwritten.
     """
-    key = cal.table_key(st.HC, config.m, config.n, config.calib_reps, config.master_seed)
-    path = None if cache_dir is None else Path(cache_dir) / cal.cache_key(*key)
+    args = (config.m, config.n, config.calib_reps, config.master_seed)
+    path = None if cache_dir is None else Path(cache_dir) / cal.cache_key(*args)
     if path is not None and path.exists():
         with contextlib.suppress(ValueError):
             table = cal.load_null_table(path)
-            if table.key == key:
+            if table.key == cal.table_key(*args):
                 return table
-    table = cal.mc_null_table(*key, collect=functools.partial(_collect, pool=pool))
+    table = cal.mc_null_table(*args, collect=functools.partial(_collect, pool=pool))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         cal.save_null_table(table, path, force=True)

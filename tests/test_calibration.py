@@ -34,26 +34,20 @@ NORMAL = GGParams(gamma=2.0)
 
 class TestMcNullTable:
     def test_determinism(self):
-        a = mc_null_table(st.HC, 100, 100, 200, master_seed=11)
-        b = mc_null_table(st.HC, 100, 100, 200, master_seed=11)
+        a = mc_null_table(100, 100, 200, master_seed=11)
+        b = mc_null_table(100, 100, 200, master_seed=11)
         np.testing.assert_array_equal(a.draws, b.draws)
 
     def test_quantile_stability(self):
-        a = mc_null_table(st.HC, 200, 200, 4000, master_seed=1)
-        b = mc_null_table(st.HC, 200, 200, 4000, master_seed=2)
+        a = mc_null_table(200, 200, 4000, master_seed=1)
+        b = mc_null_table(200, 200, 4000, master_seed=2)
         qa = np.quantile(a.draws, 0.95)
         qb = np.quantile(b.draws, 0.95)
         assert abs(qa - qb) < 0.15
 
-    def test_lrt_requires_model(self):
-        # the LRT's null needs the model, which lrt_null reads; it has no table
-        with pytest.raises(ValueError, match="^LRT reads no null table: its p-value uses the "
-                                             "lattice-convolution null$"):
-            mc_null_table(st.LRT, 50, 50, 200, master_seed=0)
-
     def test_reps_floor(self):
         with pytest.raises(ValueError):
-            mc_null_table(st.HC, 50, 50, 10, master_seed=0)
+            mc_null_table(50, 50, 10, master_seed=0)
 
     @pytest.mark.parametrize("reps, seed, message", [
         (100, 0.5, "seed must be an integer, got 0.5"),
@@ -67,11 +61,11 @@ class TestMcNullTable:
         # names another seed or that its file cannot hold
         monkeypatch.setattr(cal, "replicate_rows", None)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            mc_null_table(st.HC, 5, 5, reps, seed)
+            mc_null_table(5, 5, reps, seed)
 
     def test_largest_seed_round_trips(self, tmp_path):
         # numpy integers are accepted, up to the largest seed an int64 holds
-        table = mc_null_table(st.HC, 5, 5, np.int64(100), np.uint64(2**63 - 1))
+        table = mc_null_table(5, 5, np.int64(100), np.uint64(2**63 - 1))
         loaded = load_null_table(save_null_table(table, tmp_path / "t"))
         assert loaded.key == table.key == (st.HC, 5, 5, 100, 2**63 - 1)
 
@@ -85,7 +79,7 @@ class TestMcNullTable:
             xi = np.zeros(m + n, dtype=np.int64)
             xi[np.argsort(keys)[:m]] = 1
             expected.append(st.hc_from_indicator(xi, m, n))
-        table = mc_null_table(st.HC, m, n, 100, master_seed=4)
+        table = mc_null_table(m, n, 100, master_seed=4)
         np.testing.assert_array_equal(table.draws, np.sort(expected))
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
@@ -156,17 +150,7 @@ class TestMcNullTable:
     def test_empty_sample_refused(self, m, n):
         name = "m" if m == 0 else "n"
         with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
-            mc_null_table(st.HC, m, n, 200, master_seed=0)
-
-    def test_model_refused_for_a_rank_statistic(self, monkeypatch):
-        # a table is simulated on label arrangements and reads no model; the
-        # LRT, the one test with a model, is refused before the replicate loop
-        monkeypatch.setattr(cal, "replicate_rows", None)
-        alt = MixtureAlt(0.1, 1.0)
-        with pytest.raises(TypeError):
-            mc_null_table(st.HC, 50, 50, 100, 0, model=(NORMAL, alt))
-        with pytest.raises(ValueError, match="^LRT reads no null table"):
-            mc_null_table(st.LRT, 50, 50, 100, 0)
+            mc_null_table(m, n, 200, master_seed=0)
 
     @pytest.mark.parametrize("m, n, message", [
         (True, 5, "m must be an integer, got True"),
@@ -180,19 +164,7 @@ class TestMcNullTable:
 
         monkeypatch.setattr(cal, "replicate_rows", fail)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            mc_null_table(st.HC, m, n, 100, 0)
-
-    @pytest.mark.parametrize("statistic, method", [
-        (st.WILCOXON, "normal-approx"), (st.KS, "smirnov-limit"), (st.TAILRUN, "exact"),
-    ])
-    def test_no_table_for_a_test_that_reads_none(self, monkeypatch, statistic, method):
-        def fail(*args, **kwargs):
-            raise AssertionError("replicates drawn for a test that reads no table")
-
-        monkeypatch.setattr(cal, "replicate_rows", fail)
-        message = f"^{statistic} reads no null table: its p-value uses the {method} null$"
-        with pytest.raises(ValueError, match=message):
-            mc_null_table(statistic, 5, 5, 200, master_seed=0)
+            mc_null_table(m, n, 100, 0)
 
     def test_builder_calls_collect_positionally(self):
         # the power harness passes its own collect, which is called as _serial is
@@ -202,10 +174,10 @@ class TestMcNullTable:
             calls.append((args, kwargs))
             return cal._serial(*args, **kwargs)
 
-        table = mc_null_table(st.HC, 20, 15, 100, 4, collect)
+        table = mc_null_table(20, 15, 100, 4, collect)
         [(args, kwargs)] = calls
         assert kwargs == {} and args[0] == cal.RANK_NULL and args[8] == 100
-        expected = mc_null_table(st.HC, 20, 15, 100, 4)
+        expected = mc_null_table(20, 15, 100, 4)
         assert table.key == expected.key
         np.testing.assert_array_equal(table.draws, expected.draws)
 
@@ -226,7 +198,7 @@ class TestMcNullTable:
     def test_distribution_freeness(self):
         # same (m, n): uniform-data table vs gaussian-data table agree in law
         m = n = 100
-        uniform_table = mc_null_table(st.HC, m, n, 2000, master_seed=17)
+        uniform_table = mc_null_table(m, n, 2000, master_seed=17)
         draws = np.empty(2000)
         for k in range(2000):
             rng = np.random.default_rng(np.random.SeedSequence([18, k]))
@@ -609,7 +581,7 @@ class TestBlockRows:
         (tmp_path / "x.txt").write_text("\n".join(map(repr, x.tolist())))
         (tmp_path / "y.txt").write_text("\n".join(map(repr, y.tolist())))
         # the HC table comes from a file, so the call simulates no rank table
-        table = save_null_table(mc_null_table(st.HC, m, n, 100, master_seed=0), tmp_path / "hc")
+        table = save_null_table(mc_null_table(m, n, 100, master_seed=0), tmp_path / "hc")
         argv = ["test", "--x", str(tmp_path / "x.txt"), "--y", str(tmp_path / "y.txt"),
                 "--tests", "all", "--epsilon", "0.1", "--mu", "1.5", "--reps", "100",
                 "--table", str(table)]
@@ -874,7 +846,7 @@ class TestStreams:
         )
         curve = run_power_grid(config)
         assert [pt.grid_value for pt in curve.points] == [0.3, 0.5]
-        mc_null_table(st.HC, 20, 15, 100, master_seed=1)
+        mc_null_table(20, 15, 100, master_seed=1)
 
 
 class TestLatticeNull:
@@ -1076,7 +1048,7 @@ class TestLatticeNull:
 
 class TestMcPvalue:
     def _table(self, draws):
-        return NullTable(statistic=st.HC, m=2, n=2, draws=np.asarray(draws, float), seed=0)
+        return NullTable(m=2, n=2, draws=np.asarray(draws, float), seed=0)
 
     def test_extremes(self):
         table = self._table(np.arange(100))
@@ -1092,7 +1064,7 @@ class TestMcPvalue:
 
     def test_super_uniform_under_null(self):
         m = n = 60
-        table = mc_null_table(st.HC, m, n, 4000, master_seed=5)
+        table = mc_null_table(m, n, 4000, master_seed=5)
         fresh = np.empty(2000)
         for k in range(2000):
             rng = np.random.default_rng(np.random.SeedSequence([6, k]))
@@ -1152,7 +1124,7 @@ class TestStatisticTable:
         assert [s.name for s in cal.STATISTICS.values() if not s.rank] == [st.LRT]
 
     def test_scalar_forms_match_vector_forms(self):
-        table = NullTable(statistic=st.HC, m=9, n=7, draws=np.linspace(0, 3, 200), seed=0)
+        table = NullTable(m=9, n=7, draws=np.linspace(0, 3, 200), seed=0)
         values = np.array([0.0, 2.0, 5.0, 7.0])
         for name in (st.HC, st.WILCOXON, st.KS, st.TAILRUN):
             stat = cal.STATISTICS[name]
@@ -1186,13 +1158,12 @@ class TestNullFor:
         return cal.null_for(statistic, self.m, self.n, NORMAL, self.alt, **kwargs)
 
     def test_hc_given_table_as_is(self):
-        table = NullTable(statistic=st.HC, m=self.m, n=self.n, draws=np.linspace(0, 3, 150),
-                          seed=4)
+        table = NullTable(m=self.m, n=self.n, draws=np.linspace(0, 3, 150), seed=4)
         assert self.null(st.HC, table=table, reps=200, seed=9) is table
 
     def test_hc_simulated_without_table(self):
         null = self.null(st.HC, reps=150, seed=7)
-        table = mc_null_table(st.HC, self.m, self.n, 150, 7)
+        table = mc_null_table(self.m, self.n, 150, 7)
         assert null.key == table.key
         assert null.draws.tobytes() == table.draws.tobytes()
 
@@ -1204,7 +1175,7 @@ class TestNullFor:
 
     @pytest.mark.parametrize("statistic", [st.WILCOXON, st.KS, st.TAILRUN])
     def test_closed_forms_read_none(self, statistic):
-        table = NullTable(statistic=st.HC, m=self.m, n=self.n, draws=np.zeros(150), seed=0)
+        table = NullTable(m=self.m, n=self.n, draws=np.zeros(150), seed=0)
         assert self.null(statistic) is None
         assert self.null(statistic, table=table, reps=150, seed=0) is None
 
@@ -1310,16 +1281,11 @@ class TestTailRunNull:
 
 class TestCacheRoundTrip:
     def test_bit_exact(self, tmp_path):
-        table = mc_null_table(st.HC, 40, 30, 300, master_seed=13)
+        table = mc_null_table(40, 30, 300, master_seed=13)
         path = tmp_path / "hc.npz"
         save_null_table(table, path)
         loaded = load_null_table(path)
-        assert (loaded.statistic, loaded.m, loaded.n, loaded.seed) == (
-            st.HC,
-            40,
-            30,
-            13,
-        )
+        assert loaded.key == (st.HC, 40, 30, 300, 13)
         np.testing.assert_array_equal(loaded.draws, table.draws)
         assert loaded.draws.dtype == np.float64
 
@@ -1336,17 +1302,15 @@ class TestCacheRoundTrip:
         # a table is refused, not saved under a key that its file would read
         # back as another (seed 1.5 as 1, m 5.7 as 5) or cannot hold (2**63)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            NullTable(st.HC, m, n, np.arange(3.0), seed)
-        NullTable(st.HC, np.int64(5), 5, np.arange(3.0), np.uint64(2**63 - 1))
+            NullTable(m, n, np.arange(3.0), seed)
+        NullTable(np.int64(5), 5, np.arange(3.0), np.uint64(2**63 - 1))
 
     @pytest.mark.parametrize("statistic, message", [
         ("FOO", "unknown statistic 'FOO'"),
         (st.KS, "KS reads no null table: its p-value uses the smirnov-limit null"),
     ])
     def test_statistic_that_reads_no_table_refused(self, tmp_path, statistic, message):
-        # such a table was built, saved and loaded back under its key
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            NullTable(statistic, 5, 5, np.arange(3.0), 0)
+        # a file of such a table is refused as it loads
         path = tmp_path / "t.npz"
         np.savez(
             path, version=np.int64(cal.CACHE_FORMAT_VERSION), statistic=np.str_(statistic),
@@ -1357,7 +1321,7 @@ class TestCacheRoundTrip:
             load_null_table(path)
 
     def test_no_overwrite_without_force(self, tmp_path):
-        table = mc_null_table(st.HC, 20, 20, 150, master_seed=1)
+        table = mc_null_table(20, 20, 150, master_seed=1)
         path = tmp_path / "hc.npz"
         save_null_table(table, path)
         with pytest.raises(FileExistsError):
@@ -1365,7 +1329,7 @@ class TestCacheRoundTrip:
         save_null_table(table, path, force=True)
 
     def test_path_without_suffix(self, tmp_path):
-        table = mc_null_table(st.HC, 20, 20, 150, master_seed=1)
+        table = mc_null_table(20, 20, 150, master_seed=1)
         written = save_null_table(table, tmp_path / "tbl")
         assert written == tmp_path / "tbl.npz" and written.exists()
         with pytest.raises(FileExistsError):
@@ -1373,7 +1337,7 @@ class TestCacheRoundTrip:
         assert save_null_table(table, tmp_path / "tbl", force=True) == written
 
     def test_load_without_suffix(self, tmp_path):
-        table = mc_null_table(st.HC, 20, 20, 150, master_seed=1)
+        table = mc_null_table(20, 20, 150, master_seed=1)
         save_null_table(table, tmp_path / "tbl")
         loaded = load_null_table(tmp_path / "tbl")
         assert loaded.key == table.key
@@ -1395,11 +1359,6 @@ class TestLrtTableModel:
         )
         return path
 
-    def test_round_trip(self, tmp_path):
-        # no LRT table can be built, so none is saved
-        with pytest.raises(ValueError, match="^LRT reads no null table"):
-            NullTable(st.LRT, 30, 25, np.arange(3.0), 2)
-
     def test_another_mu_is_not_a_match(self, tmp_path):
         # an LRT file is refused, by name, whatever alternative it was for
         for mu in (1.0, 3.0):
@@ -1412,14 +1371,14 @@ class TestLrtTableModel:
     def test_model_only_on_lrt_tables(self):
         # no table carries a model
         with pytest.raises(TypeError):
-            NullTable(st.HC, 5, 5, np.arange(3.0), 0, model=(NORMAL, MixtureAlt(0.1, 1.0)))
+            NullTable(5, 5, np.arange(3.0), 0, model=(NORMAL, MixtureAlt(0.1, 1.0)))
         assert [f[0] for f in cal._KEY_FIELDS] == ["statistic", "m", "n", "reps", "seed"]
 
     def test_cache_key_names_the_model(self):
         # a file name holds the five fields of a table's key, and no model
-        assert cal.cache_key(st.HC, 1000, 1000, 4000, 0) == "HC_m1000_n1000_r4000_s0.npz"
+        assert cal.cache_key(1000, 1000, 4000, 0) == "HC_m1000_n1000_r4000_s0.npz"
         with pytest.raises(TypeError):
-            cal.cache_key(st.HC, 1000, 1000, 4000, 0, (NORMAL, MixtureAlt(0.1, 1.0)))
+            cal.cache_key(1000, 1000, 4000, 0, (NORMAL, MixtureAlt(0.1, 1.0)))
 
     def test_lrt_file_without_model_refused(self, tmp_path):
         path = self.lrt_file(tmp_path / "lrt.npz", model=False)

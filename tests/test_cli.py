@@ -139,7 +139,7 @@ class TestCmdTest:
                 epsilon=np.float64(0.1), mu=np.float64(mu),
             )
             return path
-        return cal.save_null_table(cal.mc_null_table(statistic, m, n, 500, 5), path)
+        return cal.save_null_table(cal.mc_null_table(m, n, 500, 5), path)
 
     @pytest.mark.parametrize("statistic", ["HC"])
     def test_stored_table_used(self, tmp_path, capsys, monkeypatch, statistic):
@@ -151,7 +151,7 @@ class TestCmdTest:
         simulated = []
         mc_null_table = cal.mc_null_table
         monkeypatch.setattr(
-            cal, "mc_null_table", lambda s, *a, **k: simulated.append(s) or mc_null_table(s, *a, **k)
+            cal, "mc_null_table", lambda *a, **k: simulated.append(a) or mc_null_table(*a, **k)
         )
         argv = ["test", "--x", xf, "--y", yf, "--tests", "lrt,hc,ks", "--reps", "200",
                 "--table", str(path), *self.MODEL_ARGS]
@@ -163,6 +163,22 @@ class TestCmdTest:
         # on the file's 1/(R + 1) grid, R = 500, not on that of --reps 200
         assert row["pvalue"] * 501 == pytest.approx(round(row["pvalue"] * 501), abs=1e-9)
 
+    def test_file_of_the_earlier_layout_used(self, tmp_path, capsys):
+        # a file written by np.savez as calibrate wrote it while it still took
+        # --statistic: format 6, statistic "HC", int64 key fields, float draws
+        from mixdetect import calibration as cal
+
+        rng = np.random.default_rng(6)
+        xf, yf = write_samples(tmp_path, rng.normal(size=20), 0.5 + rng.normal(size=30))
+        draws = cal.mc_null_table(20, 30, 500, 5).draws
+        path = tmp_path / "HC_m20_n30_r500_s5.npz"
+        np.savez(path, version=np.int64(6), draws=draws, statistic=np.str_("HC"),
+                 m=np.int64(20), n=np.int64(30), reps=np.int64(500), seed=np.int64(5))
+        assert main(["test", "--x", xf, "--y", yf, "--tests", "hc", "--table", str(path)]) == 0
+        row = json.loads(capsys.readouterr().out)["tests"]["HC"]
+        assert row["pvalue"] == float(cal.mc_pvalues(row["statistic"], cal.load_null_table(path)))
+        assert row["pvalue"] * 501 == pytest.approx(round(row["pvalue"] * 501), abs=1e-9)
+
     @pytest.mark.parametrize("statistic, tests, table_args", [
         ("LRT", "lrt", {"mu": 2.0}),  # an LRT file of format 6, for any alternative
         ("HC", "hc", {"n": 31}),  # another sample size
@@ -170,8 +186,6 @@ class TestCmdTest:
         ("LRT", "hc,tailrun", {}),  # an LRT file, whatever the tests
     ], ids=["another_mu", "another_n", "hc_table_unread", "lrt_table_unread"])
     def test_stored_table_refused(self, tmp_path, capsys, statistic, tests, table_args):
-        from mixdetect import load_null_table
-
         rng = np.random.default_rng(6)
         xf, yf = write_samples(tmp_path, rng.normal(size=20), rng.normal(size=30))
         path = self.stored_table(tmp_path, statistic, **table_args)
@@ -187,9 +201,11 @@ class TestCmdTest:
                 "lattice-convolution null\n"
             )
             return
+        if "hc" not in tests:
+            assert captured.err == f"error: table {path} is HC's null table, and HC is not selected\n"
+            return
         assert captured.err == (
-            f"error: table {path} is for {load_null_table(path).key}; "
-            "it matches no selected test here\n"
+            f"error: table {path} is for (m, n) = (20, 31); the samples' are (20, 30)\n"
         )
 
     @pytest.mark.parametrize("model_args, message", [
@@ -233,7 +249,7 @@ class TestCmdTest:
         argv = ["test", "--x", xf, "--y", yf, "--tests", tests]
         if tests == "table":
             table = str(tmp_path / "hc.npz")
-            main(["calibrate", "--statistic", "hc", "--m", "3", "--n", "3", "--reps", "100",
+            main(["calibrate", "--m", "3", "--n", "3", "--reps", "100",
                   "--out", table])
             capsys.readouterr()
             argv[-1:] = ["hc", "--table", table]
@@ -602,8 +618,6 @@ class TestCmdCalibrate:
                 main(
                     [
                         "calibrate",
-                        "--statistic",
-                        "HC",
                         "--m",
                         "50",
                         "--n",
@@ -622,16 +636,10 @@ class TestCmdCalibrate:
 
         np.testing.assert_array_equal(load_null_table(a).draws, load_null_table(b).draws)
 
-    def test_tailrun_refused(self, capsys):
-        assert (
-            main(["calibrate", "--statistic", "TAILRUN", "--m", "5", "--n", "5"]) == 1
-        )
-        assert "exact null" in capsys.readouterr().err
-
     def test_existing_file_requires_force(self, tmp_path, capsys):
         out = tmp_path / "t.npz"
         args = [
-            "calibrate", "--statistic", "HC", "--m", "20", "--n", "20",
+            "calibrate", "--m", "20", "--n", "20",
             "--reps", "150", "--seed", "1", "--out", str(out),
         ]
         assert main(args) == 0
@@ -649,7 +657,7 @@ class TestCmdCalibrate:
 
         monkeypatch.setattr(calibration, "mc_null_table", no_table)
         args = [
-            "calibrate", "--statistic", "HC", "--m", "20", "--n", "20",
+            "calibrate", "--m", "20", "--n", "20",
             "--reps", "150", "--out", str(out),
         ]
         assert main(args) == 1
@@ -679,26 +687,16 @@ class TestCmdCalibrate:
             assert capsys.readouterr().err == f"error: cannot write {name}: it names no file\n"
             assert not (tmp_path / "sub.npz").exists() and not (tmp_path / "sub").exists()
 
-    def test_lrt_refused(self, tmp_path, capsys, monkeypatch):
-        # the LRT's null is computed by mixdetect test and the harness; no
-        # file is written
-        monkeypatch.chdir(tmp_path)
-        assert main(["calibrate", "--statistic", "lrt", "--m", "5", "--n", "50"]) == 1
-        assert capsys.readouterr() == (
-            "", "error: LRT reads no null table: its p-value uses the lattice-convolution null\n"
-        )
-        assert list(tmp_path.iterdir()) == []
-
     def test_default_names(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         base = ["calibrate", "--m", "5", "--n", "50", "--reps", "100"]
-        assert main([*base, "--statistic", "HC"]) == 0
+        assert main(base) == 0
         paths = [json.loads(line)["path"] for line in capsys.readouterr().out.splitlines()]
         assert paths == ["HC_m5_n50_r100_s0.npz"]
 
     def test_path_without_suffix(self, tmp_path, capsys):
         args = [
-            "calibrate", "--statistic", "HC", "--m", "20", "--n", "20",
+            "calibrate", "--m", "20", "--n", "20",
             "--reps", "150", "--out", str(tmp_path / "tbl"),
         ]
         assert main(args) == 0
@@ -715,7 +713,7 @@ class TestCmdCalibrate:
         m, n, reps, seed = 60, 50, 150, 7
         out = tmp_path / "calibrated.npz"
         assert main([
-            "calibrate", "--statistic", "HC", "--m", str(m), "--n", str(n),
+            "calibrate", "--m", str(m), "--n", str(n),
             "--reps", str(reps), "--seed", str(seed), "--out", str(out),
         ]) == 0
         cfg = ScenarioConfig(
@@ -723,7 +721,7 @@ class TestCmdCalibrate:
             tests=["HC"], power_reps=1, calib_reps=reps, master_seed=seed,
         )
         run_power_grid(cfg, cache_dir=tmp_path / "cache")
-        cached = load_null_table(tmp_path / "cache" / cache_key("HC", m, n, reps, seed))
+        cached = load_null_table(tmp_path / "cache" / cache_key(m, n, reps, seed))
         np.testing.assert_array_equal(load_null_table(out).draws, cached.draws)
 
     def test_lrt_matches_the_harness(self, tmp_path, capsys):
@@ -750,7 +748,7 @@ class TestCmdCalibrate:
 
     def test_missing_out_directory(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.npz"
-        args = ["calibrate", "--statistic", "HC", "--m", "5", "--n", "5", "--reps", "100"]
+        args = ["calibrate", "--m", "5", "--n", "5", "--reps", "100"]
         assert main(args + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nodir" in err
@@ -758,7 +756,7 @@ class TestCmdCalibrate:
 
     def test_empty_sample_refused(self, tmp_path, capsys):
         out = tmp_path / "t.npz"
-        args = ["calibrate", "--statistic", "HC", "--m", "3", "--n", "0", "--out", str(out)]
+        args = ["calibrate", "--m", "3", "--n", "0", "--out", str(out)]
         assert main(args) == 1
         assert capsys.readouterr().err == "error: n must be at least 1, got 0\n"
         assert not out.exists()
@@ -766,10 +764,12 @@ class TestCmdCalibrate:
     @pytest.mark.parametrize("model_args", [
         ["--mu", "-1", "--epsilon", "0.9", "--gamma", "-2"], ["--gg-scale", "0"],
         ["--epsilon", "0.9", "--mu", "1"], ["--epsilon", "0.1", "--mu", "-1"], ["--mu", "1"],
-    ], ids=["gamma", "gg_scale", "epsilon", "mu", "mu_alone"])
+        ["--statistic", "HC"],
+    ], ids=["gamma", "gg_scale", "epsilon", "mu", "mu_alone", "statistic"])
     def test_unread_model_args_validated(self, tmp_path, capsys, monkeypatch, model_args):
-        # HC's table reads no model, so calibrate has no model flags: the
-        # parser refuses each one before anything is simulated or written
+        # HC's table reads no model, so calibrate has no model flags, and HC
+        # is the one test with a table, so it has no --statistic: the parser
+        # refuses each one before anything is simulated or written
         from mixdetect import calibration
 
         def no_table(*args, **kwargs):
@@ -777,24 +777,13 @@ class TestCmdCalibrate:
 
         monkeypatch.setattr(calibration, "mc_null_table", no_table)
         out = tmp_path / "t.npz"
-        args = ["calibrate", "--statistic", "hc", "--m", "5", "--n", "5", "--reps", "100",
+        args = ["calibrate", "--m", "5", "--n", "5", "--reps", "100",
                 "--out", str(out), *model_args]
         with pytest.raises(SystemExit) as exit_:
             main(args)
         assert exit_.value.code == 2
         out_, err = capsys.readouterr()
         assert out_ == "" and "unrecognized arguments: " + model_args[0] in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("statistic", ["wilcoxon", "KS"])
-    def test_asymptotic_statistics_refused(self, tmp_path, capsys, statistic):
-        # no p-value reads their tables; the law of the label arrangements
-        # is checked by TestMcNullTable::test_rank_null_law
-        out = tmp_path / "t.npz"
-        args = ["calibrate", "--statistic", statistic, "--m", "5", "--n", "5", "--out", str(out)]
-        assert main(args) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {statistic.upper()} reads no null table")
         assert not out.exists()
 
 
@@ -945,6 +934,27 @@ class TestCmdPower:
         assert capsys.readouterr() == (
             "", f"error: cannot write {csv_path}: no directory {csv_path.parent}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_missing_stem_directory_makes_no_directory(self, tmp_path, capsys):
+        # --out and --cache-dir do not exist yet: the stem's directory is
+        # checked before either is made
+        out, cache = tmp_path / "newdir", tmp_path / "newcache"
+        args = ["power", "--preset", "normal-dense", "--scale", "0.001", "--reps", "5",
+                "--out", str(out), "--cache-dir", str(cache), "--stem", "sub/run"]
+        assert main(args) == 1
+        csv_path = out / "sub" / "run.csv"
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {csv_path}: no directory {csv_path.parent}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("preset, scale, eps", [
+        ("normal-dense", "0.0003", 30 ** -0.2), ("normal-moderate", "0.00002", 2 ** -0.6),
+    ], ids=["dense", "sparse"])
+    def test_epsilon_too_large_says_why(self, tmp_path, capsys, preset, scale, eps):
+        args = ["power", "--preset", preset, "--scale", scale, "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert capsys.readouterr() == (
+            "", f"error: epsilon = n**-beta = {eps} >= 1/2; increase n or beta\n")
 
     @pytest.mark.parametrize("stem", ["absolute", "../esc", "sub/../../esc"])
     def test_stem_outside_out_refused_before_simulating(self, tmp_path, capsys,
@@ -1127,7 +1137,7 @@ class TestErrorBoundary:
     def calibrate_onto_directory(tmp_path):
         out = tmp_path / "t.npz"
         out.mkdir()
-        argv = ["calibrate", "--statistic", "HC", "--m", "5", "--n", "5", "--reps", "100",
+        argv = ["calibrate", "--m", "5", "--n", "5", "--reps", "100",
                 "--out", str(out), "--force"]
         return argv, out
 
@@ -1182,7 +1192,7 @@ class TestErrorBoundary:
         argv = {
             "power": ["--preset", "normal-dense", "--scale", "0.001", "--out", str(out)],
             "test": ["--x", xf, "--y", yf, "--tests", "hc", "--reps", "200"],
-            "calibrate": ["--statistic", "HC", "--m", "5", "--n", "5", "--reps", "100",
+            "calibrate": ["--m", "5", "--n", "5", "--reps", "100",
                           "--out", str(out) + ".npz"],
         }[command]
         if command == "power":

@@ -24,7 +24,6 @@ from mixdetect import (
     sparse_calibration,
 )
 from mixdetect import calibration as cal
-from mixdetect import statistics as st
 from mixdetect import theory
 
 NORMAL = GGParams(gamma=2.0)
@@ -342,6 +341,17 @@ class TestCalibrations:
         with pytest.raises(ValueError):
             sparse_calibration(2, beta=0.1, r=0.5, gamma=2.0)
 
+    @pytest.mark.parametrize("calibrate, n, beta", [
+        (lambda n, beta: sparse_calibration(n, beta, r=0.4, gamma=2.0), 3, 0.6),
+        (lambda n, beta: dense_calibration(n, beta, s=0.5), 30, 0.2),
+    ], ids=["sparse", "dense"])
+    def test_epsilon_too_large_says_why(self, calibrate, n, beta):
+        # one rule for both regimes: n**-beta of at least 1/2 is refused by
+        # name, not as MixtureAlt's bare `epsilon must lie in (0, 0.5)`
+        message = f"epsilon = n**-beta = {n ** -beta} >= 1/2; increase n or beta"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calibrate(n, beta)
+
     def test_dense_values(self):
         alt = dense_calibration(10**4, beta=0.2, s=0.25)
         assert alt.mu == pytest.approx(0.1, rel=1e-12)
@@ -367,10 +377,10 @@ ALT = MixtureAlt(epsilon=0.1, mu=1.0)
 # (name, least, call): every entry point that takes a count, size, reps, seed
 # or thread count, with the one argument under test as v
 INTEGER_ENTRY_POINTS = {
-    "mc_null_table-m": ("m", 1, lambda v: cal.mc_null_table(st.HC, v, 5, 100, 0)),
-    "mc_null_table-n": ("n", 1, lambda v: cal.mc_null_table(st.HC, 5, v, 100, 0)),
-    "mc_null_table-reps": ("reps", 100, lambda v: cal.mc_null_table(st.HC, 5, 5, v, 0)),
-    "mc_null_table-seed": ("seed", 0, lambda v: cal.mc_null_table(st.HC, 5, 5, 100, v)),
+    "mc_null_table-m": ("m", 1, lambda v: cal.mc_null_table(v, 5, 100, 0)),
+    "mc_null_table-n": ("n", 1, lambda v: cal.mc_null_table(5, v, 100, 0)),
+    "mc_null_table-reps": ("reps", 100, lambda v: cal.mc_null_table(5, 5, v, 0)),
+    "mc_null_table-seed": ("seed", 0, lambda v: cal.mc_null_table(5, 5, 100, v)),
     "ScenarioConfig-m": ("m", 2, lambda v: _config(m=v)),
     "ScenarioConfig-n": ("n", 2, lambda v: _config(n=v)),
     "ScenarioConfig-power_reps": ("power_reps", 1, lambda v: _config(power_reps=v)),

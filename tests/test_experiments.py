@@ -335,7 +335,7 @@ class TestLrtNullTables:
         cfg = self.config()
         tables = self.harness_tables(monkeypatch, run, cfg, threads)
         key = (cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
-        hc = cal.mc_null_table(st.HC, *key)
+        hc = cal.mc_null_table(*key)
         for g, point in zip(cfg.grid, tables):
             assert point[st.HC].key == hc.key
             np.testing.assert_array_equal(point[st.HC].draws, hc.draws)
@@ -385,7 +385,7 @@ class TestHcCache:
         return small_config(tests=[st.HC], calib_reps=120)
 
     def cache_file(self, cfg, tmp_path):
-        return tmp_path / cal.cache_key(st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
+        return tmp_path / cal.cache_key(cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
 
     def test_hit_reuses_the_file(self, tmp_path):
         cfg = self.config()
@@ -398,7 +398,7 @@ class TestHcCache:
         cfg = self.config()
         expected = run_power_grid(cfg).to_csv()
         path = self.cache_file(cfg, tmp_path)
-        other_seed = cal.mc_null_table(st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed + 1)
+        other_seed = cal.mc_null_table(cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed + 1)
         cal.save_null_table(other_seed, path)
         assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == expected
         assert cal.load_null_table(path).seed == cfg.master_seed
@@ -407,7 +407,7 @@ class TestHcCache:
         cfg = self.config()
         expected = run_power_grid(cfg).to_csv()
         path = self.cache_file(cfg, tmp_path)
-        table = cal.mc_null_table(st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
+        table = cal.mc_null_table(cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
         np.savez(
             path, version=np.int64(1), statistic=np.str_(st.HC), m=np.int64(cfg.m),
             n=np.int64(cfg.n), reps=np.int64(cfg.calib_reps),
@@ -421,15 +421,36 @@ class TestHcCache:
         cfg = self.config()
         expected = run_power_grid(cfg).to_csv()
         path = self.cache_file(cfg, tmp_path)
-        stale = cal.mc_null_table(st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed + 1)
+        stale = cal.mc_null_table(cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed + 1)
         np.savez(
             path, version=np.int64(2), statistic=np.str_(st.HC), m=np.int64(cfg.m),
             n=np.int64(cfg.n), reps=np.int64(cfg.calib_reps),
             seed=np.int64(cfg.master_seed), draws=stale.draws,
         )
         assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == expected
-        fresh = cal.mc_null_table(st.HC, cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
+        fresh = cal.mc_null_table(cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
         np.testing.assert_array_equal(cal.load_null_table(path).draws, fresh.draws)
+
+    def test_file_of_the_earlier_layout_is_a_hit(self, tmp_path, monkeypatch):
+        # a file written by np.savez as calibrate wrote it while mc_null_table
+        # still took a statistic: format 6, statistic "HC", int64 key fields
+        cfg = self.config()
+        table = cal.mc_null_table(cfg.m, cfg.n, cfg.calib_reps, cfg.master_seed)
+        expected = run_power_grid(cfg).to_csv()
+        path = tmp_path / f"HC_m{cfg.m}_n{cfg.n}_r{cfg.calib_reps}_s{cfg.master_seed}.npz"
+        np.savez(
+            path, version=np.int64(6), draws=table.draws, statistic=np.str_("HC"),
+            m=np.int64(cfg.m), n=np.int64(cfg.n), reps=np.int64(cfg.calib_reps),
+            seed=np.int64(cfg.master_seed),
+        )
+        stamp = path.stat().st_mtime_ns
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a table simulated in place of the cached file")
+
+        monkeypatch.setattr(cal, "mc_null_table", fail)
+        assert run_power_grid(cfg, cache_dir=tmp_path).to_csv() == expected
+        assert path.stat().st_mtime_ns == stamp
 
     def test_truncated_file_is_recomputed(self, tmp_path):
         cfg = self.config()

@@ -42,8 +42,7 @@ def run(*argv):
 x, y, table, out = sys.argv[1:]
 report = {"import": loaded(), "fft": "numpy.fft" in sys.modules}
 run("boundary", "--beta", "0.7", "--gamma", "2", "--regime", "sparse")
-run("calibrate", "--statistic", "hc", "--m", "20", "--n", "20", "--reps", "100",
-    "--out", table)
+run("calibrate", "--m", "20", "--n", "20", "--reps", "100", "--out", table)
 run("test", "--x", x, "--y", y, "--tests", "all", "--reps", "100",
     "--epsilon", "0.1", "--mu", "1")
 run("test", "--x", x, "--y", y, "--tests", "all", "--reps", "100",
